@@ -21,7 +21,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,6 @@ from .diagnostics import (
     path_difference_inequality,
     shifted_weight_inequality,
     trace_identities,
-    trace_report_as_dict,
     write_diagnostic_records,
 )
 from .discrete_ops import NormKind, norm
@@ -50,6 +49,7 @@ from .freeboundary import (
     path_h1_norm,
     picard_solve,
     reconstruction_residuals,
+    running_h1_norm,
     validate_hypotheses,
 )
 from .perturbations import FAMILIES, initial_data_fields
@@ -180,6 +180,16 @@ def validate_config(cfg: RunConfig) -> None:
     for name in ("newton_tol", "picard_tol", "delta", "dt", "T_final"):
         if getattr(cfg, name) <= 0.0:
             raise ConfigError(f"{name} must be positive")
+    if cfg.stride < 1:
+        raise ConfigError(f"time.stride must be at least 1 (got {cfg.stride})")
+    if cfg.window is not None and cfg.window <= 0.0:
+        raise ConfigError(f"time.window must be positive (got {cfg.window})")
+    if cfg.n < 16:
+        raise ConfigError(f"grid.n must be at least 16 (got {cfg.n})")
+    if cfg.R <= 0.0:
+        raise ConfigError(f"grid.R must be positive (got {cfg.R})")
+    if cfg.workers < 1:
+        raise ConfigError(f"workers must be at least 1 (got {cfg.workers})")
     try:
         cfg.params()
     except ValidationError as exc:
@@ -248,19 +258,18 @@ def config_lines(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trajectory_csv(path: Path, traj: Trajectory, grid, params) -> None:
-    prof = traveling_wave(params, grid)
+def _trajectory_csv(path: Path, traj: Trajectory) -> None:
+    grid = traj.grid
+    beta_running = running_h1_norm(traj.t, traj.ydot - traj.params.s)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,xtilde,xtilde_dot,p_s,l2_v_err,h1_v_err,l2_u_err,beta_h1_running\n")
         for i, step in enumerate(traj.stored_idx):
-            g = traj.v[i] - prof.v_bar
-            h = traj.u[i] - prof.u_bar
-            npath = step + 1
-            beta_running = path_h1_norm(traj.t[:npath], traj.ydot[:npath] - params.s)
+            g = traj.v[i] - traj.wave.v_bar
+            h = traj.u[i] - traj.wave.u_bar
             row = (
                 traj.t[step], traj.y[step], traj.ydot[step], traj.p_s[step],
                 norm(g, grid, NormKind.L2), norm(g, grid, NormKind.H1),
-                norm(h, grid, NormKind.L2), beta_running,
+                norm(h, grid, NormKind.L2), beta_running[step],
             )
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
@@ -290,10 +299,9 @@ def _solve_from_config(cfg: RunConfig):
 
 
 def _run_summary(cfg: RunConfig, grid, params, init, traj: Trajectory) -> dict:
-    prof = traveling_wave(params, grid)
-    sup_v = max(float(np.max(np.abs(traj.v[i] - prof.v_bar)))
+    sup_v = max(float(np.max(np.abs(traj.v[i] - traj.wave.v_bar)))
                 for i in range(traj.stored_idx.size))
-    sup_u = max(float(np.max(np.abs(traj.u[i] - prof.u_bar)))
+    sup_u = max(float(np.max(np.abs(traj.u[i] - traj.wave.u_bar)))
                 for i in range(traj.stored_idx.size))
     monitor = bootstrap_monitor(traj.path, params, cfg.delta)
     recon = reconstruction_residuals(traj, init, grid, params)
@@ -315,7 +323,7 @@ def _run_summary(cfg: RunConfig, grid, params, init, traj: Trajectory) -> dict:
 
 def _emit_trajectory_outputs(out: Path, tag: str, cfg: RunConfig, grid, params, init,
                              traj: Trajectory) -> dict:
-    _trajectory_csv(out / f"trajectory{tag}.csv", traj, grid, params)
+    _trajectory_csv(out / f"trajectory{tag}.csv", traj)
     picks = sorted({0, traj.stored_idx.size // 2, traj.stored_idx.size - 1})
     for t_index in picks:
         t_val = traj.t[traj.stored_idx[t_index]]
@@ -346,7 +354,7 @@ def _run_trace_suite(cfg: RunConfig, out: Path) -> dict:
         records.append({"t": t_val, "check": "trace_identities",
                         "lhs": rep.g1_at0, "rhs": rep.g1_at0 - rep.residual_value,
                         "gap": rep.residual_value, "pass": abs(rep.residual_value) <= 5e-4,
-                        **trace_report_as_dict(rep)})
+                        **asdict(rep)})
     write_diagnostic_records(out / "diagnostics.jsonl", records)
     summary["max_trace_residuals"] = worst
     summary["trace_identity_pass"] = worst["residual_value"] <= 5e-4
@@ -356,11 +364,10 @@ def _run_trace_suite(cfg: RunConfig, out: Path) -> dict:
 def _run_bootstrap_check(cfg: RunConfig, out: Path) -> dict:
     params, grid, init, traj = _solve_from_config(cfg)
     summary = _emit_trajectory_outputs(out, "", cfg, grid, params, init, traj)
-    prof = traveling_wave(params, grid)
     e0 = summary["initial_energy"]
     monitor = bootstrap_monitor(traj.path, params, cfg.delta)
-    initial_sup = float(np.max(np.abs(traj.v[0] - prof.v_bar)))
-    final_sup = float(np.max(np.abs(traj.v[-1] - prof.v_bar)))
+    initial_sup = float(np.max(np.abs(traj.v[0] - traj.wave.v_bar)))
+    final_sup = float(np.max(np.abs(traj.v[-1] - traj.wave.v_bar)))
     summary.update({
         "delta": cfg.delta,
         "c0": BOOTSTRAP_C0,
@@ -376,48 +383,26 @@ def _run_bootstrap_check(cfg: RunConfig, out: Path) -> dict:
     return summary
 
 
-def _sweep_one(args: tuple) -> tuple[float, dict, list, np.ndarray]:
+def _sweep_one(args: tuple) -> dict:
     cfg_kwargs, amplitude = args
-    cfg = RunConfig(**cfg_kwargs)
-    cfg = replace(cfg, amplitude=amplitude)
+    cfg = replace(RunConfig(**cfg_kwargs), amplitude=amplitude)
     params, grid, init, traj = _solve_from_config(cfg)
+    _trajectory_csv(Path(cfg.out_dir) / f"trajectory_amp{amplitude:g}.csv", traj)
     summary = _run_summary(cfg, grid, params, init, traj)
     summary["amplitude"] = amplitude
     summary["min_v"] = float(np.min(traj.v))
     summary["max_v"] = float(np.max(traj.v))
-    prof = traveling_wave(params, grid)
-    rows = []
-    for i, step in enumerate(traj.stored_idx):
-        g = traj.v[i] - prof.v_bar
-        h = traj.u[i] - prof.u_bar
-        npath = step + 1
-        rows.append((traj.t[step], traj.y[step], traj.ydot[step], traj.p_s[step],
-                     norm(g, grid, NormKind.L2), norm(g, grid, NormKind.H1),
-                     norm(h, grid, NormKind.L2),
-                     path_h1_norm(traj.t[:npath], traj.ydot[:npath] - params.s)))
-    return amplitude, summary, rows, traj.v
+    return summary
 
 
 def _run_stability_sweep(cfg: RunConfig, out: Path) -> dict:
-    from dataclasses import asdict
-
     cfg_kwargs = asdict(cfg)
     jobs = [(cfg_kwargs, a) for a in cfg.sweep_amplitudes]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_sweep_one, jobs))
+            per_amp = list(pool.map(_sweep_one, jobs))
     else:
-        results = [_sweep_one(job) for job in jobs]
-    per_amp = []
-    bar_c_min = np.inf
-    for amplitude, summary, rows, _v in results:
-        tag = f"_amp{amplitude:g}"
-        with open(out / f"trajectory{tag}.csv", "w", encoding="utf-8") as fh:
-            fh.write("t,xtilde,xtilde_dot,p_s,l2_v_err,h1_v_err,l2_u_err,beta_h1_running\n")
-            for row in rows:
-                fh.write(",".join(fmt(v) for v in row) + "\n")
-        per_amp.append(summary)
-        bar_c_min = min(bar_c_min, summary["max_v"])
+        per_amp = [_sweep_one(job) for job in jobs]
     return {
         "converged": all(s["converged"] for s in per_amp),
         "amplitudes": list(cfg.sweep_amplitudes),
@@ -436,7 +421,7 @@ def _run_convergence_order(cfg: RunConfig, out: Path) -> dict:
         stride = int(round(0.08 / dt))
         lcfg = replace(cfg, n=n, dt=dt, stride=stride, picard_tol=1e-10)
         params, grid, init, traj = _solve_from_config(lcfg)
-        _trajectory_csv(out / f"trajectory_n{n}.csv", traj, grid, params)
+        _trajectory_csv(out / f"trajectory_n{n}.csv", traj)
         trajs[n] = traj
 
     def level_diff(na: int, nb: int) -> float:

@@ -11,7 +11,7 @@ into the solver.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
@@ -26,9 +26,16 @@ from .discrete_ops import (
     tail_integral,
     trace0,
 )
-from .freeboundary import BoundaryPath, InitialData, Trajectory, time_derivative, path_h1_norm
+from .freeboundary import (
+    BoundaryPath,
+    InitialData,
+    Trajectory,
+    path_h1_norm,
+    running_h1_norm,
+    time_derivative,
+)
 from .parabolic import truncation_mollifier
-from .profiles import Profiles, wave_dv, wave_v
+from .profiles import Profiles, traveling_wave
 
 
 def integrated_perturbation(v: np.ndarray, v_bar: np.ndarray, grid: Grid) -> np.ndarray:
@@ -55,12 +62,6 @@ def coercivity_weight(grid: Grid, params: PhysicalParams) -> np.ndarray:
     """Weight 1 + exp(-4 s x / mu): value 2 and slope -4s/mu at x = 0,
     range within [1, 2], as the weighted coercivity bound requires."""
     return 1.0 + np.exp(-4.0 * params.s * grid.x / params.mu)
-
-
-def _wave_curvature(params: PhysicalParams, x: np.ndarray) -> np.ndarray:
-    v = np.asarray(wave_v(params, x))
-    dv = np.asarray(wave_dv(params, x))
-    return params.s / params.mu * dv * (params.v_plus - 2.0 * v)
 
 
 def coercivity_check(phi: np.ndarray, profiles: Profiles, grid: Grid, params: PhysicalParams,
@@ -107,7 +108,8 @@ def coercivity_check(phi: np.ndarray, profiles: Profiles, grid: Grid, params: Ph
     rho = as_field(rho, grid)
     psi = phi / vbar
     dpsi = (dphi * vbar - phi * dvbar) / vbar**2
-    d2psi = (d2phi - 2.0 * dpsi * dvbar - psi * _wave_curvature(params, x)) / vbar
+    d2vbar = s / mu * dvbar * (params.v_plus - 2.0 * vbar)
+    d2psi = (d2phi - 2.0 * dpsi * dvbar - psi * d2vbar) / vbar
     dxA = -s * dphi - mu * d2psi
     lhs = float(simpson(dxA * psi * rho, x=x))
     drho = derivative(rho, grid, 1)
@@ -148,8 +150,6 @@ class EnergyReport:
 
 def initial_energy(init: InitialData, grid: Grid, params: PhysicalParams) -> float:
     """Seven-summand total initial energy of the perturbation."""
-    from .profiles import traveling_wave
-
     prof = traveling_wave(params, grid)
     g0 = init.v0 - prof.v_bar
     h0 = init.u0 - prof.u_bar
@@ -174,9 +174,7 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
     uniformly spaced stored times, so with a coarse snapshot stride the
     suprema are lower bounds on the continuum values.
     """
-    from .profiles import traveling_wave
-
-    prof = traveling_wave(params, grid)
+    prof = traj.wave
     times = traj.stored_times
     spacing = np.diff(times)
     m = times.searchsorted(t + 1e-12, side="right")
@@ -292,9 +290,7 @@ def trace_identities(traj: Trajectory, init: InitialData, grid: Grid,
     closed-form expressions in terms of the interface speed deviation and the
     transported initial effective velocity.
     """
-    from .profiles import traveling_wave
-
-    prof = traveling_wave(params, grid)
+    prof = traj.wave
     step = int(traj.stored_idx[t_index])
     s, mu, vp = params.s, params.mu, params.v_plus
     beta = float(traj.ydot[step] - s)
@@ -351,18 +347,9 @@ def bootstrap_monitor(path: BoundaryPath, params: PhysicalParams, delta: float) 
     """
     if delta <= 0.0:
         raise ValidationError(f"delta must be positive (got {delta})")
-    t = path.t
-    beta = path.ydot - params.s
-    if t.size < 2:
-        running = np.abs(beta)
-    else:
-        dt = float(t[1] - t[0])
-        dbeta = time_derivative(beta, dt)
-        integrand = beta**2 + dbeta**2
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * dt)))
-        running = np.sqrt(cum)
+    running = running_h1_norm(path.t, path.ydot - params.s)
     return {
-        "t": t.copy(),
+        "t": path.t.copy(),
         "running_h1": running,
         "max_running_h1": float(np.max(running)),
         "pass_half_delta": bool(np.all(running <= delta / 2.0)),
@@ -423,9 +410,7 @@ def l1_bound_report(traj: Trajectory, init: InitialData, grid: Grid,
     + ||d_x w0||_L1 + ||d_x vwave||_L1 ]; the constant C it takes to make it
     hold is reported (logged, never asserted strictly).
     """
-    from .profiles import traveling_wave
-
-    prof = traveling_wave(params, grid)
+    prof = traj.wave
     lhs = max(norm(traj.v[i] - prof.v_bar, grid, NormKind.L1)
               for i in range(traj.stored_idx.size))
     rhs_factor = (
@@ -453,14 +438,12 @@ def growth_estimate_report(traj: Trajectory, init: InitialData, grid: Grid,
     and the constant C it takes to make the bound hold is reported, together
     with the constant of the sharper form that keeps ||g|| on the right.
     """
-    from .profiles import traveling_wave
-
-    prof = traveling_wave(params, grid)
+    prof = traj.wave
     times = traj.stored_times
     m = times.size
     dts = float(times[1] - times[0]) if m > 1 else 1.0
     chi_dxw0 = truncation_mollifier(grid) * init.dxw0
-    dvbar = np.asarray(wave_dv(params, grid.x))
+    dvbar = prof.dv_bar
 
     G_fields = traj.v[:m] - prof.v_bar
     sup_h1 = max(norm(G_fields[i], grid, NormKind.H1) for i in range(m))
@@ -506,7 +489,3 @@ def write_diagnostic_records(path, records: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
-
-
-def trace_report_as_dict(report: TraceReport) -> dict:
-    return asdict(report)

@@ -36,6 +36,7 @@ from .parabolic import (
     truncation_mollifier,
 )
 from .profiles import (
+    Profiles,
     boundary_slope_constants,
     effective_velocity_about_wave,
     traveling_wave,
@@ -107,15 +108,25 @@ def time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def path_h1_norm(t: np.ndarray, f: np.ndarray) -> float:
-    """Discrete H1(0,T) norm of nodal values on a uniform time mesh."""
+def running_h1_norm(t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Discrete H1(0, t_k) norm of nodal values at every node t_k of a uniform
+    time mesh: the cumulative trapezoid of f^2 + (f')^2, with f' from
+    time_derivative on the whole mesh."""
     t = np.asarray(t, float)
     f = np.asarray(f, float)
     if t.size < 2:
-        return float(abs(f[0]))
+        return np.abs(f)
     dt = float(t[1] - t[0])
     df = time_derivative(f, dt)
-    return float(np.sqrt(np.trapezoid(f**2, t) + np.trapezoid(df**2, t)))
+    integrand = f**2 + df**2
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * dt)))
+    return np.sqrt(cum)
+
+
+def path_h1_norm(t: np.ndarray, f: np.ndarray) -> float:
+    """Discrete H1(0,T) norm of nodal values on a uniform time mesh: the last
+    entry of running_h1_norm."""
+    return float(running_h1_norm(t, f)[-1])
 
 
 def path_h2_distance(t: np.ndarray, ydot_a: np.ndarray, ydot_b: np.ndarray) -> float:
@@ -194,12 +205,8 @@ def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid, params: Phys
     W0 = tail_integral(w0 - params.u_plus, grid)
 
     # one-sided traces: exact wave slopes plus stencils on the deviation only
-    slopes = boundary_slope_constants(params)
-    g0 = v0 - prof.v_bar
-    h0 = u0 - prof.u_bar
-    du0 = slopes["du"] + trace0(h0, grid, 1)
-    dv0 = slopes["dv"] + trace0(g0, grid, 1)
-    d2u0 = slopes["d2u"] + trace0(h0, grid, 2)
+    du0, dv0 = _boundary_slopes(v0, u0, grid, params, prof)
+    d2u0 = boundary_slope_constants(params)["d2u"] + trace0(u0 - prof.u_bar, grid, 2)
 
     report: dict[str, dict] = {}
     failures: list[str] = []
@@ -244,15 +251,31 @@ def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid, params: Phys
     )
 
 
+def _boundary_slopes(v: np.ndarray, u: np.ndarray, grid: Grid, params: PhysicalParams,
+                     wave: Profiles) -> tuple[float, float]:
+    """One-sided d_x u(0) and d_x v(0) of the data: the exact wave slopes plus
+    stencils on the deviations u - uwave and v - vwave."""
+    slopes = boundary_slope_constants(params)
+    du = slopes["du"] + trace0(u - wave.u_bar, grid, 1)
+    dv = slopes["dv"] + trace0(v - wave.v_bar, grid, 1)
+    return du, dv
+
+
 def boundary_velocity(u: np.ndarray, w0_at_y: float, grid: Grid, params: PhysicalParams,
-                      denom_floor: float = DEFAULT_DENOM_FLOOR) -> float:
-    """Interface speed -mu d_x u(0) / (u_minus - w0(y))."""
+                      wave: Profiles, denom_floor: float = DEFAULT_DENOM_FLOOR) -> float:
+    """Interface speed -mu d_x u(0) / (u_minus - w0(y)).
+
+    The trace d_x u(0) is the exact wave slope plus a one-sided stencil on
+    u - uwave, so the wave background contributes no stencil error to the
+    speed.  `wave` is traveling_wave(params, grid).
+    """
     denom = params.u_minus - w0_at_y
     if denom < denom_floor:
         raise DenominatorTooSmall(
             f"u_minus - w0(y) = {denom:g} fell below the floor {denom_floor:g}"
         )
-    return -params.mu * trace0(u, grid, 1) / denom
+    du = boundary_slope_constants(params)["du"] + trace0(u - wave.u_bar, grid, 1)
+    return -params.mu * du / denom
 
 
 @dataclass
@@ -289,6 +312,7 @@ class Trajectory:
     grid: Grid
     params: PhysicalParams
     init: InitialData
+    wave: Profiles
 
     @property
     def path(self) -> BoundaryPath:
@@ -298,38 +322,19 @@ class Trajectory:
     def stored_times(self) -> np.ndarray:
         return self.t[self.stored_idx]
 
-    def stored_index_at(self, t: float) -> int:
-        """Index (into stored snapshots) of the latest stored time <= t."""
-        times = self.stored_times
-        k = int(np.searchsorted(times, t + 1e-12, side="right")) - 1
-        return max(k, 0)
-
-
-def _compat_speed(v: np.ndarray, u: np.ndarray, grid: Grid, params: PhysicalParams,
-                  prof) -> float:
-    """-d_x u(0) / d_x v(0) with the wave slopes taken analytically."""
-    slopes = boundary_slope_constants(params)
-    du = slopes["du"] + trace0(u - prof.u_bar, grid, 1)
-    dv = slopes["dv"] + trace0(v - prof.v_bar, grid, 1)
-    return -du / dv
-
 
 def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray, y_offset: float,
-           init: InitialData, grid: Grid, params: PhysicalParams, dt: float,
-           reg: RegularizedLog, chi_dxw0: np.ndarray, newton_tol: float,
+           init: InitialData, grid: Grid, params: PhysicalParams, wave: Profiles,
+           dt: float, reg: RegularizedLog, chi_dxw0: np.ndarray, newton_tol: float,
            denom_floor: float, t_start: float,
            keep_fields: bool) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Advance the fields along a given local path; return re-derived speeds.
-
-    The boundary trace of d_x u is evaluated as the exact wave slope plus a
-    one-sided stencil on u - uwave, so the wave background contributes no
-    stencil error to the interface speed.
-    """
-    prof = traveling_wave(params, grid)
-    slopes = boundary_slope_constants(params)
+    """Advance the fields along a given local path; return re-derived speeds
+    (the data-determined compatibility speed at the first node, then
+    boundary_velocity after every step)."""
     steps = ydot.size - 1
     zdot = np.empty(ydot.size)
-    zdot[0] = _compat_speed(v, u, grid, params, prof)
+    du0, dv0 = _boundary_slopes(v, u, grid, params, wave)
+    zdot[0] = -du0 / dv0
     vs = [v.copy()] if keep_fields else []
     us = [u.copy()] if keep_fields else []
 
@@ -350,18 +355,12 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray, y_offs
         y_glob = y_offset + y[k]
         src = sampled_source(y_glob)
         try:
-            v = step_v(v, ydot[k], src, grid, dt, reg, params, newton_tol)
-            u = step_u(u, v, ydot[k], grid, dt, params)
+            v = step_v(v, ydot[k], src, grid, dt, reg, params, wave, newton_tol)
+            u = step_u(u, v, ydot[k], grid, dt, params, wave)
+            zdot[k] = boundary_velocity(u, init.w0_at(y_glob), grid, params, wave,
+                                        denom_floor)
         except RuntimeError as exc:
             raise type(exc)(f"{exc} (at t = {t_start + k * dt:g})") from exc
-        denom = params.u_minus - init.w0_at(y_glob)
-        if denom < denom_floor:
-            raise DenominatorTooSmall(
-                f"u_minus - w0(y) = {denom:g} fell below the floor {denom_floor:g} "
-                f"(at t = {t_start + k * dt:g})"
-            )
-        du_trace = slopes["du"] + trace0(u - prof.u_bar, grid, 1)
-        zdot[k] = -params.mu * du_trace / denom
         if keep_fields:
             vs.append(v.copy())
             us.append(u.copy())
@@ -389,7 +388,8 @@ def apply_boundary_map(path_in: BoundaryPath, init: InitialData, grid: Grid,
     chi_dxw0 = truncation_mollifier(grid) * init.dxw0
     zdot, _, _ = _march(
         init.v0.copy(), init.u0.copy(), path_in.ydot, path_in.y, 0.0,
-        init, grid, params, dt, reg, chi_dxw0, newton_tol, denom_floor,
+        init, grid, params, traveling_wave(params, grid), dt, reg, chi_dxw0, newton_tol,
+        denom_floor,
         t_start=float(path_in.t[0]), keep_fields=False,
     )
     return make_path(path_in.t, zdot)
@@ -406,10 +406,15 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     which the map contracts); within each window the path is iterated from a
     straight-line guess until the discrete H1 distance between successive
     speed iterates drops below `tol`, then the state is advanced along the
-    converged path and the next window starts from it.
+    converged path and the next window starts from it.  The wave background
+    is sampled once and kept on the trajectory as `wave`.
     """
+    if stride < 1:
+        raise ValidationError(f"stride must be at least 1 (got {stride})")
     if window is None:
         window = 0.25 / params.s
+    elif window <= 0.0:
+        raise ValidationError(f"window must be positive (got {window})")
     n_total = int(round(T_final / dt))
     if abs(n_total * dt - T_final) > 1e-9 * max(1.0, T_final):
         raise ValidationError(f"T_final={T_final:g} must be a multiple of dt={dt:g}")
@@ -428,7 +433,7 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     us_stored = [init.u0.copy()]
     windows: list[WindowReport] = []
 
-    prof = traveling_wave(params, grid)
+    wave = traveling_wave(params, grid)
     v = init.v0.copy()
     u = init.u0.copy()
     y_offset = 0.0
@@ -440,7 +445,8 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
         steps = min(steps_per_window, n_total - k_done)
         t_loc = dt * np.arange(steps + 1)
         t_start = k_done * dt
-        speed0 = _compat_speed(v, u, grid, params, prof)
+        du0, dv0 = _boundary_slopes(v, u, grid, params, wave)
+        speed0 = -du0 / dv0
         ydot = np.full(steps + 1, speed0)
         y_loc = np.concatenate(([0.0], np.cumsum(0.5 * (ydot[:-1] + ydot[1:]) * dt)))
 
@@ -450,7 +456,7 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
         converged = False
         for _ in range(max_iter):
             zdot, _, _ = _march(v.copy(), u.copy(), ydot, y_loc, y_offset, init, grid,
-                                params, dt, reg, chi_dxw0, newton_tol, denom_floor,
+                                params, wave, dt, reg, chi_dxw0, newton_tol, denom_floor,
                                 t_start, keep_fields=False)
             d = path_h1_norm(t_loc, zdot - ydot)
             if distances:
@@ -474,7 +480,7 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
 
         # definitive pass along the converged path, keeping fields
         zdot, vs, us = _march(v.copy(), u.copy(), ydot, y_loc, y_offset, init, grid,
-                              params, dt, reg, chi_dxw0, newton_tol, denom_floor,
+                              params, wave, dt, reg, chi_dxw0, newton_tol, denom_floor,
                               t_start, keep_fields=True)
         for k in range(1, steps + 1):
             idx = k_done + k
@@ -494,7 +500,7 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
         t=t_all, y=y_all, ydot=ydot_all, p_s=p_all,
         stored_idx=np.asarray(stored_idx, dtype=int),
         v=np.asarray(vs_stored), u=np.asarray(us_stored),
-        windows=windows, grid=grid, params=params, init=init,
+        windows=windows, grid=grid, params=params, init=init, wave=wave,
     )
 
 

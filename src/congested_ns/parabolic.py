@@ -17,7 +17,7 @@ from scipy.linalg import solve_banded
 
 from .core import Grid, PhysicalParams, ValidationError, as_field
 from .discrete_ops import derivative
-from .profiles import wave_dv, wave_log_v, wave_u, wave_v
+from .profiles import Profiles
 
 
 class NewtonDiverged(RuntimeError):
@@ -106,11 +106,6 @@ def regularized_log(bar_c: float, nu: float | None = None) -> RegularizedLog:
     if nu is None:
         nu = 1.0 / (2.0 * bar_c)
     return RegularizedLog(bar_c=float(bar_c), nu=float(nu))
-
-
-def regularized_a(x: np.ndarray | float, reg: RegularizedLog) -> tuple[np.ndarray, np.ndarray]:
-    """Value and derivative of the regularized log at x."""
-    return reg(x)
 
 
 def truncation_mollifier(grid: Grid) -> np.ndarray:
@@ -225,7 +220,7 @@ def interior_flux_balance(state: np.ndarray, new: np.ndarray,
 
 
 def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, dt: float,
-           reg: RegularizedLog, params: PhysicalParams,
+           reg: RegularizedLog, params: PhysicalParams, wave: Profiles,
            newton_tol: float = DEFAULT_NEWTON_TOL,
            right_bc: float | None = None) -> np.ndarray:
     """One implicit-Euler step of d_t v - ydot d_x v - mu d_xx a(v) = source.
@@ -235,6 +230,7 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
     through the profile identity s d_x vwave + mu d_xx ln vwave = 0 (with
     ln vwave from the closed form); the exact wave is therefore a discrete
     steady state to roundoff, instead of drifting at the truncation level.
+    `wave` is traveling_wave(params, grid), sampled once by the caller.
     The nonlinear system is solved by damped Newton iteration with the
     analytic tridiagonal Jacobian of the discretized a(v).
     """
@@ -248,9 +244,9 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
     src = _nodal(source, grid)
     mu = params.mu
     dx = grid.dx
-    vbar = np.asarray(wave_v(params, grid.x))
-    ln_vbar = np.asarray(wave_log_v(params, grid.x))
-    dvbar = np.asarray(wave_dv(params, grid.x))
+    vbar = wave.v_bar
+    ln_vbar = wave.log_v_bar
+    dvbar = wave.dv_bar
 
     rhs = src[1:-1] + (ydot - params.s) * dvbar[1:-1]
     g_old = v - vbar
@@ -304,7 +300,7 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
 
 
 def step_u(u: np.ndarray, v: np.ndarray, ydot: float, grid: Grid, dt: float,
-           params: PhysicalParams, right_bc: float | None = None) -> np.ndarray:
+           params: PhysicalParams, wave: Profiles, right_bc: float | None = None) -> np.ndarray:
     """One implicit-Euler step of d_t u - ydot d_x u - mu d_x((1/v) d_x u) = 0.
 
     Dirichlet values u(0) = u_minus and u(R) = wave profile at R.  As in
@@ -314,7 +310,8 @@ def step_u(u: np.ndarray, v: np.ndarray, ydot: float, grid: Grid, dt: float,
         (ydot - s) d_x uwave + mu d_x((1/v - 1/vwave) d_x uwave),
 
     the wave terms cancelling analytically; it is advanced by
-    linear_parabolic_step with a = mu/v, b = -ydot.
+    linear_parabolic_step with a = mu/v, b = -ydot.  `wave` is
+    traveling_wave(params, grid), sampled once by the caller.
     """
     u = as_field(u, grid)
     v = as_field(v, grid)
@@ -324,9 +321,9 @@ def step_u(u: np.ndarray, v: np.ndarray, ydot: float, grid: Grid, dt: float,
         raise ValidationError(
             f"step_u requires u(0) = u_minus on input (got {u[0]!r})"
         )
-    vbar = np.asarray(wave_v(params, grid.x))
-    ubar = np.asarray(wave_u(params, grid.x))
-    dubar = -params.s * np.asarray(wave_dv(params, grid.x))
+    vbar = wave.v_bar
+    ubar = wave.u_bar
+    dubar = -params.s * wave.dv_bar
 
     coupling = (vbar - v) / (v * vbar) * dubar
     f = (ydot - params.s) * dubar + params.mu * derivative(coupling, grid, 1)

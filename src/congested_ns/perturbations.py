@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Grid, PhysicalParams, ValidationError
-from .profiles import wave_u, wave_v
+from .profiles import traveling_wave
 
 FAMILIES = ("none", "gaussian_bump", "w0_tilt")
 
@@ -43,8 +43,9 @@ def initial_data_fields(family: str, amplitude: float, center: float, width: flo
         )
     if amplitude < 0.0:
         raise ValidationError(f"perturbation amplitude must be >= 0 (got {amplitude})")
-    v0 = np.asarray(wave_v(params, grid.x)).copy()
-    u0 = np.asarray(wave_u(params, grid.x)).copy()
+    wave = traveling_wave(params, grid)
+    v0 = wave.v_bar.copy()
+    u0 = wave.u_bar.copy()
     if family == "none" or amplitude == 0.0:
         return v0, u0
     eta = bump_envelope(grid.x, center, width)

@@ -49,6 +49,7 @@ class Profiles:
     """Traveling-wave fields sampled on a grid.
 
     v_bar, u_bar  -- nodal samples of the profiles
+    log_v_bar     -- ln v_bar from the cancellation-free closed form
     dv_bar        -- exact nodal slope of v_bar (from the closed form)
     w_bar_right   -- effective velocity on x > 0 (== u_plus)
     p_bar_left    -- congested-side pressure (== p_minus)
@@ -56,24 +57,27 @@ class Profiles:
 
     v_bar: np.ndarray = field(repr=False)
     u_bar: np.ndarray = field(repr=False)
+    log_v_bar: np.ndarray = field(repr=False)
     dv_bar: np.ndarray = field(repr=False)
     w_bar_right: float
     p_bar_left: float
 
     def __post_init__(self) -> None:
-        for arr in (self.v_bar, self.u_bar, self.dv_bar):
+        for arr in (self.v_bar, self.u_bar, self.log_v_bar, self.dv_bar):
             arr.setflags(write=False)
 
 
 def traveling_wave(params: PhysicalParams, grid: Grid) -> Profiles:
-    """Sample the traveling-wave profiles on `grid`."""
-    v = np.asarray(wave_v(params, grid.x))
-    u = np.asarray(wave_u(params, grid.x))
-    dv = np.asarray(wave_dv(params, grid.x))
+    """Sample the traveling-wave profiles on `grid`.
+
+    picard_solve samples it once per solve, passes it to the steppers and
+    the interface speed, and keeps it on the trajectory for the diagnostics.
+    """
     return Profiles(
-        v_bar=v,
-        u_bar=u,
-        dv_bar=dv,
+        v_bar=np.asarray(wave_v(params, grid.x)),
+        u_bar=np.asarray(wave_u(params, grid.x)),
+        log_v_bar=np.asarray(wave_log_v(params, grid.x)),
+        dv_bar=np.asarray(wave_dv(params, grid.x)),
         w_bar_right=params.u_plus,
         p_bar_left=params.p_minus,
     )
@@ -86,8 +90,8 @@ def profile_residual(profiles: Profiles, params: PhysicalParams, grid: Grid) -> 
     s dv/dx + mu d2/dx2 ln v, the sup-norm of the algebraic velocity
     relation, and the one-sided slope of v at x = 0.
     """
-    log_v = np.asarray(wave_log_v(params, grid.x))
-    ode = params.s * derivative(profiles.v_bar, grid, 1) + params.mu * derivative(log_v, grid, 2)
+    ode = (params.s * derivative(profiles.v_bar, grid, 1)
+           + params.mu * derivative(profiles.log_v_bar, grid, 2))
     interior = ode[1:-1]
     ode_norm = float(np.sqrt(grid.dx * np.sum(interior**2)))
     algebraic = profiles.u_bar - (
@@ -122,10 +126,9 @@ def effective_velocity_about_wave(u: np.ndarray, v: np.ndarray, grid: Grid,
     v = as_field(v, grid)
     if np.any(v <= 0.0):
         raise ValidationError("effective velocity needs v > 0 everywhere")
-    vbar = np.asarray(wave_v(params, grid.x))
-    ubar = np.asarray(wave_u(params, grid.x))
-    log_ratio = np.log1p((v - vbar) / vbar)
-    return params.u_plus + (u - ubar) - params.mu * derivative(log_ratio, grid, 1)
+    wave = traveling_wave(params, grid)
+    log_ratio = np.log1p((v - wave.v_bar) / wave.v_bar)
+    return params.u_plus + (u - wave.u_bar) - params.mu * derivative(log_ratio, grid, 1)
 
 
 def boundary_slope_constants(params: PhysicalParams) -> dict:

@@ -1,10 +1,13 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from congested_ns.cli import (
     ConfigError,
     PRESETS,
+    _solve_from_config,
     config_from_mapping,
     config_lines,
     main,
@@ -14,6 +17,7 @@ from congested_ns.cli import (
     resolve_config,
     run,
 )
+from congested_ns.diagnostics import bootstrap_monitor
 
 
 def test_presets_enumeration():
@@ -84,6 +88,18 @@ def test_bad_override_rejected(tmp_path):
         resolve_config(None, "steady_wave", str(tmp_path), ["grid.n:129"])
 
 
+@pytest.mark.parametrize("override", ["time.stride=0", "time.window=-1", "grid.n=8",
+                                      "grid.R=0", "workers=0"])
+def test_bad_time_and_grid_fields_rejected_when_parsed(tmp_path, capsys, override):
+    out = tmp_path / "out"
+    code = main(["--preset", "steady_wave", "--out-dir", str(out), "--override", override])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["kind"] == "ConfigError"
+    assert override.split("=")[0] in record["message"]
+    assert not out.exists()
+
+
 SMALL = ["--override", "grid.n=257", "--override", "time.T_final=0.1",
          "--override", "time.dt=0.005", "--override", "time.stride=5"]
 
@@ -118,6 +134,19 @@ def test_runs_are_bit_identical(tmp_path):
     assert csv_a == csv_b
 
 
+def test_running_h1_column_is_the_bootstrap_monitor_norm(tmp_path):
+    cfg = replace(preset_config("bootstrap_check"), n=257, T_final=0.1, dt=0.005,
+                  stride=5, out_dir=str(tmp_path))
+    assert run(cfg) == 0
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+    column = np.array([float(row.split(",")[-1]) for row in rows])
+    _, _, _, traj = _solve_from_config(cfg)
+    monitor = bootstrap_monitor(traj.path, traj.params, cfg.delta)
+    np.testing.assert_array_equal(column, monitor["running_h1"][traj.stored_idx])
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert column[-1] == summary["beta_h1"]
+
+
 def test_malformed_config_exit_code(tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("params.v_plus = banana\n")
@@ -132,8 +161,6 @@ def test_malformed_config_exit_code(tmp_path, capsys):
 def test_solver_failure_writes_machine_readable_record(tmp_path):
     out = tmp_path / "bad_run"
     cfg = preset_config("steady_wave")
-    from dataclasses import replace
-
     # horizon not commensurate with the step: rejected inside the solver
     cfg = replace(cfg, n=257, T_final=0.1, dt=0.003, out_dir=str(out))
     code = run(cfg)

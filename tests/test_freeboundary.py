@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from congested_ns import profiles
 from congested_ns.core import ValidationError, make_grid
 from congested_ns.freeboundary import (
     DenominatorTooSmall,
@@ -85,16 +86,16 @@ class TestValidateHypotheses:
 
 class TestBoundaryVelocity:
     def test_wave_speed_recovered(self, params, grid, wave):
-        got = boundary_velocity(wave.u_bar, params.u_plus, grid, params)
-        assert got == pytest.approx(params.s, abs=2e-5)
+        got = boundary_velocity(wave.u_bar, params.u_plus, grid, params, wave)
+        assert got == pytest.approx(params.s, abs=1e-14)
 
-    def test_flat_velocity_gives_zero(self, params, grid):
+    def test_flat_velocity_gives_zero(self, params, grid, wave):
         u = np.full(grid.n, params.u_minus)
-        assert boundary_velocity(u, params.u_plus, grid, params) == 0.0
+        assert abs(boundary_velocity(u, params.u_plus, grid, params, wave)) <= 2e-5
 
     def test_denominator_floor(self, params, grid, wave):
         with pytest.raises(DenominatorTooSmall):
-            boundary_velocity(wave.u_bar, params.u_minus, grid, params)
+            boundary_velocity(wave.u_bar, params.u_minus, grid, params, wave)
 
 
 class TestPaths:
@@ -183,6 +184,28 @@ class TestPicard:
         remapped = apply_boundary_map(traj.path, bump_init, small_grid, params, dt=2e-3)
         moved = path_h1_norm(traj.t, remapped.ydot - traj.ydot)
         assert moved < 2.0 * tol
+
+    @pytest.mark.parametrize("kwargs", [{"stride": 0}, {"window": -1.0}, {"window": 0.0}])
+    def test_rejects_bad_stride_and_window(self, params, small_grid, wave_init, kwargs):
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            picard_solve(wave_init, small_grid, params, T_final=0.1, dt=1e-2, **kwargs)
+
+    def test_wave_sampled_once_per_solve(self, params, small_grid, bump_init, monkeypatch):
+        calls = []
+        original = profiles.wave_v
+
+        def counting_wave_v(params, x):
+            calls.append(x)
+            return original(params, x)
+
+        monkeypatch.setattr(profiles, "wave_v", counting_wave_v)
+        counts = []
+        for T_final in (0.05, 0.2):  # N and 4N steps, one and four windows
+            calls.clear()
+            picard_solve(bump_init, small_grid, params, T_final=T_final, dt=1e-2,
+                         window=0.05)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_trajectory_shapes_and_pressure_identity(self, params, small_grid, bump_init):
         traj = picard_solve(bump_init, small_grid, params, T_final=0.2, dt=2e-3,

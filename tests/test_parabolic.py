@@ -9,7 +9,6 @@ from congested_ns.parabolic import (
     RegularizedLog,
     interior_flux_balance,
     linear_parabolic_step,
-    regularized_a,
     regularized_log,
     step_u,
     step_v,
@@ -25,30 +24,30 @@ def reg():
 
 class TestRegularizedLog:
     def test_matches_log_on_core(self, reg):
-        val, slope = regularized_a(1.0, reg)
+        val, slope = reg(1.0)
         assert val == pytest.approx(0.0, abs=1e-15)
         assert slope == pytest.approx(1.0)
-        val, slope = regularized_a(np.e, reg)
+        val, slope = reg(np.e)
         assert val == pytest.approx(1.0, rel=1e-14)
         assert slope == pytest.approx(1.0 / np.e, rel=1e-14)
 
     def test_slope_saturates_at_zero(self, reg):
-        val, slope = regularized_a(0.0, reg)
+        val, slope = reg(0.0)
         assert np.isfinite(val)
         assert slope == pytest.approx(1.0 / reg.nu)
 
     @given(x=st.floats(-10.0, 20.0))
     @settings(max_examples=200, deadline=None)
     def test_slope_always_within_clamp(self, reg, x):
-        _, slope = regularized_a(x, reg)
+        _, slope = reg(x)
         assert reg.nu - 1e-12 <= slope <= 1.0 / reg.nu + 1e-12
 
     def test_function_is_c1_across_junctions(self, reg):
         eps = 1e-9
         junctions = [0.25, 0.5, reg.bar_c, 2.0 * reg.bar_c]
         for xj in junctions:
-            v_lo, s_lo = regularized_a(xj - eps, reg)
-            v_hi, s_hi = regularized_a(xj + eps, reg)
+            v_lo, s_lo = reg(xj - eps)
+            v_hi, s_hi = reg(xj + eps)
             assert abs(v_hi - v_lo) < 1e-7
             assert abs(s_hi - s_lo) < 1e-6
 
@@ -56,9 +55,9 @@ class TestRegularizedLog:
         # central quotient on a piece without slope kinks
         for x in (0.3, 0.7, 2.0, 5.0, 9.0):
             h = 1e-6
-            v_lo, _ = regularized_a(x - h, reg)
-            v_hi, _ = regularized_a(x + h, reg)
-            _, slope = regularized_a(x, reg)
+            v_lo, _ = reg(x - h)
+            v_hi, _ = reg(x + h)
+            _, slope = reg(x)
             assert (v_hi - v_lo) / (2 * h) == pytest.approx(slope, rel=1e-6, abs=1e-8)
 
     def test_default_floor(self):
@@ -129,7 +128,7 @@ class TestLinearParabolicStep:
 
 class TestStepV:
     def test_wave_is_discrete_steady_state(self, params, grid, wave, reg):
-        out = step_v(wave.v_bar.copy(), params.s, 0.0, grid, 1e-3, reg, params)
+        out = step_v(wave.v_bar.copy(), params.s, 0.0, grid, 1e-3, reg, params, wave)
         assert np.max(np.abs(out - wave.v_bar)) <= 1e-11
 
     def test_flat_state_near_steady_with_matching_bc(self, params):
@@ -137,7 +136,8 @@ class TestStepV:
         # steady up to dt * dx^2 (below the positivity slack here)
         g = make_grid(5.0, 2001)
         r = regularized_log(4.0)
-        out = step_v(np.ones(g.n), 0.7, 0.0, g, 1e-5, r, params, right_bc=1.0)
+        out = step_v(np.ones(g.n), 0.7, 0.0, g, 1e-5, r, params, traveling_wave(params, g),
+                     right_bc=1.0)
         assert np.max(np.abs(out - 1.0)) <= 1e-9
 
     def test_small_perturbation_decays_toward_wave(self, params, reg):
@@ -147,11 +147,11 @@ class TestStepV:
         v = prof.v_bar + bump
         v[0] = 1.0
         dt = 1e-2
-        out = step_v(v.copy(), params.s, 0.0, g, dt, reg, params)
+        out = step_v(v.copy(), params.s, 0.0, g, dt, reg, params, prof)
         # reference: many tiny steps over the same horizon
         ref = v.copy()
         for _ in range(100):
-            ref = step_v(ref, params.s, 0.0, g, dt / 100.0, reg, params)
+            ref = step_v(ref, params.s, 0.0, g, dt / 100.0, reg, params, prof)
         d0 = np.sqrt(np.trapezoid((v - prof.v_bar) ** 2, g.x))
         d1 = np.sqrt(np.trapezoid((out - prof.v_bar) ** 2, g.x))
         dref = np.sqrt(np.trapezoid((ref - prof.v_bar) ** 2, g.x))
@@ -161,24 +161,24 @@ class TestStepV:
     def test_maximum_principle_guard_trips(self, params, grid, wave):
         tight = RegularizedLog(bar_c=1.5, nu=0.25)  # cap below sup of the wave
         with pytest.raises(MaximumPrincipleViolated):
-            step_v(wave.v_bar.copy(), params.s, 0.0, grid, 1e-3, tight, params)
+            step_v(wave.v_bar.copy(), params.s, 0.0, grid, 1e-3, tight, params, wave)
 
     def test_rejects_wrong_left_boundary(self, params, grid, reg, wave):
         bad = wave.v_bar + 0.1
         with pytest.raises(ValidationError, match="v\\(0\\) = 1"):
-            step_v(bad, params.s, 0.0, grid, 1e-3, reg, params)
+            step_v(bad, params.s, 0.0, grid, 1e-3, reg, params, wave)
 
 
 class TestStepU:
     def test_wave_is_discrete_steady_state(self, params, grid, wave):
-        out = step_u(wave.u_bar.copy(), wave.v_bar, params.s, grid, 1e-3, params)
+        out = step_u(wave.u_bar.copy(), wave.v_bar, params.s, grid, 1e-3, params, wave)
         assert np.max(np.abs(out - wave.u_bar)) <= 1e-12
 
     def test_constant_velocity_near_steady_with_matching_bc(self, params):
         g = make_grid(5.0, 2001)
         prof = traveling_wave(params, g)
         u = np.full(g.n, params.u_minus)
-        out = step_u(u, prof.v_bar, 0.9, g, 1e-5, params, right_bc=params.u_minus)
+        out = step_u(u, prof.v_bar, 0.9, g, 1e-5, params, prof, right_bc=params.u_minus)
         assert np.max(np.abs(out - params.u_minus)) <= 1e-9
 
     def test_heat_equation_eigen_decay_with_unit_volume(self, params):
@@ -187,7 +187,7 @@ class TestStepU:
         line = params.u_minus + (float(wave_u(params, R)) - params.u_minus) * g.x / R
         mode = np.sin(np.pi * g.x / R)
         u = line + mode
-        out = step_u(u, np.ones(g.n), 0.0, g, dt, params)
+        out = step_u(u, np.ones(g.n), 0.0, g, dt, params, traveling_wave(params, g))
         lam = (np.pi / R) ** 2
         expected = line + mode / (1.0 + params.mu * dt * lam)
         assert np.max(np.abs(out - expected)) <= 20.0 * g.dx**2
@@ -195,7 +195,7 @@ class TestStepU:
     def test_rejects_volume_below_one(self, params, grid, wave):
         bad_v = wave.v_bar - 0.5
         with pytest.raises(ValidationError, match="v >= 1"):
-            step_u(wave.u_bar.copy(), bad_v, params.s, grid, 1e-3, params)
+            step_u(wave.u_bar.copy(), bad_v, params.s, grid, 1e-3, params, wave)
 
 
 def test_truncation_mollifier_plateau_and_decay():
@@ -207,9 +207,9 @@ def test_truncation_mollifier_plateau_and_decay():
 
 
 def test_boundary_values_pinned_by_step(params, grid, wave, reg):
-    out = step_v(wave.v_bar.copy(), params.s, 0.0, grid, 1e-3, reg, params)
+    out = step_v(wave.v_bar.copy(), params.s, 0.0, grid, 1e-3, reg, params, wave)
     assert out[0] == 1.0
     assert out[-1] == pytest.approx(float(wave_v(params, grid.R)), abs=1e-14)
-    out_u = step_u(wave.u_bar.copy(), wave.v_bar, params.s, grid, 1e-3, params)
+    out_u = step_u(wave.u_bar.copy(), wave.v_bar, params.s, grid, 1e-3, params, wave)
     assert out_u[0] == params.u_minus
     assert out_u[-1] == pytest.approx(float(wave_u(params, grid.R)), abs=1e-14)
