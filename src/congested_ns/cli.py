@@ -279,7 +279,8 @@ def _snapshot_file(path: Path, traj: Trajectory, grid, params, t_index: int) -> 
     w = np.empty_like(u)
     n_left = x.size - grid.n
     w[:n_left] = params.u_minus
-    w[n_left:] = effective_velocity_about_wave(traj.u[t_index], traj.v[t_index], grid, params)
+    w[n_left:] = effective_velocity_about_wave(traj.u[t_index], traj.v[t_index], grid, params,
+                                               traj.wave)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x v u w p\n")
         for row in zip(x, v, u, w, p):

@@ -204,10 +204,10 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
 
     # time derivatives across stored snapshots
     if m >= 3:
-        Gt = np.array([time_derivative(G[:, j], dts) for j in range(grid.n)]).T
-        Ht = np.array([time_derivative(H[:, j], dts) for j in range(grid.n)]).T
-        Gtt = np.array([time_derivative(Gt[:, j], dts) for j in range(grid.n)]).T
-        Htt = np.array([time_derivative(Ht[:, j], dts) for j in range(grid.n)]).T
+        Gt = time_derivative(G, dts)
+        Ht = time_derivative(H, dts)
+        Gtt = time_derivative(Gt, dts)
+        Htt = time_derivative(Ht, dts)
     else:
         Gt = np.zeros_like(G)
         Ht = np.zeros_like(H)
@@ -303,11 +303,8 @@ def trace_identities(traj: Trajectory, init: InitialData, grid: Grid,
     second = mu * trace0(derivative(g1, grid, 1) / prof.v_bar, grid, 1)
 
     W = init.w0_at(xt) - params.u_plus
-    dxw0_interp = monotone_interpolator(grid.x, init.dxw0)
-    d2w0 = derivative(init.w0, grid, 2)
-    d2w0_interp = monotone_interpolator(grid.x, d2w0)
-    wp = float(dxw0_interp(min(xt, grid.R))) if xt <= grid.R else 0.0
-    wpp = float(d2w0_interp(min(xt, grid.R))) if xt <= grid.R else 0.0
+    wp = float(monotone_interpolator(init.dxw0, grid, 0.0)(xt))
+    wpp = float(monotone_interpolator(derivative(init.w0, grid, 2), grid, 0.0)(xt))
 
     t2 = W**2 / mu**2
     t3 = (
@@ -367,10 +364,8 @@ def shifted_weight_inequality(F: np.ndarray, path: BoundaryPath, M: float,
     F = as_field(F, grid)
     if np.any(path.y < path.t / M - 1e-12):
         raise ValidationError("path violates y(t) >= t/M; inequality hypotheses fail")
-    inner = np.empty(path.t.size)
-    for k in range(path.t.size):
-        shifted = shift_sample(F, grid, float(path.y[k]), 0.0)
-        inner[k] = np.trapezoid(shifted**2, grid.x)
+    shifted = shift_sample(F, grid, path.y, 0.0)
+    inner = np.array([np.trapezoid(row**2, grid.x) for row in shifted])
     lhs = float(np.trapezoid(inner, path.t))
     rhs = float(M * np.trapezoid(grid.x * F**2, grid.x))
     return {"lhs": lhs, "rhs": rhs}
@@ -383,17 +378,9 @@ def path_difference_inequality(w0: np.ndarray, path1: BoundaryPath, path2: Bound
     for p in (path1, path2):
         if np.min(p.ydot) < 1.0 / M - 1e-12 or np.max(p.ydot) > M + 1e-12:
             raise ValidationError("path speeds must lie in [1/M, M]")
-    interp = monotone_interpolator(grid.x, w0)
-    tail = float(w0[-1])
-
-    def eval_at(y: np.ndarray) -> np.ndarray:
-        out = np.full(y.size, tail)
-        inside = y <= grid.R
-        out[inside] = interp(y[inside])
-        return out
-
+    w0_eval = monotone_interpolator(w0, grid, float(w0[-1]))
     t = path1.t
-    diff = eval_at(path1.y) - eval_at(path2.y)
+    diff = w0_eval(path1.y) - w0_eval(path2.y)
     lhs = float(np.sqrt(np.trapezoid(diff**2, t)))
     dw = derivative(w0, grid, 1)
     weight = float(np.sqrt(np.trapezoid(grid.x * dw**2, grid.x)))
@@ -449,15 +436,13 @@ def growth_estimate_report(traj: Trajectory, init: InitialData, grid: Grid,
     sup_h1 = max(norm(G_fields[i], grid, NormKind.H1) for i in range(m))
     dxg_sq = [norm(derivative(G_fields[i], grid, 1), grid, NormKind.L2) ** 2 for i in range(m)]
     g_sq = [norm(G_fields[i], grid, NormKind.L2) ** 2 for i in range(m)]
-    src_sq = []
-    for i in range(m):
-        step = int(traj.stored_idx[i])
-        src = shift_sample(chi_dxw0, grid, float(traj.y[step]), 0.0)
-        src += (traj.ydot[step] - params.s) * dvbar
-        src_sq.append(norm(src, grid, NormKind.L2) ** 2)
+    steps = traj.stored_idx[:m]
+    shifted_src = shift_sample(chi_dxw0, grid, traj.y[steps], 0.0)
+    src_sq = [norm(src + (traj.ydot[step] - params.s) * dvbar, grid, NormKind.L2) ** 2
+              for src, step in zip(shifted_src, steps)]
 
     if m >= 3:
-        Gt = np.array([time_derivative(G_fields[:, j], dts) for j in range(grid.n)]).T
+        Gt = time_derivative(G_fields, dts)
         dtg_sq = [norm(Gt[i], grid, NormKind.L2) ** 2 for i in range(m)]
     else:
         dtg_sq = [0.0] * m

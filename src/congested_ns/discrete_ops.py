@@ -8,6 +8,7 @@ second-order spatial discretization used by the solvers.
 from __future__ import annotations
 
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -107,11 +108,33 @@ def trace0(f: np.ndarray, grid: Grid, order: int = 0) -> float:
     raise ValidationError(f"unsupported trace order {order} (use 0, 1 or 2)")
 
 
-def monotone_interpolator(x: np.ndarray, values: np.ndarray) -> PchipInterpolator:
-    """Shape-preserving cubic interpolant; silences the harmless division
-    warnings its slope formula emits on locally flat data."""
+def monotone_interpolator(f0: np.ndarray, grid: Grid,
+                          tail: float) -> Callable[[np.ndarray | float], np.ndarray]:
+    """Evaluator x -> f0(x) for points x >= 0 of a field tabulated on [0, R].
+
+    Shape-preserving cubic interpolation (PCHIP) up to and including R, the
+    declared value `tail` beyond it.  Every shifted or transported sample of
+    a nodal field goes through this one rule; build the evaluator once per
+    field and call it for every shift.  The division warnings the PCHIP slope
+    formula emits on locally flat data are harmless and silenced.
+    """
+    f0 = as_field(f0, grid)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return PchipInterpolator(x, values, extrapolate=False)
+        interp = PchipInterpolator(grid.x, f0, extrapolate=False)
+    R = grid.R
+    tail = float(tail)
+
+    def evaluate(x: np.ndarray | float) -> np.ndarray:
+        x = np.asarray(x, float)
+        return np.where(x <= R, interp(x), tail)
+
+    return evaluate
+
+
+def cumulative_trapezoid(values: np.ndarray, h) -> np.ndarray:
+    """Running trapezoid integral of nodal values with spacing h (a scalar or
+    one spacing per interval), starting from 0 at the first node."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * (values[:-1] + values[1:]) * h)))
 
 
 def tail_integral(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -120,26 +143,25 @@ def tail_integral(f: np.ndarray, grid: Grid) -> np.ndarray:
     Truncation surrogate for -int_x^inf f dz when f decays before R: the
     committed error is the neglected tail beyond R.
     """
-    f = as_field(f, grid)
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * grid.dx)))
+    cum = cumulative_trapezoid(as_field(f, grid), grid.dx)
     return cum - cum[-1]
 
 
-def shift_sample(f0: np.ndarray, grid: Grid, y: float, tail: float) -> np.ndarray:
-    """Sample x -> f0(x + y) on the grid by monotone cubic interpolation.
+def shift_sample(f0: np.ndarray, grid: Grid, y, tail: float) -> np.ndarray:
+    """Sample x -> f0(x + y) on the grid through monotone_interpolator.
 
-    `f0` holds nodal values on [0, R]; `tail` is the declared value of f0
-    past the right end, used wherever x + y > R.  Negative shifts are
-    rejected: the interface only ever moves right.
+    `y` is one shift (result shape (n,)) or a 1-D array of shifts (result
+    shape (len(y), n), one row per shift); the interpolant is built once per
+    call.  `tail` is the declared value of f0 past R.  A zero shift gives an
+    exact copy of f0.  Negative shifts are rejected: the interface only ever
+    moves right.
     """
     f0 = as_field(f0, grid)
-    if y < 0.0:
-        raise ValidationError(f"shift offset must be nonnegative (got {y})")
-    if y == 0.0:
-        return f0.copy()
-    xq = grid.x + y
-    inside = xq <= grid.R
-    out = np.full(grid.n, float(tail))
-    if np.any(inside):
-        out[inside] = monotone_interpolator(grid.x, f0)(xq[inside])
-    return out
+    shifts = np.asarray(y, float)
+    if np.any(shifts < 0.0):
+        raise ValidationError(f"shift offset must be nonnegative (got {np.min(shifts)})")
+    evaluate = monotone_interpolator(f0, grid, tail)
+    out = np.empty((shifts.size, grid.n))
+    for row, shift in zip(out, shifts.ravel()):
+        row[:] = f0 if shift == 0.0 else evaluate(grid.x + shift)
+    return out[0] if shifts.ndim == 0 else out

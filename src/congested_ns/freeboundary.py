@@ -15,11 +15,13 @@ map is a contraction, chaining the state from one window to the next.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from .core import Grid, PhysicalParams, ValidationError, as_field
 from .discrete_ops import (
     NormKind,
+    cumulative_trapezoid,
     derivative,
     monotone_interpolator,
     norm,
@@ -90,19 +92,20 @@ def make_path(t: np.ndarray, ydot: np.ndarray) -> BoundaryPath:
         raise ValidationError("path times and speeds must be 1-D arrays of equal length")
     if np.any(ydot <= 0.0):
         raise ValidationError(f"path speed must stay positive (min {np.min(ydot):g})")
-    dt = np.diff(t)
-    y = np.concatenate(([0.0], np.cumsum(0.5 * (ydot[:-1] + ydot[1:]) * dt)))
-    return BoundaryPath(t=t, y=y, ydot=ydot)
+    return BoundaryPath(t=t, y=cumulative_trapezoid(ydot, np.diff(t)), ydot=ydot)
 
 
 def time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    """Second-order finite differences on a uniform time mesh."""
+    """Second-order finite differences on a uniform time mesh, along axis 0
+    (one row per time: nodal values, or whole fields)."""
     values = np.asarray(values, float)
     out = np.empty_like(values)
-    if values.size < 3:
-        out[:] = (values[-1] - values[0]) / (dt * max(values.size - 1, 1))
+    if values.shape[0] < 3:
+        out[:] = (values[-1] - values[0]) / (dt * max(values.shape[0] - 1, 1))
         return out
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dt)
+    # in place: a whole-field history would otherwise need two more temporaries
+    np.subtract(values[2:], values[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * dt
     out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dt)
     out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dt)
     return out
@@ -118,9 +121,7 @@ def running_h1_norm(t: np.ndarray, f: np.ndarray) -> np.ndarray:
         return np.abs(f)
     dt = float(t[1] - t[0])
     df = time_derivative(f, dt)
-    integrand = f**2 + df**2
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * dt)))
-    return np.sqrt(cum)
+    return np.sqrt(cumulative_trapezoid(f**2 + df**2, dt))
 
 
 def path_h1_norm(t: np.ndarray, f: np.ndarray) -> float:
@@ -140,7 +141,7 @@ def path_h2_distance(t: np.ndarray, ydot_a: np.ndarray, ydot_b: np.ndarray) -> f
     if t.size < 2:
         return float(abs(d_speed[0]))
     dt = float(t[1] - t[0])
-    dy = np.concatenate(([0.0], np.cumsum(0.5 * (d_speed[:-1] + d_speed[1:]) * dt)))
+    dy = cumulative_trapezoid(d_speed, dt)
     dacc = time_derivative(d_speed, dt)
     return float(np.sqrt(
         np.trapezoid(dy**2, t) + np.trapezoid(d_speed**2, t) + np.trapezoid(dacc**2, t)
@@ -154,6 +155,8 @@ class InitialData:
     w0 is the initial effective velocity u0 - mu d_x ln v0 (transported
     rigidly by the interface motion), dxw0 its derivative, V0 and W0 the
     integrated tails of the volume and effective-velocity perturbations.
+    w0_eval evaluates w0 at points x >= 0 (monotone_interpolator with tail
+    w0_tail); validate_hypotheses builds it once.
     """
 
     v0: np.ndarray = field(repr=False)
@@ -162,25 +165,18 @@ class InitialData:
     dxw0: np.ndarray = field(repr=False)
     V0: np.ndarray = field(repr=False)
     W0: np.ndarray = field(repr=False)
-    R: float
     w0_tail: float
     compat_speed: float
     hypothesis_report: dict
+    w0_eval: Callable = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for arr in (self.v0, self.u0, self.w0, self.dxw0, self.V0, self.W0):
             arr.setflags(write=False)
-        object.__setattr__(self, "_w0_interp", None)
 
     def w0_at(self, xi: float) -> float:
-        """Pointwise w0(xi) by monotone cubic interpolation, tail past R."""
-        if xi >= self.R:
-            return float(self.w0_tail)
-        interp = object.__getattribute__(self, "_w0_interp")
-        if interp is None:
-            interp = monotone_interpolator(np.linspace(0.0, self.R, self.w0.size), self.w0)
-            object.__setattr__(self, "_w0_interp", interp)
-        return float(interp(xi))
+        """Pointwise w0(xi) for xi >= 0, through w0_eval."""
+        return float(self.w0_eval(xi))
 
 
 def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid, params: PhysicalParams,
@@ -199,7 +195,7 @@ def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid, params: Phys
 
     mu = params.mu
     prof = traveling_wave(params, grid)
-    w0 = effective_velocity_about_wave(u0, v0, grid, params)
+    w0 = effective_velocity_about_wave(u0, v0, grid, params, prof)
     dxw0 = derivative(w0, grid, 1)
     V0 = tail_integral(v0 - prof.v_bar, grid)
     W0 = tail_integral(w0 - params.u_plus, grid)
@@ -245,9 +241,10 @@ def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid, params: Phys
 
     return InitialData(
         v0=v0.copy(), u0=u0.copy(), w0=w0, dxw0=dxw0, V0=V0, W0=W0,
-        R=grid.R, w0_tail=params.u_plus,
+        w0_tail=params.u_plus,
         compat_speed=-du0 / dv0,
         hypothesis_report=report,
+        w0_eval=monotone_interpolator(w0, grid, params.u_plus),
     )
 
 
@@ -338,22 +335,12 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray, y_offs
     vs = [v.copy()] if keep_fields else []
     us = [u.copy()] if keep_fields else []
 
-    # one interpolant for the whole march; the shift only moves the queries
-    src_zero = not np.any(chi_dxw0)
-    src_interp = None if src_zero else monotone_interpolator(grid.x, chi_dxw0)
-
-    def sampled_source(y_glob: float) -> np.ndarray | float:
-        if src_zero:
-            return 0.0
-        xq = grid.x + y_glob
-        out = np.zeros(grid.n)
-        inside = xq <= grid.R
-        out[inside] = src_interp(xq[inside])
-        return out
+    # one evaluator for the whole march; an all-zero source needs none
+    source = monotone_interpolator(chi_dxw0, grid, 0.0) if np.any(chi_dxw0) else None
 
     for k in range(1, steps + 1):
         y_glob = y_offset + y[k]
-        src = sampled_source(y_glob)
+        src = 0.0 if source is None else source(grid.x + y_glob)
         try:
             v = step_v(v, ydot[k], src, grid, dt, reg, params, wave, newton_tol)
             u = step_u(u, v, ydot[k], grid, dt, params, wave)
@@ -448,7 +435,7 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
         du0, dv0 = _boundary_slopes(v, u, grid, params, wave)
         speed0 = -du0 / dv0
         ydot = np.full(steps + 1, speed0)
-        y_loc = np.concatenate(([0.0], np.cumsum(0.5 * (ydot[:-1] + ydot[1:]) * dt)))
+        y_loc = cumulative_trapezoid(ydot, dt)
 
         distances: list[float] = []
         ratios: list[float] = []
@@ -464,7 +451,7 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
             distances.append(d)
             h2_distances.append(path_h2_distance(t_loc, zdot, ydot))
             ydot = zdot
-            y_loc = np.concatenate(([0.0], np.cumsum(0.5 * (ydot[:-1] + ydot[1:]) * dt)))
+            y_loc = cumulative_trapezoid(ydot, dt)
             if d <= tol:
                 converged = True
                 break
@@ -554,9 +541,9 @@ def reconstruction_residuals(traj: Trajectory, init: InitialData, grid: Grid,
 
     The modified system is equivalent to the original one exactly when this
     vanishes, so the residual certifies the reconstruction argument."""
+    targets = shift_sample(init.w0, grid, traj.y[traj.stored_idx], init.w0_tail)
     out = np.empty(traj.stored_idx.size)
-    for i, step in enumerate(traj.stored_idx):
-        w_s = effective_velocity_about_wave(traj.u[i], traj.v[i], grid, params)
-        target = shift_sample(init.w0, grid, traj.y[step], init.w0_tail)
+    for i, target in enumerate(targets):
+        w_s = effective_velocity_about_wave(traj.u[i], traj.v[i], grid, params, traj.wave)
         out[i] = norm(w_s - target, grid, NormKind.L2)
     return out

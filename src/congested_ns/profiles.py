@@ -114,19 +114,19 @@ def effective_velocity(u: np.ndarray, v: np.ndarray, grid: Grid, mu: float) -> n
 
 
 def effective_velocity_about_wave(u: np.ndarray, v: np.ndarray, grid: Grid,
-                                  params: PhysicalParams) -> np.ndarray:
+                                  params: PhysicalParams, wave: Profiles) -> np.ndarray:
     """u - mu d/dx ln v evaluated against the wave background.
 
     The wave part of the effective velocity is the exact constant u_plus, so
     only the deviation ln(v / vwave) = log1p((v - vwave)/vwave) is
     differenced numerically; for data near the wave this avoids losing the
     small perturbation in the finite differences of the O(1) background.
+    `wave` is traveling_wave(params, grid).
     """
     u = as_field(u, grid)
     v = as_field(v, grid)
     if np.any(v <= 0.0):
         raise ValidationError("effective velocity needs v > 0 everywhere")
-    wave = traveling_wave(params, grid)
     log_ratio = np.log1p((v - wave.v_bar) / wave.v_bar)
     return params.u_plus + (u - wave.u_bar) - params.mu * derivative(log_ratio, grid, 1)
 

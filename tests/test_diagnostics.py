@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from congested_ns import discrete_ops
 from congested_ns.core import make_grid
 from congested_ns.diagnostics import (
     bootstrap_monitor,
@@ -252,6 +253,24 @@ class TestAppendixInequalities:
             path = make_path(t, rng.uniform(1.0 / M, M, t.size))
             res = shifted_weight_inequality(F, path, M, g)
             assert res["lhs"] <= res["rhs"] * (1 + 1e-12)
+
+    def test_shifted_weight_builds_one_interpolant(self, monkeypatch):
+        builds = []
+        original = discrete_ops.monotone_interpolator
+
+        def counting(*args):
+            builds.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(discrete_ops, "monotone_interpolator", counting)
+        g = make_grid(20.0, 401)
+        counts = []
+        for nodes in (11, 151):
+            builds.clear()
+            t = np.linspace(0.0, 3.0, nodes)
+            shifted_weight_inequality(np.exp(-g.x), make_path(t, np.ones(nodes)), 1.5, g)
+            counts.append(len(builds))
+        assert counts == [1, 1]
 
     def test_shifted_weight_rejects_slow_path(self, params):
         g = make_grid(20.0, 401)

@@ -155,14 +155,21 @@ def test_shift_rejects_negative_offset(g10):
         shift_sample(np.zeros(g10.n), g10, -0.5, 0.0)
 
 
-@given(seed=st.integers(0, 10_000), y=st.floats(0.0, 5.0))
+@given(seed=st.integers(0, 10_000), y=st.floats(0.0, 5.0),
+       more=st.lists(st.floats(0.0, 15.0), max_size=4))
 @settings(max_examples=40, deadline=None)
-def test_shift_preserves_monotonicity(seed, y):
+def test_shift_preserves_monotonicity(seed, y, more):
     g = make_grid(10.0, 201)
     r = np.random.default_rng(seed)
     f = np.cumsum(r.uniform(0.0, 1.0, g.n))  # nondecreasing data
     shifted = shift_sample(f, g, y, float(f[-1]))
     assert np.all(np.diff(shifted) >= -1e-12)
+    # an array of shifts (zero and past R included) is the stack of single shifts
+    ys = np.array([0.0, y, 12.5, *more])
+    batch = shift_sample(f, g, ys, float(f[-1]))
+    singles = np.stack([shift_sample(f, g, float(yk), float(f[-1])) for yk in ys])
+    np.testing.assert_array_equal(batch, singles)
+    assert np.all(np.diff(batch, axis=1) >= -1e-12)
 
 
 def test_tail_integral_matches_exponential():
@@ -180,8 +187,16 @@ def test_tail_integral_inverts_derivative(g10):
 
 
 def test_monotone_interpolator_flat_data_is_silent():
-    x = np.linspace(0.0, 1.0, 11)
-    vals = np.ones(11)
+    g = make_grid(1.0, 21)
+    vals = np.ones(g.n)
     with np.errstate(all="raise"):
-        interp = monotone_interpolator(x, vals)
+        interp = monotone_interpolator(vals, g, 1.0)
     assert float(interp(0.55)) == pytest.approx(1.0)
+
+
+def test_monotone_interpolator_nodes_and_tail(g10):
+    f = np.exp(-g10.x) * np.cos(3.0 * g10.x)
+    evaluate = monotone_interpolator(f, g10, -2.0)
+    np.testing.assert_allclose(evaluate(g10.x), f, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(evaluate(g10.R + np.array([1e-12, 0.5, 40.0])), -2.0)
+    assert float(evaluate(3.3)) == float(evaluate(np.array([3.3]))[0])

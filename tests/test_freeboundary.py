@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from congested_ns import profiles
+from congested_ns import discrete_ops, profiles
 from congested_ns.core import ValidationError, make_grid
 from congested_ns.freeboundary import (
     DenominatorTooSmall,
@@ -278,3 +278,28 @@ class TestAssembleAndReconstruction:
         res = reconstruction_residuals(traj, bump_init, small_grid, params)
         assert res[0] <= 1e-10  # zero shift at t=0: pure discretization error
         assert np.max(res) <= 1e-3
+
+    def test_reconstruction_builds_one_interpolant_and_no_wave(
+            self, params, small_grid, bump_init, monkeypatch):
+        trajs = [picard_solve(bump_init, small_grid, params, T_final=0.1, dt=1e-2,
+                              stride=stride) for stride in (1, 5)]
+        assert trajs[0].stored_idx.size != trajs[1].stored_idx.size
+        builds, wave_calls = [], []
+        original_interp = discrete_ops.monotone_interpolator
+        original_wave_v = profiles.wave_v
+
+        def counting_interp(*args):
+            builds.append(1)
+            return original_interp(*args)
+
+        def counting_wave_v(*args):
+            wave_calls.append(1)
+            return original_wave_v(*args)
+
+        monkeypatch.setattr(discrete_ops, "monotone_interpolator", counting_interp)
+        monkeypatch.setattr(profiles, "wave_v", counting_wave_v)
+        for traj in trajs:
+            builds.clear()
+            reconstruction_residuals(traj, bump_init, small_grid, params)
+            assert len(builds) == 1
+        assert wave_calls == []

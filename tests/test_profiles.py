@@ -112,7 +112,7 @@ def test_effective_velocity_rejects_nonpositive_volume(params):
 
 
 def test_effective_velocity_about_wave_is_exact_on_wave(params, grid, wave):
-    w = effective_velocity_about_wave(wave.u_bar, wave.v_bar, grid, params)
+    w = effective_velocity_about_wave(wave.u_bar, wave.v_bar, grid, params, wave)
     np.testing.assert_allclose(w, params.u_plus, rtol=0, atol=1e-14)
 
 
