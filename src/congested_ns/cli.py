@@ -42,7 +42,6 @@ from .diagnostics import (
 )
 from .discrete_ops import NormKind, norm
 from .freeboundary import (
-    HypothesisViolated,
     Trajectory,
     assemble_solution,
     make_path,
@@ -573,16 +572,13 @@ def run(cfg: RunConfig) -> int:
     started = time.time()
     try:
         summary = _RUNNERS[cfg.preset](cfg, out)
-    except (ValidationError, HypothesisViolated, ConfigError) as exc:
+    except (ValidationError, ConfigError, RuntimeError) as exc:
         failure = {"status": "error", "kind": type(exc).__name__, "message": str(exc),
                    "preset": cfg.preset}
+        if hasattr(exc, "t"):
+            failure["t"] = exc.t
         (out / "summary.json").write_text(json.dumps(failure, indent=2), encoding="utf-8")
-        return 2
-    except RuntimeError as exc:
-        failure = {"status": "error", "kind": type(exc).__name__, "message": str(exc),
-                   "preset": cfg.preset}
-        (out / "summary.json").write_text(json.dumps(failure, indent=2), encoding="utf-8")
-        return 1
+        return 1 if isinstance(exc, RuntimeError) else 2
     summary = {"status": "ok", "preset": cfg.preset,
                "elapsed_seconds": round(time.time() - started, 3), **summary}
     (out / "summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")

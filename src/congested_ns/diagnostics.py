@@ -34,7 +34,6 @@ from .freeboundary import (
     running_h1_norm,
     time_derivative,
 )
-from .parabolic import truncation_mollifier
 from .profiles import Profiles, traveling_wave
 
 
@@ -184,9 +183,6 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
     times = times[:m]
     dts = float(spacing[0]) if m > 1 else 1.0
 
-    G = traj.v[:m] - prof.v_bar
-    H = traj.u[:m] - prof.u_bar
-
     def xnorm(field: np.ndarray, kind: NormKind) -> float:
         return norm(field, grid, kind)
 
@@ -202,26 +198,23 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
             return 0.0
         return float(np.trapezoid(arr, dx=dts))
 
-    # time derivatives across stored snapshots
-    if m >= 3:
-        Gt = time_derivative(G, dts)
-        Ht = time_derivative(H, dts)
-        Gtt = time_derivative(Gt, dts)
-        Htt = time_derivative(Ht, dts)
-    else:
-        Gt = np.zeros_like(G)
-        Ht = np.zeros_like(H)
-        Gtt = np.zeros_like(G)
-        Htt = np.zeros_like(H)
+    def time_derivatives(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First and second time derivatives across stored snapshots."""
+        if m < 3:
+            return np.zeros_like(F), np.zeros_like(F)
+        Ft = time_derivative(F, dts)
+        return Ft, time_derivative(Ft, dts)
 
-    V_fields = [integrated_perturbation(traj.v[i], prof.v_bar, grid) for i in range(m)]
-    k_steps = traj.stored_idx[:m]
-    ydots = traj.ydot[k_steps]
+    def integrated_term(i: int) -> float:
+        V = integrated_perturbation(traj.v[i], prof.v_bar, grid)
+        return xnorm(V, NormKind.L2) ** 2 + ydots[i] * V[0] ** 2
 
-    e0 = sup(
-        xnorm(V_fields[i], NormKind.L2) ** 2 + ydots[i] * V_fields[i][0] ** 2
-        for i in range(m)
-    ) + tint(xnorm(G[i], NormKind.L2) ** 2 for i in range(m))
+    ydots = traj.ydot[traj.stored_idx[:m]]
+    G = traj.v[:m] - prof.v_bar
+    Gt, Gtt = time_derivatives(G)
+
+    e0 = sup(integrated_term(i) for i in range(m)) + tint(
+        xnorm(G[i], NormKind.L2) ** 2 for i in range(m))
 
     e1 = (
         sup(xnorm(G[i], NormKind.H1) ** 2 for i in range(m))
@@ -243,6 +236,11 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
         + tint(xnorm(Gtt[i], NormKind.L2) ** 2 for i in range(m))
         + tint(xnorm(dx(Gt[i], 2), NormKind.L2) ** 2 for i in range(m))
     )
+
+    # one family of whole-history arrays at a time bounds the peak memory
+    del G, Gt, Gtt
+    H = traj.u[:m] - prof.u_bar
+    Ht, Htt = time_derivatives(H)
 
     e4 = (
         sup(xnorm(H[i], NormKind.H1) ** 2 for i in range(m))
@@ -429,7 +427,6 @@ def growth_estimate_report(traj: Trajectory, init: InitialData, grid: Grid,
     times = traj.stored_times
     m = times.size
     dts = float(times[1] - times[0]) if m > 1 else 1.0
-    chi_dxw0 = truncation_mollifier(grid) * init.dxw0
     dvbar = prof.dv_bar
 
     G_fields = traj.v[:m] - prof.v_bar
@@ -437,7 +434,7 @@ def growth_estimate_report(traj: Trajectory, init: InitialData, grid: Grid,
     dxg_sq = [norm(derivative(G_fields[i], grid, 1), grid, NormKind.L2) ** 2 for i in range(m)]
     g_sq = [norm(G_fields[i], grid, NormKind.L2) ** 2 for i in range(m)]
     steps = traj.stored_idx[:m]
-    shifted_src = shift_sample(chi_dxw0, grid, traj.y[steps], 0.0)
+    shifted_src = shift_sample(init.source, grid, traj.y[steps], 0.0)
     src_sq = [norm(src + (traj.ydot[step] - params.s) * dvbar, grid, NormKind.L2) ** 2
               for src, step in zip(shifted_src, steps)]
 

@@ -31,7 +31,6 @@ from .discrete_ops import (
 )
 from .parabolic import (
     DEFAULT_NEWTON_TOL,
-    RegularizedLog,
     regularized_log,
     step_u,
     step_v,
@@ -44,7 +43,7 @@ from .profiles import (
     traveling_wave,
 )
 
-DEFAULT_DENOM_FLOOR = 1e-8
+DENOM_FLOOR = 1e-8
 
 
 class HypothesisViolated(ValidationError):
@@ -155,8 +154,11 @@ class InitialData:
     w0 is the initial effective velocity u0 - mu d_x ln v0 (transported
     rigidly by the interface motion), dxw0 its derivative, V0 and W0 the
     integrated tails of the volume and effective-velocity perturbations.
-    w0_eval evaluates w0 at points x >= 0 (monotone_interpolator with tail
-    w0_tail); validate_hypotheses builds it once.
+    source is the mollified chi d_x w0 that the volume equation transports.
+    w0_eval and source_eval evaluate w0 and source at points x >= 0
+    (monotone_interpolator with tails w0_tail and 0); source_eval is None
+    when the source is identically zero.  validate_hypotheses builds both
+    once per datum.
     """
 
     v0: np.ndarray = field(repr=False)
@@ -165,13 +167,15 @@ class InitialData:
     dxw0: np.ndarray = field(repr=False)
     V0: np.ndarray = field(repr=False)
     W0: np.ndarray = field(repr=False)
+    source: np.ndarray = field(repr=False)
     w0_tail: float
     compat_speed: float
     hypothesis_report: dict
     w0_eval: Callable = field(repr=False, compare=False)
+    source_eval: Callable | None = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for arr in (self.v0, self.u0, self.w0, self.dxw0, self.V0, self.W0):
+        for arr in (self.v0, self.u0, self.w0, self.dxw0, self.V0, self.W0, self.source):
             arr.setflags(write=False)
 
     def w0_at(self, xi: float) -> float:
@@ -180,7 +184,7 @@ class InitialData:
 
 
 def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid, params: PhysicalParams,
-                        h3_tol: float | None = None, strict: bool = True) -> InitialData:
+                        strict: bool = True) -> InitialData:
     """Check the admissibility hypotheses and assemble the derived data.
 
     Endpoint values, non-degeneracy signs, the second-order compatibility
@@ -190,8 +194,7 @@ def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid, params: Phys
     """
     v0 = as_field(v0, grid)
     u0 = as_field(u0, grid)
-    if h3_tol is None:
-        h3_tol = max(100.0 * grid.dx**2, 1e-8)
+    h3_tol = max(100.0 * grid.dx**2, 1e-8)
 
     mu = params.mu
     prof = traveling_wave(params, grid)
@@ -239,12 +242,14 @@ def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid, params: Phys
     if strict and failures:
         raise HypothesisViolated(failures)
 
+    source = truncation_mollifier(grid) * dxw0
     return InitialData(
-        v0=v0.copy(), u0=u0.copy(), w0=w0, dxw0=dxw0, V0=V0, W0=W0,
+        v0=v0.copy(), u0=u0.copy(), w0=w0, dxw0=dxw0, V0=V0, W0=W0, source=source,
         w0_tail=params.u_plus,
         compat_speed=-du0 / dv0,
         hypothesis_report=report,
         w0_eval=monotone_interpolator(w0, grid, params.u_plus),
+        source_eval=monotone_interpolator(source, grid, 0.0) if np.any(source) else None,
     )
 
 
@@ -259,7 +264,7 @@ def _boundary_slopes(v: np.ndarray, u: np.ndarray, grid: Grid, params: PhysicalP
 
 
 def boundary_velocity(u: np.ndarray, w0_at_y: float, grid: Grid, params: PhysicalParams,
-                      wave: Profiles, denom_floor: float = DEFAULT_DENOM_FLOOR) -> float:
+                      wave: Profiles) -> float:
     """Interface speed -mu d_x u(0) / (u_minus - w0(y)).
 
     The trace d_x u(0) is the exact wave slope plus a one-sided stencil on
@@ -267,9 +272,9 @@ def boundary_velocity(u: np.ndarray, w0_at_y: float, grid: Grid, params: Physica
     speed.  `wave` is traveling_wave(params, grid).
     """
     denom = params.u_minus - w0_at_y
-    if denom < denom_floor:
+    if denom < DENOM_FLOOR:
         raise DenominatorTooSmall(
-            f"u_minus - w0(y) = {denom:g} fell below the floor {denom_floor:g}"
+            f"u_minus - w0(y) = {denom:g} fell below the floor {DENOM_FLOOR:g}"
         )
     du = boundary_slope_constants(params)["du"] + trace0(u - wave.u_bar, grid, 1)
     return -params.mu * du / denom
@@ -320,34 +325,31 @@ class Trajectory:
         return self.t[self.stored_idx]
 
 
-def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray, y_offset: float,
+def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
            init: InitialData, grid: Grid, params: PhysicalParams, wave: Profiles,
-           dt: float, reg: RegularizedLog, chi_dxw0: np.ndarray, newton_tol: float,
-           denom_floor: float, t_start: float,
+           dt: float, newton_tol: float, t_start: float,
            keep_fields: bool) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Advance the fields along a given local path; return re-derived speeds
-    (the data-determined compatibility speed at the first node, then
-    boundary_velocity after every step)."""
+    """Advance the fields along a given path (speeds ydot, global positions
+    y); return re-derived speeds (the data-determined compatibility speed at
+    the first node, then boundary_velocity after every step).  A solver
+    failure is re-raised with its time as attribute `t`."""
     steps = ydot.size - 1
     zdot = np.empty(ydot.size)
     du0, dv0 = _boundary_slopes(v, u, grid, params, wave)
     zdot[0] = -du0 / dv0
     vs = [v.copy()] if keep_fields else []
     us = [u.copy()] if keep_fields else []
-
-    # one evaluator for the whole march; an all-zero source needs none
-    source = monotone_interpolator(chi_dxw0, grid, 0.0) if np.any(chi_dxw0) else None
+    reg = regularized_log(2.0 * float(np.max(init.v0)))
 
     for k in range(1, steps + 1):
-        y_glob = y_offset + y[k]
-        src = 0.0 if source is None else source(grid.x + y_glob)
+        src = 0.0 if init.source_eval is None else init.source_eval(grid.x + y[k])
         try:
             v = step_v(v, ydot[k], src, grid, dt, reg, params, wave, newton_tol)
             u = step_u(u, v, ydot[k], grid, dt, params, wave)
-            zdot[k] = boundary_velocity(u, init.w0_at(y_glob), grid, params, wave,
-                                        denom_floor)
+            zdot[k] = boundary_velocity(u, init.w0_at(y[k]), grid, params, wave)
         except RuntimeError as exc:
-            raise type(exc)(f"{exc} (at t = {t_start + k * dt:g})") from exc
+            exc.t = t_start + k * dt
+            raise
         if keep_fields:
             vs.append(v.copy())
             us.append(u.copy())
@@ -356,9 +358,7 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray, y_offs
 
 def apply_boundary_map(path_in: BoundaryPath, init: InitialData, grid: Grid,
                        params: PhysicalParams, dt: float,
-                       reg: RegularizedLog | None = None,
-                       newton_tol: float = DEFAULT_NEWTON_TOL,
-                       denom_floor: float = DEFAULT_DENOM_FLOOR) -> BoundaryPath:
+                       newton_tol: float = DEFAULT_NEWTON_TOL) -> BoundaryPath:
     """One application of the fixed-point map: solve v then u along path_in,
     then re-derive the interface path from the boundary trace of u."""
     if abs(path_in.y[0]) > 1e-12:
@@ -370,23 +370,16 @@ def apply_boundary_map(path_in: BoundaryPath, init: InitialData, grid: Grid,
             f"expected the data-determined value {init.compat_speed:g} "
             f"within {compat_tol:g}"
         )
-    if reg is None:
-        reg = regularized_log(2.0 * float(np.max(init.v0)))
-    chi_dxw0 = truncation_mollifier(grid) * init.dxw0
-    zdot, _, _ = _march(
-        init.v0.copy(), init.u0.copy(), path_in.ydot, path_in.y, 0.0,
-        init, grid, params, traveling_wave(params, grid), dt, reg, chi_dxw0, newton_tol,
-        denom_floor,
-        t_start=float(path_in.t[0]), keep_fields=False,
-    )
+    zdot, _, _ = _march(init.v0.copy(), init.u0.copy(), path_in.ydot, path_in.y, init, grid,
+                        params, traveling_wave(params, grid), dt, newton_tol,
+                        t_start=float(path_in.t[0]), keep_fields=False)
     return make_path(path_in.t, zdot)
 
 
 def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final: float,
                  dt: float, tol: float = 1e-8, max_iter: int = 25,
                  window: float | None = None, stride: int = 10,
-                 newton_tol: float = DEFAULT_NEWTON_TOL,
-                 denom_floor: float = DEFAULT_DENOM_FLOOR) -> Trajectory:
+                 newton_tol: float = DEFAULT_NEWTON_TOL) -> Trajectory:
     """Fixed-point solve of the coupled interface/fields problem up to T_final.
 
     The horizon is split into windows of length `window` (default 0.25/s, on
@@ -407,14 +400,9 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
         raise ValidationError(f"T_final={T_final:g} must be a multiple of dt={dt:g}")
     steps_per_window = max(1, int(round(window / dt)))
 
-    reg = regularized_log(2.0 * float(np.max(init.v0)))
-    chi = truncation_mollifier(grid)
-    chi_dxw0 = chi * init.dxw0
-
     t_all = dt * np.arange(n_total + 1)
     y_all = np.zeros(n_total + 1)
     ydot_all = np.zeros(n_total + 1)
-    p_all = np.zeros(n_total + 1)
     stored_idx = [0]
     vs_stored = [init.v0.copy()]
     us_stored = [init.u0.copy()]
@@ -426,7 +414,6 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     y_offset = 0.0
     k_done = 0
     ydot_all[0] = init.compat_speed
-    p_all[0] = init.compat_speed * (params.u_minus - init.w0_at(0.0))
 
     while k_done < n_total:
         steps = min(steps_per_window, n_total - k_done)
@@ -435,23 +422,22 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
         du0, dv0 = _boundary_slopes(v, u, grid, params, wave)
         speed0 = -du0 / dv0
         ydot = np.full(steps + 1, speed0)
-        y_loc = cumulative_trapezoid(ydot, dt)
+        y = y_offset + cumulative_trapezoid(ydot, dt)
 
         distances: list[float] = []
         ratios: list[float] = []
         h2_distances: list[float] = []
         converged = False
         for _ in range(max_iter):
-            zdot, _, _ = _march(v.copy(), u.copy(), ydot, y_loc, y_offset, init, grid,
-                                params, wave, dt, reg, chi_dxw0, newton_tol, denom_floor,
-                                t_start, keep_fields=False)
+            zdot, _, _ = _march(v.copy(), u.copy(), ydot, y, init, grid, params, wave,
+                                dt, newton_tol, t_start, keep_fields=False)
             d = path_h1_norm(t_loc, zdot - ydot)
             if distances:
                 ratios.append(d / distances[-1] if distances[-1] > 0 else 0.0)
             distances.append(d)
             h2_distances.append(path_h2_distance(t_loc, zdot, ydot))
             ydot = zdot
-            y_loc = cumulative_trapezoid(ydot, dt)
+            y = y_offset + cumulative_trapezoid(ydot, dt)
             if d <= tol:
                 converged = True
                 break
@@ -466,25 +452,24 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
                                     h2_distances=h2_distances))
 
         # definitive pass along the converged path, keeping fields
-        zdot, vs, us = _march(v.copy(), u.copy(), ydot, y_loc, y_offset, init, grid,
-                              params, wave, dt, reg, chi_dxw0, newton_tol, denom_floor,
-                              t_start, keep_fields=True)
+        zdot, vs, us = _march(v.copy(), u.copy(), ydot, y, init, grid, params, wave,
+                              dt, newton_tol, t_start, keep_fields=True)
+        y_all[k_done + 1:k_done + steps + 1] = y[1:]
+        ydot_all[k_done + 1:k_done + steps + 1] = ydot[1:]
         for k in range(1, steps + 1):
             idx = k_done + k
-            y_all[idx] = y_offset + y_loc[k]
-            ydot_all[idx] = ydot[k]
-            p_all[idx] = ydot[k] * (params.u_minus - init.w0_at(y_all[idx]))
             if idx % stride == 0 or idx == n_total:
                 stored_idx.append(idx)
                 vs_stored.append(vs[k])
                 us_stored.append(us[k])
         v = vs[-1]
         u = us[-1]
-        y_offset += y_loc[-1]
+        y_offset = y[-1]
         k_done += steps
 
     return Trajectory(
-        t=t_all, y=y_all, ydot=ydot_all, p_s=p_all,
+        t=t_all, y=y_all, ydot=ydot_all,
+        p_s=ydot_all * (params.u_minus - init.w0_eval(y_all)),
         stored_idx=np.asarray(stored_idx, dtype=int),
         v=np.asarray(vs_stored), u=np.asarray(us_stored),
         windows=windows, grid=grid, params=params, init=init, wave=wave,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .core import Grid, PhysicalParams, ValidationError, as_field
 from .discrete_ops import derivative
@@ -29,7 +29,7 @@ class MaximumPrincipleViolated(RuntimeError):
 
 
 class TridiagonalSolveError(RuntimeError):
-    """The implicit linear system was singular."""
+    """The implicit linear system was singular or its solution not finite."""
 
 
 EPS_MAX_PRINCIPLE = 1e-9
@@ -143,18 +143,18 @@ def _nodal(value: np.ndarray | float, grid: Grid) -> np.ndarray:
     return as_field(value, grid)
 
 
-def _solve_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
                        rhs: np.ndarray, dt: float, min_diffusion: float) -> np.ndarray:
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    try:
-        return solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:
+    """Solve the system with sub-, main and super-diagonals (lengths n-1, n,
+    n-1) by LAPACK gtsv; a singular system or a non-finite solution raises
+    TridiagonalSolveError."""
+    *_, x, info = dgtsv(sub, diag, sup, rhs)
+    if info != 0 or not np.isfinite(x).all():
         raise TridiagonalSolveError(
-            f"singular implicit system (dt={dt:g}, min diffusion={min_diffusion:g})"
-        ) from exc
+            f"singular or non-finite implicit system (dt={dt:g}, "
+            f"min diffusion={min_diffusion:g})"
+        )
+    return x
 
 
 def linear_parabolic_step(state: np.ndarray, coeffs: LinearParabolicCoeffs, grid: Grid,
@@ -187,12 +187,7 @@ def linear_parabolic_step(state: np.ndarray, coeffs: LinearParabolicCoeffs, grid
     rhs[0] -= lo[0] * left_bc
     rhs[-1] -= hi[-1] * right_bc
 
-    interior = _solve_tridiagonal(
-        np.concatenate(([0.0], lo[1:])),
-        di,
-        np.concatenate((hi[:-1], [0.0])),
-        rhs, dt, float(np.min(a)),
-    )
+    interior = _solve_tridiagonal(lo[1:], di, hi[:-1], rhs, dt, float(np.min(a)))
     out = np.empty_like(state)
     out[0] = left_bc
     out[-1] = right_bc
@@ -267,10 +262,10 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
         if res_norm <= newton_tol:
             break
         _, a_slope = reg(vbar + g)
-        lower = -dt * (-ydot / (2.0 * dx) + mu * a_slope[:-2] / dx**2)
+        sub = -dt * (-ydot / (2.0 * dx) + mu * a_slope[1:-2] / dx**2)
         diag = 1.0 + 2.0 * dt * mu * a_slope[1:-1] / dx**2
-        upper = -dt * (ydot / (2.0 * dx) + mu * a_slope[2:] / dx**2)
-        delta = _solve_tridiagonal(lower, diag, upper, -res, dt, mu * reg.nu)
+        sup = -dt * (ydot / (2.0 * dx) + mu * a_slope[2:-1] / dx**2)
+        delta = _solve_tridiagonal(sub, diag, sup, -res, dt, mu * reg.nu)
 
         # damped update: halve until the residual does not increase
         scale = 1.0

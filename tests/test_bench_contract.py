@@ -8,11 +8,14 @@ traced function then fails this fast test instead of a traced benchmark run.
 
 import importlib
 import importlib.util
+import inspect
 import sys
 import types
 from pathlib import Path
 
 import pytest
+
+from congested_ns.freeboundary import _march
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,3 +49,8 @@ def test_traced_name_resolves(name):
         assert (layer, *path) in tracing.METHODS
         cls_name, meth = path
         assert isinstance(vars(getattr(module, cls_name)).get(meth), types.FunctionType)
+
+
+def test_march_takes_ydot_third():
+    # the tracer counts the steps of a march from its third argument
+    assert list(inspect.signature(_march).parameters)[2] == "ydot"

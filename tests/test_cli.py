@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from congested_ns import freeboundary
 from congested_ns.cli import (
     ConfigError,
     PRESETS,
@@ -169,6 +170,41 @@ def test_solver_failure_writes_machine_readable_record(tmp_path):
     assert summary["status"] == "error"
     assert "multiple" in summary["message"]
     assert (out / "config_resolved.txt").exists()
+
+
+class TwoArgumentFailure(RuntimeError):
+    """A solver error whose constructor takes more than the message."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
+def test_solver_failure_keeps_its_type_and_time(tmp_path, monkeypatch):
+    original = freeboundary.step_u
+    calls = []
+
+    def failing_step_u(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise TwoArgumentFailure("step_u failed", 7)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(freeboundary, "step_u", failing_step_u)
+    cfg = replace(preset_config("steady_wave"), n=257, T_final=0.1, dt=0.01,
+                  out_dir=str(tmp_path))
+    with pytest.raises(TwoArgumentFailure) as info:
+        _solve_from_config(cfg)
+    assert info.value.code == 7
+    assert info.value.t == pytest.approx(0.03)
+
+    calls.clear()
+    assert run(cfg) == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["status"] == "error"
+    assert summary["kind"] == "TwoArgumentFailure"
+    assert summary["message"] == "step_u failed"
+    assert summary["t"] == pytest.approx(0.03)
 
 
 def test_appendix_lemmas_preset(tmp_path):

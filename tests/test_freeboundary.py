@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from congested_ns import discrete_ops, profiles
+from congested_ns import discrete_ops, freeboundary, profiles
 from congested_ns.core import ValidationError, make_grid
 from congested_ns.freeboundary import (
     DenominatorTooSmall,
@@ -16,6 +16,7 @@ from congested_ns.freeboundary import (
     reconstruction_residuals,
     validate_hypotheses,
 )
+from congested_ns.parabolic import truncation_mollifier
 from congested_ns.perturbations import initial_data_fields
 from congested_ns.profiles import traveling_wave, wave_u, wave_v
 
@@ -77,6 +78,14 @@ class TestValidateHypotheses:
     def test_integrated_tails_anchor_at_right_end(self, bump_init):
         assert bump_init.V0[-1] == 0.0
         assert bump_init.W0[-1] == 0.0
+
+    def test_source_is_mollified_slope_of_w0(self, small_grid, bump_init, wave_init):
+        expected = truncation_mollifier(small_grid) * bump_init.dxw0
+        assert bump_init.source.tobytes() == expected.tobytes()
+        assert bump_init.source_eval(small_grid.x).tobytes() == expected.tobytes()
+        # the exact wave transports no source, so no evaluator is built for it
+        assert not np.any(wave_init.source)
+        assert wave_init.source_eval is None
 
     def test_perturbed_data_keeps_compatibility(self, params, small_grid, bump_init):
         # triple-zero envelope leaves the wave's bracket intact
@@ -206,6 +215,22 @@ class TestPicard:
                          window=0.05)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    def test_no_interpolant_built_per_march(self, params, small_grid, bump_init,
+                                            monkeypatch):
+        builds = []
+        original = discrete_ops.monotone_interpolator
+
+        def counting(*args):
+            builds.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(discrete_ops, "monotone_interpolator", counting)
+        monkeypatch.setattr(freeboundary, "monotone_interpolator", counting)
+        for T_final in (0.05, 0.2):  # one and four windows
+            picard_solve(bump_init, small_grid, params, T_final=T_final, dt=1e-2,
+                         window=0.05)
+        assert builds == []
 
     def test_trajectory_shapes_and_pressure_identity(self, params, small_grid, bump_init):
         traj = picard_solve(bump_init, small_grid, params, T_final=0.2, dt=2e-3,

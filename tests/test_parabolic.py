@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 
 from congested_ns.core import ValidationError, make_grid
 from congested_ns.parabolic import (
     LinearParabolicCoeffs,
     MaximumPrincipleViolated,
     RegularizedLog,
+    TridiagonalSolveError,
+    _solve_tridiagonal,
     interior_flux_balance,
     linear_parabolic_step,
     regularized_log,
@@ -196,6 +199,34 @@ class TestStepU:
         bad_v = wave.v_bar - 0.5
         with pytest.raises(ValidationError, match="v >= 1"):
             step_u(wave.u_bar.copy(), bad_v, params.s, grid, 1e-3, params, wave)
+
+
+class TestTridiagonalSolve:
+    def test_matches_banded_solve_bit_for_bit(self, rng):
+        n = 300
+        sub, sup = rng.normal(size=(2, n - 1))
+        diag = 2.5 + rng.random(n)
+        rhs = rng.normal(size=n)
+        ab = np.zeros((3, n))
+        ab[0, 1:] = sup
+        ab[1] = diag
+        ab[2, :-1] = sub
+        got = _solve_tridiagonal(sub, diag, sup, rhs, 1e-3, 1.0)
+        assert got.tobytes() == solve_banded((1, 1), ab, rhs).tobytes()
+
+    def test_singular_system_raises_typed_error(self):
+        n = 20
+        with pytest.raises(TridiagonalSolveError, match="singular"):
+            _solve_tridiagonal(np.zeros(n - 1), np.zeros(n), np.zeros(n - 1),
+                               np.ones(n), 1e-3, 1.0)
+
+    def test_non_finite_rhs_raises_typed_error(self):
+        n = 20
+        rhs = np.ones(n)
+        rhs[5] = np.nan
+        with pytest.raises(TridiagonalSolveError, match="non-finite"):
+            _solve_tridiagonal(np.full(n - 1, -1.0), np.full(n, 4.0), np.full(n - 1, -1.0),
+                               rhs, 1e-3, 1.0)
 
 
 def test_truncation_mollifier_plateau_and_decay():
