@@ -346,8 +346,8 @@ def _run_trace_suite(cfg: RunConfig, out: Path) -> dict:
     summary = _emit_trajectory_outputs(out, "", cfg, grid, params, init, traj)
     records = []
     worst = {"residual_value": 0.0, "residual_slope": 0.0, "residual_second_order": 0.0}
-    for i in range(traj.stored_idx.size):
-        rep = trace_identities(traj, init, grid, params, i)
+    reports = trace_identities(traj, init, grid, params, range(traj.stored_idx.size))
+    for i, rep in enumerate(reports):
         t_val = float(traj.t[traj.stored_idx[i]])
         for key in worst:
             worst[key] = max(worst[key], abs(getattr(rep, key)))

@@ -11,6 +11,7 @@ into the solver.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from scipy.integrate import simpson
 
 from .core import Grid, PhysicalParams, ValidationError, as_field
 from .discrete_ops import (
+    MonotoneInterpolant,
     NormKind,
     derivative,
     monotone_interpolator,
@@ -279,15 +281,29 @@ class TraceReport:
     residual_second_order: float
 
 
-def trace_identities(traj: Trajectory, init: InitialData, grid: Grid,
-                     params: PhysicalParams, t_index: int) -> TraceReport:
-    """Evaluate the boundary-trace identities at a stored time.
+def trace_identities(traj: Trajectory, init: InitialData, grid: Grid, params: PhysicalParams,
+                     t_index: int | Sequence[int]) -> TraceReport | list[TraceReport]:
+    """Evaluate the boundary-trace identities at stored times.
 
     The transformed unknown is applied to the volume perturbation; its value,
     slope, and weighted second derivative at x = 0 are compared against their
     closed-form expressions in terms of the interface speed deviation and the
-    transported initial effective velocity.
+    transported initial effective velocity.  `t_index` is one stored-time
+    index (returns one TraceReport) or a sequence of them (returns a list,
+    one report per index); the w0' and w0'' evaluators are built once per
+    call.
     """
+    dw_eval = monotone_interpolator(init.dxw0, grid, 0.0)
+    d2w_eval = monotone_interpolator(derivative(init.w0, grid, 2), grid, 0.0)
+    reports = [_trace_report(traj, init, grid, params, int(i), dw_eval, d2w_eval)
+               for i in np.ravel(t_index)]
+    return reports[0] if np.ndim(t_index) == 0 else reports
+
+
+def _trace_report(traj: Trajectory, init: InitialData, grid: Grid, params: PhysicalParams,
+                  t_index: int, dw_eval: MonotoneInterpolant,
+                  d2w_eval: MonotoneInterpolant) -> TraceReport:
+    """trace_identities at one stored time, given the w0' and w0'' evaluators."""
     prof = traj.wave
     step = int(traj.stored_idx[t_index])
     s, mu, vp = params.s, params.mu, params.v_plus
@@ -301,8 +317,8 @@ def trace_identities(traj: Trajectory, init: InitialData, grid: Grid,
     second = mu * trace0(derivative(g1, grid, 1) / prof.v_bar, grid, 1)
 
     W = init.w0_at(xt) - params.u_plus
-    wp = float(monotone_interpolator(init.dxw0, grid, 0.0)(xt))
-    wpp = float(monotone_interpolator(derivative(init.w0, grid, 2), grid, 0.0)(xt))
+    wp = float(dw_eval(xt))
+    wpp = float(d2w_eval(xt))
 
     t2 = W**2 / mu**2
     t3 = (
@@ -433,10 +449,10 @@ def growth_estimate_report(traj: Trajectory, init: InitialData, grid: Grid,
     sup_h1 = max(norm(G_fields[i], grid, NormKind.H1) for i in range(m))
     dxg_sq = [norm(derivative(G_fields[i], grid, 1), grid, NormKind.L2) ** 2 for i in range(m)]
     g_sq = [norm(G_fields[i], grid, NormKind.L2) ** 2 for i in range(m)]
-    steps = traj.stored_idx[:m]
-    shifted_src = shift_sample(init.source, grid, traj.y[steps], 0.0)
-    src_sq = [norm(src + (traj.ydot[step] - params.s) * dvbar, grid, NormKind.L2) ** 2
-              for src, step in zip(shifted_src, steps)]
+    source = init.source_eval
+    src_sq = [norm((0.0 if source is None else source.shifted(traj.y[step]))
+                   + (traj.ydot[step] - params.s) * dvbar, grid, NormKind.L2) ** 2
+              for step in traj.stored_idx[:m]]
 
     if m >= 3:
         Gt = time_derivative(G_fields, dts)

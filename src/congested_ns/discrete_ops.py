@@ -8,7 +8,6 @@ second-order spatial discretization used by the solvers.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -36,7 +35,13 @@ def derivative(f: np.ndarray, grid: Grid, order: int) -> np.ndarray:
     f = as_field(f, grid)
     if grid.n < 5:
         raise ValidationError("derivative stencils need at least 5 nodes")
-    dx = grid.dx
+    return stencil_derivative(f, grid.dx, order)
+
+
+def stencil_derivative(f: np.ndarray, dx: float, order: int) -> np.ndarray:
+    """The stencils of derivative on a float array of at least 5 nodes with
+    spacing dx, without validating it: for arrays a caller built from fields
+    it has already validated."""
     out = np.empty_like(f)
     if order == 1:
         out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
@@ -108,27 +113,77 @@ def trace0(f: np.ndarray, grid: Grid, order: int = 0) -> float:
     raise ValidationError(f"unsupported trace order {order} (use 0, 1 or 2)")
 
 
-def monotone_interpolator(f0: np.ndarray, grid: Grid,
-                          tail: float) -> Callable[[np.ndarray | float], np.ndarray]:
+class MonotoneInterpolant:
     """Evaluator x -> f0(x) for points x >= 0 of a field tabulated on [0, R].
 
     Shape-preserving cubic interpolation (PCHIP) up to and including R, the
-    declared value `tail` beyond it.  Every shifted or transported sample of
-    a nodal field goes through this one rule; build the evaluator once per
-    field and call it for every shift.  The division warnings the PCHIP slope
+    declared value `tail` beyond it.  Build it with monotone_interpolator.
+    """
+
+    def __init__(self, interp: PchipInterpolator, grid: Grid, tail: float):
+        self._interp = interp
+        self._grid = grid
+        self._tail = tail
+        self._min_width = float(np.min(np.diff(grid.x)))
+        # scipy sums an interval's power-basis terms from 0.0, constant term
+        # first; 0.0 + c3 turns a -0.0 constant into the 0.0 that sum starts as
+        c = interp.c
+        self._terms = (0.0 + c[3], c[2], c[1], c[0])
+
+    def __call__(self, x: np.ndarray | float) -> np.ndarray:
+        x = np.asarray(x, float)
+        return np.where(x <= self._grid.R, self._interp(x), self._tail)
+
+    def shifted(self, y: float) -> np.ndarray:
+        """The row f0(x_i + y) on the grid nodes, equal bit for bit to
+        self(grid.x + y).
+
+        On the uniform grid a shift y >= 0 puts node i in interval i + m,
+        m = floor(y / dx), so the row reads m-offset slices of the PCHIP
+        table, with no interval search, and sums the terms in scipy's order.
+        When rounding puts a node in another interval or on R, the row takes
+        the general path.
+        """
+        x, n = self._grid.x, self._grid.n
+        if not 0.0 <= y < np.inf:
+            return self(x + y)
+        m = int(y // self._grid.dx)
+        k = max(n - 1 - m, 0)  # nodes i < k lie in interval i + m <= n - 2, node k past R
+        s = x[:k] + y
+        s -= x[m:m + k]  # the offset scipy's evaluation computes
+        # rounding is monotone, so 0 <= s < min interval length keeps every
+        # node inside its nominal interval
+        off_table = k and (s.min() < 0.0 or s.max() >= self._min_width)
+        if off_table or x[k] + y <= self._grid.R:
+            return self(x + y)
+        c3, c2, c1, c0 = (term[m:m + k] for term in self._terms)
+        out = np.empty(n)
+        out[k:] = self._tail
+        row = out[:k]
+        # c3 + c2 s + c1 s^2 + c0 s^3 summed left to right, in place
+        np.multiply(c2, s, out=row)
+        row += c3
+        s2 = s * s
+        s3 = s2 * s
+        s2 *= c1
+        row += s2
+        s3 *= c0
+        row += s3
+        return out
+
+
+def monotone_interpolator(f0: np.ndarray, grid: Grid, tail: float) -> MonotoneInterpolant:
+    """Build the MonotoneInterpolant of a nodal field with declared tail value.
+
+    Every shifted or transported sample of a nodal field goes through this
+    one rule; build the evaluator once per field and call it, or its
+    `shifted` row, for every shift.  The division warnings the PCHIP slope
     formula emits on locally flat data are harmless and silenced.
     """
     f0 = as_field(f0, grid)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         interp = PchipInterpolator(grid.x, f0, extrapolate=False)
-    R = grid.R
-    tail = float(tail)
-
-    def evaluate(x: np.ndarray | float) -> np.ndarray:
-        x = np.asarray(x, float)
-        return np.where(x <= R, interp(x), tail)
-
-    return evaluate
+    return MonotoneInterpolant(interp, grid, float(tail))
 
 
 def cumulative_trapezoid(values: np.ndarray, h) -> np.ndarray:
@@ -163,5 +218,5 @@ def shift_sample(f0: np.ndarray, grid: Grid, y, tail: float) -> np.ndarray:
     evaluate = monotone_interpolator(f0, grid, tail)
     out = np.empty((shifts.size, grid.n))
     for row, shift in zip(out, shifts.ravel()):
-        row[:] = f0 if shift == 0.0 else evaluate(grid.x + shift)
+        row[:] = f0 if shift == 0.0 else evaluate.shifted(shift)
     return out[0] if shifts.ndim == 0 else out

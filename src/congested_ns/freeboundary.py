@@ -15,11 +15,11 @@ map is a contraction, chaining the state from one window to the next.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from .core import Grid, PhysicalParams, ValidationError, as_field
 from .discrete_ops import (
+    MonotoneInterpolant,
     NormKind,
     cumulative_trapezoid,
     derivative,
@@ -171,8 +171,8 @@ class InitialData:
     w0_tail: float
     compat_speed: float
     hypothesis_report: dict
-    w0_eval: Callable = field(repr=False, compare=False)
-    source_eval: Callable | None = field(repr=False, compare=False)
+    w0_eval: MonotoneInterpolant = field(repr=False, compare=False)
+    source_eval: MonotoneInterpolant | None = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for arr in (self.v0, self.u0, self.w0, self.dxw0, self.V0, self.W0, self.source):
@@ -342,7 +342,7 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
     reg = regularized_log(2.0 * float(np.max(init.v0)))
 
     for k in range(1, steps + 1):
-        src = 0.0 if init.source_eval is None else init.source_eval(grid.x + y[k])
+        src = 0.0 if init.source_eval is None else init.source_eval.shifted(y[k])
         try:
             v = step_v(v, ydot[k], src, grid, dt, reg, params, wave, newton_tol)
             u = step_u(u, v, ydot[k], grid, dt, params, wave)

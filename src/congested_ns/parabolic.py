@@ -10,13 +10,14 @@ implicit-Euler step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .core import Grid, PhysicalParams, ValidationError, as_field
-from .discrete_ops import derivative
+from .discrete_ops import stencil_derivative
 from .profiles import Profiles
 
 
@@ -59,10 +60,14 @@ class RegularizedLog:
             )
 
     def __call__(self, x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
-        """Return (a(x), a'(x)) elementwise."""
+        """Return (a(x), a'(x)) elementwise; NaN entries give NaN in both."""
         x = np.asarray(x, dtype=float)
-        value = np.empty_like(x)
-        slope = np.empty_like(x)
+        # every entry in the core: the core branch's operations on the whole
+        # array (a NaN fails both comparisons and takes the piecewise path)
+        if x.ndim and x.size and 0.5 <= x.min() and x.max() <= self.bar_c:
+            return np.log(x), 1.0 / x
+        value = np.full_like(x, np.nan)
+        slope = np.full_like(x, np.nan)
 
         inv_nu = 1.0 / self.nu
         # left bend: slope grows linearly from 2 at x=1/2 to 1/nu at x=1/4
@@ -137,10 +142,36 @@ class LinearParabolicCoeffs:
     f: np.ndarray | float = 0.0
 
 
-def _nodal(value: np.ndarray | float, grid: Grid) -> np.ndarray:
-    if np.isscalar(value) or np.asarray(value).ndim == 0:
-        return np.full(grid.n, float(value))
-    return as_field(value, grid)
+def _nodal(value: np.ndarray | float, grid: Grid) -> np.ndarray | float:
+    """A coefficient as the step uses it: a scalar stays a float and must be
+    finite, an array must have the grid's shape.  Array entries are not checked
+    here: a non-finite one makes the solution non-finite, which
+    _solve_tridiagonal rejects."""
+    if np.ndim(value) == 0:
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValidationError(f"coefficient must be finite (got {value})")
+        return value
+    value = np.asarray(value, dtype=float)
+    if value.shape != (grid.n,):
+        raise ValidationError(
+            f"coefficient has shape {value.shape}, expected ({grid.n},) for this grid"
+        )
+    return value
+
+
+def _faces(value: np.ndarray | float) -> tuple:
+    """Arithmetic means of a coefficient at the faces i-1/2 and i+1/2 of the
+    interior rows i = 1..n-2; a scalar is its own mean."""
+    if np.ndim(value) == 0:
+        return value, value
+    face = 0.5 * (value[:-1] + value[1:])
+    return face[:-1], face[1:]
+
+
+def _interior(value: np.ndarray | float) -> np.ndarray | float:
+    """A coefficient at the interior rows i = 1..n-2; a scalar is itself."""
+    return value if np.ndim(value) == 0 else value[1:-1]
 
 
 def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
@@ -169,25 +200,29 @@ def linear_parabolic_step(state: np.ndarray, coeffs: LinearParabolicCoeffs, grid
         raise ValidationError(f"dt must be positive (got {dt})")
     a = _nodal(coeffs.a, grid)
     b = _nodal(coeffs.b, grid)
-    c = _nodal(coeffs.c, grid)
+    # an infinite reaction pins its node to 0 instead of making the solution
+    # non-finite, so an array c is checked in full
+    c = as_field(coeffs.c, grid) if np.ndim(coeffs.c) else _nodal(coeffs.c, grid)
     f = _nodal(coeffs.f, grid)
-    if np.min(a) <= 0.0:
-        raise ValidationError(f"diffusion must be positive (min a = {np.min(a):g})")
+    min_a = float(np.min(a))
+    if not min_a > 0.0:
+        raise ValidationError(f"diffusion must be positive (min a = {min_a:g})")
+    if np.ndim(a) == 0:
+        a = np.full(grid.n, a)  # the diagonals are arrays
 
     dx = grid.dx
-    a_face = 0.5 * (a[:-1] + a[1:])   # a_{i+1/2}, length n-1
-    b_face = 0.5 * (b[:-1] + b[1:])
+    a_w, a_e = _faces(a)   # a_{i-1/2}, a_{i+1/2} for the interior rows
+    b_w, b_e = _faces(b)
 
     # row i (interior): coefficients of u_{i-1}, u_i, u_{i+1}
-    lo = (-0.5 * b_face[:-1] - a_face[:-1] / dx) / dx
-    hi = (0.5 * b_face[1:] - a_face[1:] / dx) / dx
-    di = 1.0 / dt + c[1:-1] + (0.5 * b_face[1:] - 0.5 * b_face[:-1]
-                               + (a_face[1:] + a_face[:-1]) / dx) / dx
-    rhs = state[1:-1] / dt + f[1:-1]
+    lo = (-0.5 * b_w - a_w / dx) / dx
+    hi = (0.5 * b_e - a_e / dx) / dx
+    di = 1.0 / dt + _interior(c) + (0.5 * b_e - 0.5 * b_w + (a_e + a_w) / dx) / dx
+    rhs = state[1:-1] / dt + _interior(f)
     rhs[0] -= lo[0] * left_bc
     rhs[-1] -= hi[-1] * right_bc
 
-    interior = _solve_tridiagonal(lo[1:], di, hi[:-1], rhs, dt, float(np.min(a)))
+    interior = _solve_tridiagonal(lo[1:], di, hi[:-1], rhs, dt, min_a)
     out = np.empty_like(state)
     out[0] = left_bc
     out[-1] = right_bc
@@ -206,8 +241,8 @@ def interior_flux_balance(state: np.ndarray, new: np.ndarray,
     a = _nodal(coeffs.a, grid)
     b = _nodal(coeffs.b, grid)
     dx = grid.dx
-    a_face = 0.5 * (a[:-1] + a[1:])
-    b_face = 0.5 * (b[:-1] + b[1:])
+    a_face = a if np.ndim(a) == 0 else 0.5 * (a[:-1] + a[1:])
+    b_face = b if np.ndim(b) == 0 else 0.5 * (b[:-1] + b[1:])
     flux = b_face * 0.5 * (new[:-1] + new[1:]) - a_face * (new[1:] - new[:-1]) / dx
     mass_change = float(np.sum(dx * (new[1:-1] - state[1:-1])))
     net_inflow = float(dt * (flux[0] - flux[-1]))
@@ -236,14 +271,14 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
         raise ValidationError("step_v requires v > 0 on input")
     if dt <= 0.0:
         raise ValidationError(f"dt must be positive (got {dt})")
-    src = _nodal(source, grid)
+    src = as_field(source, grid) if np.ndim(source) else _nodal(source, grid)
     mu = params.mu
     dx = grid.dx
     vbar = wave.v_bar
     ln_vbar = wave.log_v_bar
     dvbar = wave.dv_bar
 
-    rhs = src[1:-1] + (ydot - params.s) * dvbar[1:-1]
+    rhs = _interior(src) + (ydot - params.s) * dvbar[1:-1]
     g_old = v - vbar
     g = g_old.copy()
     g[0] = 0.0
@@ -321,7 +356,7 @@ def step_u(u: np.ndarray, v: np.ndarray, ydot: float, grid: Grid, dt: float,
     dubar = -params.s * wave.dv_bar
 
     coupling = (vbar - v) / (v * vbar) * dubar
-    f = (ydot - params.s) * dubar + params.mu * derivative(coupling, grid, 1)
+    f = (ydot - params.s) * dubar + params.mu * stencil_derivative(coupling, grid.dx, 1)
     coeffs = LinearParabolicCoeffs(a=params.mu / v, b=-ydot, c=0.0, f=f)
     h_right = 0.0 if right_bc is None else right_bc - float(ubar[-1])
     h = linear_parabolic_step(u - ubar, coeffs, grid, dt, left_bc=0.0, right_bc=h_right)

@@ -13,9 +13,14 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from congested_ns.freeboundary import _march
+from congested_ns import parabolic
+from congested_ns.core import PhysicalParams, make_grid
+from congested_ns.freeboundary import _march, validate_hypotheses
+from congested_ns.perturbations import initial_data_fields
+from congested_ns.profiles import traveling_wave
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,3 +59,29 @@ def test_traced_name_resolves(name):
 def test_march_takes_ydot_third():
     # the tracer counts the steps of a march from its third argument
     assert list(inspect.signature(_march).parameters)[2] == "ydot"
+
+
+def test_one_newton_iteration_makes_three_reglog_calls(monkeypatch):
+    # the tracer derives newton_halvings as reglog calls - step_v calls
+    # - 2 newton iterations: one call per residual and one per Jacobian
+    params = PhysicalParams(mu=1.0, v_plus=2.0, u_minus=1.0, u_plus=0.0)
+    grid = make_grid(50.0, 257)
+    v0, u0 = initial_data_fields("gaussian_bump", 0.005, 2.0, 1.0, params, grid)
+    init = validate_hypotheses(v0, u0, grid, params)
+    reg = parabolic.regularized_log(2.0 * float(np.max(init.v0)))
+    calls = {"reglog": 0, "tridiag": 0}
+    reglog, tridiag = parabolic.RegularizedLog.__call__, parabolic._solve_tridiagonal
+
+    def counting_reglog(self, x):
+        calls["reglog"] += 1
+        return reglog(self, x)
+
+    def counting_tridiag(*args):
+        calls["tridiag"] += 1
+        return tridiag(*args)
+
+    monkeypatch.setattr(parabolic.RegularizedLog, "__call__", counting_reglog)
+    monkeypatch.setattr(parabolic, "_solve_tridiagonal", counting_tridiag)
+    parabolic.step_v(init.v0, init.compat_speed, init.source_eval.shifted(0.01), grid, 2e-3,
+                     reg, params, traveling_wave(params, grid))
+    assert calls == {"reglog": 3, "tridiag": 1}  # one iteration, 0 halvings

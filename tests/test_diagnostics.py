@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from congested_ns import discrete_ops
+from congested_ns import diagnostics, discrete_ops
 from congested_ns.core import make_grid
 from congested_ns.diagnostics import (
     bootstrap_monitor,
@@ -197,6 +197,21 @@ class TestTraceIdentities:
         scale = max(abs(rep.dx_g1_at0), 1e-3)
         assert abs(rep.residual_slope) <= 0.05 * scale
 
+    def test_evaluators_built_once_per_call(self, params, tilt_run, monkeypatch):
+        grid, init, traj = tilt_run
+        indices = range(traj.stored_idx.size)
+        singles = [trace_identities(traj, init, grid, params, i) for i in indices]
+        builds = []
+        original = discrete_ops.monotone_interpolator
+
+        def counting(*args):
+            builds.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(diagnostics, "monotone_interpolator", counting)
+        assert trace_identities(traj, init, grid, params, indices) == singles
+        assert len(singles) > 2 and len(builds) == 2
+
     def test_second_order_identity_bounded(self, params, tilt_run):
         grid, init, traj = tilt_run
         rep = trace_identities(traj, init, grid, params, traj.stored_idx.size - 1)
@@ -361,6 +376,20 @@ class TestEnergies:
         assert rep["lhs"] >= 0.0
         assert rep["measured_constant"] <= 1.0  # bound holds with constant 1 here
         assert np.isfinite(rep["measured_constant_plain"])
+
+    def test_growth_estimate_builds_no_interpolant(self, params, bump_run, monkeypatch):
+        grid, init, traj = bump_run
+        builds = []
+        original = discrete_ops.monotone_interpolator
+
+        def counting(*args):
+            builds.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(discrete_ops, "monotone_interpolator", counting)
+        monkeypatch.setattr(diagnostics, "monotone_interpolator", counting)
+        growth_estimate_report(traj, init, grid, params)
+        assert builds == []
 
 
 def test_write_diagnostic_records(tmp_path):

@@ -172,6 +172,35 @@ def test_shift_preserves_monotonicity(seed, y, more):
     assert np.all(np.diff(batch, axis=1) >= -1e-12)
 
 
+@given(seed=st.integers(0, 10_000), frac=st.floats(0.0, 1.2), multiple=st.integers(0, 260),
+       node=st.integers(100, 200), tail=st.floats(-2.0, 2.0))
+@settings(max_examples=60, deadline=None)
+def test_shifted_rows_equal_evaluator_bit_for_bit(seed, frac, multiple, node, tail):
+    g = make_grid(10.0, 201)
+    r = np.random.default_rng(seed)
+    f = np.cumsum(r.normal(size=g.n))
+    f[r.integers(0, g.n, 20)] = -0.0
+    f[150:170] = 0.5  # a flat stretch
+    evaluate = monotone_interpolator(f, g, tail)
+    on_r = g.R - g.x[node]  # exact, so node `node` lands on R
+    assert g.x[node] + on_r == g.R
+    for y in (0.0, frac * g.R, multiple * g.dx, on_r, g.R, g.R + 1e-9, 2.0 * g.R):
+        row = evaluate.shifted(y)
+        assert row.tobytes() == evaluate(g.x + y).tobytes()
+        past = g.x + y > g.R
+        assert np.all(row[past] == tail)
+    # a node on R takes the PCHIP value there, not the tail
+    assert evaluate.shifted(on_r)[node] == float(evaluate(g.R)) == pytest.approx(f[-1])
+
+
+def test_shifted_row_reads_the_table_without_interval_search():
+    g = make_grid(10.0, 201)
+    evaluate = monotone_interpolator(np.exp(-g.x) * np.cos(g.x), g, 0.0)
+    expected = evaluate(g.x + 1.2345)
+    evaluate._interp = None  # the general path would fail
+    assert evaluate.shifted(1.2345).tobytes() == expected.tobytes()
+
+
 def test_tail_integral_matches_exponential():
     g = make_grid(40.0, 4001)
     f = np.exp(-g.x)

@@ -63,6 +63,36 @@ class TestRegularizedLog:
             _, slope = reg(x)
             assert (v_hi - v_lo) / (2 * h) == pytest.approx(slope, rel=1e-6, abs=1e-8)
 
+    def test_nan_gives_nan(self, reg):
+        x = np.array([np.nan, 1.0, np.nan, 0.3, 9.0])
+        val, slope = reg(x)
+        assert np.isnan(val[[0, 2]]).all() and np.isnan(slope[[0, 2]]).all()
+        assert np.isfinite(val[[1, 3, 4]]).all() and np.isfinite(slope[[1, 3, 4]]).all()
+        val, slope = reg(np.full(4, np.nan))
+        assert np.isnan(val).all() and np.isnan(slope).all()
+        val, slope = reg(float("nan"))
+        assert np.isnan(val) and np.isnan(slope)
+
+    @pytest.mark.parametrize("x", [1.5, 0.3, 20.0, float("nan")])
+    def test_scalar_gives_zero_dimensional_arrays(self, reg, x):
+        for out in reg(x):
+            assert type(out) is np.ndarray and out.shape == ()
+
+    @given(core=st.lists(st.floats(0.5, 4.0), min_size=1, max_size=40),
+           outside=st.lists(st.one_of(st.floats(-10.0, 0.5, exclude_max=True),
+                                      st.floats(4.0, 20.0, exclude_min=True)),
+                            min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_core_fast_path_matches_piecewise(self, reg, core, outside):
+        core = np.array(core + [0.5, reg.bar_c])
+        val, slope = reg(core)
+        assert val.tobytes() == np.log(core).tobytes()
+        assert slope.tobytes() == (1.0 / core).tobytes()
+        # straddling 1/2 or bar_c takes the piecewise path: same core entries
+        mixed_val, mixed_slope = reg(np.concatenate((outside, core)))
+        assert mixed_val[len(outside):].tobytes() == val.tobytes()
+        assert mixed_slope[len(outside):].tobytes() == slope.tobytes()
+
     def test_default_floor(self):
         r = regularized_log(5.0)
         assert r.nu == pytest.approx(0.1)
@@ -113,6 +143,24 @@ class TestLinearParabolicStep:
         g = make_grid(1.0, 33)
         with pytest.raises(ValidationError, match="diffusion"):
             linear_parabolic_step(np.zeros(g.n), LinearParabolicCoeffs(a=0.0), g, 0.1, 0.0, 0.0)
+
+    @pytest.mark.parametrize("name", ["a", "b", "c", "f"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_raises_typed_error(self, name, bad):
+        g = make_grid(1.0, 33)
+        field = np.ones(g.n)
+        field[10] = bad
+        for value in (field, bad):
+            coeffs = LinearParabolicCoeffs(**{"a": 1.0, name: value})
+            with np.errstate(all="ignore"), \
+                    pytest.raises((ValidationError, TridiagonalSolveError)):
+                linear_parabolic_step(np.zeros(g.n), coeffs, g, 0.1, 1.0, 1.0)
+
+    def test_rejects_coefficient_of_wrong_shape(self):
+        g = make_grid(1.0, 33)
+        with pytest.raises(ValidationError, match="shape"):
+            linear_parabolic_step(np.zeros(g.n), LinearParabolicCoeffs(a=np.ones(g.n + 1)),
+                                  g, 0.1, 0.0, 0.0)
 
     def test_homogeneous_l2_decay_with_transport(self, rng):
         # with f=0, c>=0 the step may grow the norm only through transport,
