@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -176,17 +178,20 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown perturbation.family {cfg.family!r}")
     if cfg.amplitude < 0.0:
         raise ConfigError("perturbation.amplitude must be >= 0")
-    for name in ("newton_tol", "picard_tol", "delta", "dt", "T_final"):
-        if getattr(cfg, name) <= 0.0:
-            raise ConfigError(f"{name} must be positive")
+    for key in ("time.dt", "time.T_final", "time.window", "tolerances.newton_tol",
+                "tolerances.picard_tol", "tolerances.delta", "grid.R"):
+        value = getattr(cfg, _KEY_MAP[key][0])
+        if value is not None and not 0.0 < value < math.inf:  # window None: the default
+            raise ConfigError(f"{key} must be finite and positive (got {value})")
+    steps = cfg.T_final / cfg.dt  # inf for a subnormal dt, which round() cannot take
+    if not (steps < 2.0**53
+            and abs(round(steps) * cfg.dt - cfg.T_final) <= 1e-9 * max(1.0, cfg.T_final)):
+        raise ConfigError(f"time.T_final={cfg.T_final:g} must be a multiple of "
+                          f"time.dt={cfg.dt:g}")
     if cfg.stride < 1:
         raise ConfigError(f"time.stride must be at least 1 (got {cfg.stride})")
-    if cfg.window is not None and cfg.window <= 0.0:
-        raise ConfigError(f"time.window must be positive (got {cfg.window})")
     if cfg.n < 16:
         raise ConfigError(f"grid.n must be at least 16 (got {cfg.n})")
-    if cfg.R <= 0.0:
-        raise ConfigError(f"grid.R must be positive (got {cfg.R})")
     if cfg.workers < 1:
         raise ConfigError(f"workers must be at least 1 (got {cfg.workers})")
     try:
@@ -572,13 +577,20 @@ def run(cfg: RunConfig) -> int:
     started = time.time()
     try:
         summary = _RUNNERS[cfg.preset](cfg, out)
-    except (ValidationError, ConfigError, RuntimeError) as exc:
-        failure = {"status": "error", "kind": type(exc).__name__, "message": str(exc),
-                   "preset": cfg.preset}
+    except Exception as exc:
+        # bad input exits 2, a solver failure 1; any other type is a defect
+        # in the package, recorded as kind "internal" with where it was raised
+        typed = isinstance(exc, (ValidationError, ConfigError, RuntimeError))
+        failure = {"status": "error", "kind": type(exc).__name__ if typed else "internal",
+                   "message": str(exc), "preset": cfg.preset}
+        if not typed:
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            failure["exception"] = type(exc).__name__
+            failure["where"] = f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"
         if hasattr(exc, "t"):
             failure["t"] = exc.t
         (out / "summary.json").write_text(json.dumps(failure, indent=2), encoding="utf-8")
-        return 1 if isinstance(exc, RuntimeError) else 2
+        return 2 if isinstance(exc, (ValidationError, ConfigError)) else 1
     summary = {"status": "ok", "preset": cfg.preset,
                "elapsed_seconds": round(time.time() - started, 3), **summary}
     (out / "summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")

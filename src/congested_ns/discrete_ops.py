@@ -208,13 +208,15 @@ def shift_sample(f0: np.ndarray, grid: Grid, y, tail: float) -> np.ndarray:
     `y` is one shift (result shape (n,)) or a 1-D array of shifts (result
     shape (len(y), n), one row per shift); the interpolant is built once per
     call.  `tail` is the declared value of f0 past R.  A zero shift gives an
-    exact copy of f0.  Negative shifts are rejected: the interface only ever
-    moves right.
+    exact copy of f0.  Negative shifts are rejected, since the interface only
+    ever moves right, and so are NaN and infinite ones.
     """
     f0 = as_field(f0, grid)
     shifts = np.asarray(y, float)
-    if np.any(shifts < 0.0):
-        raise ValidationError(f"shift offset must be nonnegative (got {np.min(shifts)})")
+    bad = ~((shifts >= 0.0) & (shifts < np.inf))
+    if np.any(bad):
+        raise ValidationError(
+            f"shift offset must be finite and nonnegative (got {shifts[bad].flat[0]})")
     evaluate = monotone_interpolator(f0, grid, tail)
     out = np.empty((shifts.size, grid.n))
     for row, shift in zip(out, shifts.ravel()):

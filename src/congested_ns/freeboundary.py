@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as P
+
 from .core import Grid, PhysicalParams, ValidationError, as_field
 from .discrete_ops import (
     MonotoneInterpolant,
@@ -204,8 +206,10 @@ def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid, params: Phys
     W0 = tail_integral(w0 - params.u_plus, grid)
 
     # one-sided traces: exact wave slopes plus stencils on the deviation only
-    du0, dv0 = _boundary_slopes(v0, u0, grid, params, prof)
-    d2u0 = boundary_slope_constants(params)["d2u"] + trace0(u0 - prof.u_bar, grid, 2)
+    slopes = boundary_slope_constants(params)
+    du0 = slopes["du"] + trace0(u0 - prof.u_bar, grid, 1)
+    dv0 = slopes["dv"] + trace0(v0 - prof.v_bar, grid, 1)
+    d2u0 = slopes["d2u"] + trace0(u0 - prof.u_bar, grid, 2)
 
     report: dict[str, dict] = {}
     failures: list[str] = []
@@ -253,16 +257,6 @@ def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid, params: Phys
     )
 
 
-def _boundary_slopes(v: np.ndarray, u: np.ndarray, grid: Grid, params: PhysicalParams,
-                     wave: Profiles) -> tuple[float, float]:
-    """One-sided d_x u(0) and d_x v(0) of the data: the exact wave slopes plus
-    stencils on the deviations u - uwave and v - vwave."""
-    slopes = boundary_slope_constants(params)
-    du = slopes["du"] + trace0(u - wave.u_bar, grid, 1)
-    dv = slopes["dv"] + trace0(v - wave.v_bar, grid, 1)
-    return du, dv
-
-
 def boundary_velocity(u: np.ndarray, w0_at_y: float, grid: Grid, params: PhysicalParams,
                       wave: Profiles) -> float:
     """Interface speed -mu d_x u(0) / (u_minus - w0(y)).
@@ -278,6 +272,34 @@ def boundary_velocity(u: np.ndarray, w0_at_y: float, grid: Grid, params: Physica
         )
     du = boundary_slope_constants(params)["du"] + trace0(u - wave.u_bar, grid, 1)
     return -params.mu * du / denom
+
+
+def _start_speed(u: np.ndarray, y0: float, t_start: float, init: InitialData, grid: Grid,
+                 params: PhysicalParams, wave: Profiles) -> float:
+    """Interface speed at the first node of a march from state u at position
+    y0.  A march from the initial data (t_start 0) starts at the
+    data-determined init.compat_speed; a march from a carried state starts at
+    boundary_velocity, the formula of every later node, so the speed path is
+    continuous across windows and independent of where they start."""
+    if t_start == 0.0:
+        return init.compat_speed
+    return boundary_velocity(u, init.w0_at(y0), grid, params, wave)
+
+
+def _first_guess(speed0: float, steps: int, dt: float,
+                 previous: np.ndarray | None) -> np.ndarray:
+    """First Picard guess for a window of `steps` steps starting at speed0.
+
+    The first window (previous None) starts flat.  A later window continues
+    the previous window's converged speeds: speed0 + p(t) - p(0), where p is
+    the least-squares cubic through them at times -m dt, ..., 0.
+    """
+    if previous is None:
+        return np.full(steps + 1, speed0)
+    m = previous.size - 1
+    fit = P.polyval(dt * np.arange(steps + 1),
+                    P.polyfit(dt * np.arange(-m, 1), previous, min(3, m)))
+    return speed0 + (fit - fit[0])  # node 0 exactly speed0
 
 
 @dataclass
@@ -330,13 +352,12 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
            dt: float, newton_tol: float, t_start: float,
            keep_fields: bool) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Advance the fields along a given path (speeds ydot, global positions
-    y); return re-derived speeds (the data-determined compatibility speed at
-    the first node, then boundary_velocity after every step).  A solver
-    failure is re-raised with its time as attribute `t`."""
+    y); return re-derived speeds (_start_speed at the first node, then
+    boundary_velocity after every step).  A solver failure is re-raised with
+    its time as attribute `t`."""
     steps = ydot.size - 1
     zdot = np.empty(ydot.size)
-    du0, dv0 = _boundary_slopes(v, u, grid, params, wave)
-    zdot[0] = -du0 / dv0
+    zdot[0] = _start_speed(u, y[0], t_start, init, grid, params, wave)
     vs = [v.copy()] if keep_fields else []
     us = [u.copy()] if keep_fields else []
     reg = regularized_log(2.0 * float(np.max(init.v0)))
@@ -372,7 +393,7 @@ def apply_boundary_map(path_in: BoundaryPath, init: InitialData, grid: Grid,
         )
     zdot, _, _ = _march(init.v0.copy(), init.u0.copy(), path_in.ydot, path_in.y, init, grid,
                         params, traveling_wave(params, grid), dt, newton_tol,
-                        t_start=float(path_in.t[0]), keep_fields=False)
+                        t_start=0.0, keep_fields=False)
     return make_path(path_in.t, zdot)
 
 
@@ -383,11 +404,11 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     """Fixed-point solve of the coupled interface/fields problem up to T_final.
 
     The horizon is split into windows of length `window` (default 0.25/s, on
-    which the map contracts); within each window the path is iterated from a
-    straight-line guess until the discrete H1 distance between successive
-    speed iterates drops below `tol`, then the state is advanced along the
-    converged path and the next window starts from it.  The wave background
-    is sampled once and kept on the trajectory as `wave`.
+    which the map contracts); within each window the path is iterated from
+    _first_guess until the discrete H1 distance between successive speed
+    iterates drops below `tol`, then the state is advanced along the
+    converged path and the next window starts from it, at _start_speed.  The
+    wave background is sampled once and kept on the trajectory as `wave`.
     """
     if stride < 1:
         raise ValidationError(f"stride must be at least 1 (got {stride})")
@@ -414,14 +435,14 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     y_offset = 0.0
     k_done = 0
     ydot_all[0] = init.compat_speed
+    ydot = None  # the previous window's converged speeds
 
     while k_done < n_total:
         steps = min(steps_per_window, n_total - k_done)
         t_loc = dt * np.arange(steps + 1)
         t_start = k_done * dt
-        du0, dv0 = _boundary_slopes(v, u, grid, params, wave)
-        speed0 = -du0 / dv0
-        ydot = np.full(steps + 1, speed0)
+        speed0 = _start_speed(u, y_offset, t_start, init, grid, params, wave)
+        ydot = _first_guess(speed0, steps, dt, ydot)
         y = y_offset + cumulative_trapezoid(ydot, dt)
 
         distances: list[float] = []

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from congested_ns import freeboundary
+from congested_ns import cli, freeboundary
 from congested_ns.cli import (
     ConfigError,
     PRESETS,
@@ -90,7 +90,10 @@ def test_bad_override_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("override", ["time.stride=0", "time.window=-1", "grid.n=8",
-                                      "grid.R=0", "workers=0"])
+                                      "grid.R=0", "workers=0", "time.dt=nan",
+                                      "time.T_final=inf", "time.dt=inf",
+                                      "tolerances.newton_tol=nan", "time.window=nan",
+                                      "tolerances.picard_tol=-1e-8", "time.dt=0.003"])
 def test_bad_time_and_grid_fields_rejected_when_parsed(tmp_path, capsys, override):
     out = tmp_path / "out"
     code = main(["--preset", "steady_wave", "--out-dir", str(out), "--override", override])
@@ -205,6 +208,20 @@ def test_solver_failure_keeps_its_type_and_time(tmp_path, monkeypatch):
     assert summary["kind"] == "TwoArgumentFailure"
     assert summary["message"] == "step_u failed"
     assert summary["t"] == pytest.approx(0.03)
+
+
+def test_unexpected_exception_writes_internal_record(tmp_path, monkeypatch):
+    def broken_runner(cfg, out):
+        return np.ones(3) @ np.ones(4)  # a numpy ValueError, a defect of the runner
+
+    monkeypatch.setitem(cli._RUNNERS, "steady_wave", broken_runner)
+    code = main(["--preset", "steady_wave", "--out-dir", str(tmp_path)])
+    assert code == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["status"] == "error"
+    assert summary["kind"] == "internal"
+    assert summary["exception"] == "ValueError"
+    assert "broken_runner" in summary["where"]
 
 
 def test_appendix_lemmas_preset(tmp_path):

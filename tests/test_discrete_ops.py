@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from congested_ns.core import make_grid
+from congested_ns.core import ValidationError, make_grid
 from congested_ns.discrete_ops import (
     NormKind,
     derivative,
@@ -153,6 +153,13 @@ def test_shift_uses_tail_beyond_domain(g10):
 def test_shift_rejects_negative_offset(g10):
     with pytest.raises(Exception, match="nonnegative"):
         shift_sample(np.zeros(g10.n), g10, -0.5, 0.0)
+
+
+@pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf, [0.5, np.nan]])
+def test_shift_rejects_non_finite_offset(g10, y):
+    # a NaN shift used to pass the sign check and give an all-tail row
+    with pytest.raises(ValidationError, match="finite"):
+        shift_sample(np.exp(-g10.x), g10, y, -1.0)
 
 
 @given(seed=st.integers(0, 10_000), y=st.floats(0.0, 5.0),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from congested_ns.core import ValidationError, make_grid
 from congested_ns.freeboundary import (
     DenominatorTooSmall,
     HypothesisViolated,
+    _first_guess,
     apply_boundary_map,
     assemble_solution,
     boundary_velocity,
@@ -193,6 +196,39 @@ class TestPicard:
         remapped = apply_boundary_map(traj.path, bump_init, small_grid, params, dt=2e-3)
         moved = path_h1_norm(traj.t, remapped.ydot - traj.ydot)
         assert moved < 2.0 * tol
+
+    def test_path_independent_of_window_partition(self, params):
+        # every window after the first starts at the boundary_velocity of its
+        # carried state, so the speed path has no jump at window starts and
+        # the solution does not depend on where they fall
+        tol = 1e-10
+        grid = make_grid(50.0, 257)
+        v0, u0 = initial_data_fields("gaussian_bump", 0.005, 2.0, 1.0, params, grid)
+        init = validate_hypotheses(v0, u0, grid, params)
+        short, long_ = (picard_solve(init, grid, params, T_final=1.0, dt=1.0 / 256, tol=tol,
+                                     window=window, stride=256) for window in (0.0625, 0.25))
+        assert len(short.windows) == 4 * len(long_.windows)
+        assert np.max(np.abs(short.y - long_.y)) <= 3.0 * tol
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 25])
+    def test_first_guess_continues_a_cubic(self, m):
+        # the previous window's m + 1 speeds are a cubic in t (of degree m
+        # when m < 3), so the fit is exact and the guess continues it
+        coef = np.array([1.0, 0.3, -2.0, 5.0])[:min(3, m) + 1]
+
+        def speed(t):
+            return np.polynomial.polynomial.polyval(t, coef)
+
+        dt, steps, offset = 0.01, m, 0.125  # a window as long as the previous one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a rank-deficient fit warns
+            guess = _first_guess(1.0 + offset, steps, dt, speed(dt * np.arange(-m, 1)))
+        assert guess[0] == 1.0 + offset
+        np.testing.assert_allclose(guess, speed(dt * np.arange(steps + 1)) + offset,
+                                   rtol=0, atol=1e-12)
+
+    def test_first_guess_of_the_first_window_is_flat(self):
+        np.testing.assert_array_equal(_first_guess(1.25, 10, 0.01, None), np.full(11, 1.25))
 
     @pytest.mark.parametrize("kwargs", [{"stride": 0}, {"window": -1.0}, {"window": 0.0}])
     def test_rejects_bad_stride_and_window(self, params, small_grid, wave_init, kwargs):
