@@ -176,8 +176,9 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown preset {cfg.preset!r} (choose from {PRESETS})")
     if cfg.family not in FAMILIES:
         raise ConfigError(f"unknown perturbation.family {cfg.family!r}")
-    if cfg.amplitude < 0.0:
-        raise ConfigError("perturbation.amplitude must be >= 0")
+    if not 0.0 <= cfg.amplitude < math.inf:
+        raise ConfigError(f"perturbation.amplitude must be finite and >= 0 "
+                          f"(got {cfg.amplitude})")
     for key in ("time.dt", "time.T_final", "time.window", "tolerances.newton_tol",
                 "tolerances.picard_tol", "tolerances.delta", "grid.R"):
         value = getattr(cfg, _KEY_MAP[key][0])

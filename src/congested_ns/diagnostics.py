@@ -15,7 +15,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .core import Grid, PhysicalParams, ValidationError, as_field
 from .discrete_ops import (
@@ -84,6 +83,11 @@ def coercivity_check(phi: np.ndarray, profiles: Profiles, grid: Grid, params: Ph
     Derivatives of phi may be supplied analytically; otherwise second-order
     finite differences are used (and dominate the gap).
     """
+    # imported here, its only use: scipy.integrate loads scipy.special,
+    # optimize and sparse, which would add a third of a second to every import
+    # of the package
+    from scipy.integrate import simpson
+
     phi = as_field(phi, grid)
     if dphi is None:
         dphi = derivative(phi, grid, 1)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .core import Grid, ValidationError, as_field
 
@@ -113,26 +112,49 @@ def trace0(f: np.ndarray, grid: Grid, order: int = 0) -> float:
     raise ValidationError(f"unsupported trace order {order} (use 0, 1 or 2)")
 
 
+def _power_sum(terms: tuple, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """c3 + c2 s + c1 s^2 + c0 s^3 into out, for terms (c3, c2, c1, c0) with
+    one entry per point, summed left to right as scipy's PPoly evaluation
+    sums them (powers of s by repeated multiplication)."""
+    c3, c2, c1, c0 = terms
+    np.multiply(c2, s, out=out)
+    out += c3
+    s2 = s * s
+    s3 = s2 * s
+    s2 *= c1
+    out += s2
+    s3 *= c0
+    out += s3
+    return out
+
+
 class MonotoneInterpolant:
     """Evaluator x -> f0(x) for points x >= 0 of a field tabulated on [0, R].
 
     Shape-preserving cubic interpolation (PCHIP) up to and including R, the
-    declared value `tail` beyond it.  Build it with monotone_interpolator.
+    declared value `tail` beyond it, NaN below 0.  Build it with
+    monotone_interpolator.
     """
 
-    def __init__(self, interp: PchipInterpolator, grid: Grid, tail: float):
-        self._interp = interp
+    def __init__(self, terms: tuple, grid: Grid, tail: float):
+        self._terms = terms  # (c3, c2, c1, c0), one entry per interval
         self._grid = grid
         self._tail = tail
         self._min_width = float(np.min(np.diff(grid.x)))
-        # scipy sums an interval's power-basis terms from 0.0, constant term
-        # first; 0.0 + c3 turns a -0.0 constant into the 0.0 that sum starts as
-        c = interp.c
-        self._terms = (0.0 + c[3], c[2], c[1], c[0])
 
     def __call__(self, x: np.ndarray | float) -> np.ndarray:
         x = np.asarray(x, float)
-        return np.where(x <= self._grid.R, self._interp(x), self._tail)
+        points = x.ravel()
+        R = self._grid.R
+        inside = (points >= 0.0) & (points <= R)
+        # interval i holds x_i <= x < x_{i+1}, the last one closed at R: the
+        # count of interior nodes <= x
+        i = np.searchsorted(self._grid.x[1:-1], points, side="right")
+        s = np.where(inside, points - self._grid.x[i], 0.0)
+        out = _power_sum(tuple(term[i] for term in self._terms), s, np.empty(points.size))
+        if not inside.all():
+            out[~inside] = np.where(points[~inside] <= R, np.nan, self._tail)
+        return out.reshape(x.shape)
 
     def shifted(self, y: float) -> np.ndarray:
         """The row f0(x_i + y) on the grid nodes, equal bit for bit to
@@ -140,9 +162,8 @@ class MonotoneInterpolant:
 
         On the uniform grid a shift y >= 0 puts node i in interval i + m,
         m = floor(y / dx), so the row reads m-offset slices of the PCHIP
-        table, with no interval search, and sums the terms in scipy's order.
-        When rounding puts a node in another interval or on R, the row takes
-        the general path.
+        table, with no interval search.  When rounding puts a node in
+        another interval or on R, the row takes the general path.
         """
         x, n = self._grid.x, self._grid.n
         if not 0.0 <= y < np.inf:
@@ -150,25 +171,15 @@ class MonotoneInterpolant:
         m = int(y // self._grid.dx)
         k = max(n - 1 - m, 0)  # nodes i < k lie in interval i + m <= n - 2, node k past R
         s = x[:k] + y
-        s -= x[m:m + k]  # the offset scipy's evaluation computes
+        s -= x[m:m + k]  # the offset __call__ computes
         # rounding is monotone, so 0 <= s < min interval length keeps every
         # node inside its nominal interval
         off_table = k and (s.min() < 0.0 or s.max() >= self._min_width)
         if off_table or x[k] + y <= self._grid.R:
             return self(x + y)
-        c3, c2, c1, c0 = (term[m:m + k] for term in self._terms)
         out = np.empty(n)
         out[k:] = self._tail
-        row = out[:k]
-        # c3 + c2 s + c1 s^2 + c0 s^3 summed left to right, in place
-        np.multiply(c2, s, out=row)
-        row += c3
-        s2 = s * s
-        s3 = s2 * s
-        s2 *= c1
-        row += s2
-        s3 *= c0
-        row += s3
+        _power_sum(tuple(term[m:m + k] for term in self._terms), s, out[:k])
         return out
 
 
@@ -177,13 +188,49 @@ def monotone_interpolator(f0: np.ndarray, grid: Grid, tail: float) -> MonotoneIn
 
     Every shifted or transported sample of a nodal field goes through this
     one rule; build the evaluator once per field and call it, or its
-    `shifted` row, for every shift.  The division warnings the PCHIP slope
-    formula emits on locally flat data are harmless and silenced.
+    `shifted` row, for every shift.
+
+    The table is scipy's PchipInterpolator, computed here in the same
+    operation order so that it is equal bit for bit (importing
+    scipy.interpolate would add about a third of a second to every start of
+    the package).  Node
+    slopes are the Fritsch-Butland weighted harmonic means of the adjacent
+    secant slopes, 0 where those vanish or change sign, and the one-sided
+    three-point rule, kept shape-preserving, at both ends.  The division
+    warnings of the harmonic mean on locally flat data are harmless and
+    silenced.
     """
     f0 = as_field(f0, grid)
+    h = np.diff(grid.x)
+    m = (f0[1:] - f0[:-1]) / h
+    d = np.zeros(grid.n)
+    sm = np.sign(m)
+    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        interp = PchipInterpolator(grid.x, f0, extrapolate=False)
-    return MonotoneInterpolant(interp, grid, float(tail))
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1][~flat] = 1.0 / whmean[~flat]
+    d[0] = _end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    # Hermite data (f0, d) to the power basis of each interval; m is the
+    # secant slope scipy recomputes here with the same operations.  scipy
+    # sums the terms from 0.0, so 0.0 + f0 turns a -0.0 value into 0.0
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    terms = (0.0 + f0[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)
+    return MonotoneInterpolant(terms, grid, float(tail))
+
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point end slope, set to 0 when its sign differs from
+    the end secant m0 and capped at 3 m0 when the secants change sign
+    (Moler, Numerical Computing with MATLAB, sec. 3.6)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 def cumulative_trapezoid(values: np.ndarray, h) -> np.ndarray:

@@ -180,9 +180,11 @@ class InitialData:
         for arr in (self.v0, self.u0, self.w0, self.dxw0, self.V0, self.W0, self.source):
             arr.setflags(write=False)
 
-    def w0_at(self, xi: float) -> float:
-        """Pointwise w0(xi) for xi >= 0, through w0_eval."""
-        return float(self.w0_eval(xi))
+    def w0_at(self, xi: float | np.ndarray) -> float | np.ndarray:
+        """w0(xi) for xi >= 0 through w0_eval: a float for a scalar xi, an
+        array of the same values for an array."""
+        out = self.w0_eval(xi)
+        return float(out) if out.ndim == 0 else out
 
 
 def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid, params: PhysicalParams,
@@ -361,13 +363,14 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
     vs = [v.copy()] if keep_fields else []
     us = [u.copy()] if keep_fields else []
     reg = regularized_log(2.0 * float(np.max(init.v0)))
+    w0_y = init.w0_at(y)
 
     for k in range(1, steps + 1):
         src = 0.0 if init.source_eval is None else init.source_eval.shifted(y[k])
         try:
             v = step_v(v, ydot[k], src, grid, dt, reg, params, wave, newton_tol)
             u = step_u(u, v, ydot[k], grid, dt, params, wave)
-            zdot[k] = boundary_velocity(u, init.w0_at(y[k]), grid, params, wave)
+            zdot[k] = boundary_velocity(u, w0_y[k], grid, params, wave)
         except RuntimeError as exc:
             exc.t = t_start + k * dt
             raise
@@ -414,11 +417,14 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
         raise ValidationError(f"stride must be at least 1 (got {stride})")
     if window is None:
         window = 0.25 / params.s
-    elif window <= 0.0:
-        raise ValidationError(f"window must be positive (got {window})")
-    n_total = int(round(T_final / dt))
-    if abs(n_total * dt - T_final) > 1e-9 * max(1.0, T_final):
+    for name, value in (("T_final", T_final), ("dt", dt), ("window", window)):
+        if not 0.0 < value < np.inf:
+            raise ValidationError(f"{name} must be finite and positive (got {value})")
+    quotient = T_final / dt  # inf for a subnormal dt, which round() cannot take
+    if not (quotient < 2.0**53
+            and abs(round(quotient) * dt - T_final) <= 1e-9 * max(1.0, T_final)):
         raise ValidationError(f"T_final={T_final:g} must be a multiple of dt={dt:g}")
+    n_total = int(round(quotient))
     steps_per_window = max(1, int(round(window / dt)))
 
     t_all = dt * np.arange(n_total + 1)

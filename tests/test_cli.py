@@ -93,7 +93,8 @@ def test_bad_override_rejected(tmp_path):
                                       "grid.R=0", "workers=0", "time.dt=nan",
                                       "time.T_final=inf", "time.dt=inf",
                                       "tolerances.newton_tol=nan", "time.window=nan",
-                                      "tolerances.picard_tol=-1e-8", "time.dt=0.003"])
+                                      "tolerances.picard_tol=-1e-8", "time.dt=0.003",
+                                      "perturbation.amplitude=nan"])
 def test_bad_time_and_grid_fields_rejected_when_parsed(tmp_path, capsys, override):
     out = tmp_path / "out"
     code = main(["--preset", "steady_wave", "--out-dir", str(out), "--override", override])

@@ -5,6 +5,7 @@ from scipy.integrate import quad
 
 from congested_ns.core import ValidationError, make_grid
 from congested_ns.discrete_ops import (
+    MonotoneInterpolant,
     NormKind,
     derivative,
     monotone_interpolator,
@@ -200,12 +201,79 @@ def test_shifted_rows_equal_evaluator_bit_for_bit(seed, frac, multiple, node, ta
     assert evaluate.shifted(on_r)[node] == float(evaluate(g.R)) == pytest.approx(f[-1])
 
 
-def test_shifted_row_reads_the_table_without_interval_search():
+def test_shifted_row_reads_the_table_without_interval_search(monkeypatch):
     g = make_grid(10.0, 201)
     evaluate = monotone_interpolator(np.exp(-g.x) * np.cos(g.x), g, 0.0)
     expected = evaluate(g.x + 1.2345)
-    evaluate._interp = None  # the general path would fail
+
+    def no_general_path(self, x):
+        raise AssertionError("shifted row took the general path")
+
+    monkeypatch.setattr(MonotoneInterpolant, "__call__", no_general_path)
     assert evaluate.shifted(1.2345).tobytes() == expected.tobytes()
+
+
+def _pchip_data(kind: str, seed: int, n: int) -> np.ndarray:
+    r = np.random.default_rng(seed)
+    if kind == "random":
+        return r.normal(size=n) * 10.0 ** r.uniform(-3, 3)
+    if kind == "flat":
+        return np.full(n, r.normal())
+    if kind == "monotone":
+        return np.cumsum(r.uniform(0.0, 1.0, n))
+    # sign-changing secants, signed zeros and a flat stretch
+    f = np.sin(r.uniform(0.5, 8.0) * np.linspace(0.0, 1.0, n))
+    f[r.integers(0, n, n // 4)] = -0.0
+    f[n // 3:n // 3 + 5] = 0.5
+    return f
+
+
+@given(kind=st.sampled_from(["random", "flat", "monotone", "sign_changing"]),
+       seed=st.integers(0, 10_000), n=st.integers(16, 300), R=st.floats(0.5, 60.0),
+       tail=st.floats(-2.0, 2.0), inner=st.lists(st.floats(0.0, 1.0), max_size=20))
+@settings(max_examples=120, deadline=None)
+def test_table_and_evaluation_equal_scipy_pchip_bit_for_bit(kind, seed, n, R, tail, inner):
+    # scipy stays the reference the in-house PCHIP table is built to reproduce
+    from scipy.interpolate import PchipInterpolator
+
+    g = make_grid(R, n)
+    f = _pchip_data(kind, seed, n)
+    evaluate = monotone_interpolator(f, g, tail)
+    reference = PchipInterpolator(g.x, f, extrapolate=False)
+    c3, c2, c1, c0 = evaluate._terms
+    assert np.stack((c0, c1, c2)).tobytes() == reference.c[:3].tobytes()
+    # scipy's evaluation starts its sum from 0.0, which turns -0.0 into 0.0
+    assert c3.tobytes() == (0.0 + reference.c[3]).tobytes()
+    points = np.concatenate((g.x, [0.0, -0.0, g.R, g.R * (1.0 + 1e-15), 1.5 * g.R,
+                                   -1e-12, -g.R, np.nan],
+                             g.R * np.asarray(inner), g.x[1:] - 1e-13))
+    got = evaluate(points)
+    # NaN below 0, tail past R (and for NaN, as the x <= R test fails)
+    expected = np.where(points <= g.R, reference(points), tail)
+    assert got.tobytes() == expected.tobytes()
+    assert np.all(np.isnan(got[points < 0.0]))
+    for p, value in zip(points[::7], got[::7]):
+        assert evaluate(p).tobytes() == value.tobytes()
+
+
+def test_import_leaves_scipy_interpolate_and_integrate_unloaded():
+    # the two modules add about 0.4 s to every start of the package, which
+    # imports neither: PCHIP is built in discrete_ops, simpson imported on use
+    import os
+    import subprocess
+    import sys
+
+    import congested_ns
+
+    src = os.path.dirname(os.path.dirname(congested_ns.__file__))
+    code = ("import sys, congested_ns.cli; "
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.integrate') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_tail_integral_matches_exponential():

@@ -90,6 +90,15 @@ class TestValidateHypotheses:
         assert not np.any(wave_init.source)
         assert wave_init.source_eval is None
 
+    def test_w0_at_array_equals_pointwise_floats(self, small_grid, bump_init):
+        xi = np.concatenate((small_grid.x[::37], [0.0, 1.2345, small_grid.R,
+                                                  small_grid.R + 0.5, 3.0 * small_grid.R]))
+        batch = bump_init.w0_at(xi)
+        assert batch.shape == xi.shape
+        singles = [bump_init.w0_at(float(p)) for p in xi]
+        assert all(type(v) is float for v in singles)
+        assert batch.tobytes() == np.array(singles).tobytes()
+
     def test_perturbed_data_keeps_compatibility(self, params, small_grid, bump_init):
         # triple-zero envelope leaves the wave's bracket intact
         residual = bump_init.hypothesis_report["H3: compatibility bracket at 0"]["residual"]
@@ -230,10 +239,17 @@ class TestPicard:
     def test_first_guess_of_the_first_window_is_flat(self):
         np.testing.assert_array_equal(_first_guess(1.25, 10, 0.01, None), np.full(11, 1.25))
 
-    @pytest.mark.parametrize("kwargs", [{"stride": 0}, {"window": -1.0}, {"window": 0.0}])
+    @pytest.mark.parametrize("kwargs", [
+        {"stride": 0}, {"window": -1.0}, {"window": 0.0}, {"window": np.nan},
+        {"window": np.inf}, {"T_final": np.nan}, {"T_final": np.inf}, {"T_final": 0.0},
+        {"T_final": -0.1}, {"dt": np.nan}, {"dt": np.inf}, {"dt": -1e-2},
+        # finite and positive, but T_final / dt overflows
+        {"dt": 1e-310}])
     def test_rejects_bad_stride_and_window(self, params, small_grid, wave_init, kwargs):
+        # a typed error, not the OverflowError or ValueError of round()
         with pytest.raises(ValidationError, match=next(iter(kwargs))):
-            picard_solve(wave_init, small_grid, params, T_final=0.1, dt=1e-2, **kwargs)
+            picard_solve(wave_init, small_grid, params, **{"T_final": 0.1, "dt": 1e-2,
+                                                           **kwargs})
 
     def test_wave_sampled_once_per_solve(self, params, small_grid, bump_init, monkeypatch):
         calls = []
