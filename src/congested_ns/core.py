@@ -104,6 +104,6 @@ def as_field(values: np.ndarray | list[float], grid: Grid) -> np.ndarray:
         raise ValidationError(
             f"field has shape {arr.shape}, expected ({grid.n},) for this grid"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError("field contains non-finite values")
     return arr

@@ -99,7 +99,13 @@ def trace0(f: np.ndarray, grid: Grid, order: int = 0) -> float:
     f = as_field(f, grid)
     if grid.n < 5:
         raise ValidationError("trace stencils need at least 5 nodes")
-    dx = grid.dx
+    return stencil_trace(f, grid.dx, order)
+
+
+def stencil_trace(f: np.ndarray, dx: float, order: int) -> float:
+    """The stencils of trace0 on the leading nodes of a float array with
+    spacing dx (4 nodes for order 1, 5 for order 2), without validating it:
+    for a caller that differences only those nodes of fields it trusts."""
     if order == 0:
         return float(f[0])
     if order == 1:

@@ -28,6 +28,7 @@ from .discrete_ops import (
     monotone_interpolator,
     norm,
     shift_sample,
+    stencil_trace,
     tail_integral,
     trace0,
 )
@@ -263,16 +264,19 @@ def boundary_velocity(u: np.ndarray, w0_at_y: float, grid: Grid, params: Physica
                       wave: Profiles) -> float:
     """Interface speed -mu d_x u(0) / (u_minus - w0(y)).
 
-    The trace d_x u(0) is the exact wave slope plus a one-sided stencil on
-    u - uwave, so the wave background contributes no stencil error to the
-    speed.  `wave` is traveling_wave(params, grid).
+    The trace d_x u(0) is the exact wave slope plus the one-sided stencil of
+    trace0 on u - uwave at the four nodes it reads, so the wave background
+    contributes no stencil error to the speed.  u is a velocity field the
+    caller has validated (a step_u result); `wave` is
+    traveling_wave(params, grid).  A NaN w0(y) fails the floor.
     """
     denom = params.u_minus - w0_at_y
-    if denom < DENOM_FLOOR:
+    if not denom >= DENOM_FLOOR:
         raise DenominatorTooSmall(
             f"u_minus - w0(y) = {denom:g} fell below the floor {DENOM_FLOOR:g}"
         )
-    du = boundary_slope_constants(params)["du"] + trace0(u - wave.u_bar, grid, 1)
+    du = (boundary_slope_constants(params)["du"]
+          + stencil_trace(u[:4] - wave.u_bar[:4], grid.dx, 1))
     return -params.mu * du / denom
 
 

@@ -160,12 +160,14 @@ def _nodal(value: np.ndarray | float, grid: Grid) -> np.ndarray | float:
     return value
 
 
-def _faces(value: np.ndarray | float) -> tuple:
-    """Arithmetic means of a coefficient at the faces i-1/2 and i+1/2 of the
-    interior rows i = 1..n-2; a scalar is its own mean."""
+def _faces(value: np.ndarray | float, scale: float) -> tuple:
+    """scale times the arithmetic means of a coefficient at the faces i-1/2
+    and i+1/2 of the interior rows i = 1..n-2; a scalar is its own mean and
+    stays a scalar."""
     if np.ndim(value) == 0:
-        return value, value
-    face = 0.5 * (value[:-1] + value[1:])
+        return scale * value, scale * value
+    face = value[:-1] + value[1:]
+    face *= 0.5 * scale
     return face[:-1], face[1:]
 
 
@@ -196,28 +198,28 @@ def linear_parabolic_step(state: np.ndarray, coeffs: LinearParabolicCoeffs, grid
     means, giving a conservative second-order discretization.
     """
     state = as_field(state, grid)
-    if dt <= 0.0:
-        raise ValidationError(f"dt must be positive (got {dt})")
+    if not 0.0 < dt < math.inf:
+        raise ValidationError(f"dt must be finite and positive (got {dt})")
     a = _nodal(coeffs.a, grid)
     b = _nodal(coeffs.b, grid)
     # an infinite reaction pins its node to 0 instead of making the solution
     # non-finite, so an array c is checked in full
     c = as_field(coeffs.c, grid) if np.ndim(coeffs.c) else _nodal(coeffs.c, grid)
     f = _nodal(coeffs.f, grid)
-    min_a = float(np.min(a))
-    if not min_a > 0.0:
-        raise ValidationError(f"diffusion must be positive (min a = {min_a:g})")
     if np.ndim(a) == 0:
         a = np.full(grid.n, a)  # the diagonals are arrays
+    min_a = float(a.min())
+    if not min_a > 0.0:
+        raise ValidationError(f"diffusion must be positive (min a = {min_a:g})")
 
-    dx = grid.dx
-    a_w, a_e = _faces(a)   # a_{i-1/2}, a_{i+1/2} for the interior rows
-    b_w, b_e = _faces(b)
+    k_w, k_e = _faces(a, 1.0 / grid.dx**2)  # a_{i-1/2} / dx^2, a_{i+1/2} / dx^2
+    b_w, b_e = _faces(b, 0.5 / grid.dx)     # b_{i-1/2} / (2 dx), b_{i+1/2} / (2 dx)
 
     # row i (interior): coefficients of u_{i-1}, u_i, u_{i+1}
-    lo = (-0.5 * b_w - a_w / dx) / dx
-    hi = (0.5 * b_e - a_e / dx) / dx
-    di = 1.0 / dt + _interior(c) + (0.5 * b_e - 0.5 * b_w + (a_e + a_w) / dx) / dx
+    lo = -b_w - k_w
+    hi = b_e - k_e
+    di = k_w + k_e
+    di += 1.0 / dt + _interior(c) + (b_e - b_w)
     rhs = state[1:-1] / dt + _interior(f)
     rhs[0] -= lo[0] * left_bc
     rhs[-1] -= hi[-1] * right_bc
@@ -251,8 +253,7 @@ def interior_flux_balance(state: np.ndarray, new: np.ndarray,
 
 def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, dt: float,
            reg: RegularizedLog, params: PhysicalParams, wave: Profiles,
-           newton_tol: float = DEFAULT_NEWTON_TOL,
-           right_bc: float | None = None) -> np.ndarray:
+           newton_tol: float = DEFAULT_NEWTON_TOL) -> np.ndarray:
     """One implicit-Euler step of d_t v - ydot d_x v - mu d_xx a(v) = source.
 
     Dirichlet values v(0) = 1 and v(R) = wave profile at R.  The update is
@@ -267,61 +268,69 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
     v = as_field(v, grid)
     if abs(v[0] - 1.0) > 1e-9:
         raise ValidationError(f"step_v requires v(0) = 1 on input (got {v[0]!r})")
-    if np.min(v) <= 0.0:
+    if v.min() <= 0.0:
         raise ValidationError("step_v requires v > 0 on input")
-    if dt <= 0.0:
-        raise ValidationError(f"dt must be positive (got {dt})")
+    if not 0.0 < dt < math.inf:
+        raise ValidationError(f"dt must be finite and positive (got {dt})")
     src = as_field(source, grid) if np.ndim(source) else _nodal(source, grid)
-    mu = params.mu
-    dx = grid.dx
     vbar = wave.v_bar
     ln_vbar = wave.log_v_bar
-    dvbar = wave.dv_bar
+    c_adv = dt * ydot / (2.0 * grid.dx)
+    c_dif = dt * params.mu / grid.dx**2
 
-    rhs = _interior(src) + (ydot - params.s) * dvbar[1:-1]
-    g_old = v - vbar
-    g = g_old.copy()
+    g = v - vbar
+    # the residual's constant part, g_old + dt (source + (ydot - s) d_x vwave)
+    base = (dt * (ydot - params.s)) * wave.dv_bar[1:-1]
+    base += dt * _interior(src)
+    base += g[1:-1]
     g[0] = 0.0
-    g[-1] = 0.0 if right_bc is None else right_bc - vbar[-1]
+    g[-1] = 0.0
+    # vbar + g for the g last passed to residual, which the Newton loop
+    # always keeps as its iterate: the Jacobian and the result read it
+    w = np.empty(grid.n)
 
     def residual(g: np.ndarray) -> np.ndarray:
-        a_val, _ = reg(vbar + g)
-        q = a_val - ln_vbar
-        adv = ydot * (g[2:] - g[:-2]) / (2.0 * dx)
-        dif = mu * (q[2:] - 2.0 * q[1:-1] + q[:-2]) / dx**2
-        return g[1:-1] - g_old[1:-1] - dt * (adv + dif + rhs)
+        """g_i - c_adv (g_{i+1} - g_{i-1}) - c_dif (q_{i+1} - 2 q_i + q_{i-1})
+        - base_i, with q = a(vbar + g) - ln vbar, assembled in place."""
+        q, _ = reg(np.add(vbar, g, out=w))
+        q -= ln_vbar
+        q *= c_dif
+        out = g[:-2] - g[2:]
+        out *= c_adv
+        out += g[1:-1]
+        out -= base
+        out -= q[2:]
+        out -= q[:-2]
+        out += q[1:-1]
+        out += q[1:-1]
+        return out
 
     res = residual(g)
-    res_norm = float(np.max(np.abs(res)))
+    res_norm = float(np.abs(res).max())
     for _ in range(NEWTON_MAX_ITER):
         if res_norm <= newton_tol:
             break
-        _, a_slope = reg(vbar + g)
-        sub = -dt * (-ydot / (2.0 * dx) + mu * a_slope[1:-2] / dx**2)
-        diag = 1.0 + 2.0 * dt * mu * a_slope[1:-1] / dx**2
-        sup = -dt * (ydot / (2.0 * dx) + mu * a_slope[2:-1] / dx**2)
-        delta = _solve_tridiagonal(sub, diag, sup, -res, dt, mu * reg.nu)
+        _, slope = reg(w)
+        slope *= c_dif
+        delta = _solve_tridiagonal(c_adv - slope[1:-2], 1.0 + 2.0 * slope[1:-1],
+                                   -c_adv - slope[2:-1], -res, dt, params.mu * reg.nu)
 
-        # damped update: halve until the residual does not increase
-        scale = 1.0
+        # damped update: halve the step until the residual does not increase
+        trial = np.zeros(grid.n)
         for _ in range(30):
-            trial = g.copy()
-            trial[1:-1] += scale * delta
+            np.add(g[1:-1], delta, out=trial[1:-1])
             trial_res = residual(trial)
-            trial_norm = float(np.max(np.abs(trial_res)))
+            trial_norm = float(np.abs(trial_res).max())
             if trial_norm <= res_norm or trial_norm <= newton_tol:
                 break
-            scale *= 0.5
-        g = trial
-        res = trial_res
-        res_norm = trial_norm
+            delta *= 0.5
+        g, res, res_norm = trial, trial_res, trial_norm
     else:
         raise NewtonDiverged(
             f"Newton stalled at residual {res_norm:g} (tol {newton_tol:g}, dt={dt:g})"
         )
 
-    w = vbar + g
-    low, high = np.min(w), np.max(w)
+    low, high = w.min(), w.max()
     if low < 1.0 - EPS_MAX_PRINCIPLE or high > reg.bar_c + EPS_MAX_PRINCIPLE:
         raise MaximumPrincipleViolated(
             f"v left (1, bar_c]: range [{low:.12g}, {high:.12g}] vs bar_c = {reg.bar_c:g}"
@@ -330,7 +339,7 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
 
 
 def step_u(u: np.ndarray, v: np.ndarray, ydot: float, grid: Grid, dt: float,
-           params: PhysicalParams, wave: Profiles, right_bc: float | None = None) -> np.ndarray:
+           params: PhysicalParams, wave: Profiles) -> np.ndarray:
     """One implicit-Euler step of d_t u - ydot d_x u - mu d_x((1/v) d_x u) = 0.
 
     Dirichlet values u(0) = u_minus and u(R) = wave profile at R.  As in
@@ -345,19 +354,20 @@ def step_u(u: np.ndarray, v: np.ndarray, ydot: float, grid: Grid, dt: float,
     """
     u = as_field(u, grid)
     v = as_field(v, grid)
-    if np.min(v) < 1.0 - EPS_MAX_PRINCIPLE:
+    if v.min() < 1.0 - EPS_MAX_PRINCIPLE:
         raise ValidationError(f"step_u requires v >= 1 (min v = {np.min(v):g})")
     if abs(u[0] - params.u_minus) > 1e-9:
         raise ValidationError(
             f"step_u requires u(0) = u_minus on input (got {u[0]!r})"
         )
-    vbar = wave.v_bar
-    ubar = wave.u_bar
-    dubar = -params.s * wave.dv_bar
-
-    coupling = (vbar - v) / (v * vbar) * dubar
-    f = (ydot - params.s) * dubar + params.mu * stencil_derivative(coupling, grid.dx, 1)
-    coeffs = LinearParabolicCoeffs(a=params.mu / v, b=-ydot, c=0.0, f=f)
-    h_right = 0.0 if right_bc is None else right_bc - float(ubar[-1])
-    h = linear_parabolic_step(u - ubar, coeffs, grid, dt, left_bc=0.0, right_bc=h_right)
-    return ubar + h
+    inv_v = 1.0 / v
+    coupling = inv_v - wave.inv_v_bar
+    coupling *= wave.du_bar
+    f = stencil_derivative(coupling, grid.dx, 1)
+    f *= params.mu
+    f += (ydot - params.s) * wave.du_bar
+    inv_v *= params.mu  # the diffusion mu / v
+    coeffs = LinearParabolicCoeffs(a=inv_v, b=-ydot, f=f)
+    h = linear_parabolic_step(u - wave.u_bar, coeffs, grid, dt, left_bc=0.0, right_bc=0.0)
+    h += wave.u_bar
+    return h

@@ -51,6 +51,8 @@ class Profiles:
     v_bar, u_bar  -- nodal samples of the profiles
     log_v_bar     -- ln v_bar from the cancellation-free closed form
     dv_bar        -- exact nodal slope of v_bar (from the closed form)
+    du_bar        -- exact nodal slope of u_bar, -s dv_bar
+    inv_v_bar     -- 1 / v_bar
     w_bar_right   -- effective velocity on x > 0 (== u_plus)
     p_bar_left    -- congested-side pressure (== p_minus)
     """
@@ -59,11 +61,14 @@ class Profiles:
     u_bar: np.ndarray = field(repr=False)
     log_v_bar: np.ndarray = field(repr=False)
     dv_bar: np.ndarray = field(repr=False)
+    du_bar: np.ndarray = field(repr=False)
+    inv_v_bar: np.ndarray = field(repr=False)
     w_bar_right: float
     p_bar_left: float
 
     def __post_init__(self) -> None:
-        for arr in (self.v_bar, self.u_bar, self.log_v_bar, self.dv_bar):
+        for arr in (self.v_bar, self.u_bar, self.log_v_bar, self.dv_bar, self.du_bar,
+                    self.inv_v_bar):
             arr.setflags(write=False)
 
 
@@ -73,11 +78,15 @@ def traveling_wave(params: PhysicalParams, grid: Grid) -> Profiles:
     picard_solve samples it once per solve, passes it to the steppers and
     the interface speed, and keeps it on the trajectory for the diagnostics.
     """
+    v_bar = np.asarray(wave_v(params, grid.x))
+    dv_bar = np.asarray(wave_dv(params, grid.x))
     return Profiles(
-        v_bar=np.asarray(wave_v(params, grid.x)),
+        v_bar=v_bar,
         u_bar=np.asarray(wave_u(params, grid.x)),
         log_v_bar=np.asarray(wave_log_v(params, grid.x)),
-        dv_bar=np.asarray(wave_dv(params, grid.x)),
+        dv_bar=dv_bar,
+        du_bar=-params.s * dv_bar,
+        inv_v_bar=1.0 / v_bar,
         w_bar_right=params.u_plus,
         p_bar_left=params.p_minus,
     )

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from congested_ns import parabolic
+from congested_ns import freeboundary, parabolic
 from congested_ns.core import PhysicalParams, make_grid
 from congested_ns.freeboundary import _march, validate_hypotheses
 from congested_ns.perturbations import initial_data_fields
@@ -61,6 +61,17 @@ def test_march_takes_ydot_third():
     assert list(inspect.signature(_march).parameters)[2] == "ydot"
 
 
+def _counting(monkeypatch, module, name, calls):
+    """Count the calls of module.name (a function or method) in calls[name]."""
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
 def test_one_newton_iteration_makes_three_reglog_calls(monkeypatch):
     # the tracer derives newton_halvings as reglog calls - step_v calls
     # - 2 newton iterations: one call per residual and one per Jacobian
@@ -69,19 +80,40 @@ def test_one_newton_iteration_makes_three_reglog_calls(monkeypatch):
     v0, u0 = initial_data_fields("gaussian_bump", 0.005, 2.0, 1.0, params, grid)
     init = validate_hypotheses(v0, u0, grid, params)
     reg = parabolic.regularized_log(2.0 * float(np.max(init.v0)))
-    calls = {"reglog": 0, "tridiag": 0}
-    reglog, tridiag = parabolic.RegularizedLog.__call__, parabolic._solve_tridiagonal
-
-    def counting_reglog(self, x):
-        calls["reglog"] += 1
-        return reglog(self, x)
-
-    def counting_tridiag(*args):
-        calls["tridiag"] += 1
-        return tridiag(*args)
-
-    monkeypatch.setattr(parabolic.RegularizedLog, "__call__", counting_reglog)
-    monkeypatch.setattr(parabolic, "_solve_tridiagonal", counting_tridiag)
+    calls = {"__call__": 0, "_solve_tridiagonal": 0}
+    _counting(monkeypatch, parabolic.RegularizedLog, "__call__", calls)
+    _counting(monkeypatch, parabolic, "_solve_tridiagonal", calls)
     parabolic.step_v(init.v0, init.compat_speed, init.source_eval.shifted(0.01), grid, 2e-3,
                      reg, params, traveling_wave(params, grid))
-    assert calls == {"reglog": 3, "tridiag": 1}  # one iteration, 0 halvings
+    assert calls == {"__call__": 3, "_solve_tridiagonal": 1}  # one iteration, 0 halvings
+
+
+def test_step_u_makes_one_linear_step_and_one_solve(monkeypatch):
+    # the tracer must see linear_parabolic_step run, and counts every
+    # _solve_tridiagonal call outside step_v as step_u's one solve
+    params = PhysicalParams(mu=1.0, v_plus=2.0, u_minus=1.0, u_plus=0.0)
+    grid = make_grid(50.0, 257)
+    wave = traveling_wave(params, grid)
+    calls = {"linear_parabolic_step": 0, "_solve_tridiagonal": 0, "__call__": 0}
+    _counting(monkeypatch, parabolic, "linear_parabolic_step", calls)
+    _counting(monkeypatch, parabolic, "_solve_tridiagonal", calls)
+    _counting(monkeypatch, parabolic.RegularizedLog, "__call__", calls)
+    u = wave.u_bar + 1e-3 * np.sin(grid.x) * np.exp(-grid.x)
+    parabolic.step_u(u, wave.v_bar, 0.9 * params.s, grid, 2e-3, params, wave)
+    assert calls == {"linear_parabolic_step": 1, "_solve_tridiagonal": 1, "__call__": 0}
+
+
+def test_march_of_k_steps_makes_k_steps_of_each_field(monkeypatch):
+    # the tracer checks step_v calls against the steps it counts per march
+    params = PhysicalParams(mu=1.0, v_plus=2.0, u_minus=1.0, u_plus=0.0)
+    grid = make_grid(50.0, 257)
+    v0, u0 = initial_data_fields("gaussian_bump", 0.005, 2.0, 1.0, params, grid)
+    init = validate_hypotheses(v0, u0, grid, params)
+    calls = {"step_v": 0, "step_u": 0}
+    _counting(monkeypatch, freeboundary, "step_v", calls)
+    _counting(monkeypatch, freeboundary, "step_u", calls)
+    k, dt = 5, 2e-3
+    ydot = np.full(k + 1, init.compat_speed)
+    _march(init.v0, init.u0, ydot, dt * init.compat_speed * np.arange(k + 1), init, grid,
+           params, traveling_wave(params, grid), dt, 1e-10, t_start=0.0, keep_fields=False)
+    assert calls == {"step_v": k, "step_u": k}

@@ -2,9 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from congested_ns import discrete_ops, freeboundary, profiles
-from congested_ns.core import ValidationError, make_grid
+from congested_ns.core import PhysicalParams, ValidationError, make_grid
 from congested_ns.freeboundary import (
     DenominatorTooSmall,
     HypothesisViolated,
@@ -19,7 +20,7 @@ from congested_ns.freeboundary import (
     reconstruction_residuals,
     validate_hypotheses,
 )
-from congested_ns.parabolic import truncation_mollifier
+from congested_ns.parabolic import regularized_log, step_u, step_v, truncation_mollifier
 from congested_ns.perturbations import initial_data_fields
 from congested_ns.profiles import traveling_wave, wave_u, wave_v
 
@@ -117,6 +118,40 @@ class TestBoundaryVelocity:
     def test_denominator_floor(self, params, grid, wave):
         with pytest.raises(DenominatorTooSmall):
             boundary_velocity(wave.u_bar, params.u_minus, grid, params, wave)
+
+    @pytest.mark.parametrize("w0_at_y", [np.nan, 1.0 - 1e-9])
+    def test_nan_or_small_denominator_fails_floor(self, params, grid, wave, w0_at_y):
+        # u_minus = 1: the margin is NaN or 1e-9, below the 1e-8 floor
+        with pytest.raises(DenominatorTooSmall):
+            boundary_velocity(wave.u_bar, w0_at_y, grid, params, wave)
+
+    def test_reads_the_four_trace_nodes_only(self, params, grid, wave, rng):
+        # the speed is the wave slope plus trace0 on u - uwave, bit for bit
+        u = wave.u_bar + 1e-3 * rng.normal(size=grid.n)
+        u[0] = params.u_minus
+        du = (profiles.boundary_slope_constants(params)["du"]
+              + discrete_ops.trace0(u - wave.u_bar, grid, 1))
+        got = boundary_velocity(u, params.u_plus, grid, params, wave)
+        assert got == -params.mu * du / (params.u_minus - params.u_plus)
+
+
+@given(mu=st.floats(0.5, 2.0), v_plus=st.floats(1.5, 3.0),
+       u_plus=st.floats(-1.0, 1.0), jump=st.floats(0.5, 2.0))
+@settings(max_examples=40, deadline=None)
+def test_exact_wave_is_steady_across_parameters(mu, v_plus, u_plus, jump):
+    # at every front in the band, not only the fixture's: one step of each
+    # stepper keeps the sampled wave to roundoff, and the interface speed
+    # of the wave is s
+    params = PhysicalParams(mu=mu, v_plus=v_plus, u_minus=u_plus + jump, u_plus=u_plus)
+    grid = make_grid(20.0, 257)
+    wave = traveling_wave(params, grid)
+    reg = regularized_log(2.0 * v_plus)
+    v = step_v(wave.v_bar, params.s, 0.0, grid, 1e-3, reg, params, wave)
+    assert np.max(np.abs(v - wave.v_bar)) <= 1e-11
+    u = step_u(wave.u_bar, wave.v_bar, params.s, grid, 1e-3, params, wave)
+    assert np.max(np.abs(u - wave.u_bar)) <= 1e-12
+    speed = boundary_velocity(wave.u_bar, params.u_plus, grid, params, wave)
+    assert speed == pytest.approx(params.s, abs=1e-14)
 
 
 class TestPaths:

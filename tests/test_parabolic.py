@@ -156,6 +156,12 @@ class TestLinearParabolicStep:
                     pytest.raises((ValidationError, TridiagonalSolveError)):
                 linear_parabolic_step(np.zeros(g.n), coeffs, g, 0.1, 1.0, 1.0)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -0.1])
+    def test_rejects_bad_dt(self, dt):
+        g = make_grid(1.0, 33)
+        with pytest.raises(ValidationError, match="dt must be finite and positive"):
+            linear_parabolic_step(np.zeros(g.n), LinearParabolicCoeffs(a=1.0), g, dt, 0.0, 0.0)
+
     def test_rejects_coefficient_of_wrong_shape(self):
         g = make_grid(1.0, 33)
         with pytest.raises(ValidationError, match="shape"):
@@ -182,14 +188,17 @@ class TestStepV:
         out = step_v(wave.v_bar.copy(), params.s, 0.0, grid, 1e-3, reg, params, wave)
         assert np.max(np.abs(out - wave.v_bar)) <= 1e-11
 
-    def test_flat_state_near_steady_with_matching_bc(self, params):
-        # constants solve the equation; the wave-anchored scheme keeps them
-        # steady up to dt * dx^2 (below the positivity slack here)
+    def test_manufactured_steady_state_stays_steady(self, params):
+        # the line from v(0) = 1 to the wave's v(R) solves the equation with
+        # the source -ydot v' - mu (ln v)''; the wave-anchored scheme keeps a
+        # state other than the wave steady up to dt * dx^2
         g = make_grid(5.0, 2001)
-        r = regularized_log(4.0)
-        out = step_v(np.ones(g.n), 0.7, 0.0, g, 1e-5, r, params, traveling_wave(params, g),
-                     right_bc=1.0)
-        assert np.max(np.abs(out - 1.0)) <= 1e-9
+        prof = traveling_wave(params, g)
+        ydot, slope = 0.7, (prof.v_bar[-1] - 1.0) / g.R
+        v = 1.0 + slope * g.x
+        source = -ydot * slope + params.mu * slope**2 / v**2
+        out = step_v(v, ydot, source, g, 1e-5, regularized_log(4.0), params, prof)
+        assert np.max(np.abs(out - v)) <= 1e-9
 
     def test_small_perturbation_decays_toward_wave(self, params, reg):
         g = make_grid(50.0, 513)
@@ -219,18 +228,29 @@ class TestStepV:
         with pytest.raises(ValidationError, match="v\\(0\\) = 1"):
             step_v(bad, params.s, 0.0, grid, 1e-3, reg, params, wave)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1e-3])
+    def test_rejects_bad_dt(self, params, grid, reg, wave, dt):
+        with pytest.raises(ValidationError, match="dt must be finite and positive"):
+            step_v(wave.v_bar, params.s, 0.0, grid, dt, reg, params, wave)
+
 
 class TestStepU:
     def test_wave_is_discrete_steady_state(self, params, grid, wave):
         out = step_u(wave.u_bar.copy(), wave.v_bar, params.s, grid, 1e-3, params, wave)
         assert np.max(np.abs(out - wave.u_bar)) <= 1e-12
 
-    def test_constant_velocity_near_steady_with_matching_bc(self, params):
+    def test_exponential_steady_state_with_unit_volume(self, params):
+        # with v = 1, A + B exp(-ydot x / mu) solves the equation; matched to
+        # u(0) = u_minus and the wave's u(R) it stays steady up to dt * dx^2
         g = make_grid(5.0, 2001)
         prof = traveling_wave(params, g)
-        u = np.full(g.n, params.u_minus)
-        out = step_u(u, prof.v_bar, 0.9, g, 1e-5, params, prof, right_bc=params.u_minus)
-        assert np.max(np.abs(out - params.u_minus)) <= 1e-9
+        ydot = 0.9
+        decay = np.exp(-ydot * g.x / params.mu)
+        B = (params.u_minus - prof.u_bar[-1]) / (1.0 - decay[-1])
+        u = params.u_minus - B + B * decay
+        u[0] = params.u_minus
+        out = step_u(u, np.ones(g.n), ydot, g, 1e-5, params, prof)
+        assert np.max(np.abs(out - u)) <= 1e-9
 
     def test_heat_equation_eigen_decay_with_unit_volume(self, params):
         R, dt = 10.0, 0.01
@@ -247,6 +267,11 @@ class TestStepU:
         bad_v = wave.v_bar - 0.5
         with pytest.raises(ValidationError, match="v >= 1"):
             step_u(wave.u_bar.copy(), bad_v, params.s, grid, 1e-3, params, wave)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1e-3])
+    def test_rejects_bad_dt(self, params, grid, wave, dt):
+        with pytest.raises(ValidationError, match="dt must be finite and positive"):
+            step_u(wave.u_bar, wave.v_bar, params.s, grid, dt, params, wave)
 
 
 class TestTridiagonalSolve:
