@@ -184,9 +184,7 @@ def validate_config(cfg: RunConfig) -> None:
         value = getattr(cfg, _KEY_MAP[key][0])
         if value is not None and not 0.0 < value < math.inf:  # window None: the default
             raise ConfigError(f"{key} must be finite and positive (got {value})")
-    steps = cfg.T_final / cfg.dt  # inf for a subnormal dt, which round() cannot take
-    if not (steps < 2.0**53
-            and abs(round(steps) * cfg.dt - cfg.T_final) <= 1e-9 * max(1.0, cfg.T_final)):
+    if not _is_multiple(cfg.T_final, cfg.dt):
         raise ConfigError(f"time.T_final={cfg.T_final:g} must be a multiple of "
                           f"time.dt={cfg.dt:g}")
     if cfg.stride < 1:
@@ -199,6 +197,35 @@ def validate_config(cfg: RunConfig) -> None:
         cfg.params()
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg.preset == "convergence_order":
+        _convergence_levels(cfg)
+
+
+def _is_multiple(total: float, step: float) -> bool:
+    """Whether total is a whole number of steps, to 1e-9 relative."""
+    steps = total / step  # inf for a subnormal step, which round() cannot take
+    return steps < 2.0**53 and abs(round(steps) * step - total) <= 1e-9 * max(1.0, total)
+
+
+def _convergence_levels(cfg: RunConfig) -> list[tuple[int, float, int]]:
+    """(n, dt, stride) of the three convergence_order levels: dt grows as dx^2
+    from time.dt on the finest grid (16, 4 and 1 times time.dt) and fields are
+    stored every 0.08 time units.  A time.dt that gives some level no stored
+    field or a step that does not divide T_final is a ConfigError."""
+    levels = (513, 1025, 2049)
+    out = []
+    for n in levels:
+        dt = cfg.dt * ((levels[-1] - 1) / (n - 1)) ** 2
+        stride = int(round(0.08 / dt))
+        if stride < 1:
+            raise ConfigError(f"time.dt={cfg.dt:g} gives the n={n} level of convergence_order "
+                              f"the step {dt:g}, too long to store a field every 0.08")
+        if not _is_multiple(cfg.T_final, dt):
+            raise ConfigError(f"time.dt={cfg.dt:g} gives the n={n} level of convergence_order "
+                              f"the step {dt:g}, which does not divide "
+                              f"time.T_final={cfg.T_final:g}")
+        out.append((n, dt, stride))
+    return out
 
 
 def presets() -> list[str]:
@@ -420,11 +447,8 @@ def _run_stability_sweep(cfg: RunConfig, out: Path) -> dict:
 
 
 def _run_convergence_order(cfg: RunConfig, out: Path) -> dict:
-    levels = (513, 1025, 2049)
     trajs = {}
-    for n in levels:
-        dt = cfg.dt * ((levels[-1] - 1) / (n - 1)) ** 2
-        stride = int(round(0.08 / dt))
+    for n, dt, stride in _convergence_levels(cfg):
         lcfg = replace(cfg, n=n, dt=dt, stride=stride, picard_tol=1e-10)
         params, grid, init, traj = _solve_from_config(lcfg)
         _trajectory_csv(out / f"trajectory_n{n}.csv", traj)
@@ -443,12 +467,13 @@ def _run_convergence_order(cfg: RunConfig, out: Path) -> dict:
             worst = max(worst, float(np.max(np.abs(ta.v[ia] - tb.v[ib][::ratio]))))
         return worst
 
-    e_coarse = level_diff(513, 1025)
-    e_fine = level_diff(1025, 2049)
+    coarse, middle, fine = trajs
+    e_coarse = level_diff(coarse, middle)
+    e_fine = level_diff(middle, fine)
     ratio = e_coarse / e_fine if e_fine > 0 else np.inf
     return {
         "converged": True,
-        "levels": list(levels),
+        "levels": list(trajs),
         "consecutive_differences": [e_coarse, e_fine],
         "reduction_ratio": ratio,
         "order_ok": ratio >= 3.5,

@@ -360,8 +360,8 @@ def bootstrap_monitor(path: BoundaryPath, params: PhysicalParams, delta: float) 
     Passing the delta/2 threshold at every time is the closing step of the
     continuation argument behind global existence.
     """
-    if delta <= 0.0:
-        raise ValidationError(f"delta must be positive (got {delta})")
+    if not 0.0 < delta < np.inf:
+        raise ValidationError(f"delta must be finite and positive (got {delta})")
     running = running_h1_norm(path.t, path.ydot - params.s)
     return {
         "t": path.t.copy(),

@@ -92,8 +92,9 @@ def make_path(t: np.ndarray, ydot: np.ndarray) -> BoundaryPath:
     ydot = np.asarray(ydot, float)
     if t.shape != ydot.shape or t.ndim != 1:
         raise ValidationError("path times and speeds must be 1-D arrays of equal length")
-    if np.any(ydot <= 0.0):
-        raise ValidationError(f"path speed must stay positive (min {np.min(ydot):g})")
+    if not np.all((ydot > 0.0) & (ydot < np.inf)):  # NaN fails both
+        raise ValidationError(f"path speed must stay finite and positive (min {np.min(ydot):g}, "
+                              f"max {np.max(ydot):g})")
     return BoundaryPath(t=t, y=cumulative_trapezoid(ydot, np.diff(t)), ydot=ydot)
 
 

@@ -106,11 +106,10 @@ class RegularizedLog:
         return value, slope
 
 
-def regularized_log(bar_c: float, nu: float | None = None) -> RegularizedLog:
-    """Regularized log nonlinearity with the default slope floor 1/(2 bar_c)."""
-    if nu is None:
-        nu = 1.0 / (2.0 * bar_c)
-    return RegularizedLog(bar_c=float(bar_c), nu=float(nu))
+def regularized_log(bar_c: float) -> RegularizedLog:
+    """Regularized log nonlinearity with the slope floor 1/(2 bar_c)."""
+    bar_c = float(bar_c)
+    return RegularizedLog(bar_c=bar_c, nu=1.0 / (2.0 * bar_c))
 
 
 def truncation_mollifier(grid: Grid) -> np.ndarray:
@@ -128,54 +127,6 @@ def truncation_mollifier(grid: Grid) -> np.ndarray:
     return 1.0 - smooth
 
 
-@dataclass
-class LinearParabolicCoeffs:
-    """Coefficients of d_t u + d_x(b u) + c u - d_x(a d_x u) = f.
-
-    a (diffusion) must be bounded below by a positive constant; b, c, f may
-    be scalars or nodal arrays.
-    """
-
-    a: np.ndarray | float
-    b: np.ndarray | float = 0.0
-    c: np.ndarray | float = 0.0
-    f: np.ndarray | float = 0.0
-
-
-def _nodal(value: np.ndarray | float, grid: Grid) -> np.ndarray | float:
-    """A coefficient as the step uses it: a scalar stays a float and must be
-    finite, an array must have the grid's shape.  Array entries are not checked
-    here: a non-finite one makes the solution non-finite, which
-    _solve_tridiagonal rejects."""
-    if np.ndim(value) == 0:
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValidationError(f"coefficient must be finite (got {value})")
-        return value
-    value = np.asarray(value, dtype=float)
-    if value.shape != (grid.n,):
-        raise ValidationError(
-            f"coefficient has shape {value.shape}, expected ({grid.n},) for this grid"
-        )
-    return value
-
-
-def _faces(value: np.ndarray | float, scale: float) -> tuple:
-    """scale times the arithmetic means of a coefficient at the faces i-1/2
-    and i+1/2 of the interior rows i = 1..n-2; a scalar is its own mean and
-    stays a scalar."""
-    if np.ndim(value) == 0:
-        return scale * value, scale * value
-    face = value[:-1] + value[1:]
-    face *= 0.5 * scale
-    return face[:-1], face[1:]
-
-
-def _interior(value: np.ndarray | float) -> np.ndarray | float:
-    """A coefficient at the interior rows i = 1..n-2; a scalar is itself."""
-    return value if np.ndim(value) == 0 else value[1:-1]
-
-
 def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
                        rhs: np.ndarray, dt: float, min_diffusion: float) -> np.ndarray:
     """Solve the system with sub-, main and super-diagonals (lengths n-1, n,
@@ -190,62 +141,61 @@ def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
     return x
 
 
-def linear_parabolic_step(state: np.ndarray, coeffs: LinearParabolicCoeffs, grid: Grid,
-                          dt: float, left_bc: float, right_bc: float) -> np.ndarray:
-    """One implicit-Euler step with Dirichlet values at both ends.
+def linear_parabolic_step(state: np.ndarray, a: np.ndarray, b: float, f: np.ndarray,
+                          grid: Grid, dt: float) -> np.ndarray:
+    """One implicit-Euler step of d_t h + b d_x h - d_x(a d_x h) = f with
+    h = 0 at both ends, for a positive nodal diffusion a, a scalar advection b
+    and a nodal source f.
 
-    Interior fluxes b u - a d_x u are evaluated at cell faces with arithmetic
+    Interior fluxes b h - a d_x h are evaluated at cell faces with arithmetic
     means, giving a conservative second-order discretization.
     """
     state = as_field(state, grid)
     if not 0.0 < dt < math.inf:
         raise ValidationError(f"dt must be finite and positive (got {dt})")
-    a = _nodal(coeffs.a, grid)
-    b = _nodal(coeffs.b, grid)
-    # an infinite reaction pins its node to 0 instead of making the solution
-    # non-finite, so an array c is checked in full
-    c = as_field(coeffs.c, grid) if np.ndim(coeffs.c) else _nodal(coeffs.c, grid)
-    f = _nodal(coeffs.f, grid)
-    if np.ndim(a) == 0:
-        a = np.full(grid.n, a)  # the diagonals are arrays
+    a = np.asarray(a, dtype=float)
+    f = np.asarray(f, dtype=float)
+    for name, value in (("a", a), ("f", f)):
+        if value.shape != (grid.n,):
+            raise ValidationError(
+                f"{name} has shape {value.shape}, expected ({grid.n},) for this grid"
+            )
+    b = float(b)
+    if not math.isfinite(b):
+        raise ValidationError(f"advection b must be finite (got {b})")
     min_a = float(a.min())
     if not min_a > 0.0:
         raise ValidationError(f"diffusion must be positive (min a = {min_a:g})")
 
-    k_w, k_e = _faces(a, 1.0 / grid.dx**2)  # a_{i-1/2} / dx^2, a_{i+1/2} / dx^2
-    b_w, b_e = _faces(b, 0.5 / grid.dx)     # b_{i-1/2} / (2 dx), b_{i+1/2} / (2 dx)
+    # a_{i-1/2} / dx^2 and a_{i+1/2} / dx^2 for the interior rows i = 1..n-2
+    k = a[:-1] + a[1:]
+    k *= 0.5 / grid.dx**2
+    k_w, k_e = k[:-1], k[1:]
+    b_f = b * (0.5 / grid.dx)
 
-    # row i (interior): coefficients of u_{i-1}, u_i, u_{i+1}
-    lo = -b_w - k_w
-    hi = b_e - k_e
+    # row i (interior): coefficients of h_{i-1}, h_i, h_{i+1}
+    lo = -b_f - k_w
+    hi = b_f - k_e
     di = k_w + k_e
-    di += 1.0 / dt + _interior(c) + (b_e - b_w)
-    rhs = state[1:-1] / dt + _interior(f)
-    rhs[0] -= lo[0] * left_bc
-    rhs[-1] -= hi[-1] * right_bc
+    di += 1.0 / dt
+    rhs = state[1:-1] / dt + f[1:-1]
 
-    interior = _solve_tridiagonal(lo[1:], di, hi[:-1], rhs, dt, min_a)
-    out = np.empty_like(state)
-    out[0] = left_bc
-    out[-1] = right_bc
-    out[1:-1] = interior
+    out = np.zeros(grid.n)
+    out[1:-1] = _solve_tridiagonal(lo[1:], di, hi[:-1], rhs, dt, min_a)
     return out
 
 
-def interior_flux_balance(state: np.ndarray, new: np.ndarray,
-                          coeffs: LinearParabolicCoeffs, grid: Grid, dt: float) -> tuple[float, float]:
+def interior_flux_balance(state: np.ndarray, new: np.ndarray, a: np.ndarray, b: float,
+                          grid: Grid, dt: float) -> tuple[float, float]:
     """Mass change of the interior vs. net boundary flux for one step.
 
-    With c = f = 0 the implicit step conserves sum(dx * u) up to the flux
+    With f = 0 the implicit step conserves sum(dx * h) up to the flux
     difference through the first and last faces; both numbers are returned
     so the telescoping can be asserted to roundoff.
     """
-    a = _nodal(coeffs.a, grid)
-    b = _nodal(coeffs.b, grid)
     dx = grid.dx
-    a_face = a if np.ndim(a) == 0 else 0.5 * (a[:-1] + a[1:])
-    b_face = b if np.ndim(b) == 0 else 0.5 * (b[:-1] + b[1:])
-    flux = b_face * 0.5 * (new[:-1] + new[1:]) - a_face * (new[1:] - new[:-1]) / dx
+    a_face = 0.5 * (a[:-1] + a[1:])
+    flux = b * 0.5 * (new[:-1] + new[1:]) - a_face * (new[1:] - new[:-1]) / dx
     mass_change = float(np.sum(dx * (new[1:-1] - state[1:-1])))
     net_inflow = float(dt * (flux[0] - flux[-1]))
     return mass_change, net_inflow
@@ -272,7 +222,12 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
         raise ValidationError("step_v requires v > 0 on input")
     if not 0.0 < dt < math.inf:
         raise ValidationError(f"dt must be finite and positive (got {dt})")
-    src = as_field(source, grid) if np.ndim(source) else _nodal(source, grid)
+    if np.ndim(source):
+        src = as_field(source, grid)[1:-1]
+    else:  # 0.0 on the exact front
+        src = float(source)
+        if not math.isfinite(src):
+            raise ValidationError(f"source must be finite (got {src})")
     vbar = wave.v_bar
     ln_vbar = wave.log_v_bar
     c_adv = dt * ydot / (2.0 * grid.dx)
@@ -281,7 +236,7 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
     g = v - vbar
     # the residual's constant part, g_old + dt (source + (ydot - s) d_x vwave)
     base = (dt * (ydot - params.s)) * wave.dv_bar[1:-1]
-    base += dt * _interior(src)
+    base += dt * src
     base += g[1:-1]
     g[0] = 0.0
     g[-1] = 0.0
@@ -367,7 +322,6 @@ def step_u(u: np.ndarray, v: np.ndarray, ydot: float, grid: Grid, dt: float,
     f *= params.mu
     f += (ydot - params.s) * wave.du_bar
     inv_v *= params.mu  # the diffusion mu / v
-    coeffs = LinearParabolicCoeffs(a=inv_v, b=-ydot, f=f)
-    h = linear_parabolic_step(u - wave.u_bar, coeffs, grid, dt, left_bc=0.0, right_bc=0.0)
+    h = linear_parabolic_step(u - wave.u_bar, inv_v, -ydot, f, grid, dt)
     h += wave.u_bar
     return h

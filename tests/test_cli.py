@@ -105,6 +105,21 @@ def test_bad_time_and_grid_fields_rejected_when_parsed(tmp_path, capsys, overrid
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dt", ["0.01", "0.0032"])
+def test_convergence_order_levels_rejected_when_parsed(tmp_path, capsys, dt):
+    # the n=513 level steps 16 * time.dt: 0.16 stores no field every 0.08,
+    # and 0.0512 does not divide T_final = 0.96
+    out = tmp_path / "out"
+    code = main(["--preset", "convergence_order", "--out-dir", str(out),
+                 "--override", f"time.dt={dt}"])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["kind"] == "ConfigError"
+    assert f"time.dt={dt}" in record["message"]
+    assert "convergence_order" in record["message"]
+    assert not out.exists()
+
+
 SMALL = ["--override", "grid.n=257", "--override", "time.T_final=0.1",
          "--override", "time.dt=0.005", "--override", "time.stride=5"]
 

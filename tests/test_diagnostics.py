@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from congested_ns import diagnostics, discrete_ops
-from congested_ns.core import make_grid
+from congested_ns.core import ValidationError, make_grid
 from congested_ns.diagnostics import (
     bootstrap_monitor,
     coercivity_check,
@@ -231,6 +231,13 @@ class TestBootstrapMonitor:
         path = make_path(t, np.full(t.size, params.s + 0.05))
         rep = bootstrap_monitor(path, params, delta=0.05)
         assert not rep["pass_half_delta"]
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, 0.0, -0.05])
+    def test_rejects_bad_delta(self, params, delta):
+        t = np.linspace(0.0, 1.0, 11)
+        path = make_path(t, np.full(t.size, params.s))
+        with pytest.raises(ValidationError, match="delta must be finite and positive"):
+            bootstrap_monitor(path, params, delta=delta)
 
     def test_running_norm_is_monotone(self, params, rng):
         t = np.linspace(0.0, 2.0, 201)

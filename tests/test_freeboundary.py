@@ -165,6 +165,12 @@ class TestPaths:
         t = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ValidationError, match="positive"):
             make_path(t, np.zeros(11))
+        # NaN fails every comparison, so it needs its own check
+        for bad in (np.nan, np.inf, -np.inf):
+            speeds = np.ones(11)
+            speeds[1] = bad
+            with pytest.raises(ValidationError, match="finite and positive"):
+                make_path(t, speeds)
 
     def test_h1_norm_of_line(self):
         t = np.linspace(0.0, 2.0, 201)

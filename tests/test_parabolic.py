@@ -5,7 +5,6 @@ from scipy.linalg import solve_banded
 
 from congested_ns.core import ValidationError, make_grid
 from congested_ns.parabolic import (
-    LinearParabolicCoeffs,
     MaximumPrincipleViolated,
     RegularizedLog,
     TridiagonalSolveError,
@@ -103,18 +102,11 @@ class TestRegularizedLog:
 
 
 class TestLinearParabolicStep:
-    def test_constant_steady_state(self):
-        g = make_grid(5.0, 201)
-        coeffs = LinearParabolicCoeffs(a=1.0)
-        state = np.full(g.n, 3.0)
-        out = linear_parabolic_step(state, coeffs, g, 0.1, 3.0, 3.0)
-        np.testing.assert_allclose(out, 3.0, rtol=0, atol=1e-13)
-
     def test_eigenfunction_decay(self):
         R, dt = 4.0, 0.05
         g = make_grid(R, 401)
         state = np.sin(np.pi * g.x / R)
-        out = linear_parabolic_step(state, LinearParabolicCoeffs(a=1.0), g, dt, 0.0, 0.0)
+        out = linear_parabolic_step(state, np.ones(g.n), 0.0, np.zeros(g.n), g, dt)
         # the sine mode is an exact eigenvector of the discrete operator
         lam_h = (2.0 - 2.0 * np.cos(np.pi * g.dx / R)) / g.dx**2
         np.testing.assert_allclose(out, state / (1.0 + dt * lam_h), rtol=0, atol=1e-12)
@@ -123,60 +115,79 @@ class TestLinearParabolicStep:
             out, state / (1.0 + dt * (np.pi / R) ** 2), rtol=0, atol=5.0 * g.dx**2
         )
 
-    def test_reaction_balance_is_steady(self):
-        g = make_grid(3.0, 101)
-        coeffs = LinearParabolicCoeffs(a=1.0, b=0.0, c=1.0, f=1.0)
-        out = linear_parabolic_step(np.ones(g.n), coeffs, g, 0.25, 1.0, 1.0)
-        np.testing.assert_allclose(out, 1.0, rtol=0, atol=1e-13)
+    def test_matches_dense_solve_of_flux_form(self, rng):
+        # the implicit step of d_t h + b d_x h - d_x(a d_x h) = f, h = 0 at the
+        # ends, written row by row from the face fluxes F = b h - a d_x h
+        g = make_grid(4.0, 61)
+        dt, b = 0.03, -0.8
+        a = 1.0 + 0.5 * np.sin(g.x) + 0.1 * rng.random(g.n)
+        f = np.cos(2.0 * g.x) + 0.1 * rng.normal(size=g.n)
+        state = np.exp(-((g.x - 2.0) ** 2)) + 0.01 * rng.normal(size=g.n)
+
+        def flux(i):  # F_{i+1/2} as a row acting on h_0 .. h_{n-1}
+            row = np.zeros(g.n)
+            a_face = 0.5 * (a[i] + a[i + 1])
+            row[i] = 0.5 * b + a_face / g.dx
+            row[i + 1] = 0.5 * b - a_face / g.dx
+            return row
+
+        matrix = np.zeros((g.n, g.n))
+        for i in range(1, g.n - 1):
+            matrix[i] = (flux(i) - flux(i - 1)) / g.dx
+            matrix[i, i] += 1.0 / dt
+        expected = np.zeros(g.n)  # h_0 = h_{n-1} = 0: the boundary columns drop out
+        expected[1:-1] = np.linalg.solve(matrix[1:-1, 1:-1], state[1:-1] / dt + f[1:-1])
+        out = linear_parabolic_step(state, a, b, f, g, dt)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     def test_interior_mass_balance_telescopes(self, rng):
         g = make_grid(6.0, 301)
         a = 1.0 + 0.5 * np.sin(g.x)
-        b = 0.3 * np.cos(g.x)
-        coeffs = LinearParabolicCoeffs(a=a, b=b)
+        b = 0.3
         state = np.exp(-((g.x - 3.0) ** 2)) + 0.01 * rng.normal(size=g.n)
-        out = linear_parabolic_step(state, coeffs, g, 0.02, float(state[0]), float(state[-1]))
-        mass_change, net_inflow = interior_flux_balance(state, out, coeffs, g, 0.02)
+        out = linear_parabolic_step(state, a, b, np.zeros(g.n), g, 0.02)
+        mass_change, net_inflow = interior_flux_balance(state, out, a, b, g, 0.02)
         assert mass_change == pytest.approx(net_inflow, rel=1e-11, abs=1e-13)
 
     def test_rejects_nonpositive_diffusion(self):
         g = make_grid(1.0, 33)
         with pytest.raises(ValidationError, match="diffusion"):
-            linear_parabolic_step(np.zeros(g.n), LinearParabolicCoeffs(a=0.0), g, 0.1, 0.0, 0.0)
+            linear_parabolic_step(np.zeros(g.n), np.zeros(g.n), 0.0, np.zeros(g.n), g, 0.1)
 
-    @pytest.mark.parametrize("name", ["a", "b", "c", "f"])
+    @pytest.mark.parametrize("name", ["a", "b", "f"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coefficient_raises_typed_error(self, name, bad):
         g = make_grid(1.0, 33)
-        field = np.ones(g.n)
-        field[10] = bad
-        for value in (field, bad):
-            coeffs = LinearParabolicCoeffs(**{"a": 1.0, name: value})
-            with np.errstate(all="ignore"), \
-                    pytest.raises((ValidationError, TridiagonalSolveError)):
-                linear_parabolic_step(np.zeros(g.n), coeffs, g, 0.1, 1.0, 1.0)
+        coeffs = {"a": np.ones(g.n), "b": 0.5, "f": np.ones(g.n)}
+        if name == "b":
+            coeffs["b"] = bad
+        else:
+            coeffs[name][10] = bad
+        with np.errstate(all="ignore"), \
+                pytest.raises((ValidationError, TridiagonalSolveError)):
+            linear_parabolic_step(np.zeros(g.n), coeffs["a"], coeffs["b"], coeffs["f"], g, 0.1)
 
     @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -0.1])
     def test_rejects_bad_dt(self, dt):
         g = make_grid(1.0, 33)
         with pytest.raises(ValidationError, match="dt must be finite and positive"):
-            linear_parabolic_step(np.zeros(g.n), LinearParabolicCoeffs(a=1.0), g, dt, 0.0, 0.0)
+            linear_parabolic_step(np.zeros(g.n), np.ones(g.n), 0.0, np.zeros(g.n), g, dt)
 
     def test_rejects_coefficient_of_wrong_shape(self):
         g = make_grid(1.0, 33)
-        with pytest.raises(ValidationError, match="shape"):
-            linear_parabolic_step(np.zeros(g.n), LinearParabolicCoeffs(a=np.ones(g.n + 1)),
-                                  g, 0.1, 0.0, 0.0)
+        for a, f in ((np.ones(g.n + 1), np.zeros(g.n)), (1.0, np.zeros(g.n)),
+                     (np.ones(g.n), np.zeros(g.n - 1)), (np.ones(g.n), 0.0)):
+            with pytest.raises(ValidationError, match="shape"):
+                linear_parabolic_step(np.zeros(g.n), a, 0.0, f, g, 0.1)
 
     def test_homogeneous_l2_decay_with_transport(self, rng):
-        # with f=0, c>=0 the step may grow the norm only through transport,
+        # with f=0 the step may grow the norm only through transport,
         # by at most a (1 + C dt) factor
         g = make_grid(6.0, 301)
         dt = 0.01
         b = 0.5
-        coeffs = LinearParabolicCoeffs(a=1.0, b=b, c=0.2)
         state = np.exp(-((g.x - 3.0) ** 2))
-        out = linear_parabolic_step(state, coeffs, g, dt, 0.0, 0.0)
+        out = linear_parabolic_step(state, np.ones(g.n), b, np.zeros(g.n), g, dt)
         n0 = np.sqrt(np.trapezoid(state**2, g.x))
         n1 = np.sqrt(np.trapezoid(out**2, g.x))
         growth_cap = 1.0 + dt * b**2  # measured transport constant C = b^2
@@ -232,6 +243,11 @@ class TestStepV:
     def test_rejects_bad_dt(self, params, grid, reg, wave, dt):
         with pytest.raises(ValidationError, match="dt must be finite and positive"):
             step_v(wave.v_bar, params.s, 0.0, grid, dt, reg, params, wave)
+
+    @pytest.mark.parametrize("source", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scalar_source(self, params, grid, reg, wave, source):
+        with pytest.raises(ValidationError, match="source must be finite"):
+            step_v(wave.v_bar, params.s, source, grid, 1e-3, reg, params, wave)
 
 
 class TestStepU:
