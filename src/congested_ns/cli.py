@@ -46,6 +46,7 @@ from .discrete_ops import NormKind, norm
 from .freeboundary import (
     Trajectory,
     assemble_solution,
+    is_multiple,
     make_path,
     path_h1_norm,
     picard_solve,
@@ -176,15 +177,18 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown preset {cfg.preset!r} (choose from {PRESETS})")
     if cfg.family not in FAMILIES:
         raise ConfigError(f"unknown perturbation.family {cfg.family!r}")
-    if not 0.0 <= cfg.amplitude < math.inf:
-        raise ConfigError(f"perturbation.amplitude must be finite and >= 0 "
-                          f"(got {cfg.amplitude})")
+    for key, values in (("perturbation.amplitude", (cfg.amplitude,)),
+                        ("sweep.amplitudes", cfg.sweep_amplitudes)):
+        bad = [a for a in values if not 0.0 <= a < math.inf]
+        if bad:
+            raise ConfigError(f"{key} must be finite and >= 0 (got {bad[0]})")
     for key in ("time.dt", "time.T_final", "time.window", "tolerances.newton_tol",
-                "tolerances.picard_tol", "tolerances.delta", "grid.R"):
+                "tolerances.picard_tol", "tolerances.delta", "grid.R",
+                "perturbation.width", "perturbation.center"):
         value = getattr(cfg, _KEY_MAP[key][0])
         if value is not None and not 0.0 < value < math.inf:  # window None: the default
             raise ConfigError(f"{key} must be finite and positive (got {value})")
-    if not _is_multiple(cfg.T_final, cfg.dt):
+    if not is_multiple(cfg.T_final, cfg.dt):
         raise ConfigError(f"time.T_final={cfg.T_final:g} must be a multiple of "
                           f"time.dt={cfg.dt:g}")
     if cfg.stride < 1:
@@ -193,18 +197,14 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"grid.n must be at least 16 (got {cfg.n})")
     if cfg.workers < 1:
         raise ConfigError(f"workers must be at least 1 (got {cfg.workers})")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be at least 0 (got {cfg.seed})")
     try:
         cfg.params()
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.preset == "convergence_order":
         _convergence_levels(cfg)
-
-
-def _is_multiple(total: float, step: float) -> bool:
-    """Whether total is a whole number of steps, to 1e-9 relative."""
-    steps = total / step  # inf for a subnormal step, which round() cannot take
-    return steps < 2.0**53 and abs(round(steps) * step - total) <= 1e-9 * max(1.0, total)
 
 
 def _convergence_levels(cfg: RunConfig) -> list[tuple[int, float, int]]:
@@ -220,7 +220,7 @@ def _convergence_levels(cfg: RunConfig) -> list[tuple[int, float, int]]:
         if stride < 1:
             raise ConfigError(f"time.dt={cfg.dt:g} gives the n={n} level of convergence_order "
                               f"the step {dt:g}, too long to store a field every 0.08")
-        if not _is_multiple(cfg.T_final, dt):
+        if not is_multiple(cfg.T_final, dt):
             raise ConfigError(f"time.dt={cfg.dt:g} gives the n={n} level of convergence_order "
                               f"the step {dt:g}, which does not divide "
                               f"time.T_final={cfg.T_final:g}")
@@ -405,7 +405,6 @@ def _run_bootstrap_check(cfg: RunConfig, out: Path) -> dict:
         "delta": cfg.delta,
         "c0": BOOTSTRAP_C0,
         "smallness_ok": e0 <= BOOTSTRAP_C0 * cfg.delta**2,
-        "max_running_beta_h1": monitor["max_running_h1"],
         "decay_ratio_at_T": final_sup / initial_sup if initial_sup > 0 else 0.0,
     })
     records = [{"t": float(t), "check": "bootstrap_running_h1",
@@ -616,6 +615,7 @@ def run(cfg: RunConfig) -> int:
         if hasattr(exc, "t"):
             failure["t"] = exc.t
         (out / "summary.json").write_text(json.dumps(failure, indent=2), encoding="utf-8")
+        print(json.dumps(failure), file=sys.stderr)
         return 2 if isinstance(exc, (ValidationError, ConfigError)) else 1
     summary = {"status": "ok", "preset": cfg.preset,
                "elapsed_seconds": round(time.time() - started, 3), **summary}

@@ -48,6 +48,9 @@ class PhysicalParams:
     u_plus: float
 
     def __post_init__(self) -> None:
+        for name in ("mu", "v_plus", "u_minus", "u_plus"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite (got {getattr(self, name)})")
         if not self.mu > 0.0:
             raise ValidationError(f"mu must be positive (got {self.mu})")
         derive_speed(self.u_minus, self.u_plus, self.v_plus)

@@ -24,6 +24,7 @@ from .discrete_ops import (
     monotone_interpolator,
     norm,
     shift_sample,
+    stencil_derivative,
     tail_integral,
     trace0,
 )
@@ -171,94 +172,85 @@ def initial_energy(init: InitialData, grid: Grid, params: PhysicalParams) -> flo
     )
 
 
+def _uniform_prefix(traj: Trajectory, t: float) -> tuple[int, float]:
+    """The stored snapshots the energy certificates use up to time t: their
+    count m and their uniform spacing dts (1.0 for a single snapshot).
+
+    Snapshots are stored every `stride` steps and at the final time; a
+    trailing final snapshot off that spacing is dropped, because the time
+    derivatives and integrals assume a uniform stored-time mesh.
+    """
+    times = traj.stored_times
+    spacing = np.diff(times)
+    m = times.searchsorted(t + 1e-12, side="right")
+    if m >= 2 and spacing.size >= 2 and abs(spacing[m - 2] - spacing[0]) > 1e-12:
+        m -= 1
+    m = max(m, 1)
+    return m, float(spacing[0]) if m > 1 else 1.0
+
+
+def _time_derivative(F: np.ndarray, dts: float) -> np.ndarray:
+    """Time derivative across the rows of F (one per stored time, spacing
+    dts); zero with fewer than three rows, too few for the second-order
+    rule."""
+    return time_derivative(F, dts) if F.shape[0] >= 3 else np.zeros_like(F)
+
+
+def _squared_l2(fields, x: np.ndarray) -> list[float]:
+    """Squared L2 norms of nodal fields on the nodes x, by the trapezoid rule
+    of norm."""
+    return [np.trapezoid(f**2, x) for f in fields]
+
+
 def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: PhysicalParams,
                   t: float) -> EnergyReport:
     """Assemble the energy functionals from stored snapshots up to time t.
 
     Suprema run over stored snapshots and time derivatives/integrals use the
-    uniformly spaced stored times, so with a coarse snapshot stride the
-    suprema are lower bounds on the continuum values.
+    uniformly spaced stored times (_uniform_prefix), so with a coarse
+    snapshot stride the suprema are lower bounds on the continuum values.
     """
     prof = traj.wave
-    times = traj.stored_times
-    spacing = np.diff(times)
-    m = times.searchsorted(t + 1e-12, side="right")
-    if m >= 2 and spacing.size >= 2 and abs(spacing[m - 2] - spacing[0]) > 1e-12:
-        m -= 1  # drop a trailing unaligned snapshot
-    m = max(m, 1)
-    times = times[:m]
-    dts = float(spacing[0]) if m > 1 else 1.0
-
-    def xnorm(field: np.ndarray, kind: NormKind) -> float:
-        return norm(field, grid, kind)
-
-    def dx(field: np.ndarray, k: int = 1) -> np.ndarray:
-        return derivative(field, grid, k)
-
-    def sup(seq) -> float:
-        return float(max(seq))
-
-    def tint(values) -> float:
-        arr = np.asarray(list(values))
-        if arr.size < 2:
-            return 0.0
-        return float(np.trapezoid(arr, dx=dts))
-
-    def time_derivatives(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """First and second time derivatives across stored snapshots."""
-        if m < 3:
-            return np.zeros_like(F), np.zeros_like(F)
-        Ft = time_derivative(F, dts)
-        return Ft, time_derivative(Ft, dts)
-
-    def integrated_term(i: int) -> float:
-        V = integrated_perturbation(traj.v[i], prof.v_bar, grid)
-        return xnorm(V, NormKind.L2) ** 2 + ydots[i] * V[0] ** 2
-
+    m, dts = _uniform_prefix(traj, t)
     ydots = traj.ydot[traj.stored_idx[:m]]
+    x, dx = grid.x, grid.dx
+
+    # squared L2 norms per stored time, each spatial derivative of a row taken
+    # once; one family of whole-history arrays at a time bounds the peak memory
     G = traj.v[:m] - prof.v_bar
-    Gt, Gtt = time_derivatives(G)
-
-    e0 = sup(integrated_term(i) for i in range(m)) + tint(
-        xnorm(G[i], NormKind.L2) ** 2 for i in range(m))
-
-    e1 = (
-        sup(xnorm(G[i], NormKind.H1) ** 2 for i in range(m))
-        + tint(xnorm(dx(G[i]), NormKind.L2) ** 2 for i in range(m))
-        + tint(xnorm(Gt[i], NormKind.L2) ** 2 for i in range(m))
-    )
-
-    e2 = sup(
-        xnorm(Gt[i], NormKind.L2) ** 2 + xnorm(dx(G[i], 2), NormKind.L2) ** 2
-        for i in range(m)
-    ) + tint(xnorm(dx(Gt[i]), NormKind.L2) ** 2 for i in range(m))
-
-    e3 = (
-        sup(
-            xnorm(dx(Gt[i]), NormKind.L2) ** 2
-            + xnorm(dx(dx(G[i], 2)), NormKind.L2) ** 2
-            for i in range(m)
-        )
-        + tint(xnorm(Gtt[i], NormKind.L2) ** 2 for i in range(m))
-        + tint(xnorm(dx(Gt[i], 2), NormKind.L2) ** 2 for i in range(m))
-    )
-
-    # one family of whole-history arrays at a time bounds the peak memory
+    Gt = _time_derivative(G, dts)
+    Gtt = _time_derivative(Gt, dts)
+    g_sq = np.empty((9, m))
+    V0_sq = np.empty(m)
+    for i in range(m):
+        V = integrated_perturbation(traj.v[i], prof.v_bar, grid)
+        V0_sq[i] = V[0] ** 2
+        gxx = stencil_derivative(G[i], dx, 2)
+        g_sq[:, i] = _squared_l2((V, G[i], stencil_derivative(G[i], dx, 1), gxx,
+                                  stencil_derivative(gxx, dx, 1), Gt[i],
+                                  stencil_derivative(Gt[i], dx, 1),
+                                  stencil_derivative(Gt[i], dx, 2), Gtt[i]), x)
     del G, Gt, Gtt
+    V_sq, g, gx, gxx, gxxx, gt, gtx, gtxx, gtt = g_sq
+
     H = traj.u[:m] - prof.u_bar
-    Ht, Htt = time_derivatives(H)
+    Ht = _time_derivative(H, dts)
+    Htt = _time_derivative(Ht, dts)
+    h_sq = np.empty((7, m))
+    for i in range(m):
+        hx = stencil_derivative(H[i], dx, 1)
+        h_sq[:, i] = _squared_l2((H[i], hx, stencil_derivative(hx, dx, 1), Ht[i],
+                                  stencil_derivative(Ht[i], dx, 1),
+                                  stencil_derivative(Ht[i], dx, 2), Htt[i]), x)
+    del H, Ht, Htt
+    h, hx, hxx, ht, htx, htxx, htt = h_sq
 
-    e4 = (
-        sup(xnorm(H[i], NormKind.H1) ** 2 for i in range(m))
-        + tint(xnorm(dx(H[i]), NormKind.H1) ** 2 for i in range(m))
-        + tint(xnorm(Ht[i], NormKind.L2) ** 2 for i in range(m))
-    )
-
-    e5 = (
-        sup(xnorm(dx(Ht[i]), NormKind.L2) ** 2 for i in range(m))
-        + tint(xnorm(Htt[i], NormKind.L2) ** 2 for i in range(m))
-        + tint(xnorm(dx(Ht[i], 2), NormKind.L2) ** 2 for i in range(m))
-    )
+    e0 = np.max(V_sq + ydots * V0_sq) + np.trapezoid(g, dx=dts)
+    e1 = np.max(g + gx) + np.trapezoid(gx, dx=dts) + np.trapezoid(gt, dx=dts)
+    e2 = np.max(gt + gxx) + np.trapezoid(gtx, dx=dts)
+    e3 = np.max(gtx + gxxx) + np.trapezoid(gtt, dx=dts) + np.trapezoid(gtxx, dx=dts)
+    e4 = np.max(h + hx) + np.trapezoid(hx + hxx, dx=dts) + np.trapezoid(ht, dx=dts)
+    e5 = np.max(htx) + np.trapezoid(htt, dx=dts) + np.trapezoid(htxx, dx=dts)
 
     n_path = int(traj.t.searchsorted(t + 1e-12, side="right"))
     beta_h1 = path_h1_norm(traj.t[:n_path], traj.ydot[:n_path] - params.s)
@@ -442,40 +434,33 @@ def growth_estimate_report(traj: Trajectory, init: InitialData, grid: Grid,
 
     and the constant C it takes to make the bound hold is reported, together
     with the constant of the sharper form that keeps ||g|| on the right.
+    Norms in time run over the stored snapshots of _uniform_prefix, so the
+    horizon T is the last stored time on the stride spacing.
     """
     prof = traj.wave
-    times = traj.stored_times
-    m = times.size
-    dts = float(times[1] - times[0]) if m > 1 else 1.0
+    m, dts = _uniform_prefix(traj, traj.t[-1])
     dvbar = prof.dv_bar
-
-    G_fields = traj.v[:m] - prof.v_bar
-    sup_h1 = max(norm(G_fields[i], grid, NormKind.H1) for i in range(m))
-    dxg_sq = [norm(derivative(G_fields[i], grid, 1), grid, NormKind.L2) ** 2 for i in range(m)]
-    g_sq = [norm(G_fields[i], grid, NormKind.L2) ** 2 for i in range(m)]
     source = init.source_eval
-    src_sq = [norm((0.0 if source is None else source.shifted(traj.y[step]))
-                   + (traj.ydot[step] - params.s) * dvbar, grid, NormKind.L2) ** 2
-              for step in traj.stored_idx[:m]]
 
-    if m >= 3:
-        Gt = time_derivative(G_fields, dts)
-        dtg_sq = [norm(Gt[i], grid, NormKind.L2) ** 2 for i in range(m)]
-    else:
-        dtg_sq = [0.0] * m
+    G = traj.v[:m] - prof.v_bar
+    Gt = _time_derivative(G, dts)
+    sq = np.empty((4, m))
+    for i, step in enumerate(traj.stored_idx[:m]):
+        src = ((0.0 if source is None else source.shifted(traj.y[step]))
+               + (traj.ydot[step] - params.s) * dvbar)
+        sq[:, i] = _squared_l2((G[i], stencil_derivative(G[i], grid.dx, 1), Gt[i], src),
+                               grid.x)
+    g_sq, dxg_sq, dtg_sq, src_sq = sq
 
-    def tint(vals) -> float:
-        arr = np.asarray(vals)
-        return float(np.trapezoid(arr, dx=dts)) if arr.size > 1 else 0.0
-
-    T = float(times[-1])
-    lhs = float(sup_h1 + np.sqrt(tint(dtg_sq)) + np.sqrt(tint(dxg_sq)))
-    g0_h1 = norm(G_fields[0], grid, NormKind.H1)
-    G_l2l2 = float(np.sqrt(tint(src_sq)))
+    T = float(traj.stored_times[m - 1])
+    lhs = float(np.sqrt(np.max(g_sq + dxg_sq)) + np.sqrt(np.trapezoid(dtg_sq, dx=dts))
+                + np.sqrt(np.trapezoid(dxg_sq, dx=dts)))
+    g0_h1 = float(np.sqrt(g_sq[0] + dxg_sq[0]))
+    G_l2l2 = float(np.sqrt(np.trapezoid(src_sq, dx=dts)))
     dvbar_inf = float(np.max(np.abs(dvbar)))
     envelope = float(np.exp((1.0 + dvbar_inf**2) * T))
     base = g0_h1 + G_l2l2
-    plain_base = base + float(np.sqrt(tint(g_sq)))
+    plain_base = base + float(np.sqrt(np.trapezoid(g_sq, dx=dts)))
     return {
         "lhs": lhs,
         "rhs_exponential_factor": base * envelope,

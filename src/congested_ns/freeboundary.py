@@ -160,7 +160,7 @@ class InitialData:
     integrated tails of the volume and effective-velocity perturbations.
     source is the mollified chi d_x w0 that the volume equation transports.
     w0_eval and source_eval evaluate w0 and source at points x >= 0
-    (monotone_interpolator with tails w0_tail and 0); source_eval is None
+    (monotone_interpolator with tails u_plus and 0); source_eval is None
     when the source is identically zero.  validate_hypotheses builds both
     once per datum.
     """
@@ -172,7 +172,6 @@ class InitialData:
     V0: np.ndarray = field(repr=False)
     W0: np.ndarray = field(repr=False)
     source: np.ndarray = field(repr=False)
-    w0_tail: float
     compat_speed: float
     hypothesis_report: dict
     w0_eval: MonotoneInterpolant = field(repr=False, compare=False)
@@ -253,7 +252,6 @@ def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid, params: Phys
     source = truncation_mollifier(grid) * dxw0
     return InitialData(
         v0=v0.copy(), u0=u0.copy(), w0=w0, dxw0=dxw0, V0=V0, W0=W0, source=source,
-        w0_tail=params.u_plus,
         compat_speed=-du0 / dv0,
         hypothesis_report=report,
         w0_eval=monotone_interpolator(w0, grid, params.u_plus),
@@ -405,6 +403,12 @@ def apply_boundary_map(path_in: BoundaryPath, init: InitialData, grid: Grid,
     return make_path(path_in.t, zdot)
 
 
+def is_multiple(total: float, step: float) -> bool:
+    """Whether total is a whole number of steps, to 1e-9 relative."""
+    steps = total / step  # inf for a subnormal step, which round() cannot take
+    return steps < 2.0**53 and abs(round(steps) * step - total) <= 1e-9 * max(1.0, total)
+
+
 def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final: float,
                  dt: float, tol: float = 1e-8, max_iter: int = 25,
                  window: float | None = None, stride: int = 10,
@@ -425,11 +429,12 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     for name, value in (("T_final", T_final), ("dt", dt), ("window", window)):
         if not 0.0 < value < np.inf:
             raise ValidationError(f"{name} must be finite and positive (got {value})")
-    quotient = T_final / dt  # inf for a subnormal dt, which round() cannot take
-    if not (quotient < 2.0**53
-            and abs(round(quotient) * dt - T_final) <= 1e-9 * max(1.0, T_final)):
+    for name, value in (("tol", tol), ("newton_tol", newton_tol)):
+        if not value > 0.0:  # an infinite tol accepts the first iterate
+            raise ValidationError(f"{name} must be positive (got {value})")
+    if not is_multiple(T_final, dt):
         raise ValidationError(f"T_final={T_final:g} must be a multiple of dt={dt:g}")
-    n_total = int(round(quotient))
+    n_total = int(round(T_final / dt))
     steps_per_window = max(1, int(round(window / dt)))
 
     t_all = dt * np.arange(n_total + 1)
@@ -558,7 +563,7 @@ def reconstruction_residuals(traj: Trajectory, init: InitialData, grid: Grid,
 
     The modified system is equivalent to the original one exactly when this
     vanishes, so the residual certifies the reconstruction argument."""
-    targets = shift_sample(init.w0, grid, traj.y[traj.stored_idx], init.w0_tail)
+    targets = shift_sample(init.w0, grid, traj.y[traj.stored_idx], params.u_plus)
     out = np.empty(traj.stored_idx.size)
     for i, target in enumerate(targets):
         w_s = effective_velocity_about_wave(traj.u[i], traj.v[i], grid, params, traj.wave)

@@ -26,8 +26,9 @@ FAMILIES = ("none", "gaussian_bump", "w0_tilt")
 
 def bump_envelope(x: np.ndarray, center: float, width: float) -> np.ndarray:
     """Unit-peak envelope with a triple zero at x = 0 and Gaussian decay."""
-    if center <= 0.0 or width <= 0.0:
-        raise ValidationError("bump center and width must be positive")
+    if not (0.0 < center < np.inf and 0.0 < width < np.inf):
+        raise ValidationError(f"bump center and width must be finite and positive "
+                              f"(got center={center}, width={width})")
     raw = x**3 * np.exp(-((x - center) ** 2) / (2.0 * width**2))
     fine = np.linspace(0.0, center + 8.0 * width, 20001)
     peak = np.max(fine**3 * np.exp(-((fine - center) ** 2) / (2.0 * width**2)))
@@ -41,8 +42,9 @@ def initial_data_fields(family: str, amplitude: float, center: float, width: flo
         raise ValidationError(
             f"unknown perturbation family {family!r} (choose from {FAMILIES})"
         )
-    if amplitude < 0.0:
-        raise ValidationError(f"perturbation amplitude must be >= 0 (got {amplitude})")
+    if not 0.0 <= amplitude < np.inf:
+        raise ValidationError(f"perturbation amplitude must be finite and >= 0 "
+                              f"(got {amplitude})")
     wave = traveling_wave(params, grid)
     v0 = wave.v_bar.copy()
     u0 = wave.u_bar.copy()

@@ -53,8 +53,6 @@ class Profiles:
     dv_bar        -- exact nodal slope of v_bar (from the closed form)
     du_bar        -- exact nodal slope of u_bar, -s dv_bar
     inv_v_bar     -- 1 / v_bar
-    w_bar_right   -- effective velocity on x > 0 (== u_plus)
-    p_bar_left    -- congested-side pressure (== p_minus)
     """
 
     v_bar: np.ndarray = field(repr=False)
@@ -63,8 +61,6 @@ class Profiles:
     dv_bar: np.ndarray = field(repr=False)
     du_bar: np.ndarray = field(repr=False)
     inv_v_bar: np.ndarray = field(repr=False)
-    w_bar_right: float
-    p_bar_left: float
 
     def __post_init__(self) -> None:
         for arr in (self.v_bar, self.u_bar, self.log_v_bar, self.dv_bar, self.du_bar,
@@ -87,8 +83,6 @@ def traveling_wave(params: PhysicalParams, grid: Grid) -> Profiles:
         dv_bar=dv_bar,
         du_bar=-params.s * dv_bar,
         inv_v_bar=1.0 / v_bar,
-        w_bar_right=params.u_plus,
-        p_bar_left=params.p_minus,
     )
 
 

@@ -76,6 +76,14 @@ def test_invalid_physics_rejected():
         config_from_mapping({"params.u_minus": "0.0", "params.u_plus": "0.0"})
 
 
+@pytest.mark.parametrize("key", ["params.mu", "params.v_plus", "params.u_minus",
+                                 "params.u_plus"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_physics_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"{key.split('.')[1]} must be finite"):
+        config_from_mapping({key: value})
+
+
 def test_override_precedence(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("preset = steady_wave\ngrid.n = 257\n")
@@ -94,7 +102,10 @@ def test_bad_override_rejected(tmp_path):
                                       "time.T_final=inf", "time.dt=inf",
                                       "tolerances.newton_tol=nan", "time.window=nan",
                                       "tolerances.picard_tol=-1e-8", "time.dt=0.003",
-                                      "perturbation.amplitude=nan"])
+                                      "perturbation.amplitude=nan", "perturbation.width=nan",
+                                      "perturbation.width=-1", "perturbation.center=0",
+                                      "seed=-1", "sweep.amplitudes=-1",
+                                      "sweep.amplitudes=0.001,nan"])
 def test_bad_time_and_grid_fields_rejected_when_parsed(tmp_path, capsys, override):
     out = tmp_path / "out"
     code = main(["--preset", "steady_wave", "--out-dir", str(out), "--override", override])
@@ -226,7 +237,7 @@ def test_solver_failure_keeps_its_type_and_time(tmp_path, monkeypatch):
     assert summary["t"] == pytest.approx(0.03)
 
 
-def test_unexpected_exception_writes_internal_record(tmp_path, monkeypatch):
+def test_unexpected_exception_writes_internal_record(tmp_path, monkeypatch, capsys):
     def broken_runner(cfg, out):
         return np.ones(3) @ np.ones(4)  # a numpy ValueError, a defect of the runner
 
@@ -238,6 +249,10 @@ def test_unexpected_exception_writes_internal_record(tmp_path, monkeypatch):
     assert summary["kind"] == "internal"
     assert summary["exception"] == "ValueError"
     assert "broken_runner" in summary["where"]
+    # the same record, as one JSON line on the terminal
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == summary
 
 
 def test_appendix_lemmas_preset(tmp_path):

@@ -40,6 +40,14 @@ def test_params_rejects_bad_viscosity():
         PhysicalParams(mu=0.0, v_plus=2.0, u_minus=1.0, u_plus=0.0)
 
 
+@pytest.mark.parametrize("name", ["mu", "v_plus", "u_minus", "u_plus"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_params_reject_non_finite_values(name, value):
+    fields = {"mu": 1.0, "v_plus": 2.0, "u_minus": 1.0, "u_plus": 0.0, name: value}
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        PhysicalParams(**fields)
+
+
 @given(
     mu=st.floats(0.05, 20.0),
     v_plus=st.floats(1.01, 50.0),

@@ -360,6 +360,28 @@ class TestEnergies:
         assert rep.horizon_total == pytest.approx(rep.initial_total + rep.beta_h1**2,
                                                   rel=1e-14)
 
+    def test_energies_match_an_independent_recomputation(self, params, bump_run):
+        # first energy levels of the volume (e1) and velocity (e4) from norm
+        # calls on every stored row, with np.gradient as the time derivative
+        grid, init, traj = bump_run
+        rep = energy_report(traj, init, grid, params, 0.5)
+        times = traj.stored_times
+        assert times[-1] == pytest.approx(0.5)  # stride 25 divides the 250 steps
+        dts = times[1] - times[0]
+
+        def first_level(fields, background, dx_norm):
+            F = fields - background
+            Ft = np.gradient(F, dts, axis=0, edge_order=2)
+            sup = max(norm(f, grid, NormKind.H1) ** 2 for f in F)
+            dx_sq = [norm(derivative(f, grid, 1), grid, dx_norm) ** 2 for f in F]
+            dt_sq = [norm(ft, grid, NormKind.L2) ** 2 for ft in Ft]
+            return sup + np.trapezoid(dx_sq, dx=dts) + np.trapezoid(dt_sq, dx=dts)
+
+        assert rep.e1 == pytest.approx(first_level(traj.v, traj.wave.v_bar, NormKind.L2),
+                                       rel=1e-13)
+        assert rep.e4 == pytest.approx(first_level(traj.u, traj.wave.u_bar, NormKind.H1),
+                                       rel=1e-13)
+
     def test_energies_positive_for_perturbation(self, params, bump_run):
         grid, init, traj = bump_run
         rep = energy_report(traj, init, grid, params, 0.5)
@@ -383,6 +405,18 @@ class TestEnergies:
         assert rep["lhs"] >= 0.0
         assert rep["measured_constant"] <= 1.0  # bound holds with constant 1 here
         assert np.isfinite(rep["measured_constant_plain"])
+
+    def test_growth_estimate_drops_an_unaligned_final_snapshot(self, params, bump_run):
+        # stride 60 stores t = 0, 0.12, ..., 0.48 and the final 0.5; the time
+        # norms run over the uniform stored times, as in energy_report
+        grid, init, traj = bump_run
+        coarse = picard_solve(init, grid, params, T_final=0.5, dt=2e-3, tol=1e-9, stride=60)
+        rep = growth_estimate_report(coarse, init, grid, params)
+        assert rep["horizon"] == pytest.approx(0.48, abs=1e-12)
+        aligned = growth_estimate_report(traj, init, grid, params)
+        assert aligned["horizon"] == pytest.approx(0.5, abs=1e-12)
+        assert rep["measured_constant_plain"] == pytest.approx(
+            aligned["measured_constant_plain"], rel=5e-3)
 
     def test_growth_estimate_builds_no_interpolant(self, params, bump_run, monkeypatch):
         grid, init, traj = bump_run

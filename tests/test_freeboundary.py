@@ -285,7 +285,10 @@ class TestPicard:
         {"window": np.inf}, {"T_final": np.nan}, {"T_final": np.inf}, {"T_final": 0.0},
         {"T_final": -0.1}, {"dt": np.nan}, {"dt": np.inf}, {"dt": -1e-2},
         # finite and positive, but T_final / dt overflows
-        {"dt": 1e-310}])
+        {"dt": 1e-310},
+        # a bad tolerance, not a PicardStalled or NewtonDiverged after marching
+        {"tol": np.nan}, {"tol": 0.0}, {"tol": -1e-8},
+        {"newton_tol": np.nan}, {"newton_tol": 0.0}])
     def test_rejects_bad_stride_and_window(self, params, small_grid, wave_init, kwargs):
         # a typed error, not the OverflowError or ValueError of round()
         with pytest.raises(ValidationError, match=next(iter(kwargs))):

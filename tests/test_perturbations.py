@@ -45,3 +45,17 @@ def test_unknown_family_rejected(params, grid):
 def test_negative_amplitude_rejected(params, grid):
     with pytest.raises(ValidationError, match="amplitude"):
         initial_data_fields("gaussian_bump", -0.1, 2.0, 0.5, params, grid)
+
+
+@pytest.mark.parametrize("amplitude", [np.nan, np.inf])
+def test_non_finite_amplitude_rejected(params, grid, amplitude):
+    with pytest.raises(ValidationError, match="amplitude"):
+        initial_data_fields("gaussian_bump", amplitude, 2.0, 0.5, params, grid)
+
+
+@pytest.mark.parametrize("center, width", [(0.0, 0.5), (-1.0, 0.5), (np.nan, 0.5),
+                                           (np.inf, 0.5), (2.0, 0.0), (2.0, -1.0),
+                                           (2.0, np.nan), (2.0, np.inf)])
+def test_bad_center_or_width_rejected(params, grid, center, width):
+    with pytest.raises(ValidationError, match="center and width"):
+        initial_data_fields("gaussian_bump", 0.01, center, width, params, grid)

@@ -22,8 +22,6 @@ def test_wave_anchoring_and_endpoints(params, grid, wave):
     assert wave.u_bar[0] == pytest.approx(params.u_minus, abs=1e-14)
     assert wave.v_bar[-1] == pytest.approx(params.v_plus, abs=1e-12)
     assert wave.u_bar[-1] == pytest.approx(params.u_plus, abs=1e-12)
-    assert wave.w_bar_right == params.u_plus
-    assert wave.p_bar_left == params.p_minus
 
 
 def test_wave_value_at_half():
