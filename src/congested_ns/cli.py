@@ -201,6 +201,7 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"seed must be at least 0 (got {cfg.seed})")
     try:
         cfg.params()
+        make_grid(cfg.R, cfg.n)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.preset == "convergence_order":
@@ -306,43 +307,38 @@ def _trajectory_csv(path: Path, traj: Trajectory) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def _snapshot_file(path: Path, traj: Trajectory, grid, params, t_index: int) -> None:
+def _snapshot_file(path: Path, traj: Trajectory, t_index: int) -> None:
+    grid, params = traj.grid, traj.params
     x, v, u, p = assemble_solution(traj, grid, params, t_index)
-    w = np.empty_like(u)
-    n_left = x.size - grid.n
-    w[:n_left] = params.u_minus
-    w[n_left:] = effective_velocity_about_wave(traj.u[t_index], traj.v[t_index], grid, params,
-                                               traj.wave)
+    w = np.concatenate((np.full(x.size - grid.n, params.u_minus),
+                        effective_velocity_about_wave(traj.u[t_index], traj.v[t_index], grid,
+                                                      params, traj.wave)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x v u w p\n")
         for row in zip(x, v, u, w, p):
             fh.write(" ".join(fmt(val) for val in row) + "\n")
 
 
-def _solve_from_config(cfg: RunConfig):
+def _solve_from_config(cfg: RunConfig) -> Trajectory:
     params = cfg.params()
     grid = make_grid(cfg.R, cfg.n)
     v0, u0 = initial_data_fields(cfg.family, cfg.amplitude, cfg.center, cfg.width,
                                  params, grid)
     init = validate_hypotheses(v0, u0, grid, params)
-    traj = picard_solve(init, grid, params, T_final=cfg.T_final, dt=cfg.dt,
+    return picard_solve(init, grid, params, T_final=cfg.T_final, dt=cfg.dt,
                         tol=cfg.picard_tol, window=cfg.window, stride=cfg.stride,
                         newton_tol=cfg.newton_tol)
-    return params, grid, init, traj
 
 
-def _run_summary(cfg: RunConfig, grid, params, init, traj: Trajectory) -> dict:
-    sup_v = max(float(np.max(np.abs(traj.v[i] - traj.wave.v_bar)))
-                for i in range(traj.stored_idx.size))
-    sup_u = max(float(np.max(np.abs(traj.u[i] - traj.wave.u_bar)))
-                for i in range(traj.stored_idx.size))
+def _run_summary(cfg: RunConfig, traj: Trajectory) -> dict:
+    grid, params, init = traj.grid, traj.params, traj.init
     monitor = bootstrap_monitor(traj.path, params, cfg.delta)
     recon = reconstruction_residuals(traj, init, grid, params)
     return {
         "converged": True,
         "iterations_per_window": [w.iterations for w in traj.windows],
-        "max_drift_v_linf": sup_v,
-        "max_drift_u_linf": sup_u,
+        "max_drift_v_linf": float(np.max(np.abs(traj.v - traj.wave.v_bar))),
+        "max_drift_u_linf": float(np.max(np.abs(traj.u - traj.wave.u_bar))),
         "max_drift_speed": float(np.max(np.abs(traj.ydot - params.s))),
         "max_drift_pressure": float(np.max(np.abs(traj.p_s - params.p_minus))),
         "beta_h1": path_h1_norm(traj.t, traj.ydot - params.s),
@@ -354,20 +350,19 @@ def _run_summary(cfg: RunConfig, grid, params, init, traj: Trajectory) -> dict:
     }
 
 
-def _emit_trajectory_outputs(out: Path, tag: str, cfg: RunConfig, grid, params, init,
-                             traj: Trajectory) -> dict:
-    _trajectory_csv(out / f"trajectory{tag}.csv", traj)
+def _emit_trajectory_outputs(out: Path, cfg: RunConfig, traj: Trajectory) -> dict:
+    _trajectory_csv(out / "trajectory.csv", traj)
     picks = sorted({0, traj.stored_idx.size // 2, traj.stored_idx.size - 1})
     for t_index in picks:
         t_val = traj.t[traj.stored_idx[t_index]]
-        _snapshot_file(out / f"snapshot{tag}_t{t_val:.6g}.txt", traj, grid, params, t_index)
-    return _run_summary(cfg, grid, params, init, traj)
+        _snapshot_file(out / f"snapshot_t{t_val:.6g}.txt", traj, t_index)
+    return _run_summary(cfg, traj)
 
 
 def _run_steady_wave(cfg: RunConfig, out: Path) -> dict:
-    params, grid, init, traj = _solve_from_config(cfg)
-    summary = _emit_trajectory_outputs(out, "", cfg, grid, params, init, traj)
-    report = energy_report(traj, init, grid, params, cfg.T_final)
+    traj = _solve_from_config(cfg)
+    summary = _emit_trajectory_outputs(out, cfg, traj)
+    report = energy_report(traj, traj.init, traj.grid, traj.params, cfg.T_final)
     summary["energies"] = {k: getattr(report, k) for k in
                            ("e0", "e1", "e2", "e3", "e4", "e5",
                             "initial_total", "horizon_total", "beta_h1")}
@@ -375,11 +370,12 @@ def _run_steady_wave(cfg: RunConfig, out: Path) -> dict:
 
 
 def _run_trace_suite(cfg: RunConfig, out: Path) -> dict:
-    params, grid, init, traj = _solve_from_config(cfg)
-    summary = _emit_trajectory_outputs(out, "", cfg, grid, params, init, traj)
+    traj = _solve_from_config(cfg)
+    summary = _emit_trajectory_outputs(out, cfg, traj)
     records = []
     worst = {"residual_value": 0.0, "residual_slope": 0.0, "residual_second_order": 0.0}
-    reports = trace_identities(traj, init, grid, params, range(traj.stored_idx.size))
+    reports = trace_identities(traj, traj.init, traj.grid, traj.params,
+                               range(traj.stored_idx.size))
     for i, rep in enumerate(reports):
         t_val = float(traj.t[traj.stored_idx[i]])
         for key in worst:
@@ -395,10 +391,10 @@ def _run_trace_suite(cfg: RunConfig, out: Path) -> dict:
 
 
 def _run_bootstrap_check(cfg: RunConfig, out: Path) -> dict:
-    params, grid, init, traj = _solve_from_config(cfg)
-    summary = _emit_trajectory_outputs(out, "", cfg, grid, params, init, traj)
+    traj = _solve_from_config(cfg)
+    summary = _emit_trajectory_outputs(out, cfg, traj)
     e0 = summary["initial_energy"]
-    monitor = bootstrap_monitor(traj.path, params, cfg.delta)
+    monitor = bootstrap_monitor(traj.path, traj.params, cfg.delta)
     initial_sup = float(np.max(np.abs(traj.v[0] - traj.wave.v_bar)))
     final_sup = float(np.max(np.abs(traj.v[-1] - traj.wave.v_bar)))
     summary.update({
@@ -418,13 +414,10 @@ def _run_bootstrap_check(cfg: RunConfig, out: Path) -> dict:
 def _sweep_one(args: tuple) -> dict:
     cfg_kwargs, amplitude = args
     cfg = replace(RunConfig(**cfg_kwargs), amplitude=amplitude)
-    params, grid, init, traj = _solve_from_config(cfg)
+    traj = _solve_from_config(cfg)
     _trajectory_csv(Path(cfg.out_dir) / f"trajectory_amp{amplitude:g}.csv", traj)
-    summary = _run_summary(cfg, grid, params, init, traj)
-    summary["amplitude"] = amplitude
-    summary["min_v"] = float(np.min(traj.v))
-    summary["max_v"] = float(np.max(traj.v))
-    return summary
+    return {**_run_summary(cfg, traj), "amplitude": amplitude,
+            "min_v": float(np.min(traj.v)), "max_v": float(np.max(traj.v))}
 
 
 def _run_stability_sweep(cfg: RunConfig, out: Path) -> dict:
@@ -449,7 +442,7 @@ def _run_convergence_order(cfg: RunConfig, out: Path) -> dict:
     trajs = {}
     for n, dt, stride in _convergence_levels(cfg):
         lcfg = replace(cfg, n=n, dt=dt, stride=stride, picard_tol=1e-10)
-        params, grid, init, traj = _solve_from_config(lcfg)
+        traj = _solve_from_config(lcfg)
         _trajectory_csv(out / f"trajectory_n{n}.csv", traj)
         trajs[n] = traj
 

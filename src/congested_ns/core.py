@@ -53,7 +53,13 @@ class PhysicalParams:
                 raise ValidationError(f"{name} must be finite (got {getattr(self, name)})")
         if not self.mu > 0.0:
             raise ValidationError(f"mu must be positive (got {self.mu})")
-        derive_speed(self.u_minus, self.u_plus, self.v_plus)
+        # boundary_slope_constants divides by mu^2, the trace identities by
+        # mu^3, p_minus squares s: each power must be a positive finite float
+        s = derive_speed(self.u_minus, self.u_plus, self.v_plus)
+        for name, value, power in (("mu", self.mu, 3), ("s", s, 2)):
+            if not 0.0 < math.prod([value] * power) < math.inf:
+                raise ValidationError(f"{name}={value:g} is out of range: {name}^{power} is "
+                                      "not a positive finite float")
 
     @property
     def s(self) -> float:
@@ -86,6 +92,9 @@ def make_grid(R: float, n: int) -> Grid:
     if n < 16:
         raise ValidationError(f"node count n must be at least 16 (got {n})")
     dx = R / (n - 1)
+    if not 0.0 < dx * dx < math.inf:  # the diffusion stencils divide by it
+        raise ValidationError(f"domain length R={R:g} gives the spacing dx={dx:g}, whose "
+                              f"square {dx * dx:g} is not a positive finite float")
     x = np.linspace(0.0, R, n)
     return Grid(R=float(R), n=int(n), dx=dx, x=x)
 

@@ -15,6 +15,7 @@ map is a contraction, chaining the state from one window to the next.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -232,7 +233,7 @@ def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid, params: Phys
     record("H2: weighted regularity of w0", np.isfinite(sqrtx_dw) and np.isfinite(sqrtx_d2w),
            {"sqrtx_dxw0_L2": sqrtx_dw, "sqrtx_dx2w0_L2": sqrtx_d2w})
 
-    h3 = -(du0**2) / dv0 - mu * dv0 * du0 + mu * d2u0 if dv0 != 0.0 else np.inf
+    h3 = -(du0 * du0) / dv0 - mu * dv0 * du0 + mu * d2u0 if dv0 != 0.0 else np.inf
     record("H3: compatibility bracket at 0", abs(h3) <= h3_tol,
            {"residual": float(h3), "tol": h3_tol})
 
@@ -354,17 +355,18 @@ class Trajectory:
 
 def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
            init: InitialData, grid: Grid, params: PhysicalParams, wave: Profiles,
-           dt: float, newton_tol: float, t_start: float,
-           keep_fields: bool) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+           dt: float, newton_tol: float, t_start: float, keep: set[int] | tuple = ()
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Advance the fields along a given path (speeds ydot, global positions
     y); return re-derived speeds (_start_speed at the first node, then
-    boundary_velocity after every step).  A solver failure is re-raised with
+    boundary_velocity after every step), the last state, and the (v, u) of
+    each window-local step in `keep`, in step order, uncopied: step_v and
+    step_u never write to their inputs.  A solver failure is re-raised with
     its time as attribute `t`."""
     steps = ydot.size - 1
     zdot = np.empty(ydot.size)
     zdot[0] = _start_speed(u, y[0], t_start, init, grid, params, wave)
-    vs = [v.copy()] if keep_fields else []
-    us = [u.copy()] if keep_fields else []
+    kept = []
     reg = regularized_log(2.0 * float(np.max(init.v0)))
     w0_y = init.w0_at(y)
 
@@ -377,10 +379,9 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
         except RuntimeError as exc:
             exc.t = t_start + k * dt
             raise
-        if keep_fields:
-            vs.append(v.copy())
-            us.append(u.copy())
-    return zdot, vs, us
+        if k in keep:
+            kept.append((v, u))
+    return zdot, v, u, kept
 
 
 def apply_boundary_map(path_in: BoundaryPath, init: InitialData, grid: Grid,
@@ -397,9 +398,8 @@ def apply_boundary_map(path_in: BoundaryPath, init: InitialData, grid: Grid,
             f"expected the data-determined value {init.compat_speed:g} "
             f"within {compat_tol:g}"
         )
-    zdot, _, _ = _march(init.v0.copy(), init.u0.copy(), path_in.ydot, path_in.y, init, grid,
-                        params, traveling_wave(params, grid), dt, newton_tol,
-                        t_start=0.0, keep_fields=False)
+    zdot, *_ = _march(init.v0, init.u0, path_in.ydot, path_in.y, init, grid, params,
+                      traveling_wave(params, grid), dt, newton_tol, t_start=0.0)
     return make_path(path_in.t, zdot)
 
 
@@ -422,8 +422,8 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     converged path and the next window starts from it, at _start_speed.  The
     wave background is sampled once and kept on the trajectory as `wave`.
     """
-    if stride < 1:
-        raise ValidationError(f"stride must be at least 1 (got {stride})")
+    if not (isinstance(stride, Integral) and stride >= 1):  # range() takes no float
+        raise ValidationError(f"stride must be an integer of at least 1 (got {stride!r})")
     if window is None:
         window = 0.25 / params.s
     for name, value in (("T_final", T_final), ("dt", dt), ("window", window)):
@@ -440,14 +440,15 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     t_all = dt * np.arange(n_total + 1)
     y_all = np.zeros(n_total + 1)
     ydot_all = np.zeros(n_total + 1)
-    stored_idx = [0]
-    vs_stored = [init.v0.copy()]
-    us_stored = [init.u0.copy()]
+    # the multiples of stride and the last step, through range: stride may
+    # exceed every numpy integer type
+    stored_idx = np.array([*range(0, n_total, stride), n_total])
+    v_stored, u_stored = np.empty((2, stored_idx.size, grid.n))
+    v_stored[0], u_stored[0] = init.v0, init.u0
     windows: list[WindowReport] = []
 
     wave = traveling_wave(params, grid)
-    v = init.v0.copy()
-    u = init.u0.copy()
+    v, u = init.v0, init.u0
     y_offset = 0.0
     k_done = 0
     ydot_all[0] = init.compat_speed
@@ -466,8 +467,8 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
         h2_distances: list[float] = []
         converged = False
         for _ in range(max_iter):
-            zdot, _, _ = _march(v.copy(), u.copy(), ydot, y, init, grid, params, wave,
-                                dt, newton_tol, t_start, keep_fields=False)
+            zdot, *_ = _march(v, u, ydot, y, init, grid, params, wave, dt, newton_tol,
+                              t_start)
             d = path_h1_norm(t_loc, zdot - ydot)
             if distances:
                 ratios.append(d / distances[-1] if distances[-1] > 0 else 0.0)
@@ -488,27 +489,21 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
                                     distances=distances, ratios=ratios,
                                     h2_distances=h2_distances))
 
-        # definitive pass along the converged path, keeping fields
-        zdot, vs, us = _march(v.copy(), u.copy(), ydot, y, init, grid, params, wave,
-                              dt, newton_tol, t_start, keep_fields=True)
+        # definitive pass along the converged path, keeping the stored fields
+        rows = np.flatnonzero((stored_idx > k_done) & (stored_idx <= k_done + steps))
+        _, v, u, kept = _march(v, u, ydot, y, init, grid, params, wave, dt, newton_tol,
+                               t_start, keep=set((stored_idx[rows] - k_done).tolist()))
+        for r, (v_k, u_k) in zip(rows, kept):
+            v_stored[r], u_stored[r] = v_k, u_k
         y_all[k_done + 1:k_done + steps + 1] = y[1:]
         ydot_all[k_done + 1:k_done + steps + 1] = ydot[1:]
-        for k in range(1, steps + 1):
-            idx = k_done + k
-            if idx % stride == 0 or idx == n_total:
-                stored_idx.append(idx)
-                vs_stored.append(vs[k])
-                us_stored.append(us[k])
-        v = vs[-1]
-        u = us[-1]
         y_offset = y[-1]
         k_done += steps
 
     return Trajectory(
         t=t_all, y=y_all, ydot=ydot_all,
         p_s=ydot_all * (params.u_minus - init.w0_eval(y_all)),
-        stored_idx=np.asarray(stored_idx, dtype=int),
-        v=np.asarray(vs_stored), u=np.asarray(us_stored),
+        stored_idx=stored_idx, v=v_stored, u=u_stored,
         windows=windows, grid=grid, params=params, init=init, wave=wave,
     )
 

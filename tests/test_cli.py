@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from congested_ns import cli, freeboundary
 from congested_ns.cli import (
@@ -116,6 +119,53 @@ def test_bad_time_and_grid_fields_rejected_when_parsed(tmp_path, capsys, overrid
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", ["params.mu=1e-300", "params.mu=1e300", "grid.R=1e300",
+                                      "grid.R=1e-300"])
+def test_out_of_range_finite_fields_rejected_when_parsed(tmp_path, capsys, override):
+    # finite, but the wave's slopes or the grid spacing would leave float
+    # range inside the run (once a ZeroDivisionError or OverflowError)
+    out = tmp_path / "out"
+    code = main(["--preset", "steady_wave", "--out-dir", str(out), "--override", override,
+                 "--override", "grid.n=129", "--override", "time.T_final=0.01"])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["kind"] == "ConfigError"
+    key, value = override.split("=")
+    assert f"{key.split('.')[1]}={float(value):g}" in record["message"]
+    assert not out.exists()
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@given(mu=_log_uniform(-300, 300), R=_log_uniform(-300, 300),
+       v_plus_minus_1=_log_uniform(-4, 4), u_plus=st.floats(-10.0, 10.0), jump=_log_uniform(-4, 4),
+       amplitude=st.one_of(st.just(0.0), _log_uniform(-8, 0.5)), dt=_log_uniform(-8, 1))
+@settings(max_examples=80, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow inside degenerate runs
+def test_any_finite_input_ends_ok_or_typed(tmp_path_factory, mu, R, v_plus_minus_1, u_plus,
+                                           jump, amplitude, dt):
+    # a two-step run on a small grid: exit 0, or exit 1 or 2 with a typed
+    # failure record, never kind "internal"
+    fields = {"params.mu": mu, "grid.R": R, "params.v_plus": 1.0 + v_plus_minus_1,
+              "params.u_plus": u_plus, "params.u_minus": u_plus + jump,
+              "perturbation.amplitude": amplitude, "time.dt": dt, "time.T_final": 2.0 * dt}
+    args = ["--preset", "steady_wave", "--out-dir", str(tmp_path_factory.mktemp("run")),
+            "--override", "perturbation.family=gaussian_bump", "--override", "grid.n=129"]
+    for key, value in fields.items():
+        args += ["--override", f"{key}={value!r}"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(args)
+    if code == 0:
+        return
+    record = json.loads(err.getvalue().strip().splitlines()[-1])
+    assert code in (1, 2)
+    assert record["status"] == "error"
+    assert record["kind"] != "internal", record
+
+
 @pytest.mark.parametrize("dt", ["0.01", "0.0032"])
 def test_convergence_order_levels_rejected_when_parsed(tmp_path, capsys, dt):
     # the n=513 level steps 16 * time.dt: 0.16 stores no field every 0.08,
@@ -171,11 +221,21 @@ def test_running_h1_column_is_the_bootstrap_monitor_norm(tmp_path):
     assert run(cfg) == 0
     rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
     column = np.array([float(row.split(",")[-1]) for row in rows])
-    _, _, _, traj = _solve_from_config(cfg)
+    traj = _solve_from_config(cfg)
     monitor = bootstrap_monitor(traj.path, traj.params, cfg.delta)
     np.testing.assert_array_equal(column, monitor["running_h1"][traj.stored_idx])
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert column[-1] == summary["beta_h1"]
+
+
+def test_stride_beyond_every_integer_type_runs(tmp_path):
+    out = tmp_path / "run"
+    code = main(["--preset", "steady_wave", "--out-dir", str(out), "--override", "grid.n=129",
+                 "--override", "time.T_final=0.02", "--override", "time.dt=0.01",
+                 "--override", "time.stride=100000000000000000000"])
+    assert code == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.02]
 
 
 def test_malformed_config_exit_code(tmp_path, capsys):

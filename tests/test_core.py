@@ -48,6 +48,26 @@ def test_params_reject_non_finite_values(name, value):
         PhysicalParams(**fields)
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"mu": 1e-300}, "mu"), ({"mu": 1e300}, "mu"), ({"mu": 1e-110}, "mu"),
+    ({"mu": 1e110}, "mu"),
+    # s = u_minus - u_plus with v_plus = 2
+    ({"u_minus": 1e160}, "s"), ({"u_minus": 1e-170}, "s"),
+])
+def test_params_reject_values_whose_powers_leave_float_range(fields, name):
+    # finite, but boundary_slope_constants, p_minus or the trace identities
+    # would divide by zero or overflow
+    with pytest.raises(ValidationError, match=f"{name}=.* out of range"):
+        PhysicalParams(**{"mu": 1.0, "v_plus": 2.0, "u_minus": 1.0, "u_plus": 0.0, **fields})
+
+
+def test_params_accept_wide_finite_ranges():
+    for mu in (1e-100, 1e100):
+        assert PhysicalParams(mu=mu, v_plus=2.0, u_minus=1.0, u_plus=0.0).mu == mu
+    fast = PhysicalParams(mu=1.0, v_plus=2.0, u_minus=1e150, u_plus=0.0)
+    assert fast.p_minus == pytest.approx(1e300)
+
+
 @given(
     mu=st.floats(0.05, 20.0),
     v_plus=st.floats(1.01, 50.0),
@@ -84,6 +104,11 @@ def test_make_grid_rejections():
         make_grid(1.0, 2)
     with pytest.raises(ValidationError):
         make_grid(-5.0, 100)
+    # finite R whose spacing squared overflows or underflows
+    for R in (1e300, 1e-300, math.inf):
+        with pytest.raises(ValidationError, match="spacing dx"):
+            make_grid(R, 129)
+    assert make_grid(1e150, 129).dx == 1e150 / 128
 
 
 def test_grid_is_immutable():

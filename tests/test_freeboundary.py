@@ -281,7 +281,7 @@ class TestPicard:
         np.testing.assert_array_equal(_first_guess(1.25, 10, 0.01, None), np.full(11, 1.25))
 
     @pytest.mark.parametrize("kwargs", [
-        {"stride": 0}, {"window": -1.0}, {"window": 0.0}, {"window": np.nan},
+        {"stride": 0}, {"stride": 2.5}, {"stride": 10.0}, {"window": -1.0}, {"window": 0.0}, {"window": np.nan},
         {"window": np.inf}, {"T_final": np.nan}, {"T_final": np.inf}, {"T_final": 0.0},
         {"T_final": -0.1}, {"dt": np.nan}, {"dt": np.inf}, {"dt": -1e-2},
         # finite and positive, but T_final / dt overflows
@@ -327,6 +327,36 @@ class TestPicard:
             picard_solve(bump_init, small_grid, params, T_final=T_final, dt=1e-2,
                          window=0.05)
         assert builds == []
+
+    def test_stored_rows_are_the_steps_of_an_every_step_solve(self, params, small_grid,
+                                                              bump_init):
+        # stride 7 divides neither the 25-step window nor the 53 steps, so
+        # stored steps fall inside windows and the last one is unaligned
+        every, strided = (picard_solve(bump_init, small_grid, params, T_final=0.53, dt=0.01,
+                                       window=0.25, stride=stride) for stride in (1, 7))
+        np.testing.assert_array_equal(strided.stored_idx, [0, 7, 14, 21, 28, 35, 42, 49, 53])
+        np.testing.assert_array_equal(every.stored_idx, np.arange(54))
+        assert strided.stored_idx.dtype.kind == "i"
+        np.testing.assert_array_equal(strided.v, every.v[strided.stored_idx])
+        np.testing.assert_array_equal(strided.u, every.u[strided.stored_idx])
+        # every row is the state of its step, stepped along the solved path
+        wave = traveling_wave(params, small_grid)
+        reg = regularized_log(2.0 * float(np.max(bump_init.v0)))
+        v, u = bump_init.v0, bump_init.u0
+        for k in range(1, every.t.size):
+            src = bump_init.source_eval.shifted(every.y[k])
+            v = step_v(v, every.ydot[k], src, small_grid, 0.01, reg, params, wave)
+            u = step_u(u, v, every.ydot[k], small_grid, 0.01, params, wave)
+            assert every.v[k].tobytes() == v.tobytes()
+            assert every.u[k].tobytes() == u.tobytes()
+
+    def test_stride_beyond_every_integer_type_stores_first_and_last(
+            self, params, small_grid, bump_init):
+        traj = picard_solve(bump_init, small_grid, params, T_final=0.05, dt=1e-2,
+                            stride=10**20)
+        np.testing.assert_array_equal(traj.stored_idx, [0, 5])
+        assert traj.stored_idx.dtype.kind == "i"
+        assert traj.v.shape == traj.u.shape == (2, small_grid.n)
 
     def test_trajectory_shapes_and_pressure_identity(self, params, small_grid, bump_init):
         traj = picard_solve(bump_init, small_grid, params, T_final=0.2, dt=2e-3,
