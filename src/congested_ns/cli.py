@@ -48,7 +48,6 @@ from .freeboundary import (
     assemble_solution,
     is_multiple,
     make_path,
-    path_h1_norm,
     picard_solve,
     reconstruction_residuals,
     running_h1_norm,
@@ -291,9 +290,9 @@ def config_lines(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trajectory_csv(path: Path, traj: Trajectory) -> None:
+def _trajectory_csv(path: Path, traj: Trajectory, beta_running: np.ndarray) -> None:
+    """One row per stored time; beta_running is running_h1_norm of ydot - s."""
     grid = traj.grid
-    beta_running = running_h1_norm(traj.t, traj.ydot - traj.params.s)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,xtilde,xtilde_dot,p_s,l2_v_err,h1_v_err,l2_u_err,beta_h1_running\n")
         for i, step in enumerate(traj.stored_idx):
@@ -330,9 +329,8 @@ def _solve_from_config(cfg: RunConfig) -> Trajectory:
                         newton_tol=cfg.newton_tol)
 
 
-def _run_summary(cfg: RunConfig, traj: Trajectory) -> dict:
+def _run_summary(traj: Trajectory, monitor: dict) -> dict:
     grid, params, init = traj.grid, traj.params, traj.init
-    monitor = bootstrap_monitor(traj.path, params, cfg.delta)
     recon = reconstruction_residuals(traj, init, grid, params)
     return {
         "converged": True,
@@ -341,7 +339,7 @@ def _run_summary(cfg: RunConfig, traj: Trajectory) -> dict:
         "max_drift_u_linf": float(np.max(np.abs(traj.u - traj.wave.u_bar))),
         "max_drift_speed": float(np.max(np.abs(traj.ydot - params.s))),
         "max_drift_pressure": float(np.max(np.abs(traj.p_s - params.p_minus))),
-        "beta_h1": path_h1_norm(traj.t, traj.ydot - params.s),
+        "beta_h1": float(monitor["running_h1"][-1]),
         "bootstrap_pass_half_delta": monitor["pass_half_delta"],
         "bootstrap_pass_delta": monitor["pass_delta"],
         "max_reconstruction_residual": float(np.max(recon)),
@@ -350,18 +348,21 @@ def _run_summary(cfg: RunConfig, traj: Trajectory) -> dict:
     }
 
 
-def _emit_trajectory_outputs(out: Path, cfg: RunConfig, traj: Trajectory) -> dict:
-    _trajectory_csv(out / "trajectory.csv", traj)
+def _emit_trajectory_outputs(out: Path, cfg: RunConfig, traj: Trajectory) -> tuple[dict, dict]:
+    """Write the trajectory CSV and snapshots; return the run summary and the
+    bootstrap monitor both read."""
+    monitor = bootstrap_monitor(traj.path, traj.params, cfg.delta)
+    _trajectory_csv(out / "trajectory.csv", traj, monitor["running_h1"])
     picks = sorted({0, traj.stored_idx.size // 2, traj.stored_idx.size - 1})
     for t_index in picks:
         t_val = traj.t[traj.stored_idx[t_index]]
         _snapshot_file(out / f"snapshot_t{t_val:.6g}.txt", traj, t_index)
-    return _run_summary(cfg, traj)
+    return _run_summary(traj, monitor), monitor
 
 
 def _run_steady_wave(cfg: RunConfig, out: Path) -> dict:
     traj = _solve_from_config(cfg)
-    summary = _emit_trajectory_outputs(out, cfg, traj)
+    summary, _ = _emit_trajectory_outputs(out, cfg, traj)
     report = energy_report(traj, traj.init, traj.grid, traj.params, cfg.T_final)
     summary["energies"] = {k: getattr(report, k) for k in
                            ("e0", "e1", "e2", "e3", "e4", "e5",
@@ -371,7 +372,7 @@ def _run_steady_wave(cfg: RunConfig, out: Path) -> dict:
 
 def _run_trace_suite(cfg: RunConfig, out: Path) -> dict:
     traj = _solve_from_config(cfg)
-    summary = _emit_trajectory_outputs(out, cfg, traj)
+    summary, _ = _emit_trajectory_outputs(out, cfg, traj)
     records = []
     worst = {"residual_value": 0.0, "residual_slope": 0.0, "residual_second_order": 0.0}
     reports = trace_identities(traj, traj.init, traj.grid, traj.params,
@@ -392,9 +393,8 @@ def _run_trace_suite(cfg: RunConfig, out: Path) -> dict:
 
 def _run_bootstrap_check(cfg: RunConfig, out: Path) -> dict:
     traj = _solve_from_config(cfg)
-    summary = _emit_trajectory_outputs(out, cfg, traj)
+    summary, monitor = _emit_trajectory_outputs(out, cfg, traj)
     e0 = summary["initial_energy"]
-    monitor = bootstrap_monitor(traj.path, traj.params, cfg.delta)
     initial_sup = float(np.max(np.abs(traj.v[0] - traj.wave.v_bar)))
     final_sup = float(np.max(np.abs(traj.v[-1] - traj.wave.v_bar)))
     summary.update({
@@ -415,8 +415,10 @@ def _sweep_one(args: tuple) -> dict:
     cfg_kwargs, amplitude = args
     cfg = replace(RunConfig(**cfg_kwargs), amplitude=amplitude)
     traj = _solve_from_config(cfg)
-    _trajectory_csv(Path(cfg.out_dir) / f"trajectory_amp{amplitude:g}.csv", traj)
-    return {**_run_summary(cfg, traj), "amplitude": amplitude,
+    monitor = bootstrap_monitor(traj.path, traj.params, cfg.delta)
+    _trajectory_csv(Path(cfg.out_dir) / f"trajectory_amp{amplitude:g}.csv", traj,
+                    monitor["running_h1"])
+    return {**_run_summary(traj, monitor), "amplitude": amplitude,
             "min_v": float(np.min(traj.v)), "max_v": float(np.max(traj.v))}
 
 
@@ -443,7 +445,8 @@ def _run_convergence_order(cfg: RunConfig, out: Path) -> dict:
     for n, dt, stride in _convergence_levels(cfg):
         lcfg = replace(cfg, n=n, dt=dt, stride=stride, picard_tol=1e-10)
         traj = _solve_from_config(lcfg)
-        _trajectory_csv(out / f"trajectory_n{n}.csv", traj)
+        _trajectory_csv(out / f"trajectory_n{n}.csv", traj,
+                        running_h1_norm(traj.t, traj.ydot - traj.params.s))
         trajs[n] = traj
 
     def level_diff(na: int, nb: int) -> float:

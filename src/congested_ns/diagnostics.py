@@ -210,6 +210,8 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
     uniformly spaced stored times (_uniform_prefix), so with a coarse
     snapshot stride the suprema are lower bounds on the continuum values.
     """
+    if not t >= 0.0:  # NaN fails
+        raise ValidationError(f"t must be a non-negative time (got {t})")
     prof = traj.wave
     m, dts = _uniform_prefix(traj, t)
     ydots = traj.ydot[traj.stored_idx[:m]]

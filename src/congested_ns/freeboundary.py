@@ -63,10 +63,12 @@ class DenominatorTooSmall(RuntimeError):
 
 
 class PicardStalled(RuntimeError):
-    """Fixed-point iteration hit its iteration cap."""
+    """Fixed-point iteration hit its iteration cap on the window starting at
+    time t."""
 
-    def __init__(self, message: str, last_ratio: float):
+    def __init__(self, message: str, last_ratio: float, t: float):
         self.last_ratio = last_ratio
+        self.t = t
         super().__init__(message)
 
 
@@ -132,24 +134,6 @@ def path_h1_norm(t: np.ndarray, f: np.ndarray) -> float:
     """Discrete H1(0,T) norm of nodal values on a uniform time mesh: the last
     entry of running_h1_norm."""
     return float(running_h1_norm(t, f)[-1])
-
-
-def path_h2_distance(t: np.ndarray, ydot_a: np.ndarray, ydot_b: np.ndarray) -> float:
-    """Discrete H2(0,T) distance between two paths given by nodal speeds.
-
-    Logged alongside the H1 iteration metric: the discrete second derivative
-    of the position is one order noisier, so convergence is gated on H1.
-    """
-    t = np.asarray(t, float)
-    d_speed = np.asarray(ydot_a, float) - np.asarray(ydot_b, float)
-    if t.size < 2:
-        return float(abs(d_speed[0]))
-    dt = float(t[1] - t[0])
-    dy = cumulative_trapezoid(d_speed, dt)
-    dacc = time_derivative(d_speed, dt)
-    return float(np.sqrt(
-        np.trapezoid(dy**2, t) + np.trapezoid(d_speed**2, t) + np.trapezoid(dacc**2, t)
-    ))
 
 
 @dataclass(frozen=True)
@@ -310,17 +294,22 @@ def _first_guess(speed0: float, steps: int, dt: float,
 
 @dataclass
 class WindowReport:
-    """Per-window fixed-point iteration record.
-
-    Distances are the H1 metric the stopping rule uses; the H2 distances of
-    the same iterates are kept for inspection only.
-    """
+    """Per-window fixed-point iteration record: the H1 distance between
+    successive speed iterates at each iteration, the metric the stopping rule
+    reads.  The iteration count and contraction ratios derive from them."""
 
     t_start: float
-    iterations: int
-    distances: list[float]
-    ratios: list[float]
-    h2_distances: list[float]
+    distances: list[float] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.distances)
+
+    @property
+    def ratios(self) -> list[float]:
+        """d[k+1] / d[k] for successive distances; 0 after a zero distance."""
+        d = self.distances
+        return [b / a if a > 0 else 0.0 for a, b in zip(d, d[1:])]
 
 
 @dataclass
@@ -388,9 +377,14 @@ def apply_boundary_map(path_in: BoundaryPath, init: InitialData, grid: Grid,
                        params: PhysicalParams, dt: float,
                        newton_tol: float = DEFAULT_NEWTON_TOL) -> BoundaryPath:
     """One application of the fixed-point map: solve v then u along path_in,
-    then re-derive the interface path from the boundary trace of u."""
+    then re-derive the interface path from the boundary trace of u.  The
+    path's times must be the uniform mesh 0, dt, 2 dt, ... that it is
+    marched on."""
     if abs(path_in.y[0]) > 1e-12:
         raise ValidationError("input path must start at y(0) = 0")
+    mesh = dt * np.arange(path_in.t.size)
+    if not np.all(np.abs(path_in.t - mesh) <= 1e-9 * max(1.0, abs(mesh[-1]))):  # NaN fails
+        raise ValidationError(f"input path times must be the uniform mesh of dt={dt:g}")
     compat_tol = 10.0 * (grid.dx**2 + dt)
     if abs(path_in.ydot[0] - init.compat_speed) > compat_tol:
         raise ValidationError(
@@ -422,8 +416,9 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     converged path and the next window starts from it, at _start_speed.  The
     wave background is sampled once and kept on the trajectory as `wave`.
     """
-    if not (isinstance(stride, Integral) and stride >= 1):  # range() takes no float
-        raise ValidationError(f"stride must be an integer of at least 1 (got {stride!r})")
+    for name, value in (("stride", stride), ("max_iter", max_iter)):
+        if not (isinstance(value, Integral) and value >= 1):  # range() takes no float
+            raise ValidationError(f"{name} must be an integer of at least 1 (got {value!r})")
     if window is None:
         window = 0.25 / params.s
     for name, value in (("T_final", T_final), ("dt", dt), ("window", window)):
@@ -462,32 +457,22 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
         ydot = _first_guess(speed0, steps, dt, ydot)
         y = y_offset + cumulative_trapezoid(ydot, dt)
 
-        distances: list[float] = []
-        ratios: list[float] = []
-        h2_distances: list[float] = []
-        converged = False
+        report = WindowReport(t_start=t_start)
         for _ in range(max_iter):
             zdot, *_ = _march(v, u, ydot, y, init, grid, params, wave, dt, newton_tol,
                               t_start)
-            d = path_h1_norm(t_loc, zdot - ydot)
-            if distances:
-                ratios.append(d / distances[-1] if distances[-1] > 0 else 0.0)
-            distances.append(d)
-            h2_distances.append(path_h2_distance(t_loc, zdot, ydot))
+            report.distances.append(path_h1_norm(t_loc, zdot - ydot))
             ydot = zdot
             y = y_offset + cumulative_trapezoid(ydot, dt)
-            if d <= tol:
-                converged = True
+            if report.distances[-1] <= tol:
                 break
-        if not converged:
+        else:
             raise PicardStalled(
                 f"no fixed point after {max_iter} iterations on window starting "
-                f"t={t_start:g} (last distance {distances[-1]:g})",
-                last_ratio=ratios[-1] if ratios else np.inf,
+                f"t={t_start:g} (last distance {report.distances[-1]:g})",
+                last_ratio=report.ratios[-1] if report.ratios else np.inf, t=t_start,
             )
-        windows.append(WindowReport(t_start=t_start, iterations=len(distances),
-                                    distances=distances, ratios=ratios,
-                                    h2_distances=h2_distances))
+        windows.append(report)
 
         # definitive pass along the converged path, keeping the stored fields
         rows = np.flatnonzero((stored_idx > k_done) & (stored_idx <= k_done + steps))

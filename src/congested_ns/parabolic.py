@@ -185,22 +185,6 @@ def linear_parabolic_step(state: np.ndarray, a: np.ndarray, b: float, f: np.ndar
     return out
 
 
-def interior_flux_balance(state: np.ndarray, new: np.ndarray, a: np.ndarray, b: float,
-                          grid: Grid, dt: float) -> tuple[float, float]:
-    """Mass change of the interior vs. net boundary flux for one step.
-
-    With f = 0 the implicit step conserves sum(dx * h) up to the flux
-    difference through the first and last faces; both numbers are returned
-    so the telescoping can be asserted to roundoff.
-    """
-    dx = grid.dx
-    a_face = 0.5 * (a[:-1] + a[1:])
-    flux = b * 0.5 * (new[:-1] + new[1:]) - a_face * (new[1:] - new[:-1]) / dx
-    mass_change = float(np.sum(dx * (new[1:-1] - state[1:-1])))
-    net_inflow = float(dt * (flux[0] - flux[-1]))
-    return mass_change, net_inflow
-
-
 def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, dt: float,
            reg: RegularizedLog, params: PhysicalParams, wave: Profiles,
            newton_tol: float = DEFAULT_NEWTON_TOL) -> np.ndarray:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -226,6 +227,32 @@ def test_running_h1_column_is_the_bootstrap_monitor_norm(tmp_path):
     np.testing.assert_array_equal(column, monitor["running_h1"][traj.stored_idx])
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert column[-1] == summary["beta_h1"]
+
+
+def test_bootstrap_check_builds_one_monitor(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_monitor(*args):
+        calls.append(1)
+        return bootstrap_monitor(*args)
+
+    monkeypatch.setattr(cli, "bootstrap_monitor", counting_monitor)
+    cfg = replace(preset_config("bootstrap_check"), n=129, T_final=0.02, dt=0.005,
+                  stride=2, out_dir=str(tmp_path))
+    assert run(cfg) == 0
+    assert calls == [1]
+
+
+def test_picard_stall_record_carries_the_window_start(tmp_path, monkeypatch, capsys):
+    # two iterations from the flat guess cannot reach a distance of 1e-300
+    monkeypatch.setattr(cli, "picard_solve", partial(freeboundary.picard_solve, max_iter=2))
+    cfg = replace(preset_config("bootstrap_check"), n=129, T_final=0.02, dt=0.005,
+                  picard_tol=1e-300, out_dir=str(tmp_path))
+    assert run(cfg) == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["kind"] == "PicardStalled"
+    assert summary["t"] == 0.0
+    assert json.loads(capsys.readouterr().err.strip())["t"] == 0.0
 
 
 def test_stride_beyond_every_integer_type_runs(tmp_path):

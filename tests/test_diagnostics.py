@@ -390,6 +390,12 @@ class TestEnergies:
         assert all(np.isfinite(getattr(rep, f)) for f in
                    ("e0", "e1", "e2", "e3", "e4", "e5"))
 
+    @pytest.mark.parametrize("t", [np.nan, -1.0])
+    def test_energy_report_rejects_bad_time(self, params, bump_run, t):
+        grid, init, traj = bump_run
+        with pytest.raises(ValidationError, match="non-negative time"):
+            energy_report(traj, init, grid, params, t)
+
     def test_l1_diagnostic_reports_modest_constant(self, params, bump_run):
         from congested_ns.diagnostics import l1_bound_report
 

@@ -9,6 +9,8 @@ from congested_ns.core import PhysicalParams, ValidationError, make_grid
 from congested_ns.freeboundary import (
     DenominatorTooSmall,
     HypothesisViolated,
+    PicardStalled,
+    WindowReport,
     _first_guess,
     apply_boundary_map,
     assemble_solution,
@@ -210,6 +212,13 @@ class TestBoundaryMap:
         with pytest.raises(ValidationError, match="data-determined"):
             apply_boundary_map(path, wave_init, small_grid, params, dt=1e-2)
 
+    def test_rejects_times_off_the_step_mesh(self, params, small_grid, wave_init):
+        # a path on a 0.02 mesh marched with dt=0.01 would carry wrong time labels
+        t = np.arange(0, 26) * 2e-2
+        path = make_path(t, np.full(t.size, wave_init.compat_speed))
+        with pytest.raises(ValidationError, match="uniform mesh"):
+            apply_boundary_map(path, wave_init, small_grid, params, dt=1e-2)
+
 
 class TestPicard:
     def test_wave_converges_immediately(self, params, small_grid, wave_init):
@@ -224,10 +233,20 @@ class TestPicard:
         ratios = traj.windows[0].ratios
         assert len(ratios) >= 1
         assert all(r < 1.0 for r in ratios)
-        # the H2 metric is logged for every iterate and dominates H1
-        w = traj.windows[0]
-        assert len(w.h2_distances) == w.iterations
-        assert all(h2 >= d - 1e-15 for h2, d in zip(w.h2_distances, w.distances))
+
+    def test_window_report_derives_iterations_and_ratios(self):
+        report = WindowReport(t_start=0.5, distances=[2.0, 0.5, 0.0, 0.0])
+        assert report.iterations == 4
+        assert report.ratios == [0.25, 0.0, 0.0]  # 0 after a zero distance
+        assert WindowReport(t_start=0.0).ratios == []
+
+    def test_stall_carries_its_window_start_and_last_ratio(self, params, small_grid,
+                                                           bump_init):
+        with pytest.raises(PicardStalled, match="after 3 iterations") as info:
+            picard_solve(bump_init, small_grid, params, T_final=0.05, dt=1e-2,
+                         tol=1e-300, max_iter=3)
+        assert info.value.t == 0.0
+        assert np.isfinite(info.value.last_ratio)
 
     def test_infinite_tolerance_returns_first_iterate(self, params, small_grid,
                                                       bump_init, wave):
@@ -288,7 +307,9 @@ class TestPicard:
         {"dt": 1e-310},
         # a bad tolerance, not a PicardStalled or NewtonDiverged after marching
         {"tol": np.nan}, {"tol": 0.0}, {"tol": -1e-8},
-        {"newton_tol": np.nan}, {"newton_tol": 0.0}])
+        {"newton_tol": np.nan}, {"newton_tol": 0.0},
+        # an iteration cap below one, or not an integer
+        {"max_iter": 0}, {"max_iter": -1}, {"max_iter": 2.5}])
     def test_rejects_bad_stride_and_window(self, params, small_grid, wave_init, kwargs):
         # a typed error, not the OverflowError or ValueError of round()
         with pytest.raises(ValidationError, match=next(iter(kwargs))):
