@@ -71,6 +71,11 @@ PRESETS = (
 # at delta = 0.05
 BOOTSTRAP_C0 = 0.6
 
+# the H1 distance between successive Picard iterates bottoms out at roundoff
+# (4.3e-15 at n=129, 5.5e-14 at n=2049 with dt=1e-3): below this tolerance,
+# whether a window converges would depend on roundoff
+PICARD_TOL_FLOOR = 1e-12
+
 
 def fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -187,6 +192,9 @@ def validate_config(cfg: RunConfig) -> None:
         value = getattr(cfg, _KEY_MAP[key][0])
         if value is not None and not 0.0 < value < math.inf:  # window None: the default
             raise ConfigError(f"{key} must be finite and positive (got {value})")
+    if cfg.picard_tol < PICARD_TOL_FLOOR:
+        raise ConfigError(f"tolerances.picard_tol={cfg.picard_tol:g} is below the roundoff "
+                          f"floor {PICARD_TOL_FLOOR:g} of the Picard distance")
     if not is_multiple(cfg.T_final, cfg.dt):
         raise ConfigError(f"time.T_final={cfg.T_final:g} must be a multiple of "
                           f"time.dt={cfg.dt:g}")

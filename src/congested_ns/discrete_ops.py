@@ -148,7 +148,11 @@ class MonotoneInterpolant:
         self._tail = tail
         self._min_width = float(np.min(np.diff(grid.x)))
 
-    def __call__(self, x: np.ndarray | float) -> np.ndarray:
+    def __call__(self, x: np.ndarray | float) -> np.ndarray | np.float64:
+        """f0 at each point of x: an array of x's shape, or a numpy float for
+        a scalar x, equal bit for bit to the entry of a one-point array."""
+        if isinstance(x, float) or np.ndim(x) == 0:
+            return np.float64(self._at(float(x)))
         x = np.asarray(x, float)
         points = x.ravel()
         R = self._grid.R
@@ -161,6 +165,25 @@ class MonotoneInterpolant:
         if not inside.all():
             out[~inside] = np.where(points[~inside] <= R, np.nan, self._tail)
         return out.reshape(x.shape)
+
+    def _at(self, p: float) -> float:
+        """__call__ at one point in Python floats, with the same operations.
+
+        On the uniform grid a point p in [0, R] lies in interval
+        min(floor(p / dx), n - 2), the interval search's answer unless
+        rounding put p outside it; then the point takes the array path.
+        """
+        x, R = self._grid.x, self._grid.R
+        if not 0.0 <= p <= R:
+            return np.nan if p <= R else self._tail  # a NaN point takes the tail, as __call__
+        i = min(int(p // self._grid.dx), x.size - 2)
+        if not (x[i] <= p and (p < x[i + 1] or i == x.size - 2)):
+            return float(self(np.array([p]))[0])
+        s = p - float(x[i])
+        s2 = s * s
+        c3, c2, c1, c0 = self._terms
+        # _power_sum's sum, term by term
+        return float(c3[i]) + float(c2[i]) * s + float(c1[i]) * s2 + float(c0[i]) * (s2 * s)
 
     def shifted(self, y: float) -> np.ndarray:
         """The row f0(x_i + y) on the grid nodes, equal bit for bit to

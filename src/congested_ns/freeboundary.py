@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .core import Grid, PhysicalParams, ValidationError, as_field
 from .discrete_ops import (
@@ -248,20 +247,21 @@ def boundary_velocity(u: np.ndarray, w0_at_y: float, grid: Grid, params: Physica
                       wave: Profiles) -> float:
     """Interface speed -mu d_x u(0) / (u_minus - w0(y)).
 
-    The trace d_x u(0) is the exact wave slope plus the one-sided stencil of
-    trace0 on u - uwave at the four nodes it reads, so the wave background
-    contributes no stencil error to the speed.  u is a velocity field the
-    caller has validated (a step_u result); `wave` is
-    traveling_wave(params, grid).  A NaN w0(y) fails the floor.
+    The trace d_x u(0) is the exact wave slope wave.du0 plus the one-sided
+    stencil of trace0 on u - uwave at the four nodes it reads, so the wave
+    background contributes no stencil error to the speed.  u is a velocity
+    field the caller has validated (a step_u result); `wave` is
+    traveling_wave(params, grid).  A NaN w0(y) fails the floor.  It runs
+    after every step, so the four differences are Python floats: the same
+    operations as on arrays, without their per-call overhead.
     """
     denom = params.u_minus - w0_at_y
     if not denom >= DENOM_FLOOR:
         raise DenominatorTooSmall(
             f"u_minus - w0(y) = {denom:g} fell below the floor {DENOM_FLOOR:g}"
         )
-    du = (boundary_slope_constants(params)["du"]
-          + stencil_trace(u[:4] - wave.u_bar[:4], grid.dx, 1))
-    return -params.mu * du / denom
+    head = [a - b for a, b in zip(u[:4].tolist(), wave.u_bar[:4].tolist())]
+    return -params.mu * (wave.du0 + stencil_trace(head, grid.dx, 1)) / denom
 
 
 def _start_speed(u: np.ndarray, y0: float, t_start: float, init: InitialData, grid: Grid,
@@ -274,22 +274,6 @@ def _start_speed(u: np.ndarray, y0: float, t_start: float, init: InitialData, gr
     if t_start == 0.0:
         return init.compat_speed
     return boundary_velocity(u, init.w0_at(y0), grid, params, wave)
-
-
-def _first_guess(speed0: float, steps: int, dt: float,
-                 previous: np.ndarray | None) -> np.ndarray:
-    """First Picard guess for a window of `steps` steps starting at speed0.
-
-    The first window (previous None) starts flat.  A later window continues
-    the previous window's converged speeds: speed0 + p(t) - p(0), where p is
-    the least-squares cubic through them at times -m dt, ..., 0.
-    """
-    if previous is None:
-        return np.full(steps + 1, speed0)
-    m = previous.size - 1
-    fit = P.polyval(dt * np.arange(steps + 1),
-                    P.polyfit(dt * np.arange(-m, 1), previous, min(3, m)))
-    return speed0 + (fit - fit[0])  # node 0 exactly speed0
 
 
 @dataclass
@@ -344,30 +328,58 @@ class Trajectory:
 
 def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
            init: InitialData, grid: Grid, params: PhysicalParams, wave: Profiles,
-           dt: float, newton_tol: float, t_start: float, keep: set[int] | tuple = ()
+           dt: float, newton_tol: float, t_start: float, keep: set[int] | tuple = (),
+           history: np.ndarray | None = None
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Advance the fields along a given path (speeds ydot, global positions
     y); return re-derived speeds (_start_speed at the first node, then
     boundary_velocity after every step), the last state, and the (v, u) of
     each window-local step in `keep`, in step order, uncopied: step_v and
     step_u never write to their inputs.  A solver failure is re-raised with
-    its time as attribute `t`."""
+    its time as attribute `t`.
+
+    With `history`, the two speeds before node 0, the march predicts its own
+    path as it goes.  Before step k it writes ydot[k] = 3 z[k-1] - 3 z[k-2] +
+    z[k-3], the quadratic extrapolation of its returned speeds z with
+    history standing in for nodes -2 and -1 (z[k-1] when that is not finite
+    and positive), and y[k] = y[0] + the trapezoid sum of ydot up to node k,
+    in cumulative_trapezoid's order.  ydot[0] must be z[0].  Step k reads
+    only ydot[0..k] and y[k], so the march is one plain application of the
+    map to the path it filled in: marching that path again without history
+    gives the same speeds bit for bit.
+    """
     steps = ydot.size - 1
     zdot = np.empty(ydot.size)
     zdot[0] = _start_speed(u, y[0], t_start, init, grid, params, wave)
     kept = []
     reg = regularized_log(2.0 * float(np.max(init.v0)))
-    w0_y = init.w0_at(y)
+    if history is None:
+        w0_y = init.w0_at(y)
+    else:
+        z3, z2, z1 = *history.tolist(), float(zdot[0])  # z[k-3], z[k-2], z[k-1]
+        y0, running, prev = float(y[0]), 0.0, float(ydot[0])
 
     for k in range(1, steps + 1):
+        if history is None:
+            w0_yk = w0_y[k]
+        else:
+            pred = 3.0 * z1 - 3.0 * z2 + z3
+            if not 0.0 < pred < np.inf:  # NaN fails
+                pred = z1
+            running += 0.5 * (prev + pred) * dt
+            prev = ydot[k] = pred
+            y[k] = y0 + running
+            w0_yk = init.w0_at(y[k])  # equal bit for bit to the array's entry
         src = 0.0 if init.source_eval is None else init.source_eval.shifted(y[k])
         try:
             v = step_v(v, ydot[k], src, grid, dt, reg, params, wave, newton_tol)
             u = step_u(u, v, ydot[k], grid, dt, params, wave)
-            zdot[k] = boundary_velocity(u, w0_y[k], grid, params, wave)
+            zdot[k] = boundary_velocity(u, w0_yk, grid, params, wave)
         except RuntimeError as exc:
             exc.t = t_start + k * dt
             raise
+        if history is not None:
+            z3, z2, z1 = z2, z1, zdot[k]
         if k in keep:
             kept.append((v, u))
     return zdot, v, u, kept
@@ -410,10 +422,13 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     """Fixed-point solve of the coupled interface/fields problem up to T_final.
 
     The horizon is split into windows of length `window` (default 0.25/s, on
-    which the map contracts); within each window the path is iterated from
-    _first_guess until the discrete H1 distance between successive speed
-    iterates drops below `tol`, then the state is advanced along the
-    converged path and the next window starts from it, at _start_speed.  The
+    which the map contracts); within each window the path is iterated until
+    the discrete H1 distance between successive speed iterates drops below
+    `tol`, then the state is advanced along the converged path and the next
+    window starts from it, at _start_speed.  The first window starts from
+    the flat path at its start speed.  A later window's first march predicts
+    its own path from the two converged speeds before the window (_march's
+    history), so its first iterate is already close to the fixed point.  The
     wave background is sampled once and kept on the trajectory as `wave`.
     """
     for name, value in (("stride", stride), ("max_iter", max_iter)):
@@ -447,20 +462,22 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     y_offset = 0.0
     k_done = 0
     ydot_all[0] = init.compat_speed
-    ydot = None  # the previous window's converged speeds
 
     while k_done < n_total:
         steps = min(steps_per_window, n_total - k_done)
         t_loc = dt * np.arange(steps + 1)
         t_start = k_done * dt
         speed0 = _start_speed(u, y_offset, t_start, init, grid, params, wave)
-        ydot = _first_guess(speed0, steps, dt, ydot)
+        ydot = np.full(steps + 1, speed0)
         y = y_offset + cumulative_trapezoid(ydot, dt)
+        # a later window's first march overwrites this flat path with its prediction
+        history = ydot_all[k_done - 2:k_done] if k_done >= 2 else None
 
         report = WindowReport(t_start=t_start)
         for _ in range(max_iter):
             zdot, *_ = _march(v, u, ydot, y, init, grid, params, wave, dt, newton_tol,
-                              t_start)
+                              t_start, history=history)
+            history = None
             report.distances.append(path_h1_norm(t_loc, zdot - ydot))
             ydot = zdot
             y = y_offset + cumulative_trapezoid(ydot, dt)

@@ -53,6 +53,8 @@ class Profiles:
     dv_bar        -- exact nodal slope of v_bar (from the closed form)
     du_bar        -- exact nodal slope of u_bar, -s dv_bar
     inv_v_bar     -- 1 / v_bar
+    du0           -- exact one-sided slope of the u profile at x = 0+, the
+                     "du" of boundary_slope_constants
     """
 
     v_bar: np.ndarray = field(repr=False)
@@ -61,6 +63,7 @@ class Profiles:
     dv_bar: np.ndarray = field(repr=False)
     du_bar: np.ndarray = field(repr=False)
     inv_v_bar: np.ndarray = field(repr=False)
+    du0: float
 
     def __post_init__(self) -> None:
         for arr in (self.v_bar, self.u_bar, self.log_v_bar, self.dv_bar, self.du_bar,
@@ -83,6 +86,7 @@ def traveling_wave(params: PhysicalParams, grid: Grid) -> Profiles:
         dv_bar=dv_bar,
         du_bar=-params.s * dv_bar,
         inv_v_bar=1.0 / v_bar,
+        du0=boundary_slope_constants(params)["du"],
     )
 
 

@@ -105,7 +105,8 @@ def test_bad_override_rejected(tmp_path):
                                       "grid.R=0", "workers=0", "time.dt=nan",
                                       "time.T_final=inf", "time.dt=inf",
                                       "tolerances.newton_tol=nan", "time.window=nan",
-                                      "tolerances.picard_tol=-1e-8", "time.dt=0.003",
+                                      "tolerances.picard_tol=-1e-8",
+                                      "tolerances.picard_tol=1e-13", "time.dt=0.003",
                                       "perturbation.amplitude=nan", "perturbation.width=nan",
                                       "perturbation.width=-1", "perturbation.center=0",
                                       "seed=-1", "sweep.amplitudes=-1",
@@ -244,10 +245,10 @@ def test_bootstrap_check_builds_one_monitor(tmp_path, monkeypatch):
 
 
 def test_picard_stall_record_carries_the_window_start(tmp_path, monkeypatch, capsys):
-    # two iterations from the flat guess cannot reach a distance of 1e-300
+    # two iterations from the flat guess cannot reach a distance of 1e-12
     monkeypatch.setattr(cli, "picard_solve", partial(freeboundary.picard_solve, max_iter=2))
     cfg = replace(preset_config("bootstrap_check"), n=129, T_final=0.02, dt=0.005,
-                  picard_tol=1e-300, out_dir=str(tmp_path))
+                  picard_tol=1e-12, out_dir=str(tmp_path))
     assert run(cfg) == 1
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["kind"] == "PicardStalled"

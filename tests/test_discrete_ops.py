@@ -256,6 +256,27 @@ def test_table_and_evaluation_equal_scipy_pchip_bit_for_bit(kind, seed, n, R, ta
         assert evaluate(p).tobytes() == value.tobytes()
 
 
+@given(kind=st.sampled_from(["random", "flat", "monotone", "sign_changing"]),
+       seed=st.integers(0, 10_000), n=st.integers(16, 300), R=st.floats(0.5, 60.0),
+       tail=st.floats(-2.0, 2.0),
+       where=st.sampled_from(["inside", "node", "beyond", "below"]),
+       frac=st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_scalar_evaluation_equals_the_array_path_bit_for_bit(kind, seed, n, R, tail, where,
+                                                             frac):
+    g = make_grid(R, n)
+    evaluate = monotone_interpolator(_pchip_data(kind, seed, n), g, tail)
+    p = {"inside": frac * R, "node": float(g.x[int(frac * (n - 1))]),
+         "beyond": R * (1.0 + frac) + 1e-12, "below": -frac * R - 1e-300}[where]
+    got = evaluate(p)
+    assert isinstance(got, float)
+    assert np.float64(got).tobytes() == evaluate(np.array([p]))[0].tobytes()
+    if where == "beyond":
+        assert got == tail
+    if where == "below":
+        assert np.isnan(got)
+
+
 def test_import_leaves_scipy_interpolate_and_integrate_unloaded():
     # the two modules add about 0.4 s to every start of the package, which
     # imports neither: PCHIP is built in discrete_ops, simpson imported on use

@@ -1,17 +1,16 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from congested_ns import discrete_ops, freeboundary, profiles
 from congested_ns.core import PhysicalParams, ValidationError, make_grid
+from congested_ns.discrete_ops import cumulative_trapezoid
 from congested_ns.freeboundary import (
     DenominatorTooSmall,
     HypothesisViolated,
     PicardStalled,
     WindowReport,
-    _first_guess,
+    _march,
     apply_boundary_map,
     assemble_solution,
     boundary_velocity,
@@ -22,7 +21,13 @@ from congested_ns.freeboundary import (
     reconstruction_residuals,
     validate_hypotheses,
 )
-from congested_ns.parabolic import regularized_log, step_u, step_v, truncation_mollifier
+from congested_ns.parabolic import (
+    DEFAULT_NEWTON_TOL,
+    regularized_log,
+    step_u,
+    step_v,
+    truncation_mollifier,
+)
 from congested_ns.perturbations import initial_data_fields
 from congested_ns.profiles import traveling_wave, wave_u, wave_v
 
@@ -248,6 +253,56 @@ class TestPicard:
         assert info.value.t == 0.0
         assert np.isfinite(info.value.last_ratio)
 
+    @pytest.mark.parametrize("history", ["converged", "negative", "nan"])
+    def test_predicting_march_is_one_plain_map_evaluation(self, params, small_grid,
+                                                          bump_init, history):
+        # a carried state after one converged window, and its last two speeds
+        # before the next window's node 0
+        dt, steps = 0.01, 10
+        wave = traveling_wave(params, small_grid)
+        first = picard_solve(bump_init, small_grid, params, T_final=0.1, dt=dt, window=0.1)
+        v, u, y0 = first.v[-1], first.u[-1], first.y[-1]
+        before = {"converged": first.ydot[-3:-1],
+                  # a prediction that is not finite and positive takes z[k-1]
+                  "negative": np.array([-1e3, first.ydot[-2]]),
+                  "nan": np.array([np.nan, first.ydot[-2]])}[history]
+        speed0 = freeboundary._start_speed(u, y0, 0.1, bump_init, small_grid, params, wave)
+        ydot = np.full(steps + 1, speed0)
+        y = y0 + cumulative_trapezoid(ydot, dt)
+        zdot, *_ = _march(v, u, ydot, y, bump_init, small_grid, params, wave, dt,
+                          DEFAULT_NEWTON_TOL, 0.1, history=before)
+        # the filled path is the quadratic extrapolation of the march's own speeds
+        z = np.concatenate((before, zdot))
+        for k in range(1, steps + 1):
+            guess = 3.0 * z[k + 1] - 3.0 * z[k] + z[k - 1]
+            assert ydot[k] == (guess if 0.0 < guess < np.inf else z[k + 1])
+        assert ydot[0] == speed0
+        assert y.tobytes() == (y0 + cumulative_trapezoid(ydot, dt)).tobytes()
+        # marching the filled path again, as a given path, repeats every speed
+        again, *_ = _march(v, u, ydot.copy(), y.copy(), bump_init, small_grid, params, wave,
+                           dt, DEFAULT_NEWTON_TOL, 0.1)
+        assert again.tobytes() == zdot.tobytes()
+
+    def test_later_windows_converge_in_at_most_three_iterations(self, params, small_grid,
+                                                                bump_init):
+        # each later window's first march predicts its own path, so its
+        # first iterate starts within a few tol of the fixed point
+        traj = picard_solve(bump_init, small_grid, params, T_final=1.0, dt=2e-3, tol=1e-8,
+                            stride=500)
+        assert len(traj.windows) == 4
+        assert all(w.iterations <= 3 for w in traj.windows[1:])
+
+    def test_large_step_two_step_windows_converge(self, params):
+        # dt = 0.125 on windows of 0.25: two steps per window, where the
+        # quadratic prediction leans hardest on the two speeds before node 0
+        grid = make_grid(50.0, 257)
+        v0, u0 = initial_data_fields("gaussian_bump", 0.005, 2.0, 1.0, params, grid)
+        init = validate_hypotheses(v0, u0, grid, params)
+        traj = picard_solve(init, grid, params, T_final=2.0, dt=0.125, tol=1e-8)
+        assert len(traj.windows) == 8
+        assert all(w.distances[-1] <= 1e-8 for w in traj.windows)
+        assert np.all(np.isfinite(traj.ydot)) and np.all(traj.ydot > 0.0)
+
     def test_infinite_tolerance_returns_first_iterate(self, params, small_grid,
                                                       bump_init, wave):
         traj = picard_solve(bump_init, small_grid, params, T_final=0.1, dt=1e-2,
@@ -278,26 +333,6 @@ class TestPicard:
                                      window=window, stride=256) for window in (0.0625, 0.25))
         assert len(short.windows) == 4 * len(long_.windows)
         assert np.max(np.abs(short.y - long_.y)) <= 3.0 * tol
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 25])
-    def test_first_guess_continues_a_cubic(self, m):
-        # the previous window's m + 1 speeds are a cubic in t (of degree m
-        # when m < 3), so the fit is exact and the guess continues it
-        coef = np.array([1.0, 0.3, -2.0, 5.0])[:min(3, m) + 1]
-
-        def speed(t):
-            return np.polynomial.polynomial.polyval(t, coef)
-
-        dt, steps, offset = 0.01, m, 0.125  # a window as long as the previous one
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a rank-deficient fit warns
-            guess = _first_guess(1.0 + offset, steps, dt, speed(dt * np.arange(-m, 1)))
-        assert guess[0] == 1.0 + offset
-        np.testing.assert_allclose(guess, speed(dt * np.arange(steps + 1)) + offset,
-                                   rtol=0, atol=1e-12)
-
-    def test_first_guess_of_the_first_window_is_flat(self):
-        np.testing.assert_array_equal(_first_guess(1.25, 10, 0.01, None), np.full(11, 1.25))
 
     @pytest.mark.parametrize("kwargs", [
         {"stride": 0}, {"stride": 2.5}, {"stride": 10.0}, {"window": -1.0}, {"window": 0.0}, {"window": np.nan},
