@@ -326,25 +326,34 @@ def _snapshot_file(path: Path, traj: Trajectory, t_index: int) -> None:
             fh.write(" ".join(fmt(val) for val in row) + "\n")
 
 
-def _solve_from_config(cfg: RunConfig) -> Trajectory:
+def _solve_from_config(cfg: RunConfig) -> tuple[Trajectory, float]:
+    """The run of the configured datum and the wall time inside picard_solve."""
     params = cfg.params()
     grid = make_grid(cfg.R, cfg.n)
     v0, u0 = initial_data_fields(cfg.family, cfg.amplitude, cfg.center, cfg.width,
                                  params, grid)
     init = validate_hypotheses(v0, u0, grid, params)
-    return picard_solve(init, grid, params, T_final=cfg.T_final, dt=cfg.dt,
+    started = time.perf_counter()
+    traj = picard_solve(init, grid, params, T_final=cfg.T_final, dt=cfg.dt,
                         tol=cfg.picard_tol, window=cfg.window, stride=cfg.stride,
                         newton_tol=cfg.newton_tol)
+    return traj, time.perf_counter() - started
 
 
-def _run_summary(traj: Trajectory, monitor: dict) -> dict:
+def _max_drift(rows: np.ndarray, background: np.ndarray) -> float:
+    """max |rows - background| over the stored rows, taken one row at a time."""
+    return float(np.max([np.max(np.abs(row - background)) for row in rows]))
+
+
+def _run_summary(traj: Trajectory, monitor: dict, solve_seconds: float) -> dict:
     grid, params, init = traj.grid, traj.params, traj.init
     recon = reconstruction_residuals(traj, init, grid, params)
     return {
+        "solve_seconds": round(solve_seconds, 3),
         "converged": True,
         "iterations_per_window": [w.iterations for w in traj.windows],
-        "max_drift_v_linf": float(np.max(np.abs(traj.v - traj.wave.v_bar))),
-        "max_drift_u_linf": float(np.max(np.abs(traj.u - traj.wave.u_bar))),
+        "max_drift_v_linf": _max_drift(traj.v, traj.wave.v_bar),
+        "max_drift_u_linf": _max_drift(traj.u, traj.wave.u_bar),
         "max_drift_speed": float(np.max(np.abs(traj.ydot - params.s))),
         "max_drift_pressure": float(np.max(np.abs(traj.p_s - params.p_minus))),
         "beta_h1": float(monitor["running_h1"][-1]),
@@ -356,7 +365,8 @@ def _run_summary(traj: Trajectory, monitor: dict) -> dict:
     }
 
 
-def _emit_trajectory_outputs(out: Path, cfg: RunConfig, traj: Trajectory) -> tuple[dict, dict]:
+def _emit_trajectory_outputs(out: Path, cfg: RunConfig, traj: Trajectory,
+                             solve_seconds: float) -> tuple[dict, dict]:
     """Write the trajectory CSV and snapshots; return the run summary and the
     bootstrap monitor both read."""
     monitor = bootstrap_monitor(traj.path, traj.params, cfg.delta)
@@ -365,12 +375,12 @@ def _emit_trajectory_outputs(out: Path, cfg: RunConfig, traj: Trajectory) -> tup
     for t_index in picks:
         t_val = traj.t[traj.stored_idx[t_index]]
         _snapshot_file(out / f"snapshot_t{t_val:.6g}.txt", traj, t_index)
-    return _run_summary(traj, monitor), monitor
+    return _run_summary(traj, monitor, solve_seconds), monitor
 
 
 def _run_steady_wave(cfg: RunConfig, out: Path) -> dict:
-    traj = _solve_from_config(cfg)
-    summary, _ = _emit_trajectory_outputs(out, cfg, traj)
+    traj, solve_seconds = _solve_from_config(cfg)
+    summary, _ = _emit_trajectory_outputs(out, cfg, traj, solve_seconds)
     report = energy_report(traj, traj.init, traj.grid, traj.params, cfg.T_final)
     summary["energies"] = {k: getattr(report, k) for k in
                            ("e0", "e1", "e2", "e3", "e4", "e5",
@@ -379,8 +389,8 @@ def _run_steady_wave(cfg: RunConfig, out: Path) -> dict:
 
 
 def _run_trace_suite(cfg: RunConfig, out: Path) -> dict:
-    traj = _solve_from_config(cfg)
-    summary, _ = _emit_trajectory_outputs(out, cfg, traj)
+    traj, solve_seconds = _solve_from_config(cfg)
+    summary, _ = _emit_trajectory_outputs(out, cfg, traj, solve_seconds)
     records = []
     worst = {"residual_value": 0.0, "residual_slope": 0.0, "residual_second_order": 0.0}
     reports = trace_identities(traj, traj.init, traj.grid, traj.params,
@@ -400,8 +410,8 @@ def _run_trace_suite(cfg: RunConfig, out: Path) -> dict:
 
 
 def _run_bootstrap_check(cfg: RunConfig, out: Path) -> dict:
-    traj = _solve_from_config(cfg)
-    summary, monitor = _emit_trajectory_outputs(out, cfg, traj)
+    traj, solve_seconds = _solve_from_config(cfg)
+    summary, monitor = _emit_trajectory_outputs(out, cfg, traj, solve_seconds)
     e0 = summary["initial_energy"]
     initial_sup = float(np.max(np.abs(traj.v[0] - traj.wave.v_bar)))
     final_sup = float(np.max(np.abs(traj.v[-1] - traj.wave.v_bar)))
@@ -422,11 +432,11 @@ def _run_bootstrap_check(cfg: RunConfig, out: Path) -> dict:
 def _sweep_one(args: tuple) -> dict:
     cfg_kwargs, amplitude = args
     cfg = replace(RunConfig(**cfg_kwargs), amplitude=amplitude)
-    traj = _solve_from_config(cfg)
+    traj, solve_seconds = _solve_from_config(cfg)
     monitor = bootstrap_monitor(traj.path, traj.params, cfg.delta)
     _trajectory_csv(Path(cfg.out_dir) / f"trajectory_amp{amplitude:g}.csv", traj,
                     monitor["running_h1"])
-    return {**_run_summary(traj, monitor), "amplitude": amplitude,
+    return {**_run_summary(traj, monitor, solve_seconds), "amplitude": amplitude,
             "min_v": float(np.min(traj.v)), "max_v": float(np.max(traj.v))}
 
 
@@ -439,6 +449,7 @@ def _run_stability_sweep(cfg: RunConfig, out: Path) -> dict:
     else:
         per_amp = [_sweep_one(job) for job in jobs]
     return {
+        "solve_seconds": round(sum(s["solve_seconds"] for s in per_amp), 3),
         "converged": all(s["converged"] for s in per_amp),
         "amplitudes": list(cfg.sweep_amplitudes),
         "runs": per_amp,
@@ -450,9 +461,11 @@ def _run_stability_sweep(cfg: RunConfig, out: Path) -> dict:
 
 def _run_convergence_order(cfg: RunConfig, out: Path) -> dict:
     trajs = {}
+    solve_seconds = 0.0
     for n, dt, stride in _convergence_levels(cfg):
         lcfg = replace(cfg, n=n, dt=dt, stride=stride, picard_tol=1e-10)
-        traj = _solve_from_config(lcfg)
+        traj, seconds = _solve_from_config(lcfg)
+        solve_seconds += seconds
         _trajectory_csv(out / f"trajectory_n{n}.csv", traj,
                         running_h1_norm(traj.t, traj.ydot - traj.params.s))
         trajs[n] = traj
@@ -475,6 +488,7 @@ def _run_convergence_order(cfg: RunConfig, out: Path) -> dict:
     e_fine = level_diff(middle, fine)
     ratio = e_coarse / e_fine if e_fine > 0 else np.inf
     return {
+        "solve_seconds": round(solve_seconds, 3),
         "converged": True,
         "levels": list(trajs),
         "consecutive_differences": [e_coarse, e_fine],

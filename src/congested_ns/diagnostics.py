@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .discrete_ops import (
     trace0,
 )
 from .freeboundary import (
+    ROW_BLOCK,
     BoundaryPath,
     InitialData,
     Trajectory,
@@ -196,10 +199,34 @@ def _time_derivative(F: np.ndarray, dts: float) -> np.ndarray:
     return time_derivative(F, dts) if F.shape[0] >= 3 else np.zeros_like(F)
 
 
-def _squared_l2(fields, x: np.ndarray) -> list[float]:
-    """Squared L2 norms of nodal fields on the nodes x, by the trapezoid rule
-    of norm."""
-    return [np.trapezoid(f**2, x) for f in fields]
+def _row_blocks(F: np.ndarray, background: np.ndarray, m: int, dts: float):
+    """Walk the first m stored rows of F in blocks of ROW_BLOCK rows.
+
+    Yields (rows, D, Dt, Dtt): the slice of stored rows, their deviations
+    D = F[rows] - background, and the first and second time derivatives of
+    the deviations, bit for bit those _time_derivative gives across all m
+    rows.  Each block is differentiated with a halo of three rows on each
+    side: the central rule of the second derivative reaches two rows, its
+    one-sided end rule three.  D, Dt and Dtt are node-major, one column per
+    stored row, the layout stencil_derivative differentiates; only
+    O(ROW_BLOCK) rows are live at a time.
+    """
+    for start in range(0, m, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, m)
+        lo, hi = max(start - 3, 0), min(stop + 3, m)
+        # a block with its halo has three rows or more whenever m has, so the
+        # rule for fewer than three rows holds for the block as for the run
+        D = F[lo:hi] - background
+        Dt = _time_derivative(D, dts)
+        Dtt = _time_derivative(Dt, dts)
+        inner = slice(start - lo, stop - lo)
+        yield slice(start, stop), D[inner].T, Dt[inner].T, Dtt[inner].T
+
+
+def _squared_l2(F: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared L2 norms of the columns of F, nodal fields on the nodes x, by
+    the trapezoid rule of norm."""
+    return np.trapezoid(F**2, x, axis=0)
 
 
 def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: PhysicalParams,
@@ -217,34 +244,30 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
     ydots = traj.ydot[traj.stored_idx[:m]]
     x, dx = grid.x, grid.dx
 
-    # squared L2 norms per stored time, each spatial derivative of a row taken
-    # once; one family of whole-history arrays at a time bounds the peak memory
-    G = traj.v[:m] - prof.v_bar
-    Gt = _time_derivative(G, dts)
-    Gtt = _time_derivative(Gt, dts)
+    # squared L2 norms per stored time, each spatial derivative of a block of
+    # rows taken once and dropped once normed, one perturbation family
+    # (volume, then velocity) at a time
+    sq = partial(_squared_l2, x=x)
     g_sq = np.empty((9, m))
     V0_sq = np.empty(m)
-    for i in range(m):
-        V = integrated_perturbation(traj.v[i], prof.v_bar, grid)
-        V0_sq[i] = V[0] ** 2
-        gxx = stencil_derivative(G[i], dx, 2)
-        g_sq[:, i] = _squared_l2((V, G[i], stencil_derivative(G[i], dx, 1), gxx,
-                                  stencil_derivative(gxx, dx, 1), Gt[i],
-                                  stencil_derivative(Gt[i], dx, 1),
-                                  stencil_derivative(Gt[i], dx, 2), Gtt[i]), x)
-    del G, Gt, Gtt
+    for rows, G, Gt, Gtt in _row_blocks(traj.v, prof.v_bar, m, dts):
+        V = np.empty_like(G)
+        for j, v in enumerate(traj.v[rows]):
+            V[:, j] = integrated_perturbation(v, prof.v_bar, grid)
+        V0_sq[rows] = V[0] ** 2
+        gxx = stencil_derivative(G, dx, 2)
+        g_sq[:, rows] = (sq(V), sq(G), sq(stencil_derivative(G, dx, 1)), sq(gxx),
+                         sq(stencil_derivative(gxx, dx, 1)), sq(Gt),
+                         sq(stencil_derivative(Gt, dx, 1)), sq(stencil_derivative(Gt, dx, 2)),
+                         sq(Gtt))
     V_sq, g, gx, gxx, gxxx, gt, gtx, gtxx, gtt = g_sq
 
-    H = traj.u[:m] - prof.u_bar
-    Ht = _time_derivative(H, dts)
-    Htt = _time_derivative(Ht, dts)
     h_sq = np.empty((7, m))
-    for i in range(m):
-        hx = stencil_derivative(H[i], dx, 1)
-        h_sq[:, i] = _squared_l2((H[i], hx, stencil_derivative(hx, dx, 1), Ht[i],
-                                  stencil_derivative(Ht[i], dx, 1),
-                                  stencil_derivative(Ht[i], dx, 2), Htt[i]), x)
-    del H, Ht, Htt
+    for rows, H, Ht, Htt in _row_blocks(traj.u, prof.u_bar, m, dts):
+        hx = stencil_derivative(H, dx, 1)
+        h_sq[:, rows] = (sq(H), sq(hx), sq(stencil_derivative(hx, dx, 1)), sq(Ht),
+                         sq(stencil_derivative(Ht, dx, 1)), sq(stencil_derivative(Ht, dx, 2)),
+                         sq(Htt))
     h, hx, hxx, ht, htx, htxx, htt = h_sq
 
     e0 = np.max(V_sq + ydots * V0_sq) + np.trapezoid(g, dx=dts)
@@ -289,12 +312,18 @@ def trace_identities(traj: Trajectory, init: InitialData, grid: Grid, params: Ph
     transported initial effective velocity.  `t_index` is one stored-time
     index (returns one TraceReport) or a sequence of them (returns a list,
     one report per index); the w0' and w0'' evaluators are built once per
-    call.
+    call.  An index that is not an integer in [0, stored times) is a
+    ValidationError, negative ones included.
     """
+    indices = np.ravel(t_index)
+    for i in indices:
+        if not (isinstance(i, Integral) and 0 <= i < traj.stored_idx.size):
+            raise ValidationError(
+                f"t_index {i} is not a stored-time index in [0, {traj.stored_idx.size})")
     dw_eval = monotone_interpolator(init.dxw0, grid, 0.0)
     d2w_eval = monotone_interpolator(derivative(init.w0, grid, 2), grid, 0.0)
     reports = [_trace_report(traj, init, grid, params, int(i), dw_eval, d2w_eval)
-               for i in np.ravel(t_index)]
+               for i in indices]
     return reports[0] if np.ndim(t_index) == 0 else reports
 
 
@@ -444,15 +473,15 @@ def growth_estimate_report(traj: Trajectory, init: InitialData, grid: Grid,
     dvbar = prof.dv_bar
     source = init.source_eval
 
-    G = traj.v[:m] - prof.v_bar
-    Gt = _time_derivative(G, dts)
-    sq = np.empty((4, m))
-    for i, step in enumerate(traj.stored_idx[:m]):
-        src = ((0.0 if source is None else source.shifted(traj.y[step]))
-               + (traj.ydot[step] - params.s) * dvbar)
-        sq[:, i] = _squared_l2((G[i], stencil_derivative(G[i], grid.dx, 1), Gt[i], src),
-                               grid.x)
-    g_sq, dxg_sq, dtg_sq, src_sq = sq
+    sq = partial(_squared_l2, x=grid.x)
+    norms = np.empty((4, m))
+    for rows, G, Gt, _ in _row_blocks(traj.v, prof.v_bar, m, dts):
+        src = np.empty_like(G)
+        for j, step in enumerate(traj.stored_idx[rows]):
+            src[:, j] = ((0.0 if source is None else source.shifted(traj.y[step]))
+                         + (traj.ydot[step] - params.s) * dvbar)
+        norms[:, rows] = sq(G), sq(stencil_derivative(G, grid.dx, 1)), sq(Gt), sq(src)
+    g_sq, dxg_sq, dtg_sq, src_sq = norms
 
     T = float(traj.stored_times[m - 1])
     lhs = float(np.sqrt(np.max(g_sq + dxg_sq)) + np.sqrt(np.trapezoid(dtg_sq, dx=dts))

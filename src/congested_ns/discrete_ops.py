@@ -40,7 +40,9 @@ def derivative(f: np.ndarray, grid: Grid, order: int) -> np.ndarray:
 def stencil_derivative(f: np.ndarray, dx: float, order: int) -> np.ndarray:
     """The stencils of derivative on a float array of at least 5 nodes with
     spacing dx, without validating it: for arrays a caller built from fields
-    it has already validated."""
+    it has already validated.  The nodes run along the first axis, so a 2-D
+    array is a set of fields, one per column, each differentiated as if alone
+    (the transpose of a stack of rows)."""
     out = np.empty_like(f)
     if order == 1:
         out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)

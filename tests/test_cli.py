@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from dataclasses import replace
 from functools import partial
 
@@ -217,13 +218,24 @@ def test_runs_are_bit_identical(tmp_path):
     assert csv_a == csv_b
 
 
+def test_solve_seconds_is_the_time_inside_picard_solve(tmp_path, monkeypatch):
+    def slow_solve(*args, **kwargs):
+        time.sleep(0.2)
+        return freeboundary.picard_solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "picard_solve", slow_solve)
+    assert main(["--preset", "steady_wave", "--out-dir", str(tmp_path)] + SMALL) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert 0.2 <= summary["solve_seconds"] <= summary["elapsed_seconds"]
+
+
 def test_running_h1_column_is_the_bootstrap_monitor_norm(tmp_path):
     cfg = replace(preset_config("bootstrap_check"), n=257, T_final=0.1, dt=0.005,
                   stride=5, out_dir=str(tmp_path))
     assert run(cfg) == 0
     rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
     column = np.array([float(row.split(",")[-1]) for row in rows])
-    traj = _solve_from_config(cfg)
+    traj, _ = _solve_from_config(cfg)
     monitor = bootstrap_monitor(traj.path, traj.params, cfg.delta)
     np.testing.assert_array_equal(column, monitor["running_h1"][traj.stored_idx])
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -351,6 +363,7 @@ def test_appendix_lemmas_preset(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["all_hold"] is True
     assert summary["counterexamples"] == 0
+    assert "solve_seconds" not in summary  # no solver runs
     lines = (out / "diagnostics.jsonl").read_text().splitlines()
     assert len(lines) == 200
     rec = json.loads(lines[0])
@@ -366,6 +379,7 @@ def test_coercivity_suite_preset_small(tmp_path):
     # quadrature-limited at this reduced smoke resolution; the full-grid
     # bound is exercised by the acceptance suite
     assert summary["worst_relative_gap"] <= 1e-4
+    assert "solve_seconds" not in summary
     assert (out / "diagnostics.jsonl").exists()
 
 
@@ -379,6 +393,8 @@ def test_stability_sweep_parallel_workers(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["max_principle_ok"] is True
     assert len(summary["runs"]) == 2
+    assert summary["solve_seconds"] == pytest.approx(
+        sum(r["solve_seconds"] for r in summary["runs"]), abs=1e-3)
     assert (out / "trajectory_amp0.0001.csv").exists()
 
 

@@ -1,11 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from congested_ns import diagnostics, discrete_ops
+from congested_ns import cli, diagnostics, discrete_ops
 from congested_ns.core import ValidationError, make_grid
 from congested_ns.diagnostics import (
+    EnergyReport,
     bootstrap_monitor,
     coercivity_check,
     coercivity_weight,
@@ -19,8 +21,16 @@ from congested_ns.diagnostics import (
     growth_estimate_report,
     write_diagnostic_records,
 )
-from congested_ns.discrete_ops import NormKind, derivative, norm, trace0
-from congested_ns.freeboundary import make_path, picard_solve, validate_hypotheses
+from congested_ns.discrete_ops import NormKind, derivative, norm, stencil_derivative, trace0
+from congested_ns.freeboundary import (
+    ROW_BLOCK,
+    make_path,
+    path_h1_norm,
+    picard_solve,
+    reconstruction_residuals,
+    time_derivative,
+    validate_hypotheses,
+)
 from congested_ns.perturbations import initial_data_fields
 from congested_ns.profiles import traveling_wave
 
@@ -211,6 +221,18 @@ class TestTraceIdentities:
         monkeypatch.setattr(diagnostics, "monotone_interpolator", counting)
         assert trace_identities(traj, init, grid, params, indices) == singles
         assert len(singles) > 2 and len(builds) == 2
+
+    @pytest.mark.parametrize("t_index", [99, -1, 2.5, [0, 5], [1.0, 2]])
+    def test_index_outside_the_stored_rows_rejected(self, synthetic_run, t_index):
+        traj = synthetic_run(257, np.arange(5))
+        with pytest.raises(ValidationError, match="stored-time index"):
+            trace_identities(traj, traj.init, traj.grid, traj.params, t_index)
+
+    def test_numpy_integer_indices_accepted(self, synthetic_run):
+        traj = synthetic_run(257, np.arange(5))
+        args = (traj, traj.init, traj.grid, traj.params)
+        assert trace_identities(*args, np.int64(4)) == trace_identities(*args, 4)
+        assert trace_identities(*args, np.arange(5)) == trace_identities(*args, range(5))
 
     def test_second_order_identity_bounded(self, params, tilt_run):
         grid, init, traj = tilt_run
@@ -437,6 +459,151 @@ class TestEnergies:
         monkeypatch.setattr(diagnostics, "monotone_interpolator", counting)
         growth_estimate_report(traj, init, grid, params)
         assert builds == []
+
+
+def _whole_history_energies(traj, init, grid, params, t):
+    """energy_report's arithmetic on whole stored-time x node histories, one
+    stored row at a time: the oracle of the row-block pass."""
+    prof = traj.wave
+    m, dts = diagnostics._uniform_prefix(traj, t)
+    ydots = traj.ydot[traj.stored_idx[:m]]
+    x, dx = grid.x, grid.dx
+
+    def dt_rows(F):
+        return time_derivative(F, dts) if F.shape[0] >= 3 else np.zeros_like(F)
+
+    def sq(fields):
+        return [np.trapezoid(f**2, x) for f in fields]
+
+    G = traj.v[:m] - prof.v_bar
+    Gt = dt_rows(G)
+    Gtt = dt_rows(Gt)
+    g_sq = np.empty((9, m))
+    V0_sq = np.empty(m)
+    for i in range(m):
+        V = integrated_perturbation(traj.v[i], prof.v_bar, grid)
+        V0_sq[i] = V[0] ** 2
+        gxx = stencil_derivative(G[i], dx, 2)
+        g_sq[:, i] = sq((V, G[i], stencil_derivative(G[i], dx, 1), gxx,
+                         stencil_derivative(gxx, dx, 1), Gt[i], stencil_derivative(Gt[i], dx, 1),
+                         stencil_derivative(Gt[i], dx, 2), Gtt[i]))
+    V_sq, g, gx, gxx, gxxx, gt, gtx, gtxx, gtt = g_sq
+
+    H = traj.u[:m] - prof.u_bar
+    Ht = dt_rows(H)
+    Htt = dt_rows(Ht)
+    h_sq = np.empty((7, m))
+    for i in range(m):
+        hx = stencil_derivative(H[i], dx, 1)
+        h_sq[:, i] = sq((H[i], hx, stencil_derivative(hx, dx, 1), Ht[i],
+                         stencil_derivative(Ht[i], dx, 1), stencil_derivative(Ht[i], dx, 2),
+                         Htt[i]))
+    h, hx, hxx, ht, htx, htxx, htt = h_sq
+
+    n_path = int(traj.t.searchsorted(t + 1e-12, side="right"))
+    beta_h1 = path_h1_norm(traj.t[:n_path], traj.ydot[:n_path] - params.s)
+    total0 = initial_energy(init, grid, params)
+    return EnergyReport(
+        e0=float(np.max(V_sq + ydots * V0_sq) + np.trapezoid(g, dx=dts)),
+        e1=float(np.max(g + gx) + np.trapezoid(gx, dx=dts) + np.trapezoid(gt, dx=dts)),
+        e2=float(np.max(gt + gxx) + np.trapezoid(gtx, dx=dts)),
+        e3=float(np.max(gtx + gxxx) + np.trapezoid(gtt, dx=dts)
+                 + np.trapezoid(gtxx, dx=dts)),
+        e4=float(np.max(h + hx) + np.trapezoid(hx + hxx, dx=dts) + np.trapezoid(ht, dx=dts)),
+        e5=float(np.max(htx) + np.trapezoid(htt, dx=dts) + np.trapezoid(htxx, dx=dts)),
+        initial_total=total0, horizon_total=total0 + beta_h1**2, beta_h1=float(beta_h1),
+    )
+
+
+def _whole_history_growth(traj, init, grid, params):
+    """growth_estimate_report's arithmetic on whole stored-time x node
+    histories, one stored row at a time: the oracle of the row-block pass."""
+    prof = traj.wave
+    m, dts = diagnostics._uniform_prefix(traj, traj.t[-1])
+    dvbar = prof.dv_bar
+    G = traj.v[:m] - prof.v_bar
+    Gt = time_derivative(G, dts) if m >= 3 else np.zeros_like(G)
+    sq = np.empty((4, m))
+    for i, step in enumerate(traj.stored_idx[:m]):
+        src = init.source_eval.shifted(traj.y[step]) + (traj.ydot[step] - params.s) * dvbar
+        sq[:, i] = [np.trapezoid(f**2, grid.x) for f in
+                    (G[i], stencil_derivative(G[i], grid.dx, 1), Gt[i], src)]
+    g_sq, dxg_sq, dtg_sq, src_sq = sq
+
+    T = float(traj.stored_times[m - 1])
+    lhs = float(np.sqrt(np.max(g_sq + dxg_sq)) + np.sqrt(np.trapezoid(dtg_sq, dx=dts))
+                + np.sqrt(np.trapezoid(dxg_sq, dx=dts)))
+    base = float(np.sqrt(g_sq[0] + dxg_sq[0])) + float(np.sqrt(np.trapezoid(src_sq, dx=dts)))
+    envelope = float(np.exp((1.0 + float(np.max(np.abs(dvbar))) ** 2) * T))
+    plain_base = base + float(np.sqrt(np.trapezoid(g_sq, dx=dts)))
+    return {"lhs": lhs, "rhs_exponential_factor": base * envelope,
+            "measured_constant": lhs / (base * envelope),
+            "rhs_plain_factor": plain_base, "measured_constant_plain": lhs / plain_base,
+            "horizon": T}
+
+
+B = ROW_BLOCK
+ROW_CASES = {
+    **{f"{m}_rows": (np.arange(m), None) for m in (1, 2, 3, 4, B - 1, B, B + 1, 2 * B + 3)},
+    # a prefix ending inside the second block, then the stride-60 bump run's
+    # stored steps, whose final snapshot is off the spacing and dropped
+    "prefix": (np.arange(2 * B + 3), B + 2),
+    "stride_60": (np.array([0, 60, 120, 180, 240, 250]), None),
+}
+
+
+class TestRowBlockPass:
+    """The certificates walk the stored history ROW_BLOCK rows at a time and
+    give, bit for bit, what the whole-history arithmetic gives."""
+
+    @pytest.mark.parametrize("case", ROW_CASES)
+    def test_energy_report_equals_whole_history(self, synthetic_run, case):
+        stored_idx, row_t = ROW_CASES[case]
+        traj = synthetic_run(257, stored_idx)
+        t = traj.t[-1] if row_t is None else traj.stored_times[row_t]
+        args = (traj, traj.init, traj.grid, traj.params)
+        assert energy_report(*args, t) == _whole_history_energies(*args, t)
+
+    @pytest.mark.parametrize("case", ROW_CASES)
+    def test_growth_estimate_equals_whole_history(self, synthetic_run, case):
+        stored_idx, _ = ROW_CASES[case]
+        traj = synthetic_run(257, stored_idx)
+        args = (traj, traj.init, traj.grid, traj.params)
+        assert growth_estimate_report(*args) == _whole_history_growth(*args)
+
+
+@pytest.fixture(scope="module")
+def front_sized_run(synthetic_run):
+    # the stored history of steady_wave to T=4: 401 rows of 2049 nodes
+    return synthetic_run(2049, np.arange(0, 4001, 10), dt=1e-3)
+
+
+def _peak_above_live_mib(fn, *args) -> float:
+    """Peak of the memory fn allocates above what is live when it is called."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - live) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("certificate", ["energy_report", "growth_estimate_report",
+                                         "reconstruction_residuals", "run_summary"])
+def test_certificates_hold_no_whole_history(front_sized_run, certificate):
+    # one whole-history array of this run is 6.3 MiB; the certificates walk
+    # it in blocks, so they stay within 2 MiB of what is already live
+    traj = front_sized_run
+    args = (traj, traj.init, traj.grid, traj.params)
+    calls = {
+        "energy_report": (energy_report, *args, traj.t[-1]),
+        "growth_estimate_report": (growth_estimate_report, *args),
+        "reconstruction_residuals": (reconstruction_residuals, *args),
+        "run_summary": (cli._run_summary, traj,
+                        bootstrap_monitor(traj.path, traj.params, 0.05), 1.0),
+    }
+    assert _peak_above_live_mib(*calls[certificate]) <= 2.0
 
 
 def test_write_diagnostic_records(tmp_path):

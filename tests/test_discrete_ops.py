@@ -11,6 +11,7 @@ from congested_ns.discrete_ops import (
     monotone_interpolator,
     norm,
     shift_sample,
+    stencil_derivative,
     tail_integral,
     trace0,
 )
@@ -22,6 +23,19 @@ def g10():
 
 
 coeffs = st.floats(-3.0, 3.0)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("rows", [1, 3, 8])
+def test_stencil_derivative_of_columns_is_each_field_alone(order, rows):
+    # a block of stored rows viewed out of a longer history, node-major as
+    # the certificates pass it: one column per row
+    history = np.random.default_rng(rows).normal(size=(rows + 6, 257))
+    block = history[3:3 + rows]
+    columns = stencil_derivative(block.T, 0.1, order)
+    np.testing.assert_array_equal(columns.T, [stencil_derivative(r, 0.1, order) for r in block])
+    np.testing.assert_array_equal(stencil_derivative(np.ascontiguousarray(block.T), 0.1, order),
+                                  columns)
 
 
 @given(a=coeffs, b=coeffs, c=coeffs)

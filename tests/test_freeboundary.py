@@ -6,6 +6,7 @@ from congested_ns import discrete_ops, freeboundary, profiles
 from congested_ns.core import PhysicalParams, ValidationError, make_grid
 from congested_ns.discrete_ops import cumulative_trapezoid
 from congested_ns.freeboundary import (
+    ROW_BLOCK,
     DenominatorTooSmall,
     HypothesisViolated,
     PicardStalled,
@@ -486,8 +487,9 @@ class TestAssembleAndReconstruction:
         assert res[0] <= 1e-10  # zero shift at t=0: pure discretization error
         assert np.max(res) <= 1e-3
 
-    def test_reconstruction_builds_one_interpolant_and_no_wave(
+    def test_reconstruction_builds_one_interpolant_and_no_wave_per_row_block(
             self, params, small_grid, bump_init, monkeypatch):
+        # one interpolant per block of ROW_BLOCK stored times: 11 and 3 of them
         trajs = [picard_solve(bump_init, small_grid, params, T_final=0.1, dt=1e-2,
                               stride=stride) for stride in (1, 5)]
         assert trajs[0].stored_idx.size != trajs[1].stored_idx.size
@@ -508,5 +510,5 @@ class TestAssembleAndReconstruction:
         for traj in trajs:
             builds.clear()
             reconstruction_residuals(traj, bump_init, small_grid, params)
-            assert len(builds) == 1
+            assert len(builds) == -(-traj.stored_idx.size // ROW_BLOCK)
         assert wave_calls == []
