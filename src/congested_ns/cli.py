@@ -304,8 +304,8 @@ def _trajectory_csv(path: Path, traj: Trajectory, beta_running: np.ndarray) -> N
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,xtilde,xtilde_dot,p_s,l2_v_err,h1_v_err,l2_u_err,beta_h1_running\n")
         for i, step in enumerate(traj.stored_idx):
-            g = traj.v[i] - traj.wave.v_bar
-            h = traj.u[i] - traj.wave.u_bar
+            g = traj.v[i] - traj.init.wave.v_bar
+            h = traj.u[i] - traj.init.wave.u_bar
             row = (
                 traj.t[step], traj.y[step], traj.ydot[step], traj.p_s[step],
                 norm(g, grid, NormKind.L2), norm(g, grid, NormKind.H1),
@@ -319,7 +319,7 @@ def _snapshot_file(path: Path, traj: Trajectory, t_index: int) -> None:
     x, v, u, p = assemble_solution(traj, grid, params, t_index)
     w = np.concatenate((np.full(x.size - grid.n, params.u_minus),
                         effective_velocity_about_wave(traj.u[t_index], traj.v[t_index], grid,
-                                                      params, traj.wave)))
+                                                      params, traj.init.wave)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x v u w p\n")
         for row in zip(x, v, u, w, p):
@@ -352,8 +352,8 @@ def _run_summary(traj: Trajectory, monitor: dict, solve_seconds: float) -> dict:
         "solve_seconds": round(solve_seconds, 3),
         "converged": True,
         "iterations_per_window": [w.iterations for w in traj.windows],
-        "max_drift_v_linf": _max_drift(traj.v, traj.wave.v_bar),
-        "max_drift_u_linf": _max_drift(traj.u, traj.wave.u_bar),
+        "max_drift_v_linf": _max_drift(traj.v, traj.init.wave.v_bar),
+        "max_drift_u_linf": _max_drift(traj.u, traj.init.wave.u_bar),
         "max_drift_speed": float(np.max(np.abs(traj.ydot - params.s))),
         "max_drift_pressure": float(np.max(np.abs(traj.p_s - params.p_minus))),
         "beta_h1": float(monitor["running_h1"][-1]),
@@ -413,8 +413,8 @@ def _run_bootstrap_check(cfg: RunConfig, out: Path) -> dict:
     traj, solve_seconds = _solve_from_config(cfg)
     summary, monitor = _emit_trajectory_outputs(out, cfg, traj, solve_seconds)
     e0 = summary["initial_energy"]
-    initial_sup = float(np.max(np.abs(traj.v[0] - traj.wave.v_bar)))
-    final_sup = float(np.max(np.abs(traj.v[-1] - traj.wave.v_bar)))
+    initial_sup = float(np.max(np.abs(traj.v[0] - traj.init.wave.v_bar)))
+    final_sup = float(np.max(np.abs(traj.v[-1] - traj.init.wave.v_bar)))
     summary.update({
         "delta": cfg.delta,
         "c0": BOOTSTRAP_C0,

@@ -53,7 +53,7 @@ class PhysicalParams:
                 raise ValidationError(f"{name} must be finite (got {getattr(self, name)})")
         if not self.mu > 0.0:
             raise ValidationError(f"mu must be positive (got {self.mu})")
-        # boundary_slope_constants divides by mu^2, the trace identities by
+        # the wave's boundary slopes divide by mu^2, the trace identities by
         # mu^3, p_minus squares s: each power must be a positive finite float
         s = derive_speed(self.u_minus, self.u_plus, self.v_plus)
         for name, value, power in (("mu", self.mu, 3), ("s", s, 2)):

@@ -39,7 +39,7 @@ from .freeboundary import (
     running_h1_norm,
     time_derivative,
 )
-from .profiles import Profiles, traveling_wave
+from .profiles import Profiles
 
 
 def integrated_perturbation(v: np.ndarray, v_bar: np.ndarray, grid: Grid) -> np.ndarray:
@@ -159,10 +159,8 @@ class EnergyReport:
 
 def initial_energy(init: InitialData, grid: Grid, params: PhysicalParams) -> float:
     """Seven-summand total initial energy of the perturbation."""
-    prof = traveling_wave(params, grid)
-    g0 = init.v0 - prof.v_bar
-    h0 = init.u0 - prof.u_bar
-    dw = derivative(init.w0, grid, 1)
+    g0 = init.v0 - init.wave.v_bar
+    h0 = init.u0 - init.wave.u_bar
     d2w = derivative(init.w0, grid, 2)
     return float(
         norm(g0, grid, NormKind.H3) ** 2
@@ -170,7 +168,7 @@ def initial_energy(init: InitialData, grid: Grid, params: PhysicalParams) -> flo
         + norm(init.w0 - params.u_plus, grid, NormKind.L2) ** 2
         + norm(init.V0, grid, NormKind.L2) ** 2
         + norm(init.W0, grid, NormKind.WEIGHTED_ONE_PLUS_SQRT_X) ** 2
-        + norm(dw, grid, NormKind.WEIGHTED_ONE_PLUS_SQRT_X) ** 2
+        + norm(init.dxw0, grid, NormKind.WEIGHTED_ONE_PLUS_SQRT_X) ** 2
         + norm(d2w, grid, NormKind.WEIGHTED_ONE_PLUS_SQRT_X) ** 2
     )
 
@@ -239,7 +237,7 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
     """
     if not t >= 0.0:  # NaN fails
         raise ValidationError(f"t must be a non-negative time (got {t})")
-    prof = traj.wave
+    prof = traj.init.wave
     m, dts = _uniform_prefix(traj, t)
     ydots = traj.ydot[traj.stored_idx[:m]]
     x, dx = grid.x, grid.dx
@@ -331,7 +329,7 @@ def _trace_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
                   t_index: int, dw_eval: MonotoneInterpolant,
                   d2w_eval: MonotoneInterpolant) -> TraceReport:
     """trace_identities at one stored time, given the w0' and w0'' evaluators."""
-    prof = traj.wave
+    prof = traj.init.wave
     step = int(traj.stored_idx[t_index])
     s, mu, vp = params.s, params.mu, params.v_plus
     beta = float(traj.ydot[step] - s)
@@ -405,7 +403,7 @@ def shifted_weight_inequality(F: np.ndarray, path: BoundaryPath, M: float,
     F = as_field(F, grid)
     if np.any(path.y < path.t / M - 1e-12):
         raise ValidationError("path violates y(t) >= t/M; inequality hypotheses fail")
-    shifted = shift_sample(F, grid, path.y, 0.0)
+    shifted = shift_sample(monotone_interpolator(F, grid, 0.0), path.y)
     inner = np.array([np.trapezoid(row**2, grid.x) for row in shifted])
     lhs = float(np.trapezoid(inner, path.t))
     rhs = float(M * np.trapezoid(grid.x * F**2, grid.x))
@@ -414,8 +412,13 @@ def shifted_weight_inequality(F: np.ndarray, path: BoundaryPath, M: float,
 
 def path_difference_inequality(w0: np.ndarray, path1: BoundaryPath, path2: BoundaryPath,
                                M: float, grid: Grid) -> dict:
-    """Check ||w0(y1) - w0(y2)||_{L2(0,T)} <= M ||y1'-y2'||_{L2} ||sqrt(z) w0'||_{L2}."""
+    """Check ||w0(y1) - w0(y2)||_{L2(0,T)} <= M ||y1'-y2'||_{L2} ||sqrt(z) w0'||_{L2}.
+
+    Both paths must be on the same time mesh, the one the L2(0,T) norms
+    integrate on."""
     w0 = as_field(w0, grid)
+    if not np.array_equal(path1.t, path2.t):
+        raise ValidationError("the two paths must share one time mesh")
     for p in (path1, path2):
         if np.min(p.ydot) < 1.0 / M - 1e-12 or np.max(p.ydot) > M + 1e-12:
             raise ValidationError("path speeds must lie in [1/M, M]")
@@ -438,7 +441,7 @@ def l1_bound_report(traj: Trajectory, init: InitialData, grid: Grid,
     + ||d_x w0||_L1 + ||d_x vwave||_L1 ]; the constant C it takes to make it
     hold is reported (logged, never asserted strictly).
     """
-    prof = traj.wave
+    prof = traj.init.wave
     lhs = max(norm(traj.v[i] - prof.v_bar, grid, NormKind.L1)
               for i in range(traj.stored_idx.size))
     rhs_factor = (
@@ -468,7 +471,7 @@ def growth_estimate_report(traj: Trajectory, init: InitialData, grid: Grid,
     Norms in time run over the stored snapshots of _uniform_prefix, so the
     horizon T is the last stored time on the stride spacing.
     """
-    prof = traj.wave
+    prof = traj.init.wave
     m, dts = _uniform_prefix(traj, traj.t[-1])
     dvbar = prof.dv_bar
     source = init.source_eval

@@ -140,11 +140,12 @@ class MonotoneInterpolant:
     """Evaluator x -> f0(x) for points x >= 0 of a field tabulated on [0, R].
 
     Shape-preserving cubic interpolation (PCHIP) up to and including R, the
-    declared value `tail` beyond it, NaN below 0.  Build it with
-    monotone_interpolator.
+    declared value `tail` beyond it, NaN below 0.  `values` are the nodal
+    values f0 it was built from.  Build it with monotone_interpolator.
     """
 
-    def __init__(self, terms: tuple, grid: Grid, tail: float):
+    def __init__(self, values: np.ndarray, terms: tuple, grid: Grid, tail: float):
+        self.values = values
         self._terms = terms  # (c3, c2, c1, c0), one entry per interval
         self._grid = grid
         self._tail = tail
@@ -249,7 +250,7 @@ def monotone_interpolator(f0: np.ndarray, grid: Grid, tail: float) -> MonotoneIn
     # sums the terms from 0.0, so 0.0 + f0 turns a -0.0 value into 0.0
     t = (d[:-1] + d[1:] - 2 * m) / h
     terms = (0.0 + f0[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)
-    return MonotoneInterpolant(terms, grid, float(tail))
+    return MonotoneInterpolant(f0.copy(), terms, grid, float(tail))
 
 
 def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
@@ -280,23 +281,21 @@ def tail_integral(f: np.ndarray, grid: Grid) -> np.ndarray:
     return cum - cum[-1]
 
 
-def shift_sample(f0: np.ndarray, grid: Grid, y, tail: float) -> np.ndarray:
-    """Sample x -> f0(x + y) on the grid through monotone_interpolator.
+def shift_sample(evaluate: MonotoneInterpolant, y) -> np.ndarray:
+    """Sample x -> f0(x + y) on the grid through a built monotone_interpolator.
 
     `y` is one shift (result shape (n,)) or a 1-D array of shifts (result
-    shape (len(y), n), one row per shift); the interpolant is built once per
-    call.  `tail` is the declared value of f0 past R.  A zero shift gives an
-    exact copy of f0.  Negative shifts are rejected, since the interface only
-    ever moves right, and so are NaN and infinite ones.
+    shape (len(y), n), one row per shift), each row read by
+    `evaluate.shifted`.  A zero shift gives an exact copy of the nodal values
+    f0.  Negative shifts are rejected, since the interface only ever moves
+    right, and so are NaN and infinite ones.
     """
-    f0 = as_field(f0, grid)
     shifts = np.asarray(y, float)
     bad = ~((shifts >= 0.0) & (shifts < np.inf))
     if np.any(bad):
         raise ValidationError(
             f"shift offset must be finite and nonnegative (got {shifts[bad].flat[0]})")
-    evaluate = monotone_interpolator(f0, grid, tail)
-    out = np.empty((shifts.size, grid.n))
+    out = np.empty((shifts.size, evaluate.values.size))
     for row, shift in zip(out, shifts.ravel()):
-        row[:] = f0 if shift == 0.0 else evaluate.shifted(shift)
+        row[:] = evaluate.values if shift == 0.0 else evaluate.shifted(shift)
     return out[0] if shifts.ndim == 0 else out

@@ -34,17 +34,13 @@ from .discrete_ops import (
 )
 from .parabolic import (
     DEFAULT_NEWTON_TOL,
+    RegularizedLog,
     regularized_log,
     step_u,
     step_v,
     truncation_mollifier,
 )
-from .profiles import (
-    Profiles,
-    boundary_slope_constants,
-    effective_velocity_about_wave,
-    traveling_wave,
-)
+from .profiles import Profiles, effective_velocity_about_wave, traveling_wave
 
 DENOM_FLOOR = 1e-8
 
@@ -127,7 +123,7 @@ def running_h1_norm(t: np.ndarray, f: np.ndarray) -> np.ndarray:
     t = np.asarray(t, float)
     f = np.asarray(f, float)
     if t.size < 2:
-        return np.abs(f)
+        return np.zeros_like(f)
     dt = float(t[1] - t[0])
     df = time_derivative(f, dt)
     return np.sqrt(cumulative_trapezoid(f**2 + df**2, dt))
@@ -149,8 +145,10 @@ class InitialData:
     source is the mollified chi d_x w0 that the volume equation transports.
     w0_eval and source_eval evaluate w0 and source at points x >= 0
     (monotone_interpolator with tails u_plus and 0); source_eval is None
-    when the source is identically zero.  validate_hypotheses builds both
-    once per datum.
+    when the source is identically zero.  wave is traveling_wave(params,
+    grid), the background of every march and certificate, and reg the
+    regularized log with bar_c = 2 max v0 that step_v applies.
+    validate_hypotheses builds each of them once per datum.
     """
 
     v0: np.ndarray = field(repr=False)
@@ -164,6 +162,8 @@ class InitialData:
     hypothesis_report: dict
     w0_eval: MonotoneInterpolant = field(repr=False, compare=False)
     source_eval: MonotoneInterpolant | None = field(repr=False, compare=False)
+    wave: Profiles = field(repr=False, compare=False)
+    reg: RegularizedLog = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for arr in (self.v0, self.u0, self.w0, self.dxw0, self.V0, self.W0, self.source):
@@ -197,10 +197,9 @@ def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid, params: Phys
     W0 = tail_integral(w0 - params.u_plus, grid)
 
     # one-sided traces: exact wave slopes plus stencils on the deviation only
-    slopes = boundary_slope_constants(params)
-    du0 = slopes["du"] + trace0(u0 - prof.u_bar, grid, 1)
-    dv0 = slopes["dv"] + trace0(v0 - prof.v_bar, grid, 1)
-    d2u0 = slopes["d2u"] + trace0(u0 - prof.u_bar, grid, 2)
+    du0 = prof.du0 + trace0(u0 - prof.u_bar, grid, 1)
+    dv0 = prof.dv0 + trace0(v0 - prof.v_bar, grid, 1)
+    d2u0 = prof.d2u0 + trace0(u0 - prof.u_bar, grid, 2)
 
     report: dict[str, dict] = {}
     failures: list[str] = []
@@ -244,6 +243,7 @@ def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid, params: Phys
         hypothesis_report=report,
         w0_eval=monotone_interpolator(w0, grid, params.u_plus),
         source_eval=monotone_interpolator(source, grid, 0.0) if np.any(source) else None,
+        wave=prof, reg=regularized_log(2.0 * float(np.max(v0))),
     )
 
 
@@ -269,7 +269,7 @@ def boundary_velocity(u: np.ndarray, w0_at_y: float, grid: Grid, params: Physica
 
 
 def _start_speed(u: np.ndarray, y0: float, t_start: float, init: InitialData, grid: Grid,
-                 params: PhysicalParams, wave: Profiles) -> float:
+                 params: PhysicalParams) -> float:
     """Interface speed at the first node of a march from state u at position
     y0.  A march from the initial data (t_start 0) starts at the
     data-determined init.compat_speed; a march from a carried state starts at
@@ -277,7 +277,7 @@ def _start_speed(u: np.ndarray, y0: float, t_start: float, init: InitialData, gr
     continuous across windows and independent of where they start."""
     if t_start == 0.0:
         return init.compat_speed
-    return boundary_velocity(u, init.w0_at(y0), grid, params, wave)
+    return boundary_velocity(u, init.w0_at(y0), grid, params, init.wave)
 
 
 @dataclass
@@ -319,7 +319,6 @@ class Trajectory:
     grid: Grid
     params: PhysicalParams
     init: InitialData
-    wave: Profiles
 
     @property
     def path(self) -> BoundaryPath:
@@ -331,8 +330,8 @@ class Trajectory:
 
 
 def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
-           init: InitialData, grid: Grid, params: PhysicalParams, wave: Profiles,
-           dt: float, newton_tol: float, t_start: float, keep: set[int] | tuple = (),
+           init: InitialData, grid: Grid, params: PhysicalParams, dt: float,
+           newton_tol: float, t_start: float, keep: set[int] | tuple = (),
            history: np.ndarray | None = None
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Advance the fields along a given path (speeds ydot, global positions
@@ -354,9 +353,8 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
     """
     steps = ydot.size - 1
     zdot = np.empty(ydot.size)
-    zdot[0] = _start_speed(u, y[0], t_start, init, grid, params, wave)
+    zdot[0] = _start_speed(u, y[0], t_start, init, grid, params)
     kept = []
-    reg = regularized_log(2.0 * float(np.max(init.v0)))
     if history is None:
         w0_y = init.w0_at(y)
     else:
@@ -376,9 +374,9 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
             w0_yk = init.w0_at(y[k])  # equal bit for bit to the array's entry
         src = 0.0 if init.source_eval is None else init.source_eval.shifted(y[k])
         try:
-            v = step_v(v, ydot[k], src, grid, dt, reg, params, wave, newton_tol)
-            u = step_u(u, v, ydot[k], grid, dt, params, wave)
-            zdot[k] = boundary_velocity(u, w0_yk, grid, params, wave)
+            v = step_v(v, ydot[k], src, grid, dt, init.reg, params, init.wave, newton_tol)
+            u = step_u(u, v, ydot[k], grid, dt, params, init.wave)
+            zdot[k] = boundary_velocity(u, w0_yk, grid, params, init.wave)
         except RuntimeError as exc:
             exc.t = t_start + k * dt
             raise
@@ -408,8 +406,8 @@ def apply_boundary_map(path_in: BoundaryPath, init: InitialData, grid: Grid,
             f"expected the data-determined value {init.compat_speed:g} "
             f"within {compat_tol:g}"
         )
-    zdot, *_ = _march(init.v0, init.u0, path_in.ydot, path_in.y, init, grid, params,
-                      traveling_wave(params, grid), dt, newton_tol, t_start=0.0)
+    zdot, *_ = _march(init.v0, init.u0, path_in.ydot, path_in.y, init, grid, params, dt,
+                      newton_tol, t_start=0.0)
     return make_path(path_in.t, zdot)
 
 
@@ -433,7 +431,7 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     the flat path at its start speed.  A later window's first march predicts
     its own path from the two converged speeds before the window (_march's
     history), so its first iterate is already close to the fixed point.  The
-    wave background is sampled once and kept on the trajectory as `wave`.
+    wave background is init.wave.
     """
     for name, value in (("stride", stride), ("max_iter", max_iter)):
         if not (isinstance(value, Integral) and value >= 1):  # range() takes no float
@@ -461,7 +459,6 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     v_stored[0], u_stored[0] = init.v0, init.u0
     windows: list[WindowReport] = []
 
-    wave = traveling_wave(params, grid)
     v, u = init.v0, init.u0
     y_offset = 0.0
     k_done = 0
@@ -471,7 +468,7 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
         steps = min(steps_per_window, n_total - k_done)
         t_loc = dt * np.arange(steps + 1)
         t_start = k_done * dt
-        speed0 = _start_speed(u, y_offset, t_start, init, grid, params, wave)
+        speed0 = _start_speed(u, y_offset, t_start, init, grid, params)
         ydot = np.full(steps + 1, speed0)
         y = y_offset + cumulative_trapezoid(ydot, dt)
         # a later window's first march overwrites this flat path with its prediction
@@ -479,8 +476,8 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
 
         report = WindowReport(t_start=t_start)
         for _ in range(max_iter):
-            zdot, *_ = _march(v, u, ydot, y, init, grid, params, wave, dt, newton_tol,
-                              t_start, history=history)
+            zdot, *_ = _march(v, u, ydot, y, init, grid, params, dt, newton_tol, t_start,
+                              history=history)
             history = None
             report.distances.append(path_h1_norm(t_loc, zdot - ydot))
             ydot = zdot
@@ -497,8 +494,8 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
 
         # definitive pass along the converged path, keeping the stored fields
         rows = np.flatnonzero((stored_idx > k_done) & (stored_idx <= k_done + steps))
-        _, v, u, kept = _march(v, u, ydot, y, init, grid, params, wave, dt, newton_tol,
-                               t_start, keep=set((stored_idx[rows] - k_done).tolist()))
+        _, v, u, kept = _march(v, u, ydot, y, init, grid, params, dt, newton_tol, t_start,
+                               keep=set((stored_idx[rows] - k_done).tolist()))
         for r, (v_k, u_k) in zip(rows, kept):
             v_stored[r], u_stored[r] = v_k, u_k
         y_all[k_done + 1:k_done + steps + 1] = y[1:]
@@ -510,7 +507,7 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
         t=t_all, y=y_all, ydot=ydot_all,
         p_s=ydot_all * (params.u_minus - init.w0_eval(y_all)),
         stored_idx=stored_idx, v=v_stored, u=u_stored,
-        windows=windows, grid=grid, params=params, init=init, wave=wave,
+        windows=windows, grid=grid, params=params, init=init,
     )
 
 
@@ -541,10 +538,9 @@ def assemble_solution(traj: Trajectory, grid: Grid, params: PhysicalParams,
     Left of the interface: the congested constants (1, u_minus, p_s(t));
     right of it: the shifted half-line fields with zero pressure.
     """
-    if not 0 <= t_index < traj.stored_idx.size:
+    if not (isinstance(t_index, Integral) and 0 <= t_index < traj.stored_idx.size):
         raise ValidationError(
-            f"t_index {t_index} outside stored range [0, {traj.stored_idx.size})"
-        )
+            f"t_index {t_index!r} is not a stored-time index in [0, {traj.stored_idx.size})")
     step = int(traj.stored_idx[t_index])
     xt = traj.y[step]
     pt = traj.p_s[step]
@@ -568,8 +564,8 @@ def reconstruction_residuals(traj: Trajectory, init: InitialData, grid: Grid,
     shifts = traj.y[traj.stored_idx]
     out = np.empty(shifts.size)
     for start in range(0, shifts.size, ROW_BLOCK):
-        targets = shift_sample(init.w0, grid, shifts[start:start + ROW_BLOCK], params.u_plus)
+        targets = shift_sample(init.w0_eval, shifts[start:start + ROW_BLOCK])
         for i, target in enumerate(targets, start):
-            w_s = effective_velocity_about_wave(traj.u[i], traj.v[i], grid, params, traj.wave)
+            w_s = effective_velocity_about_wave(traj.u[i], traj.v[i], grid, params, init.wave)
             out[i] = norm(w_s - target, grid, NormKind.L2)
     return out

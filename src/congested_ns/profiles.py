@@ -53,8 +53,8 @@ class Profiles:
     dv_bar        -- exact nodal slope of v_bar (from the closed form)
     du_bar        -- exact nodal slope of u_bar, -s dv_bar
     inv_v_bar     -- 1 / v_bar
-    du0           -- exact one-sided slope of the u profile at x = 0+, the
-                     "du" of boundary_slope_constants
+    dv0, du0      -- exact one-sided slopes of the v and u profiles at x = 0+
+    d2u0          -- exact one-sided second derivative of u at x = 0+
     """
 
     v_bar: np.ndarray = field(repr=False)
@@ -63,7 +63,9 @@ class Profiles:
     dv_bar: np.ndarray = field(repr=False)
     du_bar: np.ndarray = field(repr=False)
     inv_v_bar: np.ndarray = field(repr=False)
+    dv0: float
     du0: float
+    d2u0: float
 
     def __post_init__(self) -> None:
         for arr in (self.v_bar, self.u_bar, self.log_v_bar, self.dv_bar, self.du_bar,
@@ -74,19 +76,23 @@ class Profiles:
 def traveling_wave(params: PhysicalParams, grid: Grid) -> Profiles:
     """Sample the traveling-wave profiles on `grid`.
 
-    picard_solve samples it once per solve, passes it to the steppers and
-    the interface speed, and keeps it on the trajectory for the diagnostics.
+    validate_hypotheses samples it once per datum and keeps it on InitialData
+    as `wave`, which the solver and the diagnostics read.
     """
+    s, mu, vp = params.s, params.mu, params.v_plus
     v_bar = np.asarray(wave_v(params, grid.x))
     dv_bar = np.asarray(wave_dv(params, grid.x))
+    dv0 = s * (vp - 1.0) / mu
     return Profiles(
         v_bar=v_bar,
         u_bar=np.asarray(wave_u(params, grid.x)),
         log_v_bar=np.asarray(wave_log_v(params, grid.x)),
         dv_bar=dv_bar,
-        du_bar=-params.s * dv_bar,
+        du_bar=-s * dv_bar,
         inv_v_bar=1.0 / v_bar,
-        du0=boundary_slope_constants(params)["du"],
+        dv0=dv0,
+        du0=-s * dv0,
+        d2u0=-s * (s**2 * (vp - 1.0) * (vp - 2.0) / mu**2),
     )
 
 
@@ -136,14 +142,6 @@ def effective_velocity_about_wave(u: np.ndarray, v: np.ndarray, grid: Grid,
         raise ValidationError("effective velocity needs v > 0 everywhere")
     log_ratio = np.log1p((v - wave.v_bar) / wave.v_bar)
     return params.u_plus + (u - wave.u_bar) - params.mu * derivative(log_ratio, grid, 1)
-
-
-def boundary_slope_constants(params: PhysicalParams) -> dict:
-    """Exact one-sided derivatives of the wave profiles at x = 0+."""
-    s, mu, vp = params.s, params.mu, params.v_plus
-    dv = s * (vp - 1.0) / mu
-    d2v = s**2 * (vp - 1.0) * (vp - 2.0) / mu**2
-    return {"dv": dv, "d2v": d2v, "du": -s * dv, "d2u": -s * d2v}
 
 
 def write_profile_columns(path, grid: Grid, profiles: Profiles, mu: float) -> None:

@@ -41,7 +41,7 @@ def synthetic_run(params):
         grid = make_grid(50.0, n)
         v0, u0 = initial_data_fields("gaussian_bump", 1e-2, 2.0, 0.5, params, grid)
         init = validate_hypotheses(v0, u0, grid, params)
-        wave = traveling_wave(params, grid)
+        wave = init.wave
         stored_idx = np.asarray(stored_idx)
         t = dt * np.arange(stored_idx[-1] + 1)
         ydot = params.s + 1e-3 * np.sin(3.0 * t)
@@ -55,7 +55,7 @@ def synthetic_run(params):
             v=wave.v_bar + 1e-2 * (1.0 + 0.5 * np.sin(5.0 * ts)) * bump,
             u=wave.u_bar + 1e-2 * np.cos(4.0 * ts) * bump,
             windows=[WindowReport(t_start=0.0, distances=[1e-9])],
-            grid=grid, params=params, init=init, wave=wave,
+            grid=grid, params=params, init=init,
         )
 
     return build

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 import time
 from dataclasses import replace
 from functools import partial
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from congested_ns import cli, freeboundary
+from congested_ns import cli, discrete_ops, freeboundary, parabolic, profiles
 from congested_ns.cli import (
     ConfigError,
     PRESETS,
@@ -254,6 +255,36 @@ def test_bootstrap_check_builds_one_monitor(tmp_path, monkeypatch):
                   stride=2, out_dir=str(tmp_path))
     assert run(cfg) == 0
     assert calls == [1]
+
+
+@pytest.mark.parametrize("preset, tables", [("steady_wave", 1), ("bootstrap_check", 2)])
+def test_run_samples_each_datum_once(tmp_path, monkeypatch, preset, tables):
+    # two waves (the perturbed datum, then its validation), the w0 table plus
+    # the source's for a perturbed datum, one regularized log; the stored
+    # rows span several blocks of the post-solve certificates, and the
+    # reconstruction residual still samples w0 through shift_sample
+    originals = {"traveling_wave": profiles.traveling_wave,
+                 "monotone_interpolator": discrete_ops.monotone_interpolator,
+                 "regularized_log": parabolic.regularized_log,
+                 "shift_sample": discrete_ops.shift_sample}
+    calls = dict.fromkeys(originals, 0)
+    for name, original in originals.items():
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # every binding of the function, in its module and wherever it is imported
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("congested_ns") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+    cfg = replace(preset_config(preset), n=257, T_final=0.5, dt=0.005, stride=2,
+                  out_dir=str(tmp_path))
+    assert run(cfg) == 0
+    assert len(json.loads((tmp_path / "summary.json").read_text())
+               ["iterations_per_window"]) == 2
+    assert calls == {"traveling_wave": 2, "monotone_interpolator": tables,
+                     "regularized_log": 1, "shift_sample": 7}
 
 
 def test_picard_stall_record_carries_the_window_start(tmp_path, monkeypatch, capsys):

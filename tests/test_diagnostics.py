@@ -307,6 +307,7 @@ class TestAppendixInequalities:
             return original(*args)
 
         monkeypatch.setattr(discrete_ops, "monotone_interpolator", counting)
+        monkeypatch.setattr(diagnostics, "monotone_interpolator", counting)
         g = make_grid(20.0, 401)
         counts = []
         for nodes in (11, 151):
@@ -338,6 +339,17 @@ class TestAppendixInequalities:
         p2 = make_path(t, rng.uniform(0.5, 2.0, t.size))
         res = path_difference_inequality(np.full(g.n, params.u_plus), p1, p2, 2.0, g)
         assert res["lhs_L2"] == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("t2", [np.linspace(0.0, 1.0, 101), np.linspace(0.0, 2.0, 51)])
+    def test_path_difference_rejects_paths_on_other_meshes(self, params, t2):
+        # both L2(0, T) norms integrate on one mesh: equal lengths on another
+        # interval used to pass, unequal lengths to raise numpy's ValueError
+        g = make_grid(20.0, 401)
+        p1 = make_path(np.linspace(0.0, 2.0, 101), np.ones(101))
+        p2 = make_path(t2, np.ones(t2.size))
+        w0 = params.u_plus + np.exp(-g.x)
+        with pytest.raises(ValidationError, match="one time mesh"):
+            path_difference_inequality(w0, p1, p2, 2.0, g)
 
     def test_path_difference_random_instances(self, params, rng):
         g = make_grid(20.0, 401)
@@ -399,9 +411,9 @@ class TestEnergies:
             dt_sq = [norm(ft, grid, NormKind.L2) ** 2 for ft in Ft]
             return sup + np.trapezoid(dx_sq, dx=dts) + np.trapezoid(dt_sq, dx=dts)
 
-        assert rep.e1 == pytest.approx(first_level(traj.v, traj.wave.v_bar, NormKind.L2),
+        assert rep.e1 == pytest.approx(first_level(traj.v, traj.init.wave.v_bar, NormKind.L2),
                                        rel=1e-13)
-        assert rep.e4 == pytest.approx(first_level(traj.u, traj.wave.u_bar, NormKind.H1),
+        assert rep.e4 == pytest.approx(first_level(traj.u, traj.init.wave.u_bar, NormKind.H1),
                                        rel=1e-13)
 
     def test_energies_positive_for_perturbation(self, params, bump_run):
@@ -411,6 +423,11 @@ class TestEnergies:
         assert rep.e0 > 0.0
         assert all(np.isfinite(getattr(rep, f)) for f in
                    ("e0", "e1", "e2", "e3", "e4", "e5"))
+
+    def test_speed_deviation_norm_at_time_zero_is_zero(self, params, bump_run):
+        # the H1(0, 0) norm of the speed deviation is over an empty interval
+        grid, init, traj = bump_run
+        assert energy_report(traj, init, grid, params, 0.0).beta_h1 == 0.0
 
     @pytest.mark.parametrize("t", [np.nan, -1.0])
     def test_energy_report_rejects_bad_time(self, params, bump_run, t):
@@ -464,7 +481,7 @@ class TestEnergies:
 def _whole_history_energies(traj, init, grid, params, t):
     """energy_report's arithmetic on whole stored-time x node histories, one
     stored row at a time: the oracle of the row-block pass."""
-    prof = traj.wave
+    prof = traj.init.wave
     m, dts = diagnostics._uniform_prefix(traj, t)
     ydots = traj.ydot[traj.stored_idx[:m]]
     x, dx = grid.x, grid.dx
@@ -518,7 +535,7 @@ def _whole_history_energies(traj, init, grid, params, t):
 def _whole_history_growth(traj, init, grid, params):
     """growth_estimate_report's arithmetic on whole stored-time x node
     histories, one stored row at a time: the oracle of the row-block pass."""
-    prof = traj.wave
+    prof = traj.init.wave
     m, dts = diagnostics._uniform_prefix(traj, traj.t[-1])
     dvbar = prof.dv_bar
     G = traj.v[:m] - prof.v_bar

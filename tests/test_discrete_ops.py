@@ -141,19 +141,20 @@ def test_trace_rejects_unsupported_order(g10):
 
 def test_shift_identity(g10):
     f = np.cos(g10.x)
-    np.testing.assert_array_equal(shift_sample(f, g10, 0.0, 0.0), f)
+    np.testing.assert_array_equal(shift_sample(monotone_interpolator(f, g10, 0.0), 0.0), f)
 
 
 def test_shift_constant(g10):
     f = np.full(g10.n, 2.5)
-    np.testing.assert_allclose(shift_sample(f, g10, 3.7, 2.5), 2.5, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(shift_sample(monotone_interpolator(f, g10, 2.5), 3.7), 2.5,
+                               rtol=0, atol=1e-14)
 
 
 def test_shift_exponential_oracle():
     g = make_grid(10.0, 1001)  # dx = 1e-2
     f = np.exp(-g.x)
     for y in (0.3775, 1.005):
-        shifted = shift_sample(f, g, y, 0.0)
+        shifted = shift_sample(monotone_interpolator(f, g, 0.0), y)
         inside = g.x + y <= g.R
         exact = np.exp(-(g.x + y)[inside])
         assert np.max(np.abs(shifted[inside] - exact)) <= 1e-6
@@ -161,20 +162,20 @@ def test_shift_exponential_oracle():
 
 def test_shift_uses_tail_beyond_domain(g10):
     f = np.exp(-g10.x)
-    shifted = shift_sample(f, g10, 8.0, -1.0)
+    shifted = shift_sample(monotone_interpolator(f, g10, -1.0), 8.0)
     assert np.all(shifted[g10.x + 8.0 > g10.R] == -1.0)
 
 
 def test_shift_rejects_negative_offset(g10):
     with pytest.raises(Exception, match="nonnegative"):
-        shift_sample(np.zeros(g10.n), g10, -0.5, 0.0)
+        shift_sample(monotone_interpolator(np.zeros(g10.n), g10, 0.0), -0.5)
 
 
 @pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf, [0.5, np.nan]])
 def test_shift_rejects_non_finite_offset(g10, y):
     # a NaN shift used to pass the sign check and give an all-tail row
     with pytest.raises(ValidationError, match="finite"):
-        shift_sample(np.exp(-g10.x), g10, y, -1.0)
+        shift_sample(monotone_interpolator(np.exp(-g10.x), g10, -1.0), y)
 
 
 @given(seed=st.integers(0, 10_000), y=st.floats(0.0, 5.0),
@@ -184,12 +185,13 @@ def test_shift_preserves_monotonicity(seed, y, more):
     g = make_grid(10.0, 201)
     r = np.random.default_rng(seed)
     f = np.cumsum(r.uniform(0.0, 1.0, g.n))  # nondecreasing data
-    shifted = shift_sample(f, g, y, float(f[-1]))
+    evaluate = monotone_interpolator(f, g, float(f[-1]))
+    shifted = shift_sample(evaluate, y)
     assert np.all(np.diff(shifted) >= -1e-12)
     # an array of shifts (zero and past R included) is the stack of single shifts
     ys = np.array([0.0, y, 12.5, *more])
-    batch = shift_sample(f, g, ys, float(f[-1]))
-    singles = np.stack([shift_sample(f, g, float(yk), float(f[-1])) for yk in ys])
+    batch = shift_sample(evaluate, ys)
+    singles = np.stack([shift_sample(evaluate, float(yk)) for yk in ys])
     np.testing.assert_array_equal(batch, singles)
     assert np.all(np.diff(batch, axis=1) >= -1e-12)
 

@@ -20,6 +20,7 @@ from congested_ns.freeboundary import (
     path_h1_norm,
     picard_solve,
     reconstruction_residuals,
+    running_h1_norm,
     validate_hypotheses,
 )
 from congested_ns.parabolic import (
@@ -137,8 +138,7 @@ class TestBoundaryVelocity:
         # the speed is the wave slope plus trace0 on u - uwave, bit for bit
         u = wave.u_bar + 1e-3 * rng.normal(size=grid.n)
         u[0] = params.u_minus
-        du = (profiles.boundary_slope_constants(params)["du"]
-              + discrete_ops.trace0(u - wave.u_bar, grid, 1))
+        du = wave.du0 + discrete_ops.trace0(u - wave.u_bar, grid, 1)
         got = boundary_velocity(u, params.u_plus, grid, params, wave)
         assert got == -params.mu * du / (params.u_minus - params.u_plus)
 
@@ -185,6 +185,13 @@ class TestPaths:
         f = 3.0 * np.ones(201)
         # constant: H1 norm = sqrt(int 3^2) = 3 sqrt(2)
         assert path_h1_norm(t, f) == pytest.approx(3.0 * np.sqrt(2.0), rel=1e-12)
+
+    def test_running_h1_norm_starts_at_zero(self):
+        # the integral over [0, t_0] is empty, whether the path has one node or more
+        t = np.linspace(0.0, 1.0, 11)
+        f = 2.0 + np.sin(t)
+        assert running_h1_norm(t, f)[0] == 0.0
+        np.testing.assert_array_equal(running_h1_norm(t[:1], f[:1]), [0.0])
 
     def test_h1_norm_includes_derivative(self):
         t = np.linspace(0.0, 1.0, 401)
@@ -260,17 +267,16 @@ class TestPicard:
         # a carried state after one converged window, and its last two speeds
         # before the next window's node 0
         dt, steps = 0.01, 10
-        wave = traveling_wave(params, small_grid)
         first = picard_solve(bump_init, small_grid, params, T_final=0.1, dt=dt, window=0.1)
         v, u, y0 = first.v[-1], first.u[-1], first.y[-1]
         before = {"converged": first.ydot[-3:-1],
                   # a prediction that is not finite and positive takes z[k-1]
                   "negative": np.array([-1e3, first.ydot[-2]]),
                   "nan": np.array([np.nan, first.ydot[-2]])}[history]
-        speed0 = freeboundary._start_speed(u, y0, 0.1, bump_init, small_grid, params, wave)
+        speed0 = freeboundary._start_speed(u, y0, 0.1, bump_init, small_grid, params)
         ydot = np.full(steps + 1, speed0)
         y = y0 + cumulative_trapezoid(ydot, dt)
-        zdot, *_ = _march(v, u, ydot, y, bump_init, small_grid, params, wave, dt,
+        zdot, *_ = _march(v, u, ydot, y, bump_init, small_grid, params, dt,
                           DEFAULT_NEWTON_TOL, 0.1, history=before)
         # the filled path is the quadratic extrapolation of the march's own speeds
         z = np.concatenate((before, zdot))
@@ -280,8 +286,8 @@ class TestPicard:
         assert ydot[0] == speed0
         assert y.tobytes() == (y0 + cumulative_trapezoid(ydot, dt)).tobytes()
         # marching the filled path again, as a given path, repeats every speed
-        again, *_ = _march(v, u, ydot.copy(), y.copy(), bump_init, small_grid, params, wave,
-                           dt, DEFAULT_NEWTON_TOL, 0.1)
+        again, *_ = _march(v, u, ydot.copy(), y.copy(), bump_init, small_grid, params, dt,
+                           DEFAULT_NEWTON_TOL, 0.1)
         assert again.tobytes() == zdot.tobytes()
 
     def test_later_windows_converge_in_at_most_three_iterations(self, params, small_grid,
@@ -364,8 +370,9 @@ class TestPicard:
         counts = []
         for T_final in (0.05, 0.2):  # N and 4N steps, one and four windows
             calls.clear()
-            picard_solve(bump_init, small_grid, params, T_final=T_final, dt=1e-2,
-                         window=0.05)
+            # the datum's validation samples the wave, the solve reads it
+            init = validate_hypotheses(bump_init.v0, bump_init.u0, small_grid, params)
+            picard_solve(init, small_grid, params, T_final=T_final, dt=1e-2, window=0.05)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
@@ -477,6 +484,12 @@ class TestAssembleAndReconstruction:
         assert np.all(p[n_left:] == 0.0)
         assert np.all(p[:n_left] == p[0])
 
+    @pytest.mark.parametrize("t_index", [1.0, np.float64(2.0), 99, -1, "1"])
+    def test_assemble_rejects_a_bad_index(self, params, small_grid, wave_traj, t_index):
+        # a float index used to raise numpy's IndexError
+        with pytest.raises(ValidationError, match="stored-time index"):
+            assemble_solution(wave_traj, small_grid, params, t_index)
+
     def test_reconstruction_residual_wave(self, params, small_grid, wave_init, wave_traj):
         res = reconstruction_residuals(wave_traj, wave_init, small_grid, params)
         assert np.max(res) <= 1e-9
@@ -487,12 +500,13 @@ class TestAssembleAndReconstruction:
         assert res[0] <= 1e-10  # zero shift at t=0: pure discretization error
         assert np.max(res) <= 1e-3
 
-    def test_reconstruction_builds_one_interpolant_and_no_wave_per_row_block(
+    def test_reconstruction_builds_no_interpolant_and_no_wave(
             self, params, small_grid, bump_init, monkeypatch):
-        # one interpolant per block of ROW_BLOCK stored times: 11 and 3 of them
+        # the datum's w0 table and wave serve every block of ROW_BLOCK stored
+        # times: 11 stored times take two blocks, 3 take one
         trajs = [picard_solve(bump_init, small_grid, params, T_final=0.1, dt=1e-2,
                               stride=stride) for stride in (1, 5)]
-        assert trajs[0].stored_idx.size != trajs[1].stored_idx.size
+        assert trajs[0].stored_idx.size > ROW_BLOCK >= trajs[1].stored_idx.size
         builds, wave_calls = [], []
         original_interp = discrete_ops.monotone_interpolator
         original_wave_v = profiles.wave_v
@@ -506,9 +520,8 @@ class TestAssembleAndReconstruction:
             return original_wave_v(*args)
 
         monkeypatch.setattr(discrete_ops, "monotone_interpolator", counting_interp)
+        monkeypatch.setattr(freeboundary, "monotone_interpolator", counting_interp)
         monkeypatch.setattr(profiles, "wave_v", counting_wave_v)
         for traj in trajs:
-            builds.clear()
             reconstruction_residuals(traj, bump_init, small_grid, params)
-            assert len(builds) == -(-traj.stored_idx.size // ROW_BLOCK)
-        assert wave_calls == []
+        assert builds == wave_calls == []

@@ -6,7 +6,6 @@ import pytest
 from congested_ns.core import PhysicalParams, make_grid
 from congested_ns.discrete_ops import trace0
 from congested_ns.profiles import (
-    boundary_slope_constants,
     effective_velocity,
     effective_velocity_about_wave,
     profile_residual,
@@ -114,11 +113,10 @@ def test_effective_velocity_about_wave_is_exact_on_wave(params, grid, wave):
     np.testing.assert_allclose(w, params.u_plus, rtol=0, atol=1e-14)
 
 
-def test_boundary_slope_constants(params):
-    c = boundary_slope_constants(params)
-    assert c["dv"] == pytest.approx(1.0)
-    assert c["du"] == pytest.approx(-1.0)
-    assert c["d2v"] == pytest.approx(0.0, abs=1e-15)  # symmetric for v_plus = 2
+def test_boundary_slope_constants(wave):
+    assert wave.dv0 == pytest.approx(1.0)
+    assert wave.du0 == pytest.approx(-1.0)
+    assert wave.d2u0 == pytest.approx(0.0, abs=1e-15)  # symmetric for v_plus = 2
 
 
 def test_profile_snapshot_export(tmp_path, params, wave, grid):
