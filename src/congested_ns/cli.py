@@ -50,21 +50,10 @@ from .freeboundary import (
     make_path,
     picard_solve,
     reconstruction_residuals,
-    running_h1_norm,
     validate_hypotheses,
 )
 from .perturbations import FAMILIES, initial_data_fields
 from .profiles import effective_velocity_about_wave, traveling_wave
-
-PRESETS = (
-    "steady_wave",
-    "convergence_order",
-    "stability_sweep",
-    "coercivity_suite",
-    "trace_suite",
-    "bootstrap_check",
-    "appendix_lemmas",
-)
 
 # calibrated once against the frozen bootstrap_check perturbation (amplitude
 # 0.005, width 1.0): measured initial energy 0.00108 <= c0 * delta^2 = 0.0015
@@ -367,25 +356,24 @@ def _run_summary(traj: Trajectory, monitor: dict, solve_seconds: float) -> dict:
 
 def _emit_trajectory_outputs(out: Path, cfg: RunConfig, traj: Trajectory,
                              solve_seconds: float) -> tuple[dict, dict]:
-    """Write the trajectory CSV and snapshots; return the run summary and the
-    bootstrap monitor both read."""
+    """Write the trajectory CSV and snapshots; return the run summary, with
+    the energy report at T_final as "energies", and the bootstrap monitor
+    both read."""
     monitor = bootstrap_monitor(traj.path, traj.params, cfg.delta)
     _trajectory_csv(out / "trajectory.csv", traj, monitor["running_h1"])
     picks = sorted({0, traj.stored_idx.size // 2, traj.stored_idx.size - 1})
     for t_index in picks:
         t_val = traj.t[traj.stored_idx[t_index]]
         _snapshot_file(out / f"snapshot_t{t_val:.6g}.txt", traj, t_index)
-    return _run_summary(traj, monitor, solve_seconds), monitor
+    summary = _run_summary(traj, monitor, solve_seconds)
+    summary["energies"] = asdict(energy_report(traj, traj.init, traj.grid, traj.params,
+                                               cfg.T_final))
+    return summary, monitor
 
 
 def _run_steady_wave(cfg: RunConfig, out: Path) -> dict:
     traj, solve_seconds = _solve_from_config(cfg)
-    summary, _ = _emit_trajectory_outputs(out, cfg, traj, solve_seconds)
-    report = energy_report(traj, traj.init, traj.grid, traj.params, cfg.T_final)
-    summary["energies"] = {k: getattr(report, k) for k in
-                           ("e0", "e1", "e2", "e3", "e4", "e5",
-                            "initial_total", "horizon_total", "beta_h1")}
-    return summary
+    return _emit_trajectory_outputs(out, cfg, traj, solve_seconds)[0]
 
 
 def _run_trace_suite(cfg: RunConfig, out: Path) -> dict:
@@ -420,6 +408,8 @@ def _run_bootstrap_check(cfg: RunConfig, out: Path) -> dict:
         "c0": BOOTSTRAP_C0,
         "smallness_ok": e0 <= BOOTSTRAP_C0 * cfg.delta**2,
         "decay_ratio_at_T": final_sup / initial_sup if initial_sup > 0 else 0.0,
+        "min_speed": monitor["min_speed"],
+        "max_speed": monitor["max_speed"],
     })
     records = [{"t": float(t), "check": "bootstrap_running_h1",
                 "lhs": float(r), "rhs": cfg.delta / 2.0,
@@ -467,7 +457,7 @@ def _run_convergence_order(cfg: RunConfig, out: Path) -> dict:
         traj, seconds = _solve_from_config(lcfg)
         solve_seconds += seconds
         _trajectory_csv(out / f"trajectory_n{n}.csv", traj,
-                        running_h1_norm(traj.t, traj.ydot - traj.params.s))
+                        bootstrap_monitor(traj.path, traj.params, cfg.delta)["running_h1"])
         trajs[n] = traj
 
     def level_diff(na: int, nb: int) -> float:
@@ -610,6 +600,7 @@ _RUNNERS = {
     "bootstrap_check": _run_bootstrap_check,
     "appendix_lemmas": _run_appendix_lemmas,
 }
+PRESETS = tuple(_RUNNERS)
 
 
 def run(cfg: RunConfig) -> int:

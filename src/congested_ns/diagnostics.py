@@ -35,7 +35,6 @@ from .freeboundary import (
     BoundaryPath,
     InitialData,
     Trajectory,
-    path_h1_norm,
     running_h1_norm,
     time_derivative,
 )
@@ -138,12 +137,28 @@ def coercivity_check(phi: np.ndarray, profiles: Profiles, grid: Grid, params: Ph
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Energy functionals of a run up to a given time.
+    """Energy functionals of a run up to a given time t.
 
     e0..e5 follow the estimate hierarchy: integrated-variable level, first
     energy level, two higher-regularity levels for the volume, and two for
-    the velocity.  initial_total is the seven-summand initial energy;
-    horizon_total adds the squared H1 deviation of the interface speed.
+    the velocity.  initial_total is the seven-summand initial energy.
+    beta_h1 is the H1(0, t) norm of the interface-speed deviation ydot - s,
+    the entry at t of the running norm bootstrap_monitor reports;
+    horizon_total adds its square to initial_total.
+
+    The growth fields measure the generic nonlinear-diffusion energy bound.
+    The volume perturbation g and its source G (shifted effective-velocity
+    gradient plus the speed-deviation term) are plugged into
+
+        ||g||_{Linf H1} + ||d_t g|| + ||d_x g|| <=
+            C (||g(0)||_{H1} + ||G||) exp((1 + ||d_x vwave||_inf^2) T).
+
+    growth_lhs is the left side, growth_rhs the right side with C = 1 and
+    growth_constant the C it takes to make the bound hold;
+    growth_rhs_plain and growth_constant_plain are those of the sharper form
+    that keeps ||g|| on the right in place of the exponential.  Norms in
+    time run over the stored snapshots of _uniform_prefix, so the horizon T
+    is the last stored time up to t on the stride spacing.
     """
 
     e0: float
@@ -155,6 +170,12 @@ class EnergyReport:
     initial_total: float
     horizon_total: float
     beta_h1: float
+    growth_lhs: float
+    growth_rhs: float
+    growth_constant: float
+    growth_rhs_plain: float
+    growth_constant_plain: float
+    horizon: float
 
 
 def initial_energy(init: InitialData, grid: Grid, params: PhysicalParams) -> float:
@@ -229,7 +250,8 @@ def _squared_l2(F: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: PhysicalParams,
                   t: float) -> EnergyReport:
-    """Assemble the energy functionals from stored snapshots up to time t.
+    """Assemble the energy functionals and the growth bound from stored
+    snapshots up to time t.
 
     Suprema run over stored snapshots and time derivatives/integrals use the
     uniformly spaced stored times (_uniform_prefix), so with a coarse
@@ -244,21 +266,25 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
 
     # squared L2 norms per stored time, each spatial derivative of a block of
     # rows taken once and dropped once normed, one perturbation family
-    # (volume, then velocity) at a time
+    # (volume with its source, then velocity) at a time
     sq = partial(_squared_l2, x=x)
-    g_sq = np.empty((9, m))
+    g_sq = np.empty((10, m))
     V0_sq = np.empty(m)
+    source = init.source_eval
     for rows, G, Gt, Gtt in _row_blocks(traj.v, prof.v_bar, m, dts):
         V = np.empty_like(G)
-        for j, v in enumerate(traj.v[rows]):
+        src = np.empty_like(G)
+        for j, (v, step) in enumerate(zip(traj.v[rows], traj.stored_idx[rows])):
             V[:, j] = integrated_perturbation(v, prof.v_bar, grid)
+            src[:, j] = ((0.0 if source is None else source.shifted(traj.y[step]))
+                         + (traj.ydot[step] - params.s) * prof.dv_bar)
         V0_sq[rows] = V[0] ** 2
         gxx = stencil_derivative(G, dx, 2)
         g_sq[:, rows] = (sq(V), sq(G), sq(stencil_derivative(G, dx, 1)), sq(gxx),
                          sq(stencil_derivative(gxx, dx, 1)), sq(Gt),
                          sq(stencil_derivative(Gt, dx, 1)), sq(stencil_derivative(Gt, dx, 2)),
-                         sq(Gtt))
-    V_sq, g, gx, gxx, gxxx, gt, gtx, gtxx, gtt = g_sq
+                         sq(Gtt), sq(src))
+    V_sq, g, gx, gxx, gxxx, gt, gtx, gtxx, gtt, src = g_sq
 
     h_sq = np.empty((7, m))
     for rows, H, Ht, Htt in _row_blocks(traj.u, prof.u_bar, m, dts):
@@ -275,13 +301,23 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
     e4 = np.max(h + hx) + np.trapezoid(hx + hxx, dx=dts) + np.trapezoid(ht, dx=dts)
     e5 = np.max(htx) + np.trapezoid(htt, dx=dts) + np.trapezoid(htxx, dx=dts)
 
+    T = float(traj.stored_times[m - 1])
+    growth_lhs = float(np.sqrt(np.max(g + gx)) + np.sqrt(np.trapezoid(gt, dx=dts))
+                       + np.sqrt(np.trapezoid(gx, dx=dts)))
+    base = float(np.sqrt(g[0] + gx[0])) + float(np.sqrt(np.trapezoid(src, dx=dts)))
+    growth_rhs = base * float(np.exp((1.0 + float(np.max(np.abs(prof.dv_bar)))**2) * T))
+    plain = base + float(np.sqrt(np.trapezoid(g, dx=dts)))
+
     n_path = int(traj.t.searchsorted(t + 1e-12, side="right"))
-    beta_h1 = path_h1_norm(traj.t[:n_path], traj.ydot[:n_path] - params.s)
+    beta_h1 = float(running_h1_norm(traj.t, traj.ydot - params.s)[n_path - 1])
     total0 = initial_energy(init, grid, params)
     return EnergyReport(
         e0=float(e0), e1=float(e1), e2=float(e2), e3=float(e3), e4=float(e4),
         e5=float(e5), initial_total=total0, horizon_total=total0 + beta_h1**2,
-        beta_h1=float(beta_h1),
+        beta_h1=beta_h1, growth_lhs=growth_lhs, growth_rhs=growth_rhs,
+        growth_constant=growth_lhs / growth_rhs if base > 0 else 0.0,
+        growth_rhs_plain=plain,
+        growth_constant_plain=growth_lhs / plain if plain > 0 else 0.0, horizon=T,
     )
 
 
@@ -379,7 +415,9 @@ def bootstrap_monitor(path: BoundaryPath, params: PhysicalParams, delta: float) 
     """Running H1 norm of the interface-speed deviation against delta.
 
     Passing the delta/2 threshold at every time is the closing step of the
-    continuation argument behind global existence.
+    continuation argument behind global existence.  The path lies in the
+    admissible set with constant M when min_speed >= 1/M, max_speed <= M and
+    max_running_h1 <= M.
     """
     if not 0.0 < delta < np.inf:
         raise ValidationError(f"delta must be finite and positive (got {delta})")
@@ -388,6 +426,8 @@ def bootstrap_monitor(path: BoundaryPath, params: PhysicalParams, delta: float) 
         "t": path.t.copy(),
         "running_h1": running,
         "max_running_h1": float(np.max(running)),
+        "min_speed": float(np.min(path.ydot)),
+        "max_speed": float(np.max(path.ydot)),
         "pass_half_delta": bool(np.all(running <= delta / 2.0)),
         "pass_delta": bool(np.all(running <= delta)),
     }
@@ -397,10 +437,12 @@ def shifted_weight_inequality(F: np.ndarray, path: BoundaryPath, M: float,
                               grid: Grid) -> dict:
     """Check int_0^T int_0^R F^2(x + y(t)) <= M int z F^2(z) dz.
 
-    Requires y(t) >= t/M along the path; F is tabulated on the grid with
-    zero declared tail.
+    Requires a finite M > 0 and y(t) >= t/M along the path; F is tabulated
+    on the grid with zero declared tail.
     """
     F = as_field(F, grid)
+    if not 0.0 < M < np.inf:  # NaN fails
+        raise ValidationError(f"M must be finite and positive (got {M})")
     if np.any(path.y < path.t / M - 1e-12):
         raise ValidationError("path violates y(t) >= t/M; inequality hypotheses fail")
     shifted = shift_sample(monotone_interpolator(F, grid, 0.0), path.y)
@@ -414,9 +456,11 @@ def path_difference_inequality(w0: np.ndarray, path1: BoundaryPath, path2: Bound
                                M: float, grid: Grid) -> dict:
     """Check ||w0(y1) - w0(y2)||_{L2(0,T)} <= M ||y1'-y2'||_{L2} ||sqrt(z) w0'||_{L2}.
 
-    Both paths must be on the same time mesh, the one the L2(0,T) norms
-    integrate on."""
+    M must be finite and positive, and both paths must be on the same time
+    mesh, the one the L2(0,T) norms integrate on."""
     w0 = as_field(w0, grid)
+    if not 0.0 < M < np.inf:  # NaN fails
+        raise ValidationError(f"M must be finite and positive (got {M})")
     if not np.array_equal(path1.t, path2.t):
         raise ValidationError("the two paths must share one time mesh")
     for p in (path1, path2):
@@ -453,55 +497,6 @@ def l1_bound_report(traj: Trajectory, init: InitialData, grid: Grid,
         "sup_l1_deviation": float(lhs),
         "rhs_factor": float(rhs_factor),
         "measured_constant": float(lhs / rhs_factor) if rhs_factor > 0 else 0.0,
-    }
-
-
-def growth_estimate_report(traj: Trajectory, init: InitialData, grid: Grid,
-                           params: PhysicalParams) -> dict:
-    """Measure the generic nonlinear-diffusion energy bound on a finished run.
-
-    The volume perturbation g and its source (shifted effective-velocity
-    gradient plus the speed-deviation term) are plugged into the bound
-
-        ||g||_{Linf H1} + ||d_t g|| + ||d_x g|| <=
-            C (||g(0)||_{H1} + ||G||) exp((1 + ||d_x vwave||_inf^2) T),
-
-    and the constant C it takes to make the bound hold is reported, together
-    with the constant of the sharper form that keeps ||g|| on the right.
-    Norms in time run over the stored snapshots of _uniform_prefix, so the
-    horizon T is the last stored time on the stride spacing.
-    """
-    prof = traj.init.wave
-    m, dts = _uniform_prefix(traj, traj.t[-1])
-    dvbar = prof.dv_bar
-    source = init.source_eval
-
-    sq = partial(_squared_l2, x=grid.x)
-    norms = np.empty((4, m))
-    for rows, G, Gt, _ in _row_blocks(traj.v, prof.v_bar, m, dts):
-        src = np.empty_like(G)
-        for j, step in enumerate(traj.stored_idx[rows]):
-            src[:, j] = ((0.0 if source is None else source.shifted(traj.y[step]))
-                         + (traj.ydot[step] - params.s) * dvbar)
-        norms[:, rows] = sq(G), sq(stencil_derivative(G, grid.dx, 1)), sq(Gt), sq(src)
-    g_sq, dxg_sq, dtg_sq, src_sq = norms
-
-    T = float(traj.stored_times[m - 1])
-    lhs = float(np.sqrt(np.max(g_sq + dxg_sq)) + np.sqrt(np.trapezoid(dtg_sq, dx=dts))
-                + np.sqrt(np.trapezoid(dxg_sq, dx=dts)))
-    g0_h1 = float(np.sqrt(g_sq[0] + dxg_sq[0]))
-    G_l2l2 = float(np.sqrt(np.trapezoid(src_sq, dx=dts)))
-    dvbar_inf = float(np.max(np.abs(dvbar)))
-    envelope = float(np.exp((1.0 + dvbar_inf**2) * T))
-    base = g0_h1 + G_l2l2
-    plain_base = base + float(np.sqrt(np.trapezoid(g_sq, dx=dts)))
-    return {
-        "lhs": lhs,
-        "rhs_exponential_factor": base * envelope,
-        "measured_constant": lhs / (base * envelope) if base > 0 else 0.0,
-        "rhs_plain_factor": plain_base,
-        "measured_constant_plain": lhs / plain_base if plain_base > 0 else 0.0,
-        "horizon": T,
     }
 
 

@@ -148,7 +148,9 @@ class InitialData:
     when the source is identically zero.  wave is traveling_wave(params,
     grid), the background of every march and certificate, and reg the
     regularized log with bar_c = 2 max v0 that step_v applies.
-    validate_hypotheses builds each of them once per datum.
+    validate_hypotheses builds each of them once per datum, and records the
+    grid and params it validated the datum on; the solver runs the datum on
+    no other.
     """
 
     v0: np.ndarray = field(repr=False)
@@ -164,6 +166,8 @@ class InitialData:
     source_eval: MonotoneInterpolant | None = field(repr=False, compare=False)
     wave: Profiles = field(repr=False, compare=False)
     reg: RegularizedLog = field(repr=False, compare=False)
+    grid: Grid = field(repr=False, compare=False)
+    params: PhysicalParams = field(compare=False)
 
     def __post_init__(self) -> None:
         for arr in (self.v0, self.u0, self.w0, self.dxw0, self.V0, self.W0, self.source):
@@ -174,6 +178,15 @@ class InitialData:
         array of the same values for an array."""
         out = self.w0_eval(xi)
         return float(out) if out.ndim == 0 else out
+
+    def check_run_on(self, grid: Grid, params: PhysicalParams) -> None:
+        """ValidationError unless grid (its R and n) and params are those the
+        datum was validated on: its wave, source and w0 table belong to
+        them."""
+        if (grid.R, grid.n) != (self.grid.R, self.grid.n) or params != self.params:
+            raise ValidationError(
+                f"the datum was validated on R={self.grid.R:g}, n={self.grid.n} with "
+                f"{self.params}; it cannot run on R={grid.R:g}, n={grid.n} with {params}")
 
 
 def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid, params: PhysicalParams,
@@ -243,7 +256,7 @@ def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid, params: Phys
         hypothesis_report=report,
         w0_eval=monotone_interpolator(w0, grid, params.u_plus),
         source_eval=monotone_interpolator(source, grid, 0.0) if np.any(source) else None,
-        wave=prof, reg=regularized_log(2.0 * float(np.max(v0))),
+        wave=prof, reg=regularized_log(2.0 * float(np.max(v0))), grid=grid, params=params,
     )
 
 
@@ -393,7 +406,8 @@ def apply_boundary_map(path_in: BoundaryPath, init: InitialData, grid: Grid,
     """One application of the fixed-point map: solve v then u along path_in,
     then re-derive the interface path from the boundary trace of u.  The
     path's times must be the uniform mesh 0, dt, 2 dt, ... that it is
-    marched on."""
+    marched on, and grid and params those init was validated on."""
+    init.check_run_on(grid, params)
     if abs(path_in.y[0]) > 1e-12:
         raise ValidationError("input path must start at y(0) = 0")
     mesh = dt * np.arange(path_in.t.size)
@@ -431,8 +445,10 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     the flat path at its start speed.  A later window's first march predicts
     its own path from the two converged speeds before the window (_march's
     history), so its first iterate is already close to the fixed point.  The
-    wave background is init.wave.
+    wave background is init.wave; grid and params must be those init was
+    validated on.
     """
+    init.check_run_on(grid, params)
     for name, value in (("stride", stride), ("max_iter", max_iter)):
         if not (isinstance(value, Integral) and value >= 1):  # range() takes no float
             raise ValidationError(f"{name} must be an integer of at least 1 (got {value!r})")
@@ -509,26 +525,6 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
         stored_idx=stored_idx, v=v_stored, u=u_stored,
         windows=windows, grid=grid, params=params, init=init,
     )
-
-
-def invariant_set_check(path: BoundaryPath, M: float, params: PhysicalParams) -> dict:
-    """Membership report for the admissible path set with constant M:
-    speeds within [1/M, M] and H1 deviation of the speed from s at most M."""
-    beta_h1 = path_h1_norm(path.t, path.ydot - params.s)
-    ydot_min = float(np.min(path.ydot))
-    ydot_max = float(np.max(path.ydot))
-    lower_ok = ydot_min >= 1.0 / M
-    upper_ok = ydot_max <= M
-    norm_ok = beta_h1 <= M
-    return {
-        "ydot_min": ydot_min,
-        "ydot_max": ydot_max,
-        "beta_h1": beta_h1,
-        "lower_ok": lower_ok,
-        "upper_ok": upper_ok,
-        "norm_ok": norm_ok,
-        "pass": lower_ok and upper_ok and norm_ok,
-    }
 
 
 def assemble_solution(traj: Trajectory, grid: Grid, params: PhysicalParams,

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from congested_ns import cli, diagnostics, discrete_ops
 from congested_ns.core import ValidationError, make_grid
 from congested_ns.diagnostics import (
-    EnergyReport,
     bootstrap_monitor,
     coercivity_check,
     coercivity_weight,
@@ -18,16 +18,15 @@ from congested_ns.diagnostics import (
     path_difference_inequality,
     shifted_weight_inequality,
     trace_identities,
-    growth_estimate_report,
     write_diagnostic_records,
 )
 from congested_ns.discrete_ops import NormKind, derivative, norm, stencil_derivative, trace0
 from congested_ns.freeboundary import (
     ROW_BLOCK,
     make_path,
-    path_h1_norm,
     picard_solve,
     reconstruction_residuals,
+    running_h1_norm,
     time_derivative,
     validate_hypotheses,
 )
@@ -351,6 +350,16 @@ class TestAppendixInequalities:
         with pytest.raises(ValidationError, match="one time mesh"):
             path_difference_inequality(w0, p1, p2, 2.0, g)
 
+    @pytest.mark.parametrize("M", [0.0, -1.0, np.nan, np.inf])
+    def test_inequalities_reject_a_bad_constant(self, params, M):
+        g = make_grid(10.0, 101)
+        t = np.linspace(0.0, 1.0, 11)
+        path = make_path(t, np.ones(t.size))
+        with pytest.raises(ValidationError, match="M must be finite and positive"):
+            shifted_weight_inequality(np.exp(-g.x), path, M, g)
+        with pytest.raises(ValidationError, match="M must be finite and positive"):
+            path_difference_inequality(np.exp(-g.x), path, path, M, g)
+
     def test_path_difference_random_instances(self, params, rng):
         g = make_grid(20.0, 401)
         t = np.linspace(0.0, 2.0, 101)
@@ -429,6 +438,15 @@ class TestEnergies:
         grid, init, traj = bump_run
         assert energy_report(traj, init, grid, params, 0.0).beta_h1 == 0.0
 
+    def test_beta_h1_is_the_monitors_running_norm(self, params, bump_run):
+        # one definition of the speed deviation's H1 norm: at every stored
+        # time the energy report reads the running norm the monitor gates on
+        grid, init, traj = bump_run
+        running = bootstrap_monitor(traj.path, params, 0.05)["running_h1"]
+        for step in traj.stored_idx:
+            rep = energy_report(traj, init, grid, params, traj.t[step])
+            assert rep.beta_h1 == running[step]
+
     @pytest.mark.parametrize("t", [np.nan, -1.0])
     def test_energy_report_rejects_bad_time(self, params, bump_run, t):
         grid, init, traj = bump_run
@@ -446,22 +464,22 @@ class TestEnergies:
 
     def test_growth_estimate_bound_holds(self, params, bump_run):
         grid, init, traj = bump_run
-        rep = growth_estimate_report(traj, init, grid, params)
-        assert rep["lhs"] >= 0.0
-        assert rep["measured_constant"] <= 1.0  # bound holds with constant 1 here
-        assert np.isfinite(rep["measured_constant_plain"])
+        rep = energy_report(traj, init, grid, params, 0.5)
+        assert rep.growth_lhs >= 0.0
+        assert rep.growth_constant <= 1.0  # bound holds with constant 1 here
+        assert np.isfinite(rep.growth_constant_plain)
 
     def test_growth_estimate_drops_an_unaligned_final_snapshot(self, params, bump_run):
         # stride 60 stores t = 0, 0.12, ..., 0.48 and the final 0.5; the time
-        # norms run over the uniform stored times, as in energy_report
+        # norms run over the uniform stored times, as the energies do
         grid, init, traj = bump_run
         coarse = picard_solve(init, grid, params, T_final=0.5, dt=2e-3, tol=1e-9, stride=60)
-        rep = growth_estimate_report(coarse, init, grid, params)
-        assert rep["horizon"] == pytest.approx(0.48, abs=1e-12)
-        aligned = growth_estimate_report(traj, init, grid, params)
-        assert aligned["horizon"] == pytest.approx(0.5, abs=1e-12)
-        assert rep["measured_constant_plain"] == pytest.approx(
-            aligned["measured_constant_plain"], rel=5e-3)
+        rep = energy_report(coarse, init, grid, params, 0.5)
+        assert rep.horizon == pytest.approx(0.48, abs=1e-12)
+        aligned = energy_report(traj, init, grid, params, 0.5)
+        assert aligned.horizon == pytest.approx(0.5, abs=1e-12)
+        assert rep.growth_constant_plain == pytest.approx(aligned.growth_constant_plain,
+                                                          rel=5e-3)
 
     def test_growth_estimate_builds_no_interpolant(self, params, bump_run, monkeypatch):
         grid, init, traj = bump_run
@@ -474,13 +492,14 @@ class TestEnergies:
 
         monkeypatch.setattr(discrete_ops, "monotone_interpolator", counting)
         monkeypatch.setattr(diagnostics, "monotone_interpolator", counting)
-        growth_estimate_report(traj, init, grid, params)
+        energy_report(traj, init, grid, params, 0.5)
         assert builds == []
 
 
 def _whole_history_energies(traj, init, grid, params, t):
-    """energy_report's arithmetic on whole stored-time x node histories, one
-    stored row at a time: the oracle of the row-block pass."""
+    """energy_report's arithmetic for its energy fields on whole stored-time
+    x node histories, one stored row at a time: the oracle of the row-block
+    pass."""
     prof = traj.init.wave
     m, dts = diagnostics._uniform_prefix(traj, t)
     ydots = traj.ydot[traj.stored_idx[:m]]
@@ -518,9 +537,9 @@ def _whole_history_energies(traj, init, grid, params, t):
     h, hx, hxx, ht, htx, htxx, htt = h_sq
 
     n_path = int(traj.t.searchsorted(t + 1e-12, side="right"))
-    beta_h1 = path_h1_norm(traj.t[:n_path], traj.ydot[:n_path] - params.s)
+    beta_h1 = running_h1_norm(traj.t, traj.ydot - params.s)[n_path - 1]
     total0 = initial_energy(init, grid, params)
-    return EnergyReport(
+    return dict(
         e0=float(np.max(V_sq + ydots * V0_sq) + np.trapezoid(g, dx=dts)),
         e1=float(np.max(g + gx) + np.trapezoid(gx, dx=dts) + np.trapezoid(gt, dx=dts)),
         e2=float(np.max(gt + gxx) + np.trapezoid(gtx, dx=dts)),
@@ -533,8 +552,9 @@ def _whole_history_energies(traj, init, grid, params, t):
 
 
 def _whole_history_growth(traj, init, grid, params):
-    """growth_estimate_report's arithmetic on whole stored-time x node
-    histories, one stored row at a time: the oracle of the row-block pass."""
+    """energy_report's arithmetic for its growth fields at the final time on
+    whole stored-time x node histories, one stored row at a time: the oracle
+    of the row-block pass."""
     prof = traj.init.wave
     m, dts = diagnostics._uniform_prefix(traj, traj.t[-1])
     dvbar = prof.dv_bar
@@ -569,6 +589,12 @@ ROW_CASES = {
 }
 
 
+# EnergyReport's growth fields by the names _whole_history_growth gives them
+GROWTH_FIELDS = {"growth_lhs": "lhs", "growth_rhs": "rhs_exponential_factor",
+                 "growth_constant": "measured_constant", "growth_rhs_plain": "rhs_plain_factor",
+                 "growth_constant_plain": "measured_constant_plain", "horizon": "horizon"}
+
+
 class TestRowBlockPass:
     """The certificates walk the stored history ROW_BLOCK rows at a time and
     give, bit for bit, what the whole-history arithmetic gives."""
@@ -579,14 +605,18 @@ class TestRowBlockPass:
         traj = synthetic_run(257, stored_idx)
         t = traj.t[-1] if row_t is None else traj.stored_times[row_t]
         args = (traj, traj.init, traj.grid, traj.params)
-        assert energy_report(*args, t) == _whole_history_energies(*args, t)
+        rep = asdict(energy_report(*args, t))
+        oracle = _whole_history_energies(*args, t)
+        assert {k: rep[k] for k in oracle} == oracle
 
     @pytest.mark.parametrize("case", ROW_CASES)
     def test_growth_estimate_equals_whole_history(self, synthetic_run, case):
         stored_idx, _ = ROW_CASES[case]
         traj = synthetic_run(257, stored_idx)
         args = (traj, traj.init, traj.grid, traj.params)
-        assert growth_estimate_report(*args) == _whole_history_growth(*args)
+        rep = energy_report(*args, traj.t[-1])
+        assert ({name: getattr(rep, field) for field, name in GROWTH_FIELDS.items()}
+                == _whole_history_growth(*args))
 
 
 @pytest.fixture(scope="module")
@@ -606,8 +636,8 @@ def _peak_above_live_mib(fn, *args) -> float:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("certificate", ["energy_report", "growth_estimate_report",
-                                         "reconstruction_residuals", "run_summary"])
+@pytest.mark.parametrize("certificate", ["energy_report", "reconstruction_residuals",
+                                         "run_summary"])
 def test_certificates_hold_no_whole_history(front_sized_run, certificate):
     # one whole-history array of this run is 6.3 MiB; the certificates walk
     # it in blocks, so they stay within 2 MiB of what is already live
@@ -615,7 +645,6 @@ def test_certificates_hold_no_whole_history(front_sized_run, certificate):
     args = (traj, traj.init, traj.grid, traj.params)
     calls = {
         "energy_report": (energy_report, *args, traj.t[-1]),
-        "growth_estimate_report": (growth_estimate_report, *args),
         "reconstruction_residuals": (reconstruction_residuals, *args),
         "run_summary": (cli._run_summary, traj,
                         bootstrap_monitor(traj.path, traj.params, 0.05), 1.0),

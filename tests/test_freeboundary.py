@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from congested_ns import discrete_ops, freeboundary, profiles
 from congested_ns.core import PhysicalParams, ValidationError, make_grid
+from congested_ns.diagnostics import bootstrap_monitor
 from congested_ns.discrete_ops import cumulative_trapezoid
 from congested_ns.freeboundary import (
     ROW_BLOCK,
@@ -15,7 +16,6 @@ from congested_ns.freeboundary import (
     apply_boundary_map,
     assemble_solution,
     boundary_velocity,
-    invariant_set_check,
     make_path,
     path_h1_norm,
     picard_solve,
@@ -433,25 +433,61 @@ class TestPicard:
             assert traj.p_s[step] == pytest.approx(expected, abs=1e-12)
 
 
+class TestDatumSetting:
+    """A datum runs only on the grid and params it was validated on."""
+
+    @pytest.mark.parametrize("other", ["params", "R", "n"])
+    def test_solver_rejects_another_setting(self, params, small_grid, wave_init, other):
+        grid, run_params = small_grid, params
+        if other == "params":
+            run_params = PhysicalParams(mu=1.3, v_plus=2.0, u_minus=1.0, u_plus=0.0)
+        else:
+            grid = make_grid(40.0, 513) if other == "R" else make_grid(50.0, 257)
+        with pytest.raises(ValidationError, match="validated on"):
+            picard_solve(wave_init, grid, run_params, T_final=0.5, dt=1e-2)
+        path = make_path(np.arange(0, 26) * 1e-2, np.full(26, wave_init.compat_speed))
+        with pytest.raises(ValidationError, match="validated on"):
+            apply_boundary_map(path, wave_init, grid, run_params, dt=1e-2)
+
+    def test_equal_setting_runs(self, params, wave_init):
+        # equal values, other objects: the datum's own setting
+        same = PhysicalParams(mu=params.mu, v_plus=params.v_plus, u_minus=params.u_minus,
+                              u_plus=params.u_plus)
+        traj = picard_solve(wave_init, make_grid(50.0, 513), same, T_final=0.1, dt=1e-2)
+        assert traj.windows
+
+
+def _admissible(monitor: dict, M: float) -> bool:
+    """Whether the monitored path lies in the admissible set with constant M:
+    speeds in [1/M, M] and running H1 norm of the speed deviation at most M."""
+    return (monitor["min_speed"] >= 1.0 / M and monitor["max_speed"] <= M
+            and monitor["max_running_h1"] <= M)
+
+
 class TestInvariantSet:
+    """Membership in the admissible path set, read off bootstrap_monitor."""
+
     def test_exact_line_passes(self, params):
         t = np.linspace(0.0, 1.0, 101)
-        path = make_path(t, np.full(101, params.s))
-        rep = invariant_set_check(path, 2.0, params)
-        assert rep["pass"]
-        assert rep["beta_h1"] == 0.0
+        monitor = bootstrap_monitor(make_path(t, np.full(101, params.s)), params, 0.05)
+        assert monitor["min_speed"] == monitor["max_speed"] == params.s
+        assert monitor["max_running_h1"] == 0.0
+        assert _admissible(monitor, 2.0)
 
     def test_fast_path_fails_upper_bound(self, params):
         t = np.linspace(0.0, 1.0, 101)
-        path = make_path(t, np.full(101, 4.0))
-        rep = invariant_set_check(path, 2.0, params)
-        assert not rep["upper_ok"]
-        assert not rep["pass"]
+        monitor = bootstrap_monitor(make_path(t, np.full(101, 4.0)), params, 0.05)
+        assert monitor["max_speed"] == 4.0 > 2.0
+        # the constant deviation 3 has H1(0, 1) norm 3
+        assert monitor["max_running_h1"] == pytest.approx(3.0, rel=1e-12)
+        assert not _admissible(monitor, 2.0)
 
     def test_converged_run_is_inside(self, params, small_grid, bump_init):
         traj = picard_solve(bump_init, small_grid, params, T_final=0.25, dt=2e-3, tol=1e-9)
-        rep = invariant_set_check(traj.path, 2.0, params)
-        assert rep["pass"]
+        monitor = bootstrap_monitor(traj.path, params, 0.05)
+        assert monitor["min_speed"] == np.min(traj.ydot)
+        assert monitor["max_speed"] == np.max(traj.ydot)
+        assert _admissible(monitor, 2.0)
 
 
 @pytest.fixture(scope="module")
