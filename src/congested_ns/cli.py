@@ -289,7 +289,7 @@ def config_lines(cfg: RunConfig) -> str:
 
 def _trajectory_csv(path: Path, traj: Trajectory, beta_running: np.ndarray) -> None:
     """One row per stored time; beta_running is running_h1_norm of ydot - s."""
-    grid = traj.grid
+    grid = traj.init.grid
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,xtilde,xtilde_dot,p_s,l2_v_err,h1_v_err,l2_u_err,beta_h1_running\n")
         for i, step in enumerate(traj.stored_idx):
@@ -304,7 +304,7 @@ def _trajectory_csv(path: Path, traj: Trajectory, beta_running: np.ndarray) -> N
 
 
 def _snapshot_file(path: Path, traj: Trajectory, t_index: int) -> None:
-    grid, params = traj.grid, traj.params
+    grid, params = traj.init.grid, traj.init.params
     x, v, u, p = assemble_solution(traj, grid, params, t_index)
     w = np.concatenate((np.full(x.size - grid.n, params.u_minus),
                         effective_velocity_about_wave(traj.u[t_index], traj.v[t_index], grid,
@@ -335,12 +335,14 @@ def _max_drift(rows: np.ndarray, background: np.ndarray) -> float:
 
 
 def _run_summary(traj: Trajectory, monitor: dict, solve_seconds: float) -> dict:
-    grid, params, init = traj.grid, traj.params, traj.init
+    grid, params, init = traj.init.grid, traj.init.params, traj.init
     recon = reconstruction_residuals(traj, init, grid, params)
     return {
         "solve_seconds": round(solve_seconds, 3),
         "converged": True,
         "iterations_per_window": [w.iterations for w in traj.windows],
+        "active_nodes_per_window": [w.active_nodes for w in traj.windows],
+        "active_widenings": sum(len(march) for w in traj.windows for march in w.widenings),
         "max_drift_v_linf": _max_drift(traj.v, traj.init.wave.v_bar),
         "max_drift_u_linf": _max_drift(traj.u, traj.init.wave.u_bar),
         "max_drift_speed": float(np.max(np.abs(traj.ydot - params.s))),
@@ -359,15 +361,15 @@ def _emit_trajectory_outputs(out: Path, cfg: RunConfig, traj: Trajectory,
     """Write the trajectory CSV and snapshots; return the run summary, with
     the energy report at T_final as "energies", and the bootstrap monitor
     both read."""
-    monitor = bootstrap_monitor(traj.path, traj.params, cfg.delta)
+    monitor = bootstrap_monitor(traj.path, traj.init.params, cfg.delta)
     _trajectory_csv(out / "trajectory.csv", traj, monitor["running_h1"])
     picks = sorted({0, traj.stored_idx.size // 2, traj.stored_idx.size - 1})
     for t_index in picks:
         t_val = traj.t[traj.stored_idx[t_index]]
         _snapshot_file(out / f"snapshot_t{t_val:.6g}.txt", traj, t_index)
     summary = _run_summary(traj, monitor, solve_seconds)
-    summary["energies"] = asdict(energy_report(traj, traj.init, traj.grid, traj.params,
-                                               cfg.T_final))
+    summary["energies"] = asdict(energy_report(traj, traj.init, traj.init.grid,
+                                               traj.init.params, cfg.T_final))
     return summary, monitor
 
 
@@ -381,7 +383,7 @@ def _run_trace_suite(cfg: RunConfig, out: Path) -> dict:
     summary, _ = _emit_trajectory_outputs(out, cfg, traj, solve_seconds)
     records = []
     worst = {"residual_value": 0.0, "residual_slope": 0.0, "residual_second_order": 0.0}
-    reports = trace_identities(traj, traj.init, traj.grid, traj.params,
+    reports = trace_identities(traj, traj.init, traj.init.grid, traj.init.params,
                                range(traj.stored_idx.size))
     for i, rep in enumerate(reports):
         t_val = float(traj.t[traj.stored_idx[i]])
@@ -423,7 +425,7 @@ def _sweep_one(args: tuple) -> dict:
     cfg_kwargs, amplitude = args
     cfg = replace(RunConfig(**cfg_kwargs), amplitude=amplitude)
     traj, solve_seconds = _solve_from_config(cfg)
-    monitor = bootstrap_monitor(traj.path, traj.params, cfg.delta)
+    monitor = bootstrap_monitor(traj.path, traj.init.params, cfg.delta)
     _trajectory_csv(Path(cfg.out_dir) / f"trajectory_amp{amplitude:g}.csv", traj,
                     monitor["running_h1"])
     return {**_run_summary(traj, monitor, solve_seconds), "amplitude": amplitude,
@@ -457,7 +459,7 @@ def _run_convergence_order(cfg: RunConfig, out: Path) -> dict:
         traj, seconds = _solve_from_config(lcfg)
         solve_seconds += seconds
         _trajectory_csv(out / f"trajectory_n{n}.csv", traj,
-                        bootstrap_monitor(traj.path, traj.params, cfg.delta)["running_h1"])
+                        bootstrap_monitor(traj.path, traj.init.params, cfg.delta)["running_h1"])
         trajs[n] = traj
 
     def level_diff(na: int, nb: int) -> float:

@@ -188,30 +188,34 @@ class MonotoneInterpolant:
         # _power_sum's sum, term by term
         return float(c3[i]) + float(c2[i]) * s + float(c1[i]) * s2 + float(c0[i]) * (s2 * s)
 
-    def shifted(self, y: float) -> np.ndarray:
-        """The row f0(x_i + y) on the grid nodes, equal bit for bit to
-        self(grid.x + y).
+    def shifted(self, y: float, nodes: int | None = None, /) -> np.ndarray:
+        """The row f0(x_i + y) on the first `nodes` grid nodes (all of them
+        by default), equal bit for bit to self(grid.x[:nodes] + y).
 
         On the uniform grid a shift y >= 0 puts node i in interval i + m,
         m = floor(y / dx), so the row reads m-offset slices of the PCHIP
-        table, with no interval search.  When rounding puts a node in
-        another interval or on R, the row takes the general path.
+        table, with no interval search.  When rounding puts a node of the
+        row in another interval or on R, the row takes the general path.
+        Each entry depends on its node alone, so a shorter row is the prefix
+        of the longer one.
         """
         x, n = self._grid.x, self._grid.n
+        size = n if nodes is None else nodes
         if not 0.0 <= y < np.inf:
-            return self(x + y)
+            return self(x[:size] + y)
         m = int(y // self._grid.dx)
         k = max(n - 1 - m, 0)  # nodes i < k lie in interval i + m <= n - 2, node k past R
-        s = x[:k] + y
-        s -= x[m:m + k]  # the offset __call__ computes
+        j = min(k, size)  # the row's nodes inside the table
+        s = x[:j] + y
+        s -= x[m:m + j]  # the offset __call__ computes
         # rounding is monotone, so 0 <= s < min interval length keeps every
         # node inside its nominal interval
-        off_table = k and (s.min() < 0.0 or s.max() >= self._min_width)
-        if off_table or x[k] + y <= self._grid.R:
-            return self(x + y)
-        out = np.empty(n)
-        out[k:] = self._tail
-        _power_sum(tuple(term[m:m + k] for term in self._terms), s, out[:k])
+        off_table = j and (s.min() < 0.0 or s.max() >= self._min_width)
+        if off_table or (k < size and x[k] + y <= self._grid.R):
+            return self(x[:size] + y)
+        out = np.empty(size)
+        out[j:] = self._tail
+        _power_sum(tuple(term[m:m + j] for term in self._terms), s, out[:j])
         return out
 
 

@@ -48,6 +48,12 @@ DENOM_FLOOR = 1e-8
 # history in blocks of this many rows, so its memory is O(ROW_BLOCK * n)
 ROW_BLOCK = 8
 
+# the active length rule of _march.  The inverses of the implicit steps decay
+# geometrically off the diagonal, so a Dirichlet cut this far into the region
+# where the state is the wave moves the interface trace by far less than roundoff
+ACTIVE_FLOOR = 1e-20
+ACTIVE_GUARD = 128
+
 
 class HypothesisViolated(ValidationError):
     """Initial data failed one or more admissibility hypotheses."""
@@ -297,10 +303,17 @@ def _start_speed(u: np.ndarray, y0: float, t_start: float, init: InitialData, gr
 class WindowReport:
     """Per-window fixed-point iteration record: the H1 distance between
     successive speed iterates at each iteration, the metric the stopping rule
-    reads.  The iteration count and contraction ratios derive from them."""
+    reads.  The iteration count and contraction ratios derive from them.
+
+    It also records the active length of every march of the window:
+    `active_start`, the last node m every march starts with, and one list
+    per march, in march order (the last one the pass that keeps the fields),
+    of each widening (time, from m, to m) after the step at that time."""
 
     t_start: float
     distances: list[float] = field(default_factory=list)
+    active_start: int = 0
+    widenings: list[list[tuple[float, int, int]]] = field(default_factory=list)
 
     @property
     def iterations(self) -> int:
@@ -311,6 +324,12 @@ class WindowReport:
         """d[k+1] / d[k] for successive distances; 0 after a zero distance."""
         d = self.distances
         return [b / a if a > 0 else 0.0 for a, b in zip(d, d[1:])]
+
+    @property
+    def active_nodes(self) -> int:
+        """The largest last active node of any march of the window."""
+        return max([self.active_start] + [to for march in self.widenings
+                                          for *_, to in march])
 
 
 @dataclass
@@ -329,8 +348,6 @@ class Trajectory:
     v: np.ndarray
     u: np.ndarray
     windows: list[WindowReport]
-    grid: Grid
-    params: PhysicalParams
     init: InitialData
 
     @property
@@ -342,10 +359,25 @@ class Trajectory:
         return self.t[self.stored_idx]
 
 
+def _active_head(grid: Grid, wave: Profiles, m: int) -> tuple[Grid, Profiles]:
+    """The grid and wave of the nodes [0, m], as views of the whole ones
+    (make_grid(x_m, m + 1) can differ from them by an ulp)."""
+    if m == grid.n - 1:
+        return grid, wave
+    return Grid(R=float(grid.x[m]), n=m + 1, dx=grid.dx, x=grid.x[:m + 1]), wave.head(m + 1)
+
+
+def _padded(head: np.ndarray, background: np.ndarray) -> np.ndarray:
+    """A field whose leading nodes are `head` and the rest `background`."""
+    if head.size == background.size:
+        return head
+    return np.concatenate((head, background[head.size:]))
+
+
 def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
            init: InitialData, grid: Grid, params: PhysicalParams, dt: float,
            newton_tol: float, t_start: float, keep: set[int] | tuple = (),
-           history: np.ndarray | None = None
+           history: np.ndarray | None = None, report: WindowReport | None = None
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Advance the fields along a given path (speeds ydot, global positions
     y); return re-derived speeds (_start_speed at the first node, then
@@ -363,10 +395,33 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
     only ydot[0..k] and y[k], so the march is one plain application of the
     map to the path it filled in: marching that path again without history
     gives the same speeds bit for bit.
+
+    The march steps only the active nodes [0, m], with the wave value as
+    the Dirichlet value at node m, as at node n - 1 of the whole grid.  m
+    starts ACTIVE_GUARD nodes past the last node where v or u differs from
+    the wave by more than ACTIVE_FLOOR or the source row at y[0] is nonzero
+    (the source only moves left), and at most at n - 1.  After each step,
+    when the state at node m - ACTIVE_GUARD / 2 differs from the wave by
+    more than ACTIVE_FLOOR, m widens by ACTIVE_GUARD nodes, padded with the
+    wave.  The kept and returned states are whole fields, the wave past m.
+    With `report`, the march records its start and widenings there.
     """
     steps = ydot.size - 1
+    n, wave, source = grid.n, init.wave, init.source_eval
     zdot = np.empty(ydot.size)
     zdot[0] = _start_speed(u, y[0], t_start, init, grid, params)
+    off = np.abs(v - wave.v_bar) > ACTIVE_FLOOR
+    off |= np.abs(u - wave.u_bar) > ACTIVE_FLOOR
+    if source is not None:
+        off |= source.shifted(y[0]) != 0.0
+    last = np.flatnonzero(off)
+    m = min((int(last[-1]) if last.size else 0) + ACTIVE_GUARD, n - 1)
+    sub_grid, sub_wave = _active_head(grid, wave, m)
+    v, u = v[:m + 1], u[:m + 1]
+    widened = []
+    if report is not None:
+        report.active_start = m
+        report.widenings.append(widened)
     kept = []
     if history is None:
         w0_y = init.w0_at(y)
@@ -385,19 +440,27 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
             prev = ydot[k] = pred
             y[k] = y0 + running
             w0_yk = init.w0_at(y[k])  # equal bit for bit to the array's entry
-        src = 0.0 if init.source_eval is None else init.source_eval.shifted(y[k])
+        src = 0.0 if source is None else source.shifted(y[k], m + 1)
         try:
-            v = step_v(v, ydot[k], src, grid, dt, init.reg, params, init.wave, newton_tol)
-            u = step_u(u, v, ydot[k], grid, dt, params, init.wave)
-            zdot[k] = boundary_velocity(u, w0_yk, grid, params, init.wave)
+            v = step_v(v, ydot[k], src, sub_grid, dt, init.reg, params, sub_wave, newton_tol)
+            u = step_u(u, v, ydot[k], sub_grid, dt, params, sub_wave)
+            zdot[k] = boundary_velocity(u, w0_yk, sub_grid, params, sub_wave)
         except RuntimeError as exc:
             exc.t = t_start + k * dt
             raise
         if history is not None:
             z3, z2, z1 = z2, z1, zdot[k]
+        c = m - ACTIVE_GUARD // 2  # after a widening the next check node is padding
+        if m < n - 1 and (abs(v[c] - wave.v_bar[c]) > ACTIVE_FLOOR
+                          or abs(u[c] - wave.u_bar[c]) > ACTIVE_FLOOR):
+            wider = min(m + ACTIVE_GUARD, n - 1)
+            v, u = _padded(v, wave.v_bar[:wider + 1]), _padded(u, wave.u_bar[:wider + 1])
+            widened.append((t_start + k * dt, m, wider))
+            m = wider
+            sub_grid, sub_wave = _active_head(grid, wave, m)
         if k in keep:
-            kept.append((v, u))
-    return zdot, v, u, kept
+            kept.append((_padded(v, wave.v_bar), _padded(u, wave.u_bar)))
+    return zdot, _padded(v, wave.v_bar), _padded(u, wave.u_bar), kept
 
 
 def apply_boundary_map(path_in: BoundaryPath, init: InitialData, grid: Grid,
@@ -493,7 +556,7 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
         report = WindowReport(t_start=t_start)
         for _ in range(max_iter):
             zdot, *_ = _march(v, u, ydot, y, init, grid, params, dt, newton_tol, t_start,
-                              history=history)
+                              history=history, report=report)
             history = None
             report.distances.append(path_h1_norm(t_loc, zdot - ydot))
             ydot = zdot
@@ -511,7 +574,7 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
         # definitive pass along the converged path, keeping the stored fields
         rows = np.flatnonzero((stored_idx > k_done) & (stored_idx <= k_done + steps))
         _, v, u, kept = _march(v, u, ydot, y, init, grid, params, dt, newton_tol, t_start,
-                               keep=set((stored_idx[rows] - k_done).tolist()))
+                               keep=set((stored_idx[rows] - k_done).tolist()), report=report)
         for r, (v_k, u_k) in zip(rows, kept):
             v_stored[r], u_stored[r] = v_k, u_k
         y_all[k_done + 1:k_done + steps + 1] = y[1:]
@@ -523,7 +586,7 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
         t=t_all, y=y_all, ydot=ydot_all,
         p_s=ydot_all * (params.u_minus - init.w0_eval(y_all)),
         stored_idx=stored_idx, v=v_stored, u=u_stored,
-        windows=windows, grid=grid, params=params, init=init,
+        windows=windows, init=init,
     )
 
 

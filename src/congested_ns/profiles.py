@@ -12,7 +12,7 @@ the congested-side pressure is p_minus = s^2 (v_plus - 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,6 +44,9 @@ def wave_dv(params: PhysicalParams, x: np.ndarray | float) -> np.ndarray | float
     return params.s / params.mu * v * (params.v_plus - v)
 
 
+_NODAL = ("v_bar", "u_bar", "log_v_bar", "dv_bar", "du_bar", "inv_v_bar")
+
+
 @dataclass(frozen=True)
 class Profiles:
     """Traveling-wave fields sampled on a grid.
@@ -68,9 +71,12 @@ class Profiles:
     d2u0: float
 
     def __post_init__(self) -> None:
-        for arr in (self.v_bar, self.u_bar, self.log_v_bar, self.dv_bar, self.du_bar,
-                    self.inv_v_bar):
-            arr.setflags(write=False)
+        for name in _NODAL:
+            getattr(self, name).setflags(write=False)
+
+    def head(self, nodes: int) -> Profiles:
+        """The profiles on the first `nodes` nodes of their grid, as views."""
+        return replace(self, **{name: getattr(self, name)[:nodes] for name in _NODAL})
 
 
 def traveling_wave(params: PhysicalParams, grid: Grid) -> Profiles:

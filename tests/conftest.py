@@ -55,7 +55,7 @@ def synthetic_run(params):
             v=wave.v_bar + 1e-2 * (1.0 + 0.5 * np.sin(5.0 * ts)) * bump,
             u=wave.u_bar + 1e-2 * np.cos(4.0 * ts) * bump,
             windows=[WindowReport(t_start=0.0, distances=[1e-9])],
-            grid=grid, params=params, init=init,
+            init=init,
         )
 
     return build

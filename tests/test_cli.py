@@ -196,6 +196,9 @@ def test_steady_wave_run_outputs(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "ok"
     assert summary["max_drift_v_linf"] <= 1e-10
+    # the exact front marches the guard band alone, never widened
+    assert summary["active_nodes_per_window"] == [freeboundary.ACTIVE_GUARD]
+    assert summary["active_widenings"] == 0
     assert (out / "trajectory.csv").exists()
     assert (out / "config_resolved.txt").exists()
     csv = (out / "trajectory.csv").read_text().splitlines()
@@ -237,7 +240,7 @@ def test_running_h1_column_is_the_bootstrap_monitor_norm(tmp_path):
     rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
     column = np.array([float(row.split(",")[-1]) for row in rows])
     traj, _ = _solve_from_config(cfg)
-    monitor = bootstrap_monitor(traj.path, traj.params, cfg.delta)
+    monitor = bootstrap_monitor(traj.path, traj.init.params, cfg.delta)
     np.testing.assert_array_equal(column, monitor["running_h1"][traj.stored_idx])
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert column[-1] == summary["beta_h1"]

@@ -225,11 +225,11 @@ class TestTraceIdentities:
     def test_index_outside_the_stored_rows_rejected(self, synthetic_run, t_index):
         traj = synthetic_run(257, np.arange(5))
         with pytest.raises(ValidationError, match="stored-time index"):
-            trace_identities(traj, traj.init, traj.grid, traj.params, t_index)
+            trace_identities(traj, traj.init, traj.init.grid, traj.init.params, t_index)
 
     def test_numpy_integer_indices_accepted(self, synthetic_run):
         traj = synthetic_run(257, np.arange(5))
-        args = (traj, traj.init, traj.grid, traj.params)
+        args = (traj, traj.init, traj.init.grid, traj.init.params)
         assert trace_identities(*args, np.int64(4)) == trace_identities(*args, 4)
         assert trace_identities(*args, np.arange(5)) == trace_identities(*args, range(5))
 
@@ -604,7 +604,7 @@ class TestRowBlockPass:
         stored_idx, row_t = ROW_CASES[case]
         traj = synthetic_run(257, stored_idx)
         t = traj.t[-1] if row_t is None else traj.stored_times[row_t]
-        args = (traj, traj.init, traj.grid, traj.params)
+        args = (traj, traj.init, traj.init.grid, traj.init.params)
         rep = asdict(energy_report(*args, t))
         oracle = _whole_history_energies(*args, t)
         assert {k: rep[k] for k in oracle} == oracle
@@ -613,7 +613,7 @@ class TestRowBlockPass:
     def test_growth_estimate_equals_whole_history(self, synthetic_run, case):
         stored_idx, _ = ROW_CASES[case]
         traj = synthetic_run(257, stored_idx)
-        args = (traj, traj.init, traj.grid, traj.params)
+        args = (traj, traj.init, traj.init.grid, traj.init.params)
         rep = energy_report(*args, traj.t[-1])
         assert ({name: getattr(rep, field) for field, name in GROWTH_FIELDS.items()}
                 == _whole_history_growth(*args))
@@ -642,12 +642,12 @@ def test_certificates_hold_no_whole_history(front_sized_run, certificate):
     # one whole-history array of this run is 6.3 MiB; the certificates walk
     # it in blocks, so they stay within 2 MiB of what is already live
     traj = front_sized_run
-    args = (traj, traj.init, traj.grid, traj.params)
+    args = (traj, traj.init, traj.init.grid, traj.init.params)
     calls = {
         "energy_report": (energy_report, *args, traj.t[-1]),
         "reconstruction_residuals": (reconstruction_residuals, *args),
         "run_summary": (cli._run_summary, traj,
-                        bootstrap_monitor(traj.path, traj.params, 0.05), 1.0),
+                        bootstrap_monitor(traj.path, traj.init.params, 0.05), 1.0),
     }
     assert _peak_above_live_mib(*calls[certificate]) <= 2.0
 

@@ -197,9 +197,9 @@ def test_shift_preserves_monotonicity(seed, y, more):
 
 
 @given(seed=st.integers(0, 10_000), frac=st.floats(0.0, 1.2), multiple=st.integers(0, 260),
-       node=st.integers(100, 200), tail=st.floats(-2.0, 2.0))
+       node=st.integers(100, 200), tail=st.floats(-2.0, 2.0), nodes=st.integers(1, 201))
 @settings(max_examples=60, deadline=None)
-def test_shifted_rows_equal_evaluator_bit_for_bit(seed, frac, multiple, node, tail):
+def test_shifted_rows_equal_evaluator_bit_for_bit(seed, frac, multiple, node, tail, nodes):
     g = make_grid(10.0, 201)
     r = np.random.default_rng(seed)
     f = np.cumsum(r.normal(size=g.n))
@@ -213,6 +213,8 @@ def test_shifted_rows_equal_evaluator_bit_for_bit(seed, frac, multiple, node, ta
         assert row.tobytes() == evaluate(g.x + y).tobytes()
         past = g.x + y > g.R
         assert np.all(row[past] == tail)
+        # the row on the first nodes only is the whole row's prefix
+        assert evaluate.shifted(y, nodes).tobytes() == row[:nodes].tobytes()
     # a node on R takes the PCHIP value there, not the tail
     assert evaluate.shifted(on_r)[node] == float(evaluate(g.R)) == pytest.approx(f[-1])
 
@@ -227,6 +229,7 @@ def test_shifted_row_reads_the_table_without_interval_search(monkeypatch):
 
     monkeypatch.setattr(MonotoneInterpolant, "__call__", no_general_path)
     assert evaluate.shifted(1.2345).tobytes() == expected.tobytes()
+    assert evaluate.shifted(1.2345, 60).tobytes() == expected[:60].tobytes()
 
 
 def _pchip_data(kind: str, seed: int, n: int) -> np.ndarray:

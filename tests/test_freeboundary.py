@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from congested_ns import discrete_ops, freeboundary, profiles
-from congested_ns.core import PhysicalParams, ValidationError, make_grid
+from congested_ns.core import Grid, PhysicalParams, ValidationError, make_grid
 from congested_ns.diagnostics import bootstrap_monitor
 from congested_ns.discrete_ops import cumulative_trapezoid
 from congested_ns.freeboundary import (
@@ -404,15 +404,29 @@ class TestPicard:
         np.testing.assert_array_equal(strided.v, every.v[strided.stored_idx])
         np.testing.assert_array_equal(strided.u, every.u[strided.stored_idx])
         # every row is the state of its step, stepped along the solved path
+        # on the active nodes [0, m] that its window's last march recorded,
+        # the wave past them
         wave = traveling_wave(params, small_grid)
         reg = regularized_log(2.0 * float(np.max(bump_init.v0)))
         v, u = bump_init.v0, bump_init.u0
         for k in range(1, every.t.size):
-            src = bump_init.source_eval.shifted(every.y[k])
-            v = step_v(v, every.ydot[k], src, small_grid, 0.01, reg, params, wave)
-            u = step_u(u, v, every.ydot[k], small_grid, 0.01, params, wave)
+            report = every.windows[(k - 1) // 25]  # 25 steps per window
+            if k % 25 == 1:
+                m = report.active_start
+            sub_grid = Grid(R=small_grid.x[m], n=m + 1, dx=small_grid.dx,
+                            x=small_grid.x[:m + 1])
+            src = bump_init.source_eval.shifted(every.y[k])[:m + 1]
+            v = step_v(v[:m + 1], every.ydot[k], src, sub_grid, 0.01, reg, params,
+                       wave.head(m + 1))
+            u = step_u(u[:m + 1], v, every.ydot[k], sub_grid, 0.01, params, wave.head(m + 1))
+            v = np.concatenate((v, wave.v_bar[m + 1:]))
+            u = np.concatenate((u, wave.u_bar[m + 1:]))
             assert every.v[k].tobytes() == v.tobytes()
             assert every.u[k].tobytes() == u.tobytes()
+            m = {round(t / 0.01): to for t, _, to in report.widenings[-1]}.get(k, m)
+        # the cut engages on this datum, and widens
+        assert every.windows[0].active_start < small_grid.n - 1
+        assert every.windows[0].widenings[-1]
 
     def test_stride_beyond_every_integer_type_stores_first_and_last(
             self, params, small_grid, bump_init):
@@ -431,6 +445,48 @@ class TestPicard:
         for step in traj.stored_idx:
             expected = traj.ydot[step] * (params.u_minus - bump_init.w0_at(traj.y[step]))
             assert traj.p_s[step] == pytest.approx(expected, abs=1e-12)
+
+
+class TestActiveLength:
+    """Each march steps only the nodes [0, m] past which the state is the wave."""
+
+    @staticmethod
+    def _cut_and_full(monkeypatch, *args, **kwargs):
+        """picard_solve as it runs, and with every march at full width."""
+        cut = picard_solve(*args, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(freeboundary, "ACTIVE_GUARD", 10**9)
+            full = picard_solve(*args, **kwargs)
+        assert all(w.active_start == w.active_nodes == args[1].n - 1 for w in full.windows)
+        return cut, full
+
+    def test_cut_solve_equals_full_width_solve(self, params, small_grid, bump_init,
+                                               monkeypatch):
+        cut, full = self._cut_and_full(monkeypatch, bump_init, small_grid, params,
+                                       T_final=0.53, dt=0.01, window=0.25, stride=1)
+        first = cut.windows[0]
+        assert first.active_start < first.active_nodes < small_grid.n - 1
+        # one record per march, the last the pass that keeps the fields; each
+        # march starts again at active_start and widens on its own path
+        assert len(first.widenings) == first.iterations + 1
+        assert all(march[0][1] == first.active_start for march in first.widenings)
+        for name in ("ydot", "y", "v"):
+            assert getattr(cut, name).tobytes() == getattr(full, name).tobytes()
+        assert np.max(np.abs(cut.u - full.u)) <= freeboundary.ACTIVE_FLOOR
+        # past the active nodes the stored state is the wave
+        last = cut.windows[-1].active_nodes
+        assert np.all(cut.v[-1, last:] == bump_init.wave.v_bar[last:])
+        assert np.all(cut.u[-1, last:] == bump_init.wave.u_bar[last:])
+
+    def test_exact_front_marches_the_guard_band(self, params, small_grid, wave_init,
+                                                monkeypatch):
+        cut, full = self._cut_and_full(monkeypatch, wave_init, small_grid, params,
+                                       T_final=0.5, dt=0.01)
+        for w in cut.windows:
+            assert w.active_start == w.active_nodes == freeboundary.ACTIVE_GUARD
+            assert not any(w.widenings)
+        for name in ("ydot", "y", "p_s", "v", "u"):
+            assert getattr(cut, name).tobytes() == getattr(full, name).tobytes()
 
 
 class TestDatumSetting:
