@@ -225,11 +225,6 @@ def _convergence_levels(cfg: RunConfig) -> list[tuple[int, float, int]]:
     return out
 
 
-def presets() -> list[str]:
-    """Names of the built-in experiments."""
-    return list(PRESETS)
-
-
 def preset_config(name: str) -> RunConfig:
     """Default configuration of a preset."""
     if name not in PRESETS:
@@ -238,7 +233,7 @@ def preset_config(name: str) -> RunConfig:
     tweaks: dict[str, dict] = {
         "steady_wave": dict(family="none", T_final=1.0, dt=1e-3, stride=10),
         "convergence_order": dict(family="gaussian_bump", amplitude=1e-2,
-                                  T_final=0.96, dt=1e-3, stride=80),
+                                  T_final=0.96, dt=1e-3, stride=80, picard_tol=1e-10),
         "stability_sweep": dict(family="gaussian_bump", T_final=1.0, dt=1e-3, stride=20),
         "coercivity_suite": dict(R=15.0, n=4096),
         "trace_suite": dict(family="w0_tilt", amplitude=0.05, T_final=1.0,
@@ -455,7 +450,7 @@ def _run_convergence_order(cfg: RunConfig, out: Path) -> dict:
     trajs = {}
     solve_seconds = 0.0
     for n, dt, stride in _convergence_levels(cfg):
-        lcfg = replace(cfg, n=n, dt=dt, stride=stride, picard_tol=1e-10)
+        lcfg = replace(cfg, n=n, dt=dt, stride=stride)
         traj, seconds = _solve_from_config(lcfg)
         solve_seconds += seconds
         _trajectory_csv(out / f"trajectory_n{n}.csv", traj,

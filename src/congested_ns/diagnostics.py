@@ -41,17 +41,6 @@ from .freeboundary import (
 from .profiles import Profiles
 
 
-def integrated_perturbation(v: np.ndarray, v_bar: np.ndarray, grid: Grid) -> np.ndarray:
-    """Antiderivative -int_x^R (v - v_bar) dz of the volume perturbation.
-
-    Discrete stand-in for the integral to infinity; the neglected tail is
-    bounded by the perturbation beyond the truncation radius.
-    """
-    v = as_field(v, grid)
-    v_bar = as_field(v_bar, grid)
-    return tail_integral(v - v_bar, grid)
-
-
 def linearized_operator(g: np.ndarray, profiles: Profiles, grid: Grid,
                         params: PhysicalParams) -> np.ndarray:
     """-s g - mu d_x(g / vwave): the operator whose x-derivative is the
@@ -180,6 +169,7 @@ class EnergyReport:
 
 def initial_energy(init: InitialData, grid: Grid, params: PhysicalParams) -> float:
     """Seven-summand total initial energy of the perturbation."""
+    init.check_run_on(grid, params)
     g0 = init.v0 - init.wave.v_bar
     h0 = init.u0 - init.wave.u_bar
     d2w = derivative(init.w0, grid, 2)
@@ -259,7 +249,8 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
     """
     if not t >= 0.0:  # NaN fails
         raise ValidationError(f"t must be a non-negative time (got {t})")
-    prof = traj.init.wave
+    traj.check_certified_with(init, grid, params)
+    prof = init.wave
     m, dts = _uniform_prefix(traj, t)
     ydots = traj.ydot[traj.stored_idx[:m]]
     x, dx = grid.x, grid.dx
@@ -274,8 +265,8 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
     for rows, G, Gt, Gtt in _row_blocks(traj.v, prof.v_bar, m, dts):
         V = np.empty_like(G)
         src = np.empty_like(G)
-        for j, (v, step) in enumerate(zip(traj.v[rows], traj.stored_idx[rows])):
-            V[:, j] = integrated_perturbation(v, prof.v_bar, grid)
+        for j, step in enumerate(traj.stored_idx[rows]):
+            V[:, j] = tail_integral(G[:, j], grid)  # -int_x^R G, the rule of InitialData.V0
             src[:, j] = ((0.0 if source is None else source.shifted(traj.y[step]))
                          + (traj.ydot[step] - params.s) * prof.dv_bar)
         V0_sq[rows] = V[0] ** 2
@@ -354,6 +345,7 @@ def trace_identities(traj: Trajectory, init: InitialData, grid: Grid, params: Ph
         if not (isinstance(i, Integral) and 0 <= i < traj.stored_idx.size):
             raise ValidationError(
                 f"t_index {i} is not a stored-time index in [0, {traj.stored_idx.size})")
+    traj.check_certified_with(init, grid, params)
     dw_eval = monotone_interpolator(init.dxw0, grid, 0.0)
     d2w_eval = monotone_interpolator(derivative(init.w0, grid, 2), grid, 0.0)
     reports = [_trace_report(traj, init, grid, params, int(i), dw_eval, d2w_eval)
@@ -365,7 +357,7 @@ def _trace_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
                   t_index: int, dw_eval: MonotoneInterpolant,
                   d2w_eval: MonotoneInterpolant) -> TraceReport:
     """trace_identities at one stored time, given the w0' and w0'' evaluators."""
-    prof = traj.init.wave
+    prof = init.wave
     step = int(traj.stored_idx[t_index])
     s, mu, vp = params.s, params.mu, params.v_plus
     beta = float(traj.ydot[step] - s)
@@ -485,7 +477,8 @@ def l1_bound_report(traj: Trajectory, init: InitialData, grid: Grid,
     + ||d_x w0||_L1 + ||d_x vwave||_L1 ]; the constant C it takes to make it
     hold is reported (logged, never asserted strictly).
     """
-    prof = traj.init.wave
+    traj.check_certified_with(init, grid, params)
+    prof = init.wave
     lhs = max(norm(traj.v[i] - prof.v_bar, grid, NormKind.L1)
               for i in range(traj.stored_idx.size))
     rhs_factor = (

@@ -56,10 +56,13 @@ ACTIVE_GUARD = 128
 
 
 class HypothesisViolated(ValidationError):
-    """Initial data failed one or more admissibility hypotheses."""
+    """Initial data failed one or more admissibility hypotheses: `failures`
+    names each failed item, and `report` holds the pass/fail entry of every
+    hypothesis, as InitialData.hypothesis_report does for admissible data."""
 
-    def __init__(self, failures: list[str]):
+    def __init__(self, failures: list[str], report: dict):
         self.failures = failures
+        self.report = report
         super().__init__("; ".join(failures))
 
 
@@ -135,12 +138,6 @@ def running_h1_norm(t: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.sqrt(cumulative_trapezoid(f**2 + df**2, dt))
 
 
-def path_h1_norm(t: np.ndarray, f: np.ndarray) -> float:
-    """Discrete H1(0,T) norm of nodal values on a uniform time mesh: the last
-    entry of running_h1_norm."""
-    return float(running_h1_norm(t, f)[-1])
-
-
 @dataclass(frozen=True)
 class InitialData:
     """Validated initial state plus derived quantities used by the solver.
@@ -195,14 +192,14 @@ class InitialData:
                 f"{self.params}; it cannot run on R={grid.R:g}, n={grid.n} with {params}")
 
 
-def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid, params: PhysicalParams,
-                        strict: bool = True) -> InitialData:
+def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid,
+                        params: PhysicalParams) -> InitialData:
     """Check the admissibility hypotheses and assemble the derived data.
 
     Endpoint values, non-degeneracy signs, the second-order compatibility
     bracket at x = 0, and the decay/regularity norms are all evaluated; each
-    gets a pass/fail entry with its residual.  With strict=True any failure
-    raises HypothesisViolated listing every failed item.
+    gets a pass/fail entry with its residual.  Any failure raises
+    HypothesisViolated, listing every failed item and carrying the report.
     """
     v0 = as_field(v0, grid)
     u0 = as_field(u0, grid)
@@ -252,8 +249,8 @@ def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid, params: Phys
     record("H5: decay of integrated tails", np.isfinite(V0_l2) and np.isfinite(W0_w),
            {"V0_L2": V0_l2, "one_plus_sqrtx_W0_L2": W0_w})
 
-    if strict and failures:
-        raise HypothesisViolated(failures)
+    if failures:
+        raise HypothesisViolated(failures, report)
 
     source = truncation_mollifier(grid) * dxw0
     return InitialData(
@@ -357,6 +354,15 @@ class Trajectory:
     @property
     def stored_times(self) -> np.ndarray:
         return self.t[self.stored_idx]
+
+    def check_certified_with(self, init: InitialData, grid: Grid,
+                             params: PhysicalParams) -> None:
+        """ValidationError unless init is the run's own datum and grid and
+        params the setting it ran on, the inputs of every post-solve
+        certificate."""
+        if init is not self.init:
+            raise ValidationError("a certificate of a run takes the run's own datum, traj.init")
+        init.check_run_on(grid, params)
 
 
 def _active_head(grid: Grid, wave: Profiles, m: int) -> tuple[Grid, Profiles]:
@@ -558,7 +564,7 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
             zdot, *_ = _march(v, u, ydot, y, init, grid, params, dt, newton_tol, t_start,
                               history=history, report=report)
             history = None
-            report.distances.append(path_h1_norm(t_loc, zdot - ydot))
+            report.distances.append(float(running_h1_norm(t_loc, zdot - ydot)[-1]))
             ydot = zdot
             y = y_offset + cumulative_trapezoid(ydot, dt)
             if report.distances[-1] <= tol:
@@ -600,6 +606,7 @@ def assemble_solution(traj: Trajectory, grid: Grid, params: PhysicalParams,
     if not (isinstance(t_index, Integral) and 0 <= t_index < traj.stored_idx.size):
         raise ValidationError(
             f"t_index {t_index!r} is not a stored-time index in [0, {traj.stored_idx.size})")
+    traj.init.check_run_on(grid, params)
     step = int(traj.stored_idx[t_index])
     xt = traj.y[step]
     pt = traj.p_s[step]
@@ -620,6 +627,7 @@ def reconstruction_residuals(traj: Trajectory, init: InitialData, grid: Grid,
     The modified system is equivalent to the original one exactly when this
     vanishes, so the residual certifies the reconstruction argument.  The
     targets are sampled ROW_BLOCK stored times at a time."""
+    traj.check_certified_with(init, grid, params)
     shifts = traj.y[traj.stored_idx]
     out = np.empty(shifts.size)
     for start in range(0, shifts.size, ROW_BLOCK):

@@ -192,9 +192,11 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
 
     Dirichlet values v(0) = 1 and v(R) = wave profile at R.  The update is
     computed on the deviation g = v - vwave, for which the wave terms cancel
-    through the profile identity s d_x vwave + mu d_xx ln vwave = 0 (with
-    ln vwave from the closed form); the exact wave is therefore a discrete
-    steady state to roundoff, instead of drifting at the truncation level.
+    through the profile identity s d_x vwave + mu d_xx ln vwave = 0, with
+    ln vwave = wave.log_v_bar = np.log(vwave), the value `reg` takes on
+    vwave.  At g = 0 the diffusion term of the residual is therefore exactly
+    zero, and the exact wave is a discrete steady state instead of drifting
+    at the truncation level.
     `wave` is traveling_wave(params, grid), sampled once by the caller.
     The nonlinear system is solved by damped Newton iteration with the
     analytic tridiagonal Jacobian of the discretized a(v).

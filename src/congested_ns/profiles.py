@@ -32,12 +32,6 @@ def wave_u(params: PhysicalParams, x: np.ndarray | float) -> np.ndarray | float:
     return params.u_plus + s * params.v_plus - s * wave_v(params, x)
 
 
-def wave_log_v(params: PhysicalParams, x: np.ndarray | float) -> np.ndarray | float:
-    """ln v(x) evaluated in a cancellation-free form."""
-    vp = params.v_plus
-    return np.log(vp) - np.log1p((vp - 1.0) * np.exp(-params.s * vp * np.asarray(x) / params.mu))
-
-
 def wave_dv(params: PhysicalParams, x: np.ndarray | float) -> np.ndarray | float:
     """Exact slope v'(x) = (s/mu) v (v_plus - v)."""
     v = wave_v(params, x)
@@ -52,7 +46,8 @@ class Profiles:
     """Traveling-wave fields sampled on a grid.
 
     v_bar, u_bar  -- nodal samples of the profiles
-    log_v_bar     -- ln v_bar from the cancellation-free closed form
+    log_v_bar     -- np.log(v_bar), the value the regularized log of step_v
+                     takes on v_bar, so the wave is its steady state exactly
     dv_bar        -- exact nodal slope of v_bar (from the closed form)
     du_bar        -- exact nodal slope of u_bar, -s dv_bar
     inv_v_bar     -- 1 / v_bar
@@ -92,7 +87,7 @@ def traveling_wave(params: PhysicalParams, grid: Grid) -> Profiles:
     return Profiles(
         v_bar=v_bar,
         u_bar=np.asarray(wave_u(params, grid.x)),
-        log_v_bar=np.asarray(wave_log_v(params, grid.x)),
+        log_v_bar=np.log(v_bar),
         dv_bar=dv_bar,
         du_bar=-s * dv_bar,
         inv_v_bar=1.0 / v_bar,

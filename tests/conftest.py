@@ -1,8 +1,46 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from congested_ns.core import PhysicalParams, make_grid
 from congested_ns.profiles import traveling_wave
+
+
+def _without_timings(record):
+    """A parsed summary.json without its wall-time keys, at any depth."""
+    if isinstance(record, dict):
+        return {k: _without_timings(v) for k, v in record.items()
+                if k not in ("elapsed_seconds", "solve_seconds")}
+    if isinstance(record, list):
+        return [_without_timings(v) for v in record]
+    return record
+
+
+def _comparable(path: Path):
+    """A run output file as two runs of one config must agree on it."""
+    if path.name == "summary.json":
+        # re-serialized, so that a NaN equals itself
+        return json.dumps(_without_timings(json.loads(path.read_text(encoding="utf-8"))))
+    if path.name == "config_resolved.txt":
+        return [line for line in path.read_text(encoding="utf-8").splitlines()
+                if not line.startswith("out_dir =")]
+    return path.read_bytes()
+
+
+def output_differences(dir_a, dir_b) -> list[str]:
+    """The names of the output files in which two run directories differ.
+
+    summary.json is compared without elapsed_seconds and solve_seconds,
+    config_resolved.txt without its out_dir line, and every other file byte
+    for byte.  A file present in only one directory differs.
+    """
+    dir_a, dir_b = Path(dir_a), Path(dir_b)
+    names = sorted({p.name for p in dir_a.iterdir()} | {p.name for p in dir_b.iterdir()})
+    return [name for name in names
+            if not ((dir_a / name).is_file() and (dir_b / name).is_file()
+                    and _comparable(dir_a / name) == _comparable(dir_b / name))]
 
 
 @pytest.fixture(scope="session")
@@ -59,3 +97,4 @@ def synthetic_run(params):
         )
 
     return build
+

@@ -20,15 +20,15 @@ from congested_ns.cli import (
     main,
     parse_config_text,
     preset_config,
-    presets,
     resolve_config,
     run,
 )
 from congested_ns.diagnostics import bootstrap_monitor
+from conftest import output_differences
 
 
 def test_presets_enumeration():
-    names = presets()
+    names = list(PRESETS)
     assert names == [
         "steady_wave", "convergence_order", "stability_sweep", "coercivity_suite",
         "trace_suite", "bootstrap_check", "appendix_lemmas",
@@ -185,6 +185,24 @@ def test_convergence_order_levels_rejected_when_parsed(tmp_path, capsys, dt):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override, tol", [([], 1e-10),
+                                           (["--override", "tolerances.picard_tol=1e-6"], 1e-6)])
+def test_convergence_order_levels_use_the_configured_picard_tol(tmp_path, monkeypatch,
+                                                                override, tol):
+    # each level records its tolerance and takes a single step, not the full run
+    tols = []
+
+    def one_step(init, grid, params, T_final, dt, tol, **kwargs):
+        tols.append(tol)
+        return freeboundary.picard_solve(init, grid, params, T_final=dt, dt=dt, tol=tol,
+                                         **kwargs)
+
+    monkeypatch.setattr(cli, "picard_solve", one_step)
+    assert main(["--preset", "convergence_order", "--out-dir", str(tmp_path)] + override) == 0
+    assert tols == [tol] * 3
+    assert f"tolerances.picard_tol = {tol:.17g}" in (tmp_path / "config_resolved.txt").read_text()
+
+
 SMALL = ["--override", "grid.n=257", "--override", "time.T_final=0.1",
          "--override", "time.dt=0.005", "--override", "time.stride=5"]
 
@@ -217,9 +235,9 @@ def test_runs_are_bit_identical(tmp_path):
     code1 = main(args + ["--out-dir", str(tmp_path / "a")])
     code2 = main(args + ["--out-dir", str(tmp_path / "b")])
     assert code1 == code2 == 0
-    csv_a = (tmp_path / "a" / "trajectory.csv").read_bytes()
-    csv_b = (tmp_path / "b" / "trajectory.csv").read_bytes()
-    assert csv_a == csv_b
+    # every output, not the trajectory alone; only wall times and out_dir differ
+    assert len(list((tmp_path / "a").iterdir())) > 2
+    assert output_differences(tmp_path / "a", tmp_path / "b") == []
 
 
 def test_solve_seconds_is_the_time_inside_picard_solve(tmp_path, monkeypatch):

@@ -6,23 +6,31 @@ import numpy as np
 import pytest
 
 from congested_ns import cli, diagnostics, discrete_ops
-from congested_ns.core import ValidationError, make_grid
+from congested_ns.core import PhysicalParams, ValidationError, make_grid
 from congested_ns.diagnostics import (
     bootstrap_monitor,
     coercivity_check,
     coercivity_weight,
     energy_report,
     initial_energy,
-    integrated_perturbation,
+    l1_bound_report,
     linearized_operator,
     path_difference_inequality,
     shifted_weight_inequality,
     trace_identities,
     write_diagnostic_records,
 )
-from congested_ns.discrete_ops import NormKind, derivative, norm, stencil_derivative, trace0
+from congested_ns.discrete_ops import (
+    NormKind,
+    derivative,
+    norm,
+    stencil_derivative,
+    tail_integral,
+    trace0,
+)
 from congested_ns.freeboundary import (
     ROW_BLOCK,
+    assemble_solution,
     make_path,
     picard_solve,
     reconstruction_residuals,
@@ -46,19 +54,19 @@ def wavec(params, gridc):
 
 class TestIntegratedPerturbation:
     def test_zero_for_wave(self, gridc, wavec):
-        V = integrated_perturbation(wavec.v_bar, wavec.v_bar, gridc)
+        V = tail_integral(wavec.v_bar - wavec.v_bar, gridc)
         np.testing.assert_array_equal(V, 0.0)
 
     def test_exponential_tail(self, params):
         g = make_grid(40.0, 4001)
         prof = traveling_wave(params, g)
         v = prof.v_bar + np.exp(-g.x)
-        V = integrated_perturbation(v, prof.v_bar, g)
+        V = tail_integral(v - prof.v_bar, g)
         np.testing.assert_allclose(V, -np.exp(-g.x), rtol=0, atol=3e-5)
 
     def test_derivative_recovers_perturbation(self, params, gridc, wavec):
         v = wavec.v_bar + 0.1 * np.exp(-((gridc.x - 5.0) ** 2))
-        V = integrated_perturbation(v, wavec.v_bar, gridc)
+        V = tail_integral(v - wavec.v_bar, gridc)
         np.testing.assert_allclose(
             derivative(V, gridc, 1)[1:-1], (v - wavec.v_bar)[1:-1], rtol=0, atol=1e-4
         )
@@ -517,7 +525,7 @@ def _whole_history_energies(traj, init, grid, params, t):
     g_sq = np.empty((9, m))
     V0_sq = np.empty(m)
     for i in range(m):
-        V = integrated_perturbation(traj.v[i], prof.v_bar, grid)
+        V = tail_integral(traj.v[i] - prof.v_bar, grid)
         V0_sq[i] = V[0] ** 2
         gxx = stencil_derivative(G[i], dx, 2)
         g_sq[:, i] = sq((V, G[i], stencil_derivative(G[i], dx, 1), gxx,
@@ -650,6 +658,47 @@ def test_certificates_hold_no_whole_history(front_sized_run, certificate):
                         bootstrap_monitor(traj.path, traj.init.params, 0.05), 1.0),
     }
     assert _peak_above_live_mib(*calls[certificate]) <= 2.0
+
+
+# each post-solve certificate as called on a run, its datum, grid and params
+_CERTIFICATES = {
+    "energy_report": lambda *run: energy_report(*run, 0.06),
+    "l1_bound_report": l1_bound_report,
+    "trace_identities": lambda *run: trace_identities(*run, 1),
+    "reconstruction_residuals": reconstruction_residuals,
+    "assemble_solution": lambda traj, init, grid, params: assemble_solution(traj, grid, params, 1),
+    "initial_energy": lambda traj, init, grid, params: initial_energy(init, grid, params),
+}
+
+
+class TestCertificateInputs:
+    """A certificate of a run reads the run's own datum and setting; another
+    one gave wrong values without an error."""
+
+    @pytest.fixture(scope="class")
+    def run(self, synthetic_run):
+        return synthetic_run(513, [0, 10, 20, 30])
+
+    @pytest.mark.parametrize("name", [name for name in _CERTIFICATES
+                                      if name not in ("assemble_solution", "initial_energy")])
+    def test_another_datum_is_rejected(self, params, run, name):
+        grid = run.init.grid
+        v0, u0 = initial_data_fields("w0_tilt", 0.05, 2.0, 0.5, params, grid)
+        tilt = validate_hypotheses(v0, u0, grid, params)
+        with pytest.raises(ValidationError, match="own datum"):
+            _CERTIFICATES[name](run, tilt, grid, params)
+        _CERTIFICATES[name](run, run.init, grid, params)
+
+    @pytest.mark.parametrize("name", list(_CERTIFICATES))
+    @pytest.mark.parametrize("other", ["R", "params"])
+    def test_another_setting_is_rejected(self, params, run, name, other):
+        grid, run_params = run.init.grid, params
+        if other == "R":
+            grid = make_grid(40.0, 513)
+        else:
+            run_params = PhysicalParams(mu=1.3, v_plus=2.0, u_minus=1.0, u_plus=0.0)
+        with pytest.raises(ValidationError, match="validated on"):
+            _CERTIFICATES[name](run, run.init, grid, run_params)
 
 
 def test_write_diagnostic_records(tmp_path):
