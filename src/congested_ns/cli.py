@@ -23,7 +23,7 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,63 +70,50 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _setting(key: str, default, rule: str = "", parse=None):
+    """A RunConfig field: its dotted config key, the parser of its text (the
+    type of its default unless given) and its range rule, "> b" or ">= b",
+    which the value, or each entry of a tuple, must meet and be finite."""
+    return field(default=default,
+                 metadata={"key": key, "parse": parse or type(default), "rule": rule})
+
+
 @dataclass
 class RunConfig:
-    """Resolved configuration of one experiment."""
+    """Resolved configuration of one experiment; each field's metadata is its
+    config key, parser and range rule."""
 
-    preset: str = "steady_wave"
-    out_dir: str = "out"
-    seed: int = 0
-    workers: int = 1
-    mu: float = 1.0
-    v_plus: float = 2.0
-    u_minus: float = 1.0
-    u_plus: float = 0.0
-    R: float = 50.0
-    n: int = 2049
-    T_final: float = 1.0
-    dt: float = 1e-3
-    stride: int = 10
-    window: float | None = None
-    family: str = "none"
-    amplitude: float = 0.0
-    width: float = 0.5
-    center: float = 2.0
-    newton_tol: float = 1e-10
-    picard_tol: float = 1e-8
-    delta: float = 0.05
-    sweep_amplitudes: tuple[float, ...] = (1e-4, 1e-3, 1e-2)
+    preset: str = _setting("preset", "steady_wave")
+    out_dir: str = _setting("out_dir", "out")
+    seed: int = _setting("seed", 0, ">= 0")
+    workers: int = _setting("workers", 1, ">= 1")
+    mu: float = _setting("params.mu", 1.0)
+    v_plus: float = _setting("params.v_plus", 2.0)
+    u_minus: float = _setting("params.u_minus", 1.0)
+    u_plus: float = _setting("params.u_plus", 0.0)
+    R: float = _setting("grid.R", 50.0, "> 0")
+    n: int = _setting("grid.n", 2049, ">= 16")
+    T_final: float = _setting("time.T_final", 1.0, "> 0")
+    dt: float = _setting("time.dt", 1e-3, "> 0")
+    stride: int = _setting("time.stride", 10, ">= 1")
+    window: float | None = _setting("time.window", None, "> 0", parse=float)
+    family: str = _setting("perturbation.family", "none")
+    amplitude: float = _setting("perturbation.amplitude", 0.0, ">= 0")
+    width: float = _setting("perturbation.width", 0.5, "> 0")
+    center: float = _setting("perturbation.center", 2.0, "> 0")
+    newton_tol: float = _setting("tolerances.newton_tol", 1e-10, "> 0")
+    picard_tol: float = _setting("tolerances.picard_tol", 1e-8, f">= {PICARD_TOL_FLOOR:g}")
+    delta: float = _setting("tolerances.delta", 0.05, "> 0")
+    sweep_amplitudes: tuple[float, ...] = _setting(
+        "sweep.amplitudes", (1e-4, 1e-3, 1e-2), ">= 0",
+        parse=lambda s: tuple(float(v) for v in s.split(",")))
 
     def params(self) -> PhysicalParams:
         return PhysicalParams(mu=self.mu, v_plus=self.v_plus,
                               u_minus=self.u_minus, u_plus=self.u_plus)
 
 
-_KEY_MAP = {
-    "preset": ("preset", str),
-    "out_dir": ("out_dir", str),
-    "seed": ("seed", int),
-    "workers": ("workers", int),
-    "params.mu": ("mu", float),
-    "params.v_plus": ("v_plus", float),
-    "params.u_minus": ("u_minus", float),
-    "params.u_plus": ("u_plus", float),
-    "grid.R": ("R", float),
-    "grid.n": ("n", int),
-    "time.T_final": ("T_final", float),
-    "time.dt": ("dt", float),
-    "time.stride": ("stride", int),
-    "time.window": ("window", float),
-    "perturbation.family": ("family", str),
-    "perturbation.amplitude": ("amplitude", float),
-    "perturbation.width": ("width", float),
-    "perturbation.center": ("center", float),
-    "tolerances.newton_tol": ("newton_tol", float),
-    "tolerances.picard_tol": ("picard_tol", float),
-    "tolerances.delta": ("delta", float),
-    "sweep.amplitudes": ("sweep_amplitudes",
-                         lambda s: tuple(float(v) for v in s.split(","))),
-}
+_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
 class ConfigError(ValueError):
@@ -153,11 +140,11 @@ def config_from_mapping(mapping: dict[str, str], base: RunConfig | None = None) 
     cfg = base if base is not None else RunConfig()
     updates = {}
     for key, raw in mapping.items():
-        if key not in _KEY_MAP:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown config field {key!r}")
-        attr, conv = _KEY_MAP[key]
+        f = _FIELDS[key]
         try:
-            updates[attr] = conv(raw)
+            updates[f.name] = f.metadata["parse"](raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"field {key!r}: cannot parse {raw!r} ({exc})") from exc
     cfg = replace(cfg, **updates)
@@ -166,35 +153,25 @@ def config_from_mapping(mapping: dict[str, str], base: RunConfig | None = None) 
 
 
 def validate_config(cfg: RunConfig) -> None:
+    """ConfigError unless each field meets its range rule and the fields fit
+    together and with the preset."""
     if cfg.preset not in PRESETS:
         raise ConfigError(f"unknown preset {cfg.preset!r} (choose from {PRESETS})")
     if cfg.family not in FAMILIES:
         raise ConfigError(f"unknown perturbation.family {cfg.family!r}")
-    for key, values in (("perturbation.amplitude", (cfg.amplitude,)),
-                        ("sweep.amplitudes", cfg.sweep_amplitudes)):
-        bad = [a for a in values if not 0.0 <= a < math.inf]
+    for f in fields(cfg):
+        value, rule = getattr(cfg, f.name), f.metadata["rule"]
+        if not rule or value is None:  # time.window None: the default
+            continue
+        op, bound = rule.split()
+        low = float(bound)
+        bad = [a for a in (value if isinstance(value, tuple) else (value,))
+               if not (low < a < math.inf if op == ">" else low <= a < math.inf)]
         if bad:
-            raise ConfigError(f"{key} must be finite and >= 0 (got {bad[0]})")
-    for key in ("time.dt", "time.T_final", "time.window", "tolerances.newton_tol",
-                "tolerances.picard_tol", "tolerances.delta", "grid.R",
-                "perturbation.width", "perturbation.center"):
-        value = getattr(cfg, _KEY_MAP[key][0])
-        if value is not None and not 0.0 < value < math.inf:  # window None: the default
-            raise ConfigError(f"{key} must be finite and positive (got {value})")
-    if cfg.picard_tol < PICARD_TOL_FLOOR:
-        raise ConfigError(f"tolerances.picard_tol={cfg.picard_tol:g} is below the roundoff "
-                          f"floor {PICARD_TOL_FLOOR:g} of the Picard distance")
+            raise ConfigError(f"{f.metadata['key']} must be finite and {rule} (got {bad[0]})")
     if not is_multiple(cfg.T_final, cfg.dt):
         raise ConfigError(f"time.T_final={cfg.T_final:g} must be a multiple of "
                           f"time.dt={cfg.dt:g}")
-    if cfg.stride < 1:
-        raise ConfigError(f"time.stride must be at least 1 (got {cfg.stride})")
-    if cfg.n < 16:
-        raise ConfigError(f"grid.n must be at least 16 (got {cfg.n})")
-    if cfg.workers < 1:
-        raise ConfigError(f"workers must be at least 1 (got {cfg.workers})")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be at least 0 (got {cfg.seed})")
     try:
         cfg.params()
         make_grid(cfg.R, cfg.n)
@@ -266,7 +243,6 @@ def resolve_config(config_path: str | None, preset: str | None,
 
 def config_lines(cfg: RunConfig) -> str:
     """Re-serialize the resolved config in the flat key = value format."""
-    reverse = {attr: key for key, (attr, _) in _KEY_MAP.items()}
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -278,7 +254,7 @@ def config_lines(cfg: RunConfig) -> str:
             text = ",".join(fmt(v) for v in value)
         else:
             text = str(value)
-        lines.append(f"{reverse[f.name]} = {text}")
+        lines.append(f"{f.metadata['key']} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -416,20 +392,17 @@ def _run_bootstrap_check(cfg: RunConfig, out: Path) -> dict:
     return summary
 
 
-def _sweep_one(args: tuple) -> dict:
-    cfg_kwargs, amplitude = args
-    cfg = replace(RunConfig(**cfg_kwargs), amplitude=amplitude)
+def _sweep_one(cfg: RunConfig) -> dict:
     traj, solve_seconds = _solve_from_config(cfg)
     monitor = bootstrap_monitor(traj.path, traj.init.params, cfg.delta)
-    _trajectory_csv(Path(cfg.out_dir) / f"trajectory_amp{amplitude:g}.csv", traj,
+    _trajectory_csv(Path(cfg.out_dir) / f"trajectory_amp{cfg.amplitude:g}.csv", traj,
                     monitor["running_h1"])
-    return {**_run_summary(traj, monitor, solve_seconds), "amplitude": amplitude,
+    return {**_run_summary(traj, monitor, solve_seconds), "amplitude": cfg.amplitude,
             "min_v": float(np.min(traj.v)), "max_v": float(np.max(traj.v))}
 
 
 def _run_stability_sweep(cfg: RunConfig, out: Path) -> dict:
-    cfg_kwargs = asdict(cfg)
-    jobs = [(cfg_kwargs, a) for a in cfg.sweep_amplitudes]
+    jobs = [replace(cfg, amplitude=a) for a in cfg.sweep_amplitudes]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             per_amp = list(pool.map(_sweep_one, jobs))

@@ -305,7 +305,8 @@ class WindowReport:
     It also records the active length of every march of the window:
     `active_start`, the last node m every march starts with, and one list
     per march, in march order (the last one the pass that keeps the fields),
-    of each widening (time, from m, to m) after the step at that time."""
+    of each widening (time, from m, to m) of the state at that time, before
+    the next step."""
 
     t_start: float
     distances: list[float] = field(default_factory=list)
@@ -406,14 +407,16 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
     the Dirichlet value at node m, as at node n - 1 of the whole grid.  m
     starts ACTIVE_GUARD nodes past the last node where v or u differs from
     the wave by more than ACTIVE_FLOOR or the source row at y[0] is nonzero
-    (the source only moves left), and at most at n - 1.  After each step,
-    when the state at node m - ACTIVE_GUARD / 2 differs from the wave by
-    more than ACTIVE_FLOOR, m widens by ACTIVE_GUARD nodes, padded with the
-    wave.  The kept and returned states are whole fields, the wave past m.
+    (the source only moves left), and at most at n - 1.  Before each step
+    k, m widens by ACTIVE_GUARD nodes, padded with the wave, as long as at
+    the check node c = m - ACTIVE_GUARD / 2 the state differs from the wave
+    by more than ACTIVE_FLOOR or the step's speed-deviation source
+    dt |ydot[k] - s| |du_bar[c]|, which step_u adds at every node, exceeds
+    it.  The kept and returned states are whole fields, the wave past m.
     With `report`, the march records its start and widenings there.
     """
     steps = ydot.size - 1
-    n, wave, source = grid.n, init.wave, init.source_eval
+    n, wave, source, s = grid.n, init.wave, init.source_eval, params.s
     zdot = np.empty(ydot.size)
     zdot[0] = _start_speed(u, y[0], t_start, init, grid, params)
     off = np.abs(v - wave.v_bar) > ACTIVE_FLOOR
@@ -446,6 +449,18 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
             prev = ydot[k] = pred
             y[k] = y0 + running
             w0_yk = init.w0_at(y[k])  # equal bit for bit to the array's entry
+        spread = dt * abs(ydot[k] - s)
+        while m < n - 1:
+            c = m - ACTIVE_GUARD // 2  # after a widening the state there is padding
+            if not (abs(v[c] - wave.v_bar[c]) > ACTIVE_FLOOR
+                    or abs(u[c] - wave.u_bar[c]) > ACTIVE_FLOOR
+                    or spread * abs(wave.du_bar[c]) > ACTIVE_FLOOR):
+                break
+            wider = min(m + ACTIVE_GUARD, n - 1)
+            v, u = _padded(v, wave.v_bar[:wider + 1]), _padded(u, wave.u_bar[:wider + 1])
+            widened.append((t_start + (k - 1) * dt, m, wider))
+            m = wider
+            sub_grid, sub_wave = _active_head(grid, wave, m)
         src = 0.0 if source is None else source.shifted(y[k], m + 1)
         try:
             v = step_v(v, ydot[k], src, sub_grid, dt, init.reg, params, sub_wave, newton_tol)
@@ -456,14 +471,6 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
             raise
         if history is not None:
             z3, z2, z1 = z2, z1, zdot[k]
-        c = m - ACTIVE_GUARD // 2  # after a widening the next check node is padding
-        if m < n - 1 and (abs(v[c] - wave.v_bar[c]) > ACTIVE_FLOOR
-                          or abs(u[c] - wave.u_bar[c]) > ACTIVE_FLOOR):
-            wider = min(m + ACTIVE_GUARD, n - 1)
-            v, u = _padded(v, wave.v_bar[:wider + 1]), _padded(u, wave.u_bar[:wider + 1])
-            widened.append((t_start + k * dt, m, wider))
-            m = wider
-            sub_grid, sub_wave = _active_head(grid, wave, m)
         if k in keep:
             kept.append((_padded(v, wave.v_bar), _padded(u, wave.u_bar)))
     return zdot, _padded(v, wave.v_bar), _padded(u, wave.u_bar), kept

@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from congested_ns import cli, discrete_ops, freeboundary, parabolic, profiles
 from congested_ns.cli import (
     ConfigError,
     PRESETS,
+    RunConfig,
     _solve_from_config,
     config_from_mapping,
     config_lines,
@@ -42,6 +45,35 @@ def test_preset_configs_round_trip():
         text = config_lines(cfg)
         parsed = config_from_mapping(parse_config_text(text))
         assert parsed == cfg
+
+
+def test_every_field_round_trips_through_its_key():
+    cfg = RunConfig(preset="trace_suite", out_dir="elsewhere", seed=3, workers=2, mu=1.5,
+                    v_plus=3.0, u_minus=2.0, u_plus=0.5, R=40.0, n=1025, T_final=0.5,
+                    dt=2e-3, stride=5, window=0.125, family="gaussian_bump", amplitude=0.01,
+                    width=0.75, center=3.0, newton_tol=1e-11, picard_tol=1e-9, delta=0.1,
+                    sweep_amplitudes=(0.002, 0.02))
+    assert all(getattr(cfg, f.name) != f.default for f in fields(RunConfig))
+    assert config_from_mapping(parse_config_text(config_lines(cfg))) == cfg
+
+
+def test_readme_lists_every_config_key():
+    # the README's key table: the schema's keys in order, each default and
+    # range rule as RunConfig states them
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = lines.index("| key | type | default | rule |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.split("|")[1:-1]])
+    schema = fields(RunConfig)
+    assert [key.strip("`") for key, *_ in rows] == [f.metadata["key"] for f in schema]
+    for (_, _, default, rule), f in zip(rows, schema):
+        if f.default is not None:
+            assert f.metadata["parse"](default.strip("`")) == f.default
+        assert not f.metadata["rule"] or f"`{f.metadata['rule']}`" in rule
 
 
 def test_unknown_preset_rejected():
@@ -103,16 +135,27 @@ def test_bad_override_rejected(tmp_path):
         resolve_config(None, "steady_wave", str(tmp_path), ["grid.n:129"])
 
 
-@pytest.mark.parametrize("override", ["time.stride=0", "time.window=-1", "grid.n=8",
-                                      "grid.R=0", "workers=0", "time.dt=nan",
-                                      "time.T_final=inf", "time.dt=inf",
-                                      "tolerances.newton_tol=nan", "time.window=nan",
-                                      "tolerances.picard_tol=-1e-8",
-                                      "tolerances.picard_tol=1e-13", "time.dt=0.003",
-                                      "perturbation.amplitude=nan", "perturbation.width=nan",
-                                      "perturbation.width=-1", "perturbation.center=0",
-                                      "seed=-1", "sweep.amplitudes=-1",
-                                      "sweep.amplitudes=0.001,nan"])
+def _breach(f) -> str:
+    """The value of a field next to the bound of its range rule that breaks it."""
+    op, bound = f.metadata["rule"].split()
+    if isinstance(f.default, int):
+        return str(int(bound) - (op == ">="))
+    return repr(float(bound) if op == ">" else math.nextafter(float(bound), -math.inf))
+
+
+BAD_FIELDS = ["time.stride=0", "time.window=-1", "grid.n=8", "grid.R=0", "workers=0",
+              "time.dt=nan", "time.T_final=inf", "time.dt=inf", "tolerances.newton_tol=nan",
+              "time.window=nan", "tolerances.picard_tol=-1e-8", "tolerances.picard_tol=1e-13",
+              "time.dt=0.003", "perturbation.amplitude=nan", "perturbation.width=nan",
+              "perturbation.width=-1", "perturbation.center=0", "seed=-1",
+              "sweep.amplitudes=-1", "sweep.amplitudes=0.001,nan"]
+# and one breach of each range rule, from the schema
+RULE_BREACHES = [f"{f.metadata['key']}={_breach(f)}" for f in fields(RunConfig)
+                 if f.metadata["rule"]]
+
+
+@pytest.mark.parametrize("override",
+                         BAD_FIELDS + [b for b in RULE_BREACHES if b not in BAD_FIELDS])
 def test_bad_time_and_grid_fields_rejected_when_parsed(tmp_path, capsys, override):
     out = tmp_path / "out"
     code = main(["--preset", "steady_wave", "--out-dir", str(out), "--override", override])
