@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PhysicalParams, ValidationError, make_grid
+from .core import PhysicalParams, ValidationError, grid_spacing, make_grid
 from .diagnostics import (
     bootstrap_monitor,
     coercivity_check,
@@ -174,7 +174,7 @@ def validate_config(cfg: RunConfig) -> None:
                           f"time.dt={cfg.dt:g}")
     try:
         cfg.params()
-        make_grid(cfg.R, cfg.n)
+        grid_spacing(cfg.R, cfg.n)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.preset == "convergence_order":
@@ -229,13 +229,13 @@ def resolve_config(config_path: str | None, preset: str | None,
         mapping.update(parse_config_text(Path(config_path).read_text(encoding="utf-8")))
     if preset is not None:
         mapping["preset"] = preset
-    base = preset_config(mapping.get("preset", "steady_wave"))
     for ov in overrides:
         if "=" not in ov:
             raise ConfigError(f"override must look like key=value, got {ov!r}")
         key, value = (part.strip() for part in ov.split("=", 1))
         mapping[key] = value
-    cfg = config_from_mapping(mapping, base=base)
+    # the base is the defaults of the preset that runs, whichever layer named it
+    cfg = config_from_mapping(mapping, base=preset_config(mapping.get("preset", "steady_wave")))
     if out_dir is not None:
         cfg = replace(cfg, out_dir=out_dir)
     return cfg
@@ -256,6 +256,12 @@ def config_lines(cfg: RunConfig) -> str:
             text = str(value)
         lines.append(f"{f.metadata['key']} = {text}")
     return "\n".join(lines) + "\n"
+
+
+def _record(t: float, check: str, lhs: float, rhs: float, ok: bool, **extra) -> dict:
+    """A diagnostics.jsonl record; its gap is rhs - lhs."""
+    return {"t": t, "check": check, "lhs": lhs, "rhs": rhs, "gap": rhs - lhs, "pass": ok,
+            **extra}
 
 
 def _trajectory_csv(path: Path, traj: Trajectory, beta_running: np.ndarray) -> None:
@@ -360,10 +366,9 @@ def _run_trace_suite(cfg: RunConfig, out: Path) -> dict:
         t_val = float(traj.t[traj.stored_idx[i]])
         for key in worst:
             worst[key] = max(worst[key], abs(getattr(rep, key)))
-        records.append({"t": t_val, "check": "trace_identities",
-                        "lhs": rep.g1_at0, "rhs": rep.g1_at0 - rep.residual_value,
-                        "gap": rep.residual_value, "pass": abs(rep.residual_value) <= 5e-4,
-                        **asdict(rep)})
+        records.append(_record(t_val, "trace_identities", rep.g1_at0,
+                               rep.g1_at0 - rep.residual_value,
+                               abs(rep.residual_value) <= 5e-4, **asdict(rep)))
     write_diagnostic_records(out / "diagnostics.jsonl", records)
     summary["max_trace_residuals"] = worst
     summary["trace_identity_pass"] = worst["residual_value"] <= 5e-4
@@ -384,9 +389,8 @@ def _run_bootstrap_check(cfg: RunConfig, out: Path) -> dict:
         "min_speed": monitor["min_speed"],
         "max_speed": monitor["max_speed"],
     })
-    records = [{"t": float(t), "check": "bootstrap_running_h1",
-                "lhs": float(r), "rhs": cfg.delta / 2.0,
-                "gap": float(cfg.delta / 2.0 - r), "pass": bool(r <= cfg.delta / 2.0)}
+    records = [_record(float(t), "bootstrap_running_h1", float(r), cfg.delta / 2.0,
+                       bool(r <= cfg.delta / 2.0))
                for t, r in zip(monitor["t"][::cfg.stride], monitor["running_h1"][::cfg.stride])]
     write_diagnostic_records(out / "diagnostics.jsonl", records)
     return summary
@@ -494,21 +498,17 @@ def _run_coercivity_suite(cfg: RunConfig, out: Path) -> dict:
         res = coercivity_check(phi, prof, grid, params, dphi=dphi, d2phi=d2phi)
         rel = abs(res["gap"]) / max(abs(res["lhs"]), abs(res["rhs"]), 1e-300)
         worst_gap = max(worst_gap, rel)
-        records.append({"t": float(k), "check": "coercivity_identity",
-                        "lhs": res["lhs"], "rhs": res["rhs"], "gap": res["gap"],
-                        "pass": rel <= 1e-6})
+        records.append(_record(float(k), "coercivity_identity", res["lhs"], res["rhs"],
+                               rel <= 1e-6))
     kernel = linearized_operator(prof.dv_bar, prof, grid, params)
     kernel_norm = norm(kernel, grid, NormKind.L2)
-    records.append({"t": -1.0, "check": "kernel_of_linearized_operator",
-                    "lhs": kernel_norm, "rhs": 1e-5, "gap": 1e-5 - kernel_norm,
-                    "pass": kernel_norm <= 1e-5})
+    records.append(_record(-1.0, "kernel_of_linearized_operator", kernel_norm, 1e-5,
+                           kernel_norm <= 1e-5))
     rho = coercivity_weight(grid, params)
     phi, dphi, d2phi = _random_smooth_function(rng, grid, with_trace=True)
     weighted = coercivity_check(phi, prof, grid, params, rho=rho, dphi=dphi, d2phi=d2phi)
-    records.append({"t": -2.0, "check": "weighted_coercivity_bound",
-                    "lhs": weighted["lhs"], "rhs": weighted["rhs"],
-                    "gap": weighted["gap"],
-                    "pass": weighted["measured_constant"] < np.inf})
+    records.append(_record(-2.0, "weighted_coercivity_bound", weighted["lhs"], weighted["rhs"],
+                           weighted["measured_constant"] < np.inf))
     write_diagnostic_records(out / "diagnostics.jsonl", records)
     return {
         "converged": True,
@@ -540,9 +540,8 @@ def _run_appendix_lemmas(cfg: RunConfig, out: Path) -> dict:
         res = shifted_weight_inequality(F, path, M, grid)
         ok = res["lhs"] <= res["rhs"] * (1.0 + 1e-12)
         failures += 0 if ok else 1
-        records.append({"t": float(k), "check": "shifted_weight_inequality",
-                        "lhs": res["lhs"], "rhs": res["rhs"],
-                        "gap": res["rhs"] - res["lhs"], "pass": ok})
+        records.append(_record(float(k), "shifted_weight_inequality", res["lhs"], res["rhs"],
+                               ok))
     for k in range(100):
         M = rng.uniform(1.2, 3.0)
         amp = rng.uniform(0.05, 0.5)
@@ -553,9 +552,8 @@ def _run_appendix_lemmas(cfg: RunConfig, out: Path) -> dict:
         res = path_difference_inequality(w0, p1, p2, M, grid)
         ok = res["lhs_L2"] <= res["rhs_L2"] * (1.0 + 1e-12)
         failures += 0 if ok else 1
-        records.append({"t": float(k), "check": "path_difference_inequality",
-                        "lhs": res["lhs_L2"], "rhs": res["rhs_L2"],
-                        "gap": res["rhs_L2"] - res["lhs_L2"], "pass": ok})
+        records.append(_record(float(k), "path_difference_inequality", res["lhs_L2"],
+                               res["rhs_L2"], ok))
     write_diagnostic_records(out / "diagnostics.jsonl", records)
     return {"converged": True, "instances": 200, "counterexamples": failures,
             "all_hold": failures == 0}
@@ -580,11 +578,13 @@ def run(cfg: RunConfig) -> int:
     (out / "config_resolved.txt").write_text(config_lines(cfg), encoding="utf-8")
     started = time.time()
     try:
+        validate_config(cfg)
         summary = _RUNNERS[cfg.preset](cfg, out)
     except Exception as exc:
-        # bad input exits 2, a solver failure 1; any other type is a defect
-        # in the package, recorded as kind "internal" with where it was raised
-        typed = isinstance(exc, (ValidationError, ConfigError, RuntimeError))
+        # bad input exits 2, a solver failure or an allocation the machine
+        # refuses 1; any other type is a defect in the package, recorded as
+        # kind "internal" with where it was raised
+        typed = isinstance(exc, (ValidationError, ConfigError, RuntimeError, MemoryError))
         failure = {"status": "error", "kind": type(exc).__name__ if typed else "internal",
                    "message": str(exc), "preset": cfg.preset}
         if not typed:

@@ -85,8 +85,9 @@ class Grid:
         self.x.setflags(write=False)
 
 
-def make_grid(R: float, n: int) -> Grid:
-    """Build the uniform grid on [0, R] with n >= 16 nodes."""
+def grid_spacing(R: float, n: int) -> float:
+    """The spacing of the uniform grid on [0, R] with n >= 16 nodes, checked
+    without building the grid."""
     if not R > 0.0:
         raise ValidationError(f"domain length R must be positive (got {R})")
     if n < 16:
@@ -95,8 +96,13 @@ def make_grid(R: float, n: int) -> Grid:
     if not 0.0 < dx * dx < math.inf:  # the diffusion stencils divide by it
         raise ValidationError(f"domain length R={R:g} gives the spacing dx={dx:g}, whose "
                               f"square {dx * dx:g} is not a positive finite float")
-    x = np.linspace(0.0, R, n)
-    return Grid(R=float(R), n=int(n), dx=dx, x=x)
+    return dx
+
+
+def make_grid(R: float, n: int) -> Grid:
+    """Build the uniform grid on [0, R] with n >= 16 nodes."""
+    dx = grid_spacing(R, n)
+    return Grid(R=float(R), n=int(n), dx=dx, x=np.linspace(0.0, R, n))
 
 
 def suggest_domain_length(params: PhysicalParams, tail: float = 1e-12) -> float:

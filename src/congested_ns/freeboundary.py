@@ -125,15 +125,26 @@ def time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _on_uniform_mesh(t: np.ndarray, t0: float, dt: float) -> bool:
+    """Whether the times t are t0, t0 + dt, t0 + 2 dt, ..., each to 1e-9
+    relative to the last (NaN is not)."""
+    mesh = t0 + dt * np.arange(t.size)
+    return bool(np.all(np.abs(t - mesh) <= 1e-9 * max(1.0, abs(mesh[-1]))))
+
+
 def running_h1_norm(t: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Discrete H1(0, t_k) norm of nodal values at every node t_k of a uniform
     time mesh: the cumulative trapezoid of f^2 + (f')^2, with f' from
-    time_derivative on the whole mesh."""
+    time_derivative on the whole mesh.  A non-uniform t is a
+    ValidationError."""
     t = np.asarray(t, float)
     f = np.asarray(f, float)
     if t.size < 2:
         return np.zeros_like(f)
     dt = float(t[1] - t[0])
+    if not _on_uniform_mesh(t, t[0], dt):
+        raise ValidationError(f"running_h1_norm needs a uniform time mesh; the nodes "
+                              f"{t[0]:g}, {t[1]:g}, ... do not step by {dt:g} throughout")
     df = time_derivative(f, dt)
     return np.sqrt(cumulative_trapezoid(f**2 + df**2, dt))
 
@@ -284,18 +295,6 @@ def boundary_velocity(u: np.ndarray, w0_at_y: float, grid: Grid, params: Physica
     return -params.mu * (wave.du0 + stencil_trace(head, grid.dx, 1)) / denom
 
 
-def _start_speed(u: np.ndarray, y0: float, t_start: float, init: InitialData, grid: Grid,
-                 params: PhysicalParams) -> float:
-    """Interface speed at the first node of a march from state u at position
-    y0.  A march from the initial data (t_start 0) starts at the
-    data-determined init.compat_speed; a march from a carried state starts at
-    boundary_velocity, the formula of every later node, so the speed path is
-    continuous across windows and independent of where they start."""
-    if t_start == 0.0:
-        return init.compat_speed
-    return boundary_velocity(u, init.w0_at(y0), grid, params, init.wave)
-
-
 @dataclass
 class WindowReport:
     """Per-window fixed-point iteration record: the H1 distance between
@@ -382,26 +381,31 @@ def _padded(head: np.ndarray, background: np.ndarray) -> np.ndarray:
 
 
 def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
-           init: InitialData, grid: Grid, params: PhysicalParams, dt: float,
-           newton_tol: float, t_start: float, keep: set[int] | tuple = (),
-           history: np.ndarray | None = None, report: WindowReport | None = None
+           init: InitialData, dt: float, newton_tol: float, t_start: float,
+           keep: set[int] | tuple = (), history: np.ndarray | None = None,
+           report: WindowReport | None = None
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Advance the fields along a given path (speeds ydot, global positions
-    y); return re-derived speeds (_start_speed at the first node, then
-    boundary_velocity after every step), the last state, and the (v, u) of
-    each window-local step in `keep`, in step order, uncopied: step_v and
-    step_u never write to their inputs.  A solver failure is re-raised with
-    its time as attribute `t`.
+    y) on the grid, params and wave of init; return re-derived speeds z, the
+    last state, and the (v, u) of each window-local step in `keep`, in step
+    order, uncopied: step_v and step_u never write to their inputs.  A
+    solver failure is re-raised with its time as attribute `t`.
+
+    z[0] has one rule: a march from the data (t_start 0) starts at the
+    data-determined init.compat_speed, and a march from a carried state at
+    boundary_velocity of (u, w0(y[0])), the formula of every later node
+    z[k].  So the speed path is continuous across windows and independent
+    of where they start.
 
     With `history`, the two speeds before node 0, the march predicts its own
     path as it goes.  Before step k it writes ydot[k] = 3 z[k-1] - 3 z[k-2] +
     z[k-3], the quadratic extrapolation of its returned speeds z with
     history standing in for nodes -2 and -1 (z[k-1] when that is not finite
     and positive), and y[k] = y[0] + the trapezoid sum of ydot up to node k,
-    in cumulative_trapezoid's order.  ydot[0] must be z[0].  Step k reads
-    only ydot[0..k] and y[k], so the march is one plain application of the
-    map to the path it filled in: marching that path again without history
-    gives the same speeds bit for bit.
+    in cumulative_trapezoid's order, after writing ydot[0] = z[0].  Step k
+    reads only ydot[0..k] and y[k], so the march is one plain application of
+    the map to the path it filled in: marching that path again without
+    history gives the same speeds bit for bit.
 
     The march steps only the active nodes [0, m], with the wave value as
     the Dirichlet value at node m, as at node n - 1 of the whole grid.  m
@@ -416,9 +420,11 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
     With `report`, the march records its start and widenings there.
     """
     steps = ydot.size - 1
-    n, wave, source, s = grid.n, init.wave, init.source_eval, params.s
+    grid, params, wave, source = init.grid, init.params, init.wave, init.source_eval
+    n, s = grid.n, params.s
     zdot = np.empty(ydot.size)
-    zdot[0] = _start_speed(u, y[0], t_start, init, grid, params)
+    zdot[0] = (init.compat_speed if t_start == 0.0
+               else boundary_velocity(u, init.w0_at(y[0]), grid, params, wave))
     off = np.abs(v - wave.v_bar) > ACTIVE_FLOOR
     off |= np.abs(u - wave.u_bar) > ACTIVE_FLOOR
     if source is not None:
@@ -436,7 +442,8 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
         w0_y = init.w0_at(y)
     else:
         z3, z2, z1 = *history.tolist(), float(zdot[0])  # z[k-3], z[k-2], z[k-1]
-        y0, running, prev = float(y[0]), 0.0, float(ydot[0])
+        ydot[0] = prev = z1
+        y0, running = float(y[0]), 0.0
 
     for k in range(1, steps + 1):
         if history is None:
@@ -486,8 +493,7 @@ def apply_boundary_map(path_in: BoundaryPath, init: InitialData, grid: Grid,
     init.check_run_on(grid, params)
     if abs(path_in.y[0]) > 1e-12:
         raise ValidationError("input path must start at y(0) = 0")
-    mesh = dt * np.arange(path_in.t.size)
-    if not np.all(np.abs(path_in.t - mesh) <= 1e-9 * max(1.0, abs(mesh[-1]))):  # NaN fails
+    if not _on_uniform_mesh(path_in.t, 0.0, dt):
         raise ValidationError(f"input path times must be the uniform mesh of dt={dt:g}")
     compat_tol = 10.0 * (grid.dx**2 + dt)
     if abs(path_in.ydot[0] - init.compat_speed) > compat_tol:
@@ -496,8 +502,8 @@ def apply_boundary_map(path_in: BoundaryPath, init: InitialData, grid: Grid,
             f"expected the data-determined value {init.compat_speed:g} "
             f"within {compat_tol:g}"
         )
-    zdot, *_ = _march(init.v0, init.u0, path_in.ydot, path_in.y, init, grid, params, dt,
-                      newton_tol, t_start=0.0)
+    zdot, *_ = _march(init.v0, init.u0, path_in.ydot, path_in.y, init, dt, newton_tol,
+                      t_start=0.0)
     return make_path(path_in.t, zdot)
 
 
@@ -517,11 +523,14 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     which the map contracts); within each window the path is iterated until
     the discrete H1 distance between successive speed iterates drops below
     `tol`, then the state is advanced along the converged path and the next
-    window starts from it, at _start_speed.  The first window starts from
-    the flat path at its start speed.  A later window's first march predicts
-    its own path from the two converged speeds before the window (_march's
-    history), so its first iterate is already close to the fixed point.  The
-    wave background is init.wave; grid and params must be those init was
+    window starts from it.  A march sets its own first speed (_march's start
+    rule).  A window with fewer than two converged speeds before it (the
+    first, and the second when windows are one step) iterates from a flat
+    guess: the last converged speed (init.compat_speed at t = 0) from the
+    last converged position.  Any later window's first march predicts its
+    own path from the two converged speeds before the window (_march's
+    history), so its first iterate is already close to the fixed point.  The wave
+    background is init.wave; grid and params must be those init was
     validated on.
     """
     init.check_run_on(grid, params)
@@ -543,7 +552,7 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
 
     t_all = dt * np.arange(n_total + 1)
     y_all = np.zeros(n_total + 1)
-    ydot_all = np.zeros(n_total + 1)
+    ydot_all = np.full(n_total + 1, init.compat_speed)
     # the multiples of stride and the last step, through range: stride may
     # exceed every numpy integer type
     stored_idx = np.array([*range(0, n_total, stride), n_total])
@@ -552,28 +561,25 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     windows: list[WindowReport] = []
 
     v, u = init.v0, init.u0
-    y_offset = 0.0
     k_done = 0
-    ydot_all[0] = init.compat_speed
 
     while k_done < n_total:
         steps = min(steps_per_window, n_total - k_done)
         t_loc = dt * np.arange(steps + 1)
         t_start = k_done * dt
-        speed0 = _start_speed(u, y_offset, t_start, init, grid, params)
-        ydot = np.full(steps + 1, speed0)
-        y = y_offset + cumulative_trapezoid(ydot, dt)
+        ydot = np.full(steps + 1, ydot_all[k_done])
+        y = y_all[k_done] + cumulative_trapezoid(ydot, dt)
         # a later window's first march overwrites this flat path with its prediction
         history = ydot_all[k_done - 2:k_done] if k_done >= 2 else None
 
         report = WindowReport(t_start=t_start)
         for _ in range(max_iter):
-            zdot, *_ = _march(v, u, ydot, y, init, grid, params, dt, newton_tol, t_start,
+            zdot, *_ = _march(v, u, ydot, y, init, dt, newton_tol, t_start,
                               history=history, report=report)
             history = None
             report.distances.append(float(running_h1_norm(t_loc, zdot - ydot)[-1]))
             ydot = zdot
-            y = y_offset + cumulative_trapezoid(ydot, dt)
+            y = y_all[k_done] + cumulative_trapezoid(ydot, dt)
             if report.distances[-1] <= tol:
                 break
         else:
@@ -586,13 +592,12 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
 
         # definitive pass along the converged path, keeping the stored fields
         rows = np.flatnonzero((stored_idx > k_done) & (stored_idx <= k_done + steps))
-        _, v, u, kept = _march(v, u, ydot, y, init, grid, params, dt, newton_tol, t_start,
+        _, v, u, kept = _march(v, u, ydot, y, init, dt, newton_tol, t_start,
                                keep=set((stored_idx[rows] - k_done).tolist()), report=report)
         for r, (v_k, u_k) in zip(rows, kept):
             v_stored[r], u_stored[r] = v_k, u_k
         y_all[k_done + 1:k_done + steps + 1] = y[1:]
         ydot_all[k_done + 1:k_done + steps + 1] = ydot[1:]
-        y_offset = y[-1]
         k_done += steps
 
     return Trajectory(

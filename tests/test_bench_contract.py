@@ -114,6 +114,6 @@ def test_march_of_k_steps_makes_k_steps_of_each_field(monkeypatch):
     _counting(monkeypatch, freeboundary, "step_u", calls)
     k, dt = 5, 2e-3
     ydot = np.full(k + 1, init.compat_speed)
-    _march(init.v0, init.u0, ydot, dt * init.compat_speed * np.arange(k + 1), init, grid,
-           params, dt, 1e-10, t_start=0.0)
+    _march(init.v0, init.u0, ydot, dt * init.compat_speed * np.arange(k + 1), init, dt, 1e-10,
+           t_start=0.0)
     assert calls == {"step_v": k, "step_u": k}

@@ -130,6 +130,16 @@ def test_override_precedence(tmp_path):
     assert cfg.out_dir == str(tmp_path / "out")
 
 
+def test_override_names_the_preset_that_supplies_the_defaults(tmp_path):
+    out = str(tmp_path / "out")
+    cfg = resolve_config(None, "steady_wave", out, ["preset=bootstrap_check"])
+    assert cfg == replace(preset_config("bootstrap_check"), out_dir=out)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("preset = trace_suite\n")
+    cfg = resolve_config(str(cfg_file), None, out, ["preset=steady_wave"])
+    assert cfg == replace(preset_config("steady_wave"), out_dir=out)
+
+
 def test_bad_override_rejected(tmp_path):
     with pytest.raises(ConfigError, match="key=value"):
         resolve_config(None, "steady_wave", str(tmp_path), ["grid.n:129"])
@@ -384,10 +394,46 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     assert "v_plus" in record["message"]
 
 
+def test_run_validates_a_config_built_in_code(tmp_path, capsys):
+    # a ConfigError with exit 2, as --override seed=-1 is, not numpy's error inside the run
+    out = tmp_path / "out"
+    assert run(replace(preset_config("appendix_lemmas"), seed=-1, out_dir=str(out))) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["kind"] == "ConfigError"
+    assert "seed" in summary["message"]
+    assert json.loads(capsys.readouterr().err) == summary
+
+
+def test_grid_too_large_to_allocate_is_a_typed_failure(tmp_path, capsys):
+    # checked without allocating when parsed; numpy refuses 10**11 nodes
+    # before it allocates any of them
+    out = tmp_path / "out"
+    code = main(["--preset", "appendix_lemmas", "--out-dir", str(out),
+                 "--override", "grid.n=100000000000"])
+    assert code == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "error"
+    assert summary["kind"].endswith("MemoryError")
+    assert json.loads(capsys.readouterr().err) == summary
+
+
+@pytest.mark.parametrize("preset, overrides", [
+    ("trace_suite", SMALL), ("bootstrap_check", SMALL),
+    ("coercivity_suite", ["--override", "grid.n=257"]),
+    ("appendix_lemmas", ["--override", "grid.n=257"])])
+def test_every_diagnostic_record_gap_is_rhs_minus_lhs(tmp_path, preset, overrides):
+    assert main(["--preset", preset, "--out-dir", str(tmp_path)] + overrides) == 0
+    records = [json.loads(line)
+               for line in (tmp_path / "diagnostics.jsonl").read_text().splitlines()]
+    assert records
+    for rec in records:
+        assert rec["gap"] == rec["rhs"] - rec["lhs"], rec
+
+
 def test_solver_failure_writes_machine_readable_record(tmp_path):
     out = tmp_path / "bad_run"
     cfg = preset_config("steady_wave")
-    # horizon not commensurate with the step: rejected inside the solver
+    # horizon not commensurate with the step: rejected by run's config check
     cfg = replace(cfg, n=257, T_final=0.1, dt=0.003, out_dir=str(out))
     code = run(cfg)
     assert code == 2

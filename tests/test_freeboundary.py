@@ -208,6 +208,13 @@ class TestPaths:
         assert running_h1_norm(t, f)[0] == 0.0
         np.testing.assert_array_equal(running_h1_norm(t[:1], f[:1]), [0.0])
 
+    def test_running_h1_norm_rejects_a_non_uniform_mesh(self, params):
+        # a valid path mesh, on which a first-step dt would misweigh every node
+        t = np.linspace(0.0, 1.0, 101) ** 2
+        path = make_path(t, params.s + 0.01 * np.sin(3.0 * t))
+        with pytest.raises(ValidationError, match="uniform time mesh"):
+            bootstrap_monitor(path, params, 0.05)
+
     def test_h1_norm_includes_derivative(self):
         t = np.linspace(0.0, 1.0, 401)
         f = np.sin(2 * np.pi * t)
@@ -288,22 +295,38 @@ class TestPicard:
                   # a prediction that is not finite and positive takes z[k-1]
                   "negative": np.array([-1e3, first.ydot[-2]]),
                   "nan": np.array([np.nan, first.ydot[-2]])}[history]
-        speed0 = freeboundary._start_speed(u, y0, 0.1, bump_init, small_grid, params)
-        ydot = np.full(steps + 1, speed0)
+        # the flat guess's first speed is not z[0]: the march writes z[0] there
+        ydot = np.full(steps + 1, first.ydot[-1])
         y = y0 + cumulative_trapezoid(ydot, dt)
-        zdot, *_ = _march(v, u, ydot, y, bump_init, small_grid, params, dt,
-                          DEFAULT_NEWTON_TOL, 0.1, history=before)
+        zdot, *_ = _march(v, u, ydot, y, bump_init, dt, DEFAULT_NEWTON_TOL, 0.1,
+                          history=before)
         # the filled path is the quadratic extrapolation of the march's own speeds
         z = np.concatenate((before, zdot))
         for k in range(1, steps + 1):
             guess = 3.0 * z[k + 1] - 3.0 * z[k] + z[k - 1]
             assert ydot[k] == (guess if 0.0 < guess < np.inf else z[k + 1])
-        assert ydot[0] == speed0
+        assert ydot[0] == zdot[0]
         assert y.tobytes() == (y0 + cumulative_trapezoid(ydot, dt)).tobytes()
         # marching the filled path again, as a given path, repeats every speed
-        again, *_ = _march(v, u, ydot.copy(), y.copy(), bump_init, small_grid, params, dt,
-                           DEFAULT_NEWTON_TOL, 0.1)
+        again, *_ = _march(v, u, ydot.copy(), y.copy(), bump_init, dt, DEFAULT_NEWTON_TOL, 0.1)
         assert again.tobytes() == zdot.tobytes()
+
+    def test_march_sets_its_own_first_speed(self, params, small_grid, bump_init):
+        # the first speed comes from the march's start, never from the given path
+        dt, steps = 0.01, 5
+        first = picard_solve(bump_init, small_grid, params, T_final=0.1, dt=dt, window=0.1)
+        v, u, y0 = first.v[-1], first.u[-1], first.y[-1]
+        carried = boundary_velocity(u, bump_init.w0_at(y0), small_grid, params, bump_init.wave)
+        for guess in (0.5 * params.s, 2.0 * params.s):
+            ydot = np.full(steps + 1, guess)
+            y = cumulative_trapezoid(ydot, dt)
+            zdot, *_ = _march(bump_init.v0, bump_init.u0, ydot, y, bump_init, dt,
+                              DEFAULT_NEWTON_TOL, 0.0)
+            assert zdot[0] == bump_init.compat_speed
+            zdot, *_ = _march(v, u, ydot, y0 + y, bump_init, dt, DEFAULT_NEWTON_TOL, 0.1)
+            assert zdot[0] == carried
+        # the carried start is the speed the solve itself marched to
+        assert carried == pytest.approx(first.ydot[-1], abs=1e-6)
 
     def test_later_windows_converge_in_at_most_three_iterations(self, params, small_grid,
                                                                 bump_init):
@@ -360,8 +383,8 @@ class TestPicard:
         {"stride": 0}, {"stride": 2.5}, {"stride": 10.0}, {"window": -1.0}, {"window": 0.0}, {"window": np.nan},
         {"window": np.inf}, {"T_final": np.nan}, {"T_final": np.inf}, {"T_final": 0.0},
         {"T_final": -0.1}, {"dt": np.nan}, {"dt": np.inf}, {"dt": -1e-2},
-        # finite and positive, but T_final / dt overflows
-        {"dt": 1e-310},
+        # finite and positive, but T_final / dt overflows, or is not whole
+        {"dt": 1e-310}, {"dt": 3e-3},
         # a bad tolerance, not a PicardStalled or NewtonDiverged after marching
         {"tol": np.nan}, {"tol": 0.0}, {"tol": -1e-8},
         {"newton_tol": np.nan}, {"newton_tol": 0.0},
