@@ -179,6 +179,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(str(exc)) from exc
     if cfg.preset == "convergence_order":
         _convergence_levels(cfg)
+    names = {_sweep_csv_name(a) for a in cfg.sweep_amplitudes}
+    if cfg.preset == "stability_sweep" and len(names) < len(cfg.sweep_amplitudes):
+        raise ConfigError(f"sweep.amplitudes {cfg.sweep_amplitudes} write two runs to one "
+                          f"file, named by the amplitude to 6 significant digits")
 
 
 def _convergence_levels(cfg: RunConfig) -> list[tuple[int, float, int]]:
@@ -264,20 +268,19 @@ def _record(t: float, check: str, lhs: float, rhs: float, ok: bool, **extra) -> 
             **extra}
 
 
+def _write_table(path: Path, header: str, sep: str, *columns: np.ndarray) -> None:
+    """A header line, then one line per row of the columns, each value
+    printed as fmt prints it."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=sep, header=header,
+               comments="")
+
+
 def _trajectory_csv(path: Path, traj: Trajectory, beta_running: np.ndarray) -> None:
     """One row per stored time; beta_running is running_h1_norm of ydot - s."""
-    grid = traj.init.grid
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,xtilde,xtilde_dot,p_s,l2_v_err,h1_v_err,l2_u_err,beta_h1_running\n")
-        for i, step in enumerate(traj.stored_idx):
-            g = traj.v[i] - traj.init.wave.v_bar
-            h = traj.u[i] - traj.init.wave.u_bar
-            row = (
-                traj.t[step], traj.y[step], traj.ydot[step], traj.p_s[step],
-                norm(g, grid, NormKind.L2), norm(g, grid, NormKind.H1),
-                norm(h, grid, NormKind.L2), beta_running[step],
-            )
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+    idx, dev = traj.stored_idx, traj.deviations
+    _write_table(path, "t,xtilde,xtilde_dot,p_s,l2_v_err,h1_v_err,l2_u_err,beta_h1_running",
+                 ",", traj.t[idx], traj.y[idx], traj.ydot[idx], traj.p_s[idx], dev["v_l2"],
+                 dev["v_h1"], dev["u_l2"], beta_running[idx])
 
 
 def _snapshot_file(path: Path, traj: Trajectory, t_index: int) -> None:
@@ -286,10 +289,7 @@ def _snapshot_file(path: Path, traj: Trajectory, t_index: int) -> None:
     w = np.concatenate((np.full(x.size - grid.n, params.u_minus),
                         effective_velocity_about_wave(traj.u[t_index], traj.v[t_index], grid,
                                                       params, traj.init.wave)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x v u w p\n")
-        for row in zip(x, v, u, w, p):
-            fh.write(" ".join(fmt(val) for val in row) + "\n")
+    _write_table(path, "x v u w p", " ", x, v, u, w, p)
 
 
 def _solve_from_config(cfg: RunConfig) -> tuple[Trajectory, float]:
@@ -306,11 +306,6 @@ def _solve_from_config(cfg: RunConfig) -> tuple[Trajectory, float]:
     return traj, time.perf_counter() - started
 
 
-def _max_drift(rows: np.ndarray, background: np.ndarray) -> float:
-    """max |rows - background| over the stored rows, taken one row at a time."""
-    return float(np.max([np.max(np.abs(row - background)) for row in rows]))
-
-
 def _run_summary(traj: Trajectory, monitor: dict, solve_seconds: float) -> dict:
     grid, params, init = traj.init.grid, traj.init.params, traj.init
     recon = reconstruction_residuals(traj, init, grid, params)
@@ -320,8 +315,8 @@ def _run_summary(traj: Trajectory, monitor: dict, solve_seconds: float) -> dict:
         "iterations_per_window": [w.iterations for w in traj.windows],
         "active_nodes_per_window": [w.active_nodes for w in traj.windows],
         "active_widenings": sum(len(march) for w in traj.windows for march in w.widenings),
-        "max_drift_v_linf": _max_drift(traj.v, traj.init.wave.v_bar),
-        "max_drift_u_linf": _max_drift(traj.u, traj.init.wave.u_bar),
+        "max_drift_v_linf": float(np.max(traj.deviations["v_linf"])),
+        "max_drift_u_linf": float(np.max(traj.deviations["u_linf"])),
         "max_drift_speed": float(np.max(np.abs(traj.ydot - params.s))),
         "max_drift_pressure": float(np.max(np.abs(traj.p_s - params.p_minus))),
         "beta_h1": float(monitor["running_h1"][-1]),
@@ -379,8 +374,7 @@ def _run_bootstrap_check(cfg: RunConfig, out: Path) -> dict:
     traj, solve_seconds = _solve_from_config(cfg)
     summary, monitor = _emit_trajectory_outputs(out, cfg, traj, solve_seconds)
     e0 = summary["initial_energy"]
-    initial_sup = float(np.max(np.abs(traj.v[0] - traj.init.wave.v_bar)))
-    final_sup = float(np.max(np.abs(traj.v[-1] - traj.init.wave.v_bar)))
+    initial_sup, final_sup = traj.deviations["v_linf"][[0, -1]].tolist()
     summary.update({
         "delta": cfg.delta,
         "c0": BOOTSTRAP_C0,
@@ -396,10 +390,14 @@ def _run_bootstrap_check(cfg: RunConfig, out: Path) -> dict:
     return summary
 
 
+def _sweep_csv_name(amplitude: float) -> str:
+    return f"trajectory_amp{amplitude:g}.csv"
+
+
 def _sweep_one(cfg: RunConfig) -> dict:
     traj, solve_seconds = _solve_from_config(cfg)
     monitor = bootstrap_monitor(traj.path, traj.init.params, cfg.delta)
-    _trajectory_csv(Path(cfg.out_dir) / f"trajectory_amp{cfg.amplitude:g}.csv", traj,
+    _trajectory_csv(Path(cfg.out_dir) / _sweep_csv_name(cfg.amplitude), traj,
                     monitor["running_h1"])
     return {**_run_summary(traj, monitor, solve_seconds), "amplitude": cfg.amplitude,
             "min_v": float(np.min(traj.v)), "max_v": float(np.max(traj.v))}
@@ -585,7 +583,9 @@ def run(cfg: RunConfig) -> int:
         # refuses 1; any other type is a defect in the package, recorded as
         # kind "internal" with where it was raised
         typed = isinstance(exc, (ValidationError, ConfigError, RuntimeError, MemoryError))
-        failure = {"status": "error", "kind": type(exc).__name__ if typed else "internal",
+        # numpy raises its own private subclass of MemoryError
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        failure = {"status": "error", "kind": kind if typed else "internal",
                    "message": str(exc), "preset": cfg.preset}
         if not typed:
             frame = traceback.extract_tb(exc.__traceback__)[-1]

@@ -15,6 +15,7 @@ map is a contraction, chaining the state from one window to the next.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -28,6 +29,7 @@ from .discrete_ops import (
     monotone_interpolator,
     norm,
     shift_sample,
+    stencil_derivative,
     stencil_trace,
     tail_integral,
     trace0,
@@ -355,6 +357,37 @@ class Trajectory:
     def stored_times(self) -> np.ndarray:
         return self.t[self.stored_idx]
 
+    @cached_property
+    def deviations(self) -> dict[str, np.ndarray]:
+        """Per stored row, the norms of g = v - vwave ("v_l1", "v_l2", "v_h1",
+        "v_linf") and h = u - uwave ("u_l2", "u_linf"), bit for bit those of
+        norm, and the residual of reconstruction_residuals ("reconstruction").
+        The stored rows are walked once, ROW_BLOCK rows at a time, on the
+        first read; the arrays are read-only, since every consumer of the run
+        shares them."""
+        init = self.init
+        grid, wave, x = init.grid, init.wave, init.grid.x
+        out = {key: np.empty(self.stored_idx.size)
+               for key in ("v_l1", "v_l2", "v_h1", "v_linf", "u_l2", "u_linf", "reconstruction")}
+        for start in range(0, self.stored_idx.size, ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            G, H = self.v[rows] - wave.v_bar, self.u[rows] - wave.u_bar
+            g_sq = np.trapezoid(G**2, x, axis=1)
+            Gx = stencil_derivative(G.T, grid.dx, 1).T
+            out["v_l1"][rows] = np.trapezoid(np.abs(G), x, axis=1)
+            out["v_l2"][rows] = np.sqrt(g_sq)
+            out["v_h1"][rows] = np.sqrt(g_sq + np.trapezoid(Gx**2, x, axis=1))
+            out["v_linf"][rows] = np.max(np.abs(G), axis=1)
+            out["u_l2"][rows] = np.sqrt(np.trapezoid(H**2, x, axis=1))
+            out["u_linf"][rows] = np.max(np.abs(H), axis=1)
+            targets = shift_sample(init.w0_eval, self.y[self.stored_idx[rows]])
+            for i, target in enumerate(targets, start):
+                w_s = effective_velocity_about_wave(self.u[i], self.v[i], grid, init.params, wave)
+                out["reconstruction"][i] = norm(w_s - target, grid, NormKind.L2)
+        for values in out.values():
+            values.setflags(write=False)
+        return out
+
     def check_certified_with(self, init: InitialData, grid: Grid,
                              params: PhysicalParams) -> None:
         """ValidationError unless init is the run's own datum and grid and
@@ -637,14 +670,8 @@ def reconstruction_residuals(traj: Trajectory, init: InitialData, grid: Grid,
     effective velocity: u - mu d_x ln v against w0 sampled at x + y(t).
 
     The modified system is equivalent to the original one exactly when this
-    vanishes, so the residual certifies the reconstruction argument.  The
-    targets are sampled ROW_BLOCK stored times at a time."""
+    vanishes, so the residual certifies the reconstruction argument.  It is a
+    copy of traj.deviations["reconstruction"], which samples the targets
+    ROW_BLOCK stored times at a time in the run's one walk over its rows."""
     traj.check_certified_with(init, grid, params)
-    shifts = traj.y[traj.stored_idx]
-    out = np.empty(shifts.size)
-    for start in range(0, shifts.size, ROW_BLOCK):
-        targets = shift_sample(init.w0_eval, shifts[start:start + ROW_BLOCK])
-        for i, target in enumerate(targets, start):
-            w_s = effective_velocity_about_wave(traj.u[i], traj.v[i], grid, params, init.wave)
-            out[i] = norm(w_s - target, grid, NormKind.L2)
-    return out
+    return traj.deviations["reconstruction"].copy()

@@ -413,7 +413,7 @@ def test_grid_too_large_to_allocate_is_a_typed_failure(tmp_path, capsys):
     assert code == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "error"
-    assert summary["kind"].endswith("MemoryError")
+    assert summary["kind"] == "MemoryError"
     assert json.loads(capsys.readouterr().err) == summary
 
 
@@ -537,6 +537,39 @@ def test_stability_sweep_parallel_workers(tmp_path):
     assert summary["solve_seconds"] == pytest.approx(
         sum(r["solve_seconds"] for r in summary["runs"]), abs=1e-3)
     assert (out / "trajectory_amp0.0001.csv").exists()
+
+
+def test_sweep_amplitudes_that_share_a_file_name_are_rejected(tmp_path, capsys):
+    # each amplitude's CSV is named by it to 6 significant digits, so these
+    # three solves used to leave one file
+    out = tmp_path / "sweep"
+    code = main(["--preset", "stability_sweep", "--out-dir", str(out),
+                 "--override", "sweep.amplitudes=0.001,0.0010000001,0.01"])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["kind"] == "ConfigError"
+    assert "sweep.amplitudes" in record["message"]
+    assert not out.exists()
+    # the same amplitudes are fine where no sweep writes them
+    resolve_config(None, "steady_wave", None, ["sweep.amplitudes=0.001,0.001"])
+
+
+def test_trajectory_outputs_walk_the_stored_rows_once(synthetic_run, tmp_path, monkeypatch):
+    # the CSV, the summary and the certificates read one cached walk: one
+    # effective velocity per stored row, plus one per snapshot
+    traj = synthetic_run(257, np.arange(0, 100, 5))
+    calls = []
+    original = profiles.effective_velocity_about_wave
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "effective_velocity_about_wave", counting)
+    monkeypatch.setattr(freeboundary, "effective_velocity_about_wave", counting)
+    cfg = replace(preset_config("steady_wave"), T_final=float(traj.t[-1]))
+    cli._emit_trajectory_outputs(tmp_path, cfg, traj, 0.0)
+    assert len(calls) == traj.stored_idx.size + len(list(tmp_path.glob("snapshot_t*.txt"))) == 23
 
 
 def test_cli_requires_config_or_preset(capsys):

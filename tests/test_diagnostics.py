@@ -24,6 +24,7 @@ from congested_ns.discrete_ops import (
     NormKind,
     derivative,
     norm,
+    shift_sample,
     stencil_derivative,
     tail_integral,
     trace0,
@@ -39,7 +40,7 @@ from congested_ns.freeboundary import (
     validate_hypotheses,
 )
 from congested_ns.perturbations import initial_data_fields
-from congested_ns.profiles import traveling_wave
+from congested_ns.profiles import effective_velocity_about_wave, traveling_wave
 
 
 @pytest.fixture(scope="module")
@@ -603,9 +604,37 @@ GROWTH_FIELDS = {"growth_lhs": "lhs", "growth_rhs": "rhs_exponential_factor",
                  "growth_constant_plain": "measured_constant_plain", "horizon": "horizon"}
 
 
+def _per_row_deviations(traj) -> dict[str, list[float]]:
+    """Trajectory.deviations by norm of one stored row at a time, the
+    reconstruction residual against its own one-shift target."""
+    init, grid, wave = traj.init, traj.init.grid, traj.init.wave
+    out = {key: [] for key in ("v_l1", "v_l2", "v_h1", "v_linf", "u_l2", "u_linf",
+                               "reconstruction")}
+    for i, step in enumerate(traj.stored_idx):
+        g, h = traj.v[i] - wave.v_bar, traj.u[i] - wave.u_bar
+        for key, f, kind in (("v_l1", g, NormKind.L1), ("v_l2", g, NormKind.L2),
+                             ("v_h1", g, NormKind.H1), ("v_linf", g, NormKind.LINF),
+                             ("u_l2", h, NormKind.L2), ("u_linf", h, NormKind.LINF)):
+            out[key].append(norm(f, grid, kind))
+        w_s = effective_velocity_about_wave(traj.u[i], traj.v[i], grid, init.params, wave)
+        target = shift_sample(init.w0_eval, traj.y[step])
+        out["reconstruction"].append(norm(w_s - target, grid, NormKind.L2))
+    return out
+
+
 class TestRowBlockPass:
     """The certificates walk the stored history ROW_BLOCK rows at a time and
     give, bit for bit, what the whole-history arithmetic gives."""
+
+    @pytest.mark.parametrize("rows", [1, B, B + 1, 2 * B + 1])
+    def test_deviations_equal_per_row_norms(self, synthetic_run, rows):
+        # one block, a full block, and walks that cross a block boundary
+        traj = synthetic_run(257, np.arange(rows) * 7)
+        dev = traj.deviations
+        assert {key: dev[key].tolist() for key in dev} == _per_row_deviations(traj)
+        assert traj.deviations is dev
+        with pytest.raises(ValueError, match="read-only"):
+            dev["v_l2"][0] = 0.0
 
     @pytest.mark.parametrize("case", ROW_CASES)
     def test_energy_report_equals_whole_history(self, synthetic_run, case):
