@@ -169,9 +169,9 @@ def validate_config(cfg: RunConfig) -> None:
                if not (low < a < math.inf if op == ">" else low <= a < math.inf)]
         if bad:
             raise ConfigError(f"{f.metadata['key']} must be finite and {rule} (got {bad[0]})")
-    if not is_multiple(cfg.T_final, cfg.dt):
-        raise ConfigError(f"time.T_final={cfg.T_final:g} must be a multiple of "
-                          f"time.dt={cfg.dt:g}")
+    for key, value in (("time.T_final", cfg.T_final), ("time.window", cfg.window)):
+        if value is not None and not is_multiple(value, cfg.dt):
+            raise ConfigError(f"{key}={value:g} must be a multiple of time.dt={cfg.dt:g}")
     try:
         cfg.params()
         grid_spacing(cfg.R, cfg.n)
@@ -189,7 +189,8 @@ def _convergence_levels(cfg: RunConfig) -> list[tuple[int, float, int]]:
     """(n, dt, stride) of the three convergence_order levels: dt grows as dx^2
     from time.dt on the finest grid (16, 4 and 1 times time.dt) and fields are
     stored every 0.08 time units.  A time.dt that gives some level no stored
-    field or a step that does not divide T_final is a ConfigError."""
+    field or a step that does not divide T_final, or a set time.window, is a
+    ConfigError."""
     levels = (513, 1025, 2049)
     out = []
     for n in levels:
@@ -198,10 +199,11 @@ def _convergence_levels(cfg: RunConfig) -> list[tuple[int, float, int]]:
         if stride < 1:
             raise ConfigError(f"time.dt={cfg.dt:g} gives the n={n} level of convergence_order "
                               f"the step {dt:g}, too long to store a field every 0.08")
-        if not is_multiple(cfg.T_final, dt):
-            raise ConfigError(f"time.dt={cfg.dt:g} gives the n={n} level of convergence_order "
-                              f"the step {dt:g}, which does not divide "
-                              f"time.T_final={cfg.T_final:g}")
+        for key, value in (("time.T_final", cfg.T_final), ("time.window", cfg.window)):
+            if value is not None and not is_multiple(value, dt):
+                raise ConfigError(f"time.dt={cfg.dt:g} gives the n={n} level of "
+                                  f"convergence_order the step {dt:g}, which does not "
+                                  f"divide {key}={value:g}")
         out.append((n, dt, stride))
     return out
 
@@ -270,7 +272,7 @@ def _record(t: float, check: str, lhs: float, rhs: float, ok: bool, **extra) -> 
 
 def _write_table(path: Path, header: str, sep: str, *columns: np.ndarray) -> None:
     """A header line, then one line per row of the columns, each value
-    printed as fmt prints it."""
+    printed with %.17g."""
     np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=sep, header=header,
                comments="")
 

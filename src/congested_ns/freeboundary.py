@@ -100,11 +100,15 @@ class BoundaryPath:
 
 
 def make_path(t: np.ndarray, ydot: np.ndarray) -> BoundaryPath:
-    """Path from nodal speeds; position by cumulative trapezoid from y(0)=0."""
+    """Path from nodal speeds on a mesh of one or more finite, strictly
+    increasing times; position by cumulative trapezoid from y(0)=0."""
     t = np.asarray(t, float)
     ydot = np.asarray(ydot, float)
     if t.shape != ydot.shape or t.ndim != 1:
         raise ValidationError("path times and speeds must be 1-D arrays of equal length")
+    if not (t.size and np.all(np.isfinite(t)) and np.all(np.diff(t) > 0.0)):
+        raise ValidationError("path times must be at least one node, finite and strictly "
+                              "increasing")
     if not np.all((ydot > 0.0) & (ydot < np.inf)):  # NaN fails both
         raise ValidationError(f"path speed must stay finite and positive (min {np.min(ydot):g}, "
                               f"max {np.max(ydot):g})")
@@ -418,10 +422,10 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
            keep: set[int] | tuple = (), history: np.ndarray | None = None,
            report: WindowReport | None = None
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Advance the fields along a given path (speeds ydot, global positions
-    y) on the grid, params and wave of init; return re-derived speeds z, the
-    last state, and the (v, u) of each window-local step in `keep`, in step
-    order, uncopied: step_v and step_u never write to their inputs.  A
+    """Advance the fields along a given path (speeds ydot from the position
+    y[0]) on the grid, params and wave of init; return re-derived speeds z,
+    the last state, and the (v, u) of each window-local step in `keep`, in
+    step order, uncopied: step_v and step_u never write to their inputs.  A
     solver failure is re-raised with its time as attribute `t`.
 
     z[0] has one rule: a march from the data (t_start 0) starts at the
@@ -430,14 +434,13 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
     z[k].  So the speed path is continuous across windows and independent
     of where they start.
 
-    With `history`, the two speeds before node 0, the march predicts its own
-    path as it goes.  Before step k it writes ydot[k] = 3 z[k-1] - 3 z[k-2] +
-    z[k-3], the quadratic extrapolation of its returned speeds z with
-    history standing in for nodes -2 and -1 (z[k-1] when that is not finite
-    and positive), and y[k] = y[0] + the trapezoid sum of ydot up to node k,
-    in cumulative_trapezoid's order, after writing ydot[0] = z[0].  Step k
-    reads only ydot[0..k] and y[k], so the march is one plain application of
-    the map to the path it filled in: marching that path again without
+    y has one rule too: it is the path's position buffer, and before step k
+    the march writes y[k] = y[0] + the trapezoid sum of ydot up to node k,
+    in cumulative_trapezoid's order.  With `history`, the two speeds before
+    node 0, it first predicts ydot[k] = 3 z[k-1] - 3 z[k-2] + z[k-3] from
+    its own speeds, history standing in for nodes -2 and -1 (z[k-1] when
+    that is not finite and positive), after ydot[0] = z[0].  Step k reads
+    only ydot[0..k] and y[k], so marching the filled path again without
     history gives the same speeds bit for bit.
 
     The march steps only the active nodes [0, m], with the wave value as
@@ -471,24 +474,18 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
         report.active_start = m
         report.widenings.append(widened)
     kept = []
-    if history is None:
-        w0_y = init.w0_at(y)
-    else:
+    if history is not None:
         z3, z2, z1 = *history.tolist(), float(zdot[0])  # z[k-3], z[k-2], z[k-1]
-        ydot[0] = prev = z1
-        y0, running = float(y[0]), 0.0
+        ydot[0] = z1
+    y0, running = float(y[0]), 0.0
 
     for k in range(1, steps + 1):
-        if history is None:
-            w0_yk = w0_y[k]
-        else:
+        if history is not None:
             pred = 3.0 * z1 - 3.0 * z2 + z3
-            if not 0.0 < pred < np.inf:  # NaN fails
-                pred = z1
-            running += 0.5 * (prev + pred) * dt
-            prev = ydot[k] = pred
-            y[k] = y0 + running
-            w0_yk = init.w0_at(y[k])  # equal bit for bit to the array's entry
+            ydot[k] = pred if 0.0 < pred < np.inf else z1  # NaN fails
+        running += 0.5 * (ydot[k - 1] + ydot[k]) * dt
+        y[k] = y0 + running
+        w0_yk = init.w0_at(y[k])
         spread = dt * abs(ydot[k] - s)
         while m < n - 1:
             c = m - ACTIVE_GUARD // 2  # after a widening the state there is padding
@@ -522,7 +519,8 @@ def apply_boundary_map(path_in: BoundaryPath, init: InitialData, grid: Grid,
     """One application of the fixed-point map: solve v then u along path_in,
     then re-derive the interface path from the boundary trace of u.  The
     path's times must be the uniform mesh 0, dt, 2 dt, ... that it is
-    marched on, and grid and params those init was validated on."""
+    marched on, and grid and params those init was validated on.  The march
+    writes its own positions from path_in.ydot (_march's position rule)."""
     init.check_run_on(grid, params)
     if abs(path_in.y[0]) > 1e-12:
         raise ValidationError("input path must start at y(0) = 0")
@@ -535,7 +533,7 @@ def apply_boundary_map(path_in: BoundaryPath, init: InitialData, grid: Grid,
             f"expected the data-determined value {init.compat_speed:g} "
             f"within {compat_tol:g}"
         )
-    zdot, *_ = _march(init.v0, init.u0, path_in.ydot, path_in.y, init, dt, newton_tol,
+    zdot, *_ = _march(init.v0, init.u0, path_in.ydot, path_in.y.copy(), init, dt, newton_tol,
                       t_start=0.0)
     return make_path(path_in.t, zdot)
 
@@ -557,14 +555,16 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     the discrete H1 distance between successive speed iterates drops below
     `tol`, then the state is advanced along the converged path and the next
     window starts from it.  A march sets its own first speed (_march's start
-    rule).  A window with fewer than two converged speeds before it (the
-    first, and the second when windows are one step) iterates from a flat
-    guess: the last converged speed (init.compat_speed at t = 0) from the
-    last converged position.  Any later window's first march predicts its
-    own path from the two converged speeds before the window (_march's
-    history), so its first iterate is already close to the fixed point.  The wave
-    background is init.wave; grid and params must be those init was
-    validated on.
+    rule) and writes its own positions (its position rule) into the window's
+    view of the run's position array, so the definitive march leaves the
+    run's positions there.  A window with fewer than two converged speeds
+    before it (the first, and the second when windows are one step) iterates
+    from a flat guess: the last converged speed (init.compat_speed at t = 0)
+    from the last converged position.  Any later window's first march
+    predicts its own path from the two converged speeds before the window
+    (_march's history), so its first iterate is already close to the fixed
+    point.  The wave background is init.wave; grid and params must be those
+    init was validated on.
     """
     init.check_run_on(grid, params)
     for name, value in (("stride", stride), ("max_iter", max_iter)):
@@ -601,8 +601,9 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
         t_loc = dt * np.arange(steps + 1)
         t_start = k_done * dt
         ydot = np.full(steps + 1, ydot_all[k_done])
-        y = y_all[k_done] + cumulative_trapezoid(ydot, dt)
-        # a later window's first march overwrites this flat path with its prediction
+        # each march writes its positions here, the last one the run's own
+        y = y_all[k_done:k_done + steps + 1]
+        # a later window's first march overwrites this flat guess with its prediction
         history = ydot_all[k_done - 2:k_done] if k_done >= 2 else None
 
         report = WindowReport(t_start=t_start)
@@ -612,7 +613,6 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
             history = None
             report.distances.append(float(running_h1_norm(t_loc, zdot - ydot)[-1]))
             ydot = zdot
-            y = y_all[k_done] + cumulative_trapezoid(ydot, dt)
             if report.distances[-1] <= tol:
                 break
         else:
@@ -629,7 +629,6 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
                                keep=set((stored_idx[rows] - k_done).tolist()), report=report)
         for r, (v_k, u_k) in zip(rows, kept):
             v_stored[r], u_stored[r] = v_k, u_k
-        y_all[k_done + 1:k_done + steps + 1] = y[1:]
         ydot_all[k_done + 1:k_done + steps + 1] = ydot[1:]
         k_done += steps
 

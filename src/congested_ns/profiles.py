@@ -148,7 +148,5 @@ def effective_velocity_about_wave(u: np.ndarray, v: np.ndarray, grid: Grid,
 def write_profile_columns(path, grid: Grid, profiles: Profiles, mu: float) -> None:
     """Write a plain-text snapshot with columns `x v u w` (one row per node)."""
     w = effective_velocity(profiles.u_bar, profiles.v_bar, grid, mu)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x v u w\n")
-        for xi, vi, ui, wi in zip(grid.x, profiles.v_bar, profiles.u_bar, w):
-            fh.write(f"{xi:.17g} {vi:.17g} {ui:.17g} {wi:.17g}\n")
+    np.savetxt(path, np.column_stack((grid.x, profiles.v_bar, profiles.u_bar, w)), fmt="%.17g",
+               delimiter=" ", header="x v u w", comments="")

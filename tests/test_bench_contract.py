@@ -9,6 +9,9 @@ traced function then fails this fast test instead of a traced benchmark run.
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -117,3 +120,19 @@ def test_march_of_k_steps_makes_k_steps_of_each_field(monkeypatch):
     _march(init.v0, init.u0, ydot, dt * init.compat_speed * np.arange(k + 1), init, dt, 1e-10,
            t_start=0.0)
     assert calls == {"step_v": k, "step_u": k}
+
+
+@pytest.mark.parametrize("workload", ["front_steady", "bump_bootstrap"])
+def test_traced_smoke_run_keeps_the_tracer_identities(tmp_path, workload):
+    # a traced benchmark run fails when a march breaks one of the tracer's
+    # identities (marches == picard_iters + windows, step_v calls == steps
+    # marched); the worker's smoke run checks them in about a second
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload,
+                           "--seed", "0", "--mode", "trace", "--smoke", "--out",
+                           str(tmp_path / "out")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["ok"], result["errors"]
+    assert result["identity_errors"] == []

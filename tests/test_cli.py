@@ -50,7 +50,7 @@ def test_preset_configs_round_trip():
 def test_every_field_round_trips_through_its_key():
     cfg = RunConfig(preset="trace_suite", out_dir="elsewhere", seed=3, workers=2, mu=1.5,
                     v_plus=3.0, u_minus=2.0, u_plus=0.5, R=40.0, n=1025, T_final=0.5,
-                    dt=2e-3, stride=5, window=0.125, family="gaussian_bump", amplitude=0.01,
+                    dt=2e-3, stride=5, window=0.124, family="gaussian_bump", amplitude=0.01,
                     width=0.75, center=3.0, newton_tol=1e-11, picard_tol=1e-9, delta=0.1,
                     sweep_amplitudes=(0.002, 0.02))
     assert all(getattr(cfg, f.name) != f.default for f in fields(RunConfig))
@@ -156,8 +156,8 @@ def _breach(f) -> str:
 BAD_FIELDS = ["time.stride=0", "time.window=-1", "grid.n=8", "grid.R=0", "workers=0",
               "time.dt=nan", "time.T_final=inf", "time.dt=inf", "tolerances.newton_tol=nan",
               "time.window=nan", "tolerances.picard_tol=-1e-8", "tolerances.picard_tol=1e-13",
-              "time.dt=0.003", "perturbation.amplitude=nan", "perturbation.width=nan",
-              "perturbation.width=-1", "perturbation.center=0", "seed=-1",
+              "time.dt=0.003", "time.window=0.0015", "perturbation.amplitude=nan",
+              "perturbation.width=nan", "perturbation.width=-1", "perturbation.center=0", "seed=-1",
               "sweep.amplitudes=-1", "sweep.amplitudes=0.001,nan"]
 # and one breach of each range rule, from the schema
 RULE_BREACHES = [f"{f.metadata['key']}={_breach(f)}" for f in fields(RunConfig)
@@ -221,6 +221,21 @@ def test_any_finite_input_ends_ok_or_typed(tmp_path_factory, mu, R, v_plus_minus
     assert code in (1, 2)
     assert record["status"] == "error"
     assert record["kind"] != "internal", record
+
+
+def test_convergence_order_window_checked_against_every_level(tmp_path, capsys):
+    # a multiple of time.dt, but not of the n=513 level's step 0.016
+    out = tmp_path / "out"
+    code = main(["--preset", "convergence_order", "--out-dir", str(out),
+                 "--override", "time.window=0.004"])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["kind"] == "ConfigError"
+    assert "the step 0.016, which does not divide time.window=0.004" in record["message"]
+    assert not out.exists()
+    # a whole number of steps on every level passes
+    cfg = config_from_mapping({"time.window": "0.016"}, preset_config("convergence_order"))
+    assert cfg.window == 0.016
 
 
 @pytest.mark.parametrize("dt", ["0.01", "0.0032"])

@@ -195,6 +195,14 @@ class TestPaths:
             with pytest.raises(ValidationError, match="finite and positive"):
                 make_path(t, speeds)
 
+    @pytest.mark.parametrize("t", [[], [0.0, 0.1, 0.05], [0.0, 0.1, 0.1], [0.0, np.nan, 0.2],
+                                   [0.0, 0.1, np.inf]])
+    def test_make_path_rejects_a_mesh_that_is_empty_or_not_increasing(self, t):
+        # an empty mesh once gave one position for no speed, and a backward
+        # step moved the interface left at positive speed
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            make_path(np.array(t), np.ones(len(t)))
+
     def test_h1_norm_of_line(self):
         t = np.linspace(0.0, 2.0, 201)
         f = 3.0 * np.ones(201)
@@ -310,6 +318,44 @@ class TestPicard:
         # marching the filled path again, as a given path, repeats every speed
         again, *_ = _march(v, u, ydot.copy(), y.copy(), bump_init, dt, DEFAULT_NEWTON_TOL, 0.1)
         assert again.tobytes() == zdot.tobytes()
+
+    def test_plain_march_writes_its_positions_from_its_speeds(self, params, small_grid,
+                                                              bump_init):
+        # the march reads only y[0]: a buffer of NaN past it gives the same
+        # speeds as the true positions, and it is filled with the trapezoid
+        # integral of the speeds it steps with
+        dt, steps = 0.01, 10
+        first = picard_solve(bump_init, small_grid, params, T_final=0.1, dt=dt, window=0.1)
+        v, u, y0 = first.v[-1], first.u[-1], first.y[-1]
+        ydot = first.ydot[-1] + 1e-3 * np.sin(np.arange(steps + 1.0))
+        y = np.full(steps + 1, np.nan)
+        y[0] = y0
+        zdot, *_ = _march(v, u, ydot, y, bump_init, dt, DEFAULT_NEWTON_TOL, 0.1)
+        assert y.tobytes() == (y0 + cumulative_trapezoid(ydot, dt)).tobytes()
+        again, *_ = _march(v, u, ydot, y0 + cumulative_trapezoid(ydot, dt), bump_init, dt,
+                           DEFAULT_NEWTON_TOL, 0.1)
+        assert again.tobytes() == zdot.tobytes()
+
+    def test_solve_positions_integrate_each_window_from_its_start(self, params):
+        # the definitive march of each window writes the run's positions: the
+        # window's start plus the trapezoid integral of the speeds it stepped
+        # with.  Those are the stored ones, except at node 0, where a later
+        # window steps from its own start speed (_march's start rule) and the
+        # run keeps the last speed of the window before
+        grid = make_grid(50.0, 257)
+        v0, u0 = initial_data_fields("gaussian_bump", 0.005, 2.0, 1.0, params, grid)
+        init = validate_hypotheses(v0, u0, grid, params)
+        dt, steps = 2e-3, 125  # windows of 0.25 / s, each start a stored row
+        traj = picard_solve(init, grid, params, T_final=1.0, dt=dt, stride=steps)
+        starts = [round(w.t_start / dt) for w in traj.windows]
+        assert starts == traj.stored_idx[:-1].tolist() == [0, 125, 250, 375]
+        for row, k0 in enumerate(starts):
+            speeds = traj.ydot[k0:k0 + steps + 1].copy()
+            if k0:
+                speeds[0] = boundary_velocity(traj.u[row], init.w0_at(traj.y[k0]), grid,
+                                              params, init.wave)
+            expected = traj.y[k0] + cumulative_trapezoid(speeds, dt)
+            assert traj.y[k0:k0 + steps + 1].tobytes() == expected.tobytes()
 
     def test_march_sets_its_own_first_speed(self, params, small_grid, bump_init):
         # the first speed comes from the march's start, never from the given path
