@@ -155,7 +155,7 @@ class MonotoneInterpolant:
         """f0 at each point of x: an array of x's shape, or a numpy float for
         a scalar x, equal bit for bit to the entry of a one-point array."""
         if isinstance(x, float) or np.ndim(x) == 0:
-            return np.float64(self._at(float(x)))
+            return np.float64(self.at(float(x)))
         x = np.asarray(x, float)
         points = x.ravel()
         R = self._grid.R
@@ -169,8 +169,9 @@ class MonotoneInterpolant:
             out[~inside] = np.where(points[~inside] <= R, np.nan, self._tail)
         return out.reshape(x.shape)
 
-    def _at(self, p: float) -> float:
-        """__call__ at one point in Python floats, with the same operations.
+    def at(self, p: float) -> float:
+        """f0 at one float point p, as a float: __call__'s value there,
+        computed with the same operations in Python floats.
 
         On the uniform grid a point p in [0, R] lies in interval
         min(floor(p / dx), n - 2), the interval search's answer unless

@@ -10,11 +10,14 @@ implicit-Euler step.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .core import Grid, PhysicalParams, ValidationError, as_field
 from .discrete_ops import stencil_derivative
@@ -32,6 +35,29 @@ class MaximumPrincipleViolated(RuntimeError):
 class TridiagonalSolveError(RuntimeError):
     """The implicit linear system was singular or its solution not finite."""
 
+
+def _lapack_dgtsv():
+    """LAPACK's dgtsv from scipy's compiled module scipy.linalg._flapack,
+    loaded under that name without importing the scipy.linalg package (about
+    0.25 s and 300 modules per start, for this one routine).  It is the
+    routine object scipy.linalg.lapack exports, whichever is imported first."""
+    scipy = importlib.util.find_spec("scipy")  # locates the package, runs none of it
+    if scipy is None:
+        raise ImportError("scipy is not installed")
+    folder = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    path = os.path.join(folder, "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"no compiled LAPACK module _flapack in {folder}")
+    name = "scipy.linalg._flapack"
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    spec = importlib.util.spec_from_loader(name, loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module.dgtsv
+
+
+dgtsv = _lapack_dgtsv()
 
 EPS_MAX_PRINCIPLE = 1e-9
 

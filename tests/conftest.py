@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import congested_ns
 from congested_ns.core import PhysicalParams, make_grid
 from congested_ns.profiles import traveling_wave
 
@@ -41,6 +45,16 @@ def output_differences(dir_a, dir_b) -> list[str]:
     return [name for name in names
             if not ((dir_a / name).is_file() and (dir_b / name).is_file()
                     and _comparable(dir_a / name) == _comparable(dir_b / name))]
+
+
+def run_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter run on args, with the package under test first on
+    PYTHONPATH and its output captured as text."""
+    src = str(Path(congested_ns.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 @pytest.fixture(scope="session")

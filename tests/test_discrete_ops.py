@@ -15,6 +15,7 @@ from congested_ns.discrete_ops import (
     tail_integral,
     trace0,
 )
+from conftest import run_python
 
 
 @pytest.fixture(scope="module")
@@ -297,23 +298,13 @@ def test_scalar_evaluation_equals_the_array_path_bit_for_bit(kind, seed, n, R, t
 
 
 def test_import_leaves_scipy_interpolate_and_integrate_unloaded():
-    # the two modules add about 0.4 s to every start of the package, which
-    # imports neither: PCHIP is built in discrete_ops, simpson imported on use
-    import os
-    import subprocess
-    import sys
-
-    import congested_ns
-
-    src = os.path.dirname(os.path.dirname(congested_ns.__file__))
-    code = ("import sys, congested_ns.cli; "
-            "print(sorted(m for m in ('scipy.interpolate', 'scipy.integrate') "
-            "if m in sys.modules))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    # each of the three packages adds tenths of a second to every start of
+    # the package, which imports none: PCHIP is built in discrete_ops,
+    # simpson imported on use, and dgtsv loaded from the compiled module
+    out = run_python("-c", "import sys, congested_ns.cli; print(sorted(m for m in sys.modules "
+                           "if m == 'scipy' or m.startswith('scipy.')))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "['scipy.linalg._flapack']"
 
 
 def test_tail_integral_matches_exponential():

@@ -430,7 +430,7 @@ class TestPicard:
         {"window": np.inf}, {"T_final": np.nan}, {"T_final": np.inf}, {"T_final": 0.0},
         {"T_final": -0.1}, {"dt": np.nan}, {"dt": np.inf}, {"dt": -1e-2},
         # finite and positive, but T_final / dt overflows, or is not whole
-        {"dt": 1e-310}, {"dt": 3e-3},
+        {"dt": 1e-310}, {"dt": 3e-3}, {"window": 0.015},
         # a bad tolerance, not a PicardStalled or NewtonDiverged after marching
         {"tol": np.nan}, {"tol": 0.0}, {"tol": -1e-8},
         {"newton_tol": np.nan}, {"newton_tol": 0.0},

@@ -16,6 +16,7 @@ from congested_ns.parabolic import (
     truncation_mollifier,
 )
 from congested_ns.profiles import traveling_wave, wave_u, wave_v
+from conftest import run_python
 
 
 def interior_flux_balance(state, new, a, b, grid, dt):
@@ -316,6 +317,30 @@ class TestTridiagonalSolve:
         ab[2, :-1] = sub
         got = _solve_tridiagonal(sub, diag, sup, rhs, 1e-3, 1.0)
         assert got.tobytes() == solve_banded((1, 1), ab, rhs).tobytes()
+
+    @pytest.mark.parametrize("order", ["scipy.linalg.lapack first", "congested_ns first"])
+    def test_dgtsv_is_scipy_lapack_routine(self, order):
+        # the routine loaded from scipy's compiled module is the one object
+        # scipy.linalg.lapack exports, whichever module is imported first
+        imports = ["import scipy.linalg.lapack as lapack",
+                   "import congested_ns.parabolic as parabolic"]
+        if order == "congested_ns first":
+            imports.reverse()
+        out = run_python("-c", "; ".join([*imports, "print(parabolic.dgtsv is lapack.dgtsv)"]))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "True"
+
+    def test_missing_lapack_module_names_the_folder_searched(self, tmp_path, monkeypatch):
+        import importlib.util
+        import re
+        import types
+
+        from congested_ns import parabolic
+
+        scipy = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+            parabolic._lapack_dgtsv()
 
     def test_singular_system_raises_typed_error(self):
         n = 20
