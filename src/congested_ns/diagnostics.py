@@ -440,7 +440,10 @@ def shifted_weight_inequality(F: np.ndarray, path: BoundaryPath, M: float,
     if np.any(path.y < path.t / M - 1e-12):
         raise ValidationError("path violates y(t) >= t/M; inequality hypotheses fail")
     shifted = shift_sample(monotone_interpolator(F, grid, 0.0), path.y)
-    inner = np.array([np.trapezoid(row**2, grid.x) for row in shifted])
+    # ROW_BLOCK rows at a time, squared in place: one pass over the whole table
+    # would hold two more arrays of its size at once
+    blocks = np.split(shifted, range(ROW_BLOCK, len(shifted), ROW_BLOCK))
+    inner = np.concatenate([np.trapezoid(np.square(b, out=b), grid.x, axis=1) for b in blocks])
     lhs = float(np.trapezoid(inner, path.t))
     rhs = float(M * np.trapezoid(grid.x * F**2, grid.x))
     return {"lhs": lhs, "rhs": rhs}

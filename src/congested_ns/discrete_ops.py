@@ -38,14 +38,17 @@ def derivative(f: np.ndarray, grid: Grid, order: int) -> np.ndarray:
 
 
 def stencil_derivative(f: np.ndarray, dx: float, order: int) -> np.ndarray:
-    """The stencils of derivative on a float array of at least 5 nodes with
-    spacing dx, without validating it: for arrays a caller built from fields
-    it has already validated.  The nodes run along the first axis, so a 2-D
-    array is a set of fields, one per column, each differentiated as if alone
-    (the transpose of a stack of rows)."""
+    """The stencils of derivative on a float array of at least 3 nodes
+    (order 1) or 4 (order 2) with spacing dx, without validating it: for
+    arrays a caller built from fields it has already validated.  The nodes
+    run along the first axis, so a 2-D array is a set of fields, one per
+    column, each differentiated as if alone (the transpose of a stack of
+    rows)."""
     out = np.empty_like(f)
     if order == 1:
-        out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
+        # in place: a block of whole fields would otherwise need two more temporaries
+        np.subtract(f[2:], f[:-2], out=out[1:-1])
+        out[1:-1] /= 2.0 * dx
         out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
         out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
     elif order == 2:

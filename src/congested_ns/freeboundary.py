@@ -37,7 +37,6 @@ from .discrete_ops import (
 from .parabolic import (
     DEFAULT_NEWTON_TOL,
     RegularizedLog,
-    regularized_log,
     step_u,
     step_v,
     truncation_mollifier,
@@ -120,16 +119,9 @@ def time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     """Second-order finite differences on a uniform time mesh, along axis 0
     (one row per time: nodal values, or whole fields)."""
     values = np.asarray(values, float)
-    out = np.empty_like(values)
-    if values.shape[0] < 3:
-        out[:] = (values[-1] - values[0]) / (dt * max(values.shape[0] - 1, 1))
-        return out
-    # in place: a whole-field history would otherwise need two more temporaries
-    np.subtract(values[2:], values[:-2], out=out[1:-1])
-    out[1:-1] /= 2.0 * dt
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dt)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dt)
-    return out
+    if values.shape[0] >= 3:
+        return stencil_derivative(values, dt, 1)
+    return np.full_like(values, (values[-1] - values[0]) / (dt * max(values.shape[0] - 1, 1)))
 
 
 def _on_uniform_mesh(t: np.ndarray, t0: float, dt: float) -> bool:
@@ -279,7 +271,7 @@ def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid,
         hypothesis_report=report,
         w0_eval=monotone_interpolator(w0, grid, params.u_plus),
         source_eval=monotone_interpolator(source, grid, 0.0) if np.any(source) else None,
-        wave=prof, reg=regularized_log(2.0 * float(np.max(v0))), grid=grid, params=params,
+        wave=prof, reg=RegularizedLog(2.0 * float(np.max(v0))), grid=grid, params=params,
     )
 
 

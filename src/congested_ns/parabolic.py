@@ -67,75 +67,52 @@ NEWTON_MAX_ITER = 50
 
 @dataclass(frozen=True)
 class RegularizedLog:
-    """C^1 surrogate for ln(x), linear-growth outside [1/2, bar_c].
+    """C^1 surrogate a(x) for ln(x), with linear growth outside [1/2, bar_c].
 
-    a(x) == ln(x) on [1/2, bar_c]; outside, quadratic matching pieces bend
-    the slope to the clamp values and the function continues linearly, so
-    nu <= a'(x) <= 1/nu everywhere.
+    With the slope floor nu = 1/(2 bar_c), c = clip(x, 1/2, bar_c),
+    dl = clip(1/2 - x, 0, 1/4) and dr = clip(x - bar_c, 0, bar_c):
+
+        a(x)  = ln c - (2 dl + kl dl^2 / 2) + (dr / bar_c - kr dr^2 / 2)
+                + min(x - 1/4, 0) / nu + nu max(x - 2 bar_c, 0),
+        a'(x) = 1/c + kl dl - kr dr,
+
+    so a == ln on [1/2, bar_c]; the left bend on [1/4, 1/2] takes the slope
+    linearly from 2 up to 1/nu (kl = (1/nu - 2) / (1/4)), the right bend on
+    [bar_c, 2 bar_c] from 1/bar_c down to nu (kr = (1/bar_c - nu) / bar_c),
+    and beyond them a continues linearly; nu <= a'(x) <= 1/nu everywhere
+    (beyond 2 bar_c, 1/bar_c - kr bar_c rounds to within one ulp of nu).
     """
 
     bar_c: float
-    nu: float
 
     def __post_init__(self) -> None:
-        if not self.bar_c > 1.0:
-            raise ValidationError(f"bar_c must exceed 1 (got {self.bar_c})")
-        if not 0.0 < self.nu <= min(0.5, 1.0 / self.bar_c):
-            raise ValidationError(
-                f"nu must lie in (0, min(1/2, 1/bar_c)] (got {self.nu})"
-            )
+        if not 1.0 < self.bar_c <= sys.float_info.max / 2.0:
+            raise ValidationError(f"bar_c must exceed 1, with 2 bar_c finite (got {self.bar_c})")
+
+    @property
+    def nu(self) -> float:
+        """The slope floor 1/(2 bar_c); 1/nu is the slope cap."""
+        return 1.0 / (2.0 * self.bar_c)
 
     def __call__(self, x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
         """Return (a(x), a'(x)) elementwise; NaN entries give NaN in both."""
         x = np.asarray(x, dtype=float)
-        # every entry in the core: the core branch's operations on the whole
-        # array (a NaN fails both comparisons and takes the piecewise path)
+        # every entry in the core: the bits the general path gives there (a
+        # NaN fails both comparisons and takes the general path)
         if x.ndim and x.size and 0.5 <= x.min() and x.max() <= self.bar_c:
             return np.log(x), 1.0 / x
-        value = np.full_like(x, np.nan)
-        slope = np.full_like(x, np.nan)
-
-        inv_nu = 1.0 / self.nu
-        # left bend: slope grows linearly from 2 at x=1/2 to 1/nu at x=1/4
-        xl = 0.25
-        kl = (inv_nu - 2.0) / (0.5 - xl)
-        # right bend: slope falls linearly from 1/bar_c at bar_c to nu at 2*bar_c
-        xr = 2.0 * self.bar_c
-        kr = (1.0 / self.bar_c - self.nu) / (xr - self.bar_c)
-        a_xl = np.log(0.5) - (2.0 * (0.5 - xl) + 0.5 * kl * (0.5 - xl) ** 2)
-        a_xr = np.log(self.bar_c) + (1.0 / self.bar_c) * (xr - self.bar_c) - 0.5 * kr * (
-            xr - self.bar_c
-        ) ** 2
-
-        core = (x >= 0.5) & (x <= self.bar_c)
-        value[core] = np.log(x[core])
-        slope[core] = 1.0 / x[core]
-
-        bend_l = (x < 0.5) & (x >= xl)
-        d = 0.5 - x[bend_l]
-        value[bend_l] = np.log(0.5) - (2.0 * d + 0.5 * kl * d**2)
-        slope[bend_l] = 2.0 + kl * d
-
-        far_l = x < xl
-        value[far_l] = a_xl + inv_nu * (x[far_l] - xl)
-        slope[far_l] = inv_nu
-
-        bend_r = (x > self.bar_c) & (x <= xr)
-        d = x[bend_r] - self.bar_c
-        value[bend_r] = np.log(self.bar_c) + (1.0 / self.bar_c) * d - 0.5 * kr * d**2
-        slope[bend_r] = 1.0 / self.bar_c - kr * d
-
-        far_r = x > xr
-        value[far_r] = a_xr + self.nu * (x[far_r] - xr)
-        slope[far_r] = self.nu
-
-        return value, slope
-
-
-def regularized_log(bar_c: float) -> RegularizedLog:
-    """Regularized log nonlinearity with the slope floor 1/(2 bar_c)."""
-    bar_c = float(bar_c)
-    return RegularizedLog(bar_c=bar_c, nu=1.0 / (2.0 * bar_c))
+        bar_c, nu = self.bar_c, self.nu
+        inv_nu = 1.0 / nu
+        kl = (inv_nu - 2.0) / 0.25
+        kr = (1.0 / bar_c - nu) / bar_c
+        c = np.clip(x, 0.5, bar_c)
+        dl = np.clip(0.5 - x, 0.0, 0.25)
+        dr = np.clip(x - bar_c, 0.0, bar_c)
+        value = (np.log(c) - (2.0 * dl + 0.5 * kl * dl**2) + (dr / bar_c - 0.5 * kr * dr**2)
+                 + inv_nu * np.minimum(x - 0.25, 0.0) + nu * np.maximum(x - 2.0 * bar_c, 0.0))
+        slope = 1.0 / c + kl * dl - kr * dr
+        # for a 0-d x the arithmetic gives numpy scalars; return 0-d arrays
+        return np.asarray(value), np.asarray(slope)
 
 
 def truncation_mollifier(grid: Grid) -> np.ndarray:

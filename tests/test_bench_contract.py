@@ -82,7 +82,7 @@ def test_one_newton_iteration_makes_three_reglog_calls(monkeypatch):
     grid = make_grid(50.0, 257)
     v0, u0 = initial_data_fields("gaussian_bump", 0.005, 2.0, 1.0, params, grid)
     init = validate_hypotheses(v0, u0, grid, params)
-    reg = parabolic.regularized_log(2.0 * float(np.max(init.v0)))
+    reg = parabolic.RegularizedLog(2.0 * float(np.max(init.v0)))
     calls = {"__call__": 0, "_solve_tridiagonal": 0}
     _counting(monkeypatch, parabolic.RegularizedLog, "__call__", calls)
     _counting(monkeypatch, parabolic, "_solve_tridiagonal", calls)

@@ -354,7 +354,7 @@ def test_run_samples_each_datum_once(tmp_path, monkeypatch, preset, tables):
     # reconstruction residual still samples w0 through shift_sample
     originals = {"traveling_wave": profiles.traveling_wave,
                  "monotone_interpolator": discrete_ops.monotone_interpolator,
-                 "regularized_log": parabolic.regularized_log,
+                 "RegularizedLog": parabolic.RegularizedLog,
                  "shift_sample": discrete_ops.shift_sample}
     calls = dict.fromkeys(originals, 0)
     for name, original in originals.items():
@@ -373,7 +373,7 @@ def test_run_samples_each_datum_once(tmp_path, monkeypatch, preset, tables):
     assert len(json.loads((tmp_path / "summary.json").read_text())
                ["iterations_per_window"]) == 2
     assert calls == {"traveling_wave": 2, "monotone_interpolator": tables,
-                     "regularized_log": 1, "shift_sample": 7}
+                     "RegularizedLog": 1, "shift_sample": 7}
 
 
 def test_picard_stall_record_carries_the_window_start(tmp_path, monkeypatch, capsys):

@@ -305,6 +305,11 @@ class TestAppendixInequalities:
             path = make_path(t, rng.uniform(1.0 / M, M, t.size))
             res = shifted_weight_inequality(F, path, M, g)
             assert res["lhs"] <= res["rhs"] * (1 + 1e-12)
+            # the inner integral row by row, one np.trapezoid per time
+            shifted = discrete_ops.shift_sample(
+                discrete_ops.monotone_interpolator(F, g, 0.0), path.y)
+            inner = np.array([np.trapezoid(row**2, g.x) for row in shifted])
+            assert res["lhs"] == float(np.trapezoid(inner, path.t))
 
     def test_shifted_weight_builds_one_interpolant(self, monkeypatch):
         builds = []

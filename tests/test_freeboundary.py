@@ -24,7 +24,7 @@ from congested_ns.freeboundary import (
 )
 from congested_ns.parabolic import (
     DEFAULT_NEWTON_TOL,
-    regularized_log,
+    RegularizedLog,
     step_u,
     step_v,
     truncation_mollifier,
@@ -168,7 +168,7 @@ def test_exact_wave_is_steady_across_parameters(mu, v_plus, u_plus, jump):
     params = PhysicalParams(mu=mu, v_plus=v_plus, u_minus=u_plus + jump, u_plus=u_plus)
     grid = make_grid(20.0, 257)
     wave = traveling_wave(params, grid)
-    reg = regularized_log(2.0 * v_plus)
+    reg = RegularizedLog(2.0 * v_plus)
     v = step_v(wave.v_bar, params.s, 0.0, grid, 1e-3, reg, params, wave)
     assert np.max(np.abs(v - wave.v_bar)) <= 1e-11
     u = step_u(wave.u_bar, wave.v_bar, params.s, grid, 1e-3, params, wave)
@@ -491,7 +491,7 @@ class TestPicard:
         # on the active nodes [0, m] that its window's last march recorded,
         # the wave past them
         wave = traveling_wave(params, small_grid)
-        reg = regularized_log(2.0 * float(np.max(bump_init.v0)))
+        reg = RegularizedLog(2.0 * float(np.max(bump_init.v0)))
         v, u = bump_init.v0, bump_init.u0
         for k in range(1, every.t.size):
             report = every.windows[(k - 1) // 25]  # 25 steps per window

@@ -10,7 +10,6 @@ from congested_ns.parabolic import (
     TridiagonalSolveError,
     _solve_tridiagonal,
     linear_parabolic_step,
-    regularized_log,
     step_u,
     step_v,
     truncation_mollifier,
@@ -34,9 +33,42 @@ def interior_flux_balance(state, new, a, b, grid, dt):
     return mass_change, net_inflow
 
 
+def four_region_log(x, bar_c):
+    """The regularized log region by region (core, the two bends, the two
+    linear tails): the reference for RegularizedLog's one clipped expression."""
+    x = np.asarray(x, dtype=float)
+    nu = 1.0 / (2.0 * bar_c)
+    inv_nu = 1.0 / nu
+    xl, xr = 0.25, 2.0 * bar_c
+    kl = (inv_nu - 2.0) / (0.5 - xl)
+    kr = (1.0 / bar_c - nu) / (xr - bar_c)
+    a_xl = np.log(0.5) - (2.0 * (0.5 - xl) + 0.5 * kl * (0.5 - xl) ** 2)
+    a_xr = np.log(bar_c) + (1.0 / bar_c) * (xr - bar_c) - 0.5 * kr * (xr - bar_c) ** 2
+    value = np.full_like(x, np.nan)
+    slope = np.full_like(x, np.nan)
+    core = (x >= 0.5) & (x <= bar_c)
+    value[core] = np.log(x[core])
+    slope[core] = 1.0 / x[core]
+    bend_l = (x < 0.5) & (x >= xl)
+    d = 0.5 - x[bend_l]
+    value[bend_l] = np.log(0.5) - (2.0 * d + 0.5 * kl * d**2)
+    slope[bend_l] = 2.0 + kl * d
+    far_l = x < xl
+    value[far_l] = a_xl + inv_nu * (x[far_l] - xl)
+    slope[far_l] = inv_nu
+    bend_r = (x > bar_c) & (x <= xr)
+    d = x[bend_r] - bar_c
+    value[bend_r] = np.log(bar_c) + (1.0 / bar_c) * d - 0.5 * kr * d**2
+    slope[bend_r] = 1.0 / bar_c - kr * d
+    far_r = x > xr
+    value[far_r] = a_xr + nu * (x[far_r] - xr)
+    slope[far_r] = nu
+    return value, slope
+
+
 @pytest.fixture(scope="module")
 def reg():
-    return regularized_log(4.0)
+    return RegularizedLog(4.0)
 
 
 class TestRegularizedLog:
@@ -102,18 +134,36 @@ class TestRegularizedLog:
         val, slope = reg(core)
         assert val.tobytes() == np.log(core).tobytes()
         assert slope.tobytes() == (1.0 / core).tobytes()
-        # straddling 1/2 or bar_c takes the piecewise path: same core entries
+        # straddling 1/2 or bar_c takes the general path: same core entries
         mixed_val, mixed_slope = reg(np.concatenate((outside, core)))
         assert mixed_val[len(outside):].tobytes() == val.tobytes()
         assert mixed_slope[len(outside):].tobytes() == slope.tobytes()
 
-    def test_default_floor(self):
-        r = regularized_log(5.0)
-        assert r.nu == pytest.approx(0.1)
+    # 1.061 and 1.082: beyond the right bend the slope is nu + 1 ulp, nu - 1 ulp
+    @pytest.mark.parametrize("bar_c", [1.5, 4.0, 4.2345, 1.061, 1.082])
+    def test_matches_four_region_reference(self, bar_c):
+        r = RegularizedLog(bar_c)
+        junctions = np.array([0.25, 0.5, bar_c, 2.0 * bar_c])
+        x = np.concatenate((np.linspace(-10.0, 3.0 * bar_c, 2001), junctions,
+                            np.nextafter(junctions, -np.inf), np.nextafter(junctions, np.inf)))
+        value, slope = r(x)
+        ref_value, ref_slope = four_region_log(x, bar_c)
+        for region in (x < 0.25, (x >= 0.25) & (x < 0.5), (x >= 0.5) & (x <= bar_c),
+                       (x > bar_c) & (x <= 2.0 * bar_c), x > 2.0 * bar_c):
+            assert region.sum() >= 2
+        np.testing.assert_allclose(value, ref_value, rtol=1e-15, atol=0.0)
+        far_r = x > 2.0 * bar_c
+        assert slope[~far_r].tobytes() == ref_slope[~far_r].tobytes()
+        # there the slope is 1/bar_c - kr bar_c, which rounds to within one ulp of nu
+        assert np.all(np.abs(slope[far_r] - r.nu) <= np.spacing(r.nu))
 
-    def test_rejects_bad_floor(self):
-        with pytest.raises(ValidationError):
-            RegularizedLog(bar_c=4.0, nu=0.9)
+    def test_default_floor(self):
+        assert RegularizedLog(5.0).nu == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("bar_c", [1.0, 0.5, -2.0, np.nan, np.inf, 1e308])
+    def test_rejects_bad_cap(self, bar_c):
+        with pytest.raises(ValidationError, match="bar_c must exceed 1, with 2 bar_c finite"):
+            RegularizedLog(bar_c)
 
 
 class TestLinearParabolicStep:
@@ -223,7 +273,7 @@ class TestStepV:
         ydot, slope = 0.7, (prof.v_bar[-1] - 1.0) / g.R
         v = 1.0 + slope * g.x
         source = -ydot * slope + params.mu * slope**2 / v**2
-        out = step_v(v, ydot, source, g, 1e-5, regularized_log(4.0), params, prof)
+        out = step_v(v, ydot, source, g, 1e-5, RegularizedLog(4.0), params, prof)
         assert np.max(np.abs(out - v)) <= 1e-9
 
     def test_small_perturbation_decays_toward_wave(self, params, reg):
@@ -245,7 +295,7 @@ class TestStepV:
         assert d1 == pytest.approx(dref, rel=0.02)
 
     def test_maximum_principle_guard_trips(self, params, grid, wave):
-        tight = RegularizedLog(bar_c=1.5, nu=0.25)  # cap below sup of the wave
+        tight = RegularizedLog(1.5)  # cap below sup of the wave
         with pytest.raises(MaximumPrincipleViolated):
             step_v(wave.v_bar.copy(), params.s, 0.0, grid, 1e-3, tight, params, wave)
 
