@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,9 +62,10 @@ class PhysicalParams:
                 raise ValidationError(f"{name}={value:g} is out of range: {name}^{power} is "
                                       "not a positive finite float")
 
-    @property
+    @cached_property
     def s(self) -> float:
-        """Wave/interface speed."""
+        """Wave/interface speed, derived once per instance: both steppers
+        read it on every step."""
         return derive_speed(self.u_minus, self.u_plus, self.v_plus)
 
     @property

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 from numbers import Integral
 
 import numpy as np
@@ -22,12 +21,13 @@ from .core import Grid, PhysicalParams, ValidationError, as_field
 from .discrete_ops import (
     MonotoneInterpolant,
     NormKind,
+    RowTrapezoid,
+    cumulative_trapezoid,
     derivative,
     monotone_interpolator,
     norm,
     shift_sample,
     stencil_derivative,
-    tail_integral,
     trace0,
 )
 from .freeboundary import (
@@ -201,43 +201,30 @@ def _uniform_prefix(traj: Trajectory, t: float) -> tuple[int, float]:
     return m, float(spacing[0]) if m > 1 else 1.0
 
 
-def _time_derivative(F: np.ndarray, dts: float) -> np.ndarray:
-    """Time derivative across the rows of F (one per stored time, spacing
-    dts); zero with fewer than three rows, too few for the second-order
-    rule."""
-    return time_derivative(F, dts) if F.shape[0] >= 3 else np.zeros_like(F)
-
-
 def _row_blocks(F: np.ndarray, background: np.ndarray, m: int, dts: float):
-    """Walk the first m stored rows of F in blocks of ROW_BLOCK rows.
+    """Walk the first m stored rows of F in blocks of ROW_BLOCK rows, on the
+    leading nodes of the rows that background covers (a head of the wave).
 
     Yields (rows, D, Dt, Dtt): the slice of stored rows, their deviations
     D = F[rows] - background, and the first and second time derivatives of
-    the deviations, bit for bit those _time_derivative gives across all m
+    the deviations, bit for bit those time_derivative gives across all m
     rows.  Each block is differentiated with a halo of three rows on each
     side: the central rule of the second derivative reaches two rows, its
     one-sided end rule three.  D, Dt and Dtt are node-major, one column per
     stored row, the layout stencil_derivative differentiates; only
     O(ROW_BLOCK) rows are live at a time.
     """
+    nodes = background.size
     for start in range(0, m, ROW_BLOCK):
         stop = min(start + ROW_BLOCK, m)
         lo, hi = max(start - 3, 0), min(stop + 3, m)
         # a block with its halo has three rows or more whenever m has, so the
-        # rule for fewer than three rows holds for the block as for the run
-        D = F[lo:hi] - background
-        Dt = _time_derivative(D, dts)
-        Dtt = _time_derivative(Dt, dts)
+        # mean-slope rule for fewer rows holds for the block as for the run
+        D = F[lo:hi, :nodes] - background
+        Dt = time_derivative(D, dts)
+        Dtt = time_derivative(Dt, dts)
         inner = slice(start - lo, stop - lo)
         yield slice(start, stop), D[inner].T, Dt[inner].T, Dtt[inner].T
-
-
-def _squared_l2(F: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Squared L2 norms of the columns of F, nodal fields on nodes with
-    spacings d (a column), by the trapezoid rule of norm: np.trapezoid's own
-    expression, without its np.diff of the nodes on every call."""
-    F_sq = F**2
-    return (d * (F_sq[1:] + F_sq[:-1]) / 2.0).sum(0)
 
 
 def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: PhysicalParams,
@@ -248,6 +235,11 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
     Suprema run over stored snapshots and time derivatives/integrals use the
     uniformly spaced stored times (_uniform_prefix), so with a coarse
     snapshot stride the suprema are lower bounds on the continuum values.
+    The stored rows are walked ROW_BLOCK at a time on the nodes [0,
+    traj.head), past which every deviation and its derivatives are exact
+    zeros; the growth bound's source, which is no deviation, is taken on
+    whole rows.  Every norm sums whole rows, so the report is bit for bit
+    the one of whole rows.
     """
     if not t >= 0.0:  # NaN fails
         raise ValidationError(f"t must be a non-negative time (got {t})")
@@ -260,27 +252,35 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
     # squared L2 norms per stored time, each spatial derivative of a block of
     # rows taken once and dropped once normed, one perturbation family
     # (volume with its source, then velocity) at a time
-    sq = partial(_squared_l2, d=np.diff(grid.x)[:, None])
+    head = traj.head
+    trapezoid = RowTrapezoid(grid.x, ROW_BLOCK)
+
+    def sq(F: np.ndarray) -> np.ndarray:
+        """Squared L2 norms of the columns of F, by the trapezoid rule of
+        norm on whole rows."""
+        return trapezoid((F**2).T)
+
     g_sq = np.empty((10, m))
     V0_sq = np.empty(m)
     source = init.source_eval
-    for rows, G, Gt, Gtt in _row_blocks(traj.v, prof.v_bar, m, dts):
-        V = np.empty_like(G)
-        src = np.empty_like(G)
-        for j, step in enumerate(traj.stored_idx[rows]):
-            V[:, j] = tail_integral(G[:, j], grid)  # -int_x^R G, the rule of InitialData.V0
-            src[:, j] = ((0.0 if source is None else source.shifted(traj.y[step]))
-                         + (traj.ydot[step] - params.s) * prof.dv_bar)
+    for rows, G, Gt, Gtt in _row_blocks(traj.v, prof.v_bar[:head], m, dts):
+        cum = cumulative_trapezoid(G, dx)
+        V = cum - cum[-1]  # -int_x^R G, the rule of tail_integral and InitialData.V0
         V0_sq[rows] = V[0] ** 2
+        steps = traj.stored_idx[rows]
+        src = np.multiply.outer(traj.ydot[steps] - params.s, prof.dv_bar)
+        if source is not None:
+            for row, step in zip(src, steps):
+                row += source.shifted(traj.y[step])
         gxx = stencil_derivative(G, dx, 2)
         g_sq[:, rows] = (sq(V), sq(G), sq(stencil_derivative(G, dx, 1)), sq(gxx),
                          sq(stencil_derivative(gxx, dx, 1)), sq(Gt),
                          sq(stencil_derivative(Gt, dx, 1)), sq(stencil_derivative(Gt, dx, 2)),
-                         sq(Gtt), sq(src))
+                         sq(Gtt), sq(src.T))
     V_sq, g, gx, gxx, gxxx, gt, gtx, gtxx, gtt, src = g_sq
 
     h_sq = np.empty((7, m))
-    for rows, H, Ht, Htt in _row_blocks(traj.u, prof.u_bar, m, dts):
+    for rows, H, Ht, Htt in _row_blocks(traj.u, prof.u_bar[:head], m, dts):
         hx = stencil_derivative(H, dx, 1)
         h_sq[:, rows] = (sq(H), sq(hx), sq(stencil_derivative(hx, dx, 1)), sq(Ht),
                          sq(stencil_derivative(Ht, dx, 1)), sq(stencil_derivative(Ht, dx, 2)),

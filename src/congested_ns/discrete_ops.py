@@ -275,8 +275,45 @@ def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
 
 def cumulative_trapezoid(values: np.ndarray, h) -> np.ndarray:
     """Running trapezoid integral of nodal values with spacing h (a scalar or
-    one spacing per interval), starting from 0 at the first node."""
-    return np.concatenate(([0.0], np.cumsum(0.5 * (values[:-1] + values[1:]) * h)))
+    one spacing per interval), starting from 0 at the first node.  The nodes
+    run along the first axis, so a 2-D array is a set of fields, one per
+    column, each integrated as if alone (a running sum adds in node order)."""
+    steps = np.cumsum(0.5 * (values[:-1] + values[1:]) * h, axis=0)
+    return np.concatenate((np.zeros((1,) + steps.shape[1:]), steps))
+
+
+class RowTrapezoid:
+    """np.trapezoid(f, x) of rows f given on the first nodes of x (a head)
+    and exact zeros on the rest, bit for bit the integral of the whole row.
+
+    The head's terms are summed padded with zeros to the whole row: numpy
+    sums pairwise, grouping the terms by the row length, so a sum over the
+    head alone can differ in the last bit.  The padded rows are one buffer
+    of `rows` rows, kept zero past the head between calls.
+    """
+
+    def __init__(self, x: np.ndarray, rows: int):
+        self._d = np.diff(x)
+        self._terms = np.zeros((rows, self._d.size))
+        self._written = 0  # the buffer's columns past which it is zero
+
+    def __call__(self, F: np.ndarray) -> np.ndarray:
+        """The integrals of the rows of the 2-D array F (at most `rows` of
+        them, on at most x.size nodes each)."""
+        rows, nodes = F.shape
+        # the intervals with a head node, the last one ending on the first
+        # zero unless the head is the whole row
+        width = min(nodes, self._d.size)
+        self._terms[:, width:self._written] = 0.0  # what a wider call left
+        self._written = width
+        terms = self._terms[:rows]
+        head = terms[:, :width]
+        np.add(F[:, 1:], F[:, :-1], out=head[:, :nodes - 1])
+        if width == nodes:
+            np.add(F[:, -1], 0.0, out=head[:, -1])
+        head *= self._d[:width]
+        head /= 2.0
+        return terms.sum(1)
 
 
 def tail_integral(f: np.ndarray, grid: Grid) -> np.ndarray:

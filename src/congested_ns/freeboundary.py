@@ -24,6 +24,7 @@ from .core import Grid, PhysicalParams, ValidationError, as_field
 from .discrete_ops import (
     MonotoneInterpolant,
     NormKind,
+    RowTrapezoid,
     cumulative_trapezoid,
     derivative,
     monotone_interpolator,
@@ -41,13 +42,23 @@ from .parabolic import (
     step_v,
     truncation_mollifier,
 )
-from .profiles import Profiles, effective_velocity_about_wave, traveling_wave
+from .profiles import (
+    Profiles,
+    effective_velocity_about_wave,
+    effective_velocity_of_deviation,
+    traveling_wave,
+)
 
 DENOM_FLOOR = 1e-8
 
 # stored snapshots a post-solve certificate holds at once: it walks the stored
 # history in blocks of this many rows, so its memory is O(ROW_BLOCK * n)
 ROW_BLOCK = 8
+
+# nodes past the last difference from the wave that Trajectory.head keeps: the
+# certificates' widest stencil, a first derivative of a second one, reads four
+# nodes on, so every stencil at the head's last node reads exact zeros
+HEAD_HALO = 8
 
 # the active length rule of _march.  The inverses of the implicit steps decay
 # geometrically off the diagonal, so a Dirichlet cut this far into the region
@@ -363,32 +374,57 @@ class Trajectory:
         return self.t[self.stored_idx]
 
     @cached_property
+    def head(self) -> int:
+        """The head length P = min(n, L + 1 + HEAD_HALO), with L the last
+        node where some stored row of v or u differs from the wave at all
+        (-1 where none does).  The datum's row counts, differences below
+        ACTIVE_FLOOR included.  Past node L every stored row is the wave
+        exactly, so the deviations and every derivative of them that the
+        certificates take are exact zeros on the head's last nodes and past
+        them.  Found on the first read, ROW_BLOCK stored rows at a time."""
+        wave, last = self.init.wave, -1
+        for start in range(0, self.stored_idx.size, ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            off = (self.v[rows] != wave.v_bar) | (self.u[rows] != wave.u_bar)
+            nodes = np.flatnonzero(off.any(0))
+            if nodes.size:
+                last = max(last, int(nodes[-1]))
+        return min(last + 1 + HEAD_HALO, self.init.grid.n)
+
+    @cached_property
     def deviations(self) -> dict[str, np.ndarray]:
         """Per stored row, the norms of g = v - vwave ("v_l1", "v_l2", "v_h1",
         "v_linf") and h = u - uwave ("u_l2", "u_linf"), bit for bit those of
         norm, and the residual of reconstruction_residuals ("reconstruction").
         The stored rows are walked once, ROW_BLOCK rows at a time, on the
-        first read; the arrays are read-only, since every consumer of the run
-        shares them."""
+        first read, and only on the nodes [0, head): past them g, h and their
+        derivatives are exact zeros, and the effective velocity is exactly
+        u_plus, so the reconstruction integrand there is u_plus - w0(x + y)
+        on whole rows.  The integrals sum whole rows (RowTrapezoid).  The
+        arrays are read-only, since every consumer of the run shares them."""
         init = self.init
-        grid, wave, x = init.grid, init.wave, init.grid.x
+        grid, params, head = init.grid, init.params, self.head
+        trapezoid = RowTrapezoid(grid.x, ROW_BLOCK)
+        v_bar, u_bar = init.wave.v_bar[:head], init.wave.u_bar[:head]
         out = {key: np.empty(self.stored_idx.size)
                for key in ("v_l1", "v_l2", "v_h1", "v_linf", "u_l2", "u_linf", "reconstruction")}
         for start in range(0, self.stored_idx.size, ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
-            G, H = self.v[rows] - wave.v_bar, self.u[rows] - wave.u_bar
-            g_sq = np.trapezoid(G**2, x, axis=1)
+            G, H = self.v[rows, :head] - v_bar, self.u[rows, :head] - u_bar
+            g_sq = trapezoid(G**2)
             Gx = stencil_derivative(G.T, grid.dx, 1).T
-            out["v_l1"][rows] = np.trapezoid(np.abs(G), x, axis=1)
+            out["v_l1"][rows] = trapezoid(np.abs(G))
             out["v_l2"][rows] = np.sqrt(g_sq)
-            out["v_h1"][rows] = np.sqrt(g_sq + np.trapezoid(Gx**2, x, axis=1))
+            out["v_h1"][rows] = np.sqrt(g_sq + trapezoid(Gx**2))
             out["v_linf"][rows] = np.max(np.abs(G), axis=1)
-            out["u_l2"][rows] = np.sqrt(np.trapezoid(H**2, x, axis=1))
+            out["u_l2"][rows] = np.sqrt(trapezoid(H**2))
             out["u_linf"][rows] = np.max(np.abs(H), axis=1)
-            targets = shift_sample(init.w0_eval, self.y[self.stored_idx[rows]])
-            for i, target in enumerate(targets, start):
-                w_s = effective_velocity_about_wave(self.u[i], self.v[i], grid, init.params, wave)
-                out["reconstruction"][i] = norm(w_s - target, grid, NormKind.L2)
+            # the integrand w - w0(x + y), written over the sampled targets
+            f = shift_sample(init.w0_eval, self.y[self.stored_idx[rows]])
+            w = effective_velocity_of_deviation(G.T, H.T, v_bar[:, None], grid.dx, params).T
+            np.subtract(w, f[:, :head], out=f[:, :head])
+            np.subtract(params.u_plus, f[:, head:], out=f[:, head:])
+            out["reconstruction"][rows] = np.sqrt(trapezoid(f**2))
         for values in out.values():
             values.setflags(write=False)
         return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import Grid, PhysicalParams, ValidationError, as_field
-from .discrete_ops import derivative, trace0
+from .discrete_ops import derivative, stencil_derivative, trace0
 
 
 def wave_v(params: PhysicalParams, x: np.ndarray | float) -> np.ndarray | float:
@@ -141,8 +141,19 @@ def effective_velocity_about_wave(u: np.ndarray, v: np.ndarray, grid: Grid,
     v = as_field(v, grid)
     if np.any(v <= 0.0):
         raise ValidationError("effective velocity needs v > 0 everywhere")
-    log_ratio = np.log1p((v - wave.v_bar) / wave.v_bar)
-    return params.u_plus + (u - wave.u_bar) - params.mu * derivative(log_ratio, grid, 1)
+    return effective_velocity_of_deviation(v - wave.v_bar, u - wave.u_bar, wave.v_bar,
+                                           grid.dx, params)
+
+
+def effective_velocity_of_deviation(g: np.ndarray, h: np.ndarray, v_bar: np.ndarray,
+                                    dx: float, params: PhysicalParams) -> np.ndarray:
+    """u_plus + h - mu d_x log1p(g / vwave), the expression of
+    effective_velocity_about_wave, on the deviations g = v - vwave and
+    h = u - uwave, unvalidated: the nodes run along the first axis, at least
+    three with spacing dx, so a 2-D array is a set of fields, one per column
+    (stencil_derivative's layout); v_bar is vwave on those nodes, shaped to
+    broadcast against g."""
+    return params.u_plus + h - params.mu * stencil_derivative(np.log1p(g / v_bar), dx, 1)
 
 
 def write_profile_columns(path, grid: Grid, profiles: Profiles, mu: float) -> None:

@@ -81,15 +81,25 @@ def rng():
 def synthetic_run(params):
     """Builder of a Trajectory without a solve, for the post-solve certificates.
 
-    build(n, stored_idx, dt) stores, at the given steps, the exact front plus
-    a smooth bump that drifts and breathes in time, on a gaussian-bump datum
-    on make_grid(50, n); the interface speed oscillates about s.
+    build(n, stored_idx, dt, shape, params) stores, at the given steps, the
+    exact front plus a deviation, on a gaussian-bump datum on make_grid(50, n)
+    with the session's params unless others are given; the interface speed
+    oscillates about s.  `shape` picks the deviation:
+      "bump"    -- a smooth bump that drifts and breathes in time; u's
+                   part underflows to exact zeros from about x = 30 on, so
+                   the stored rows differ from the wave up to mid-grid;
+      "wave"    -- none: every stored row is the exact front;
+      "edge"    -- the bump plus a ramp of v that reaches node n - 1;
+      "row0"    -- the bump plus, in the first stored row only, 1e-22 added
+                   to u at x = 40, below the march's ACTIVE_FLOOR;
+      "growing" -- a fixed bump growing linearly in time from zero.
     """
     from congested_ns.discrete_ops import cumulative_trapezoid
     from congested_ns.freeboundary import Trajectory, WindowReport, validate_hypotheses
     from congested_ns.perturbations import initial_data_fields
 
-    def build(n: int, stored_idx, dt: float = 2e-3) -> Trajectory:
+    def build(n: int, stored_idx, dt: float = 2e-3, shape: str = "bump",
+              params: PhysicalParams = params) -> Trajectory:
         grid = make_grid(50.0, n)
         v0, u0 = initial_data_fields("gaussian_bump", 1e-2, 2.0, 0.5, params, grid)
         init = validate_hypotheses(v0, u0, grid, params)
@@ -100,12 +110,21 @@ def synthetic_run(params):
         y = cumulative_trapezoid(ydot, dt)
         ts = t[stored_idx, None]
         bump = np.exp(-((grid.x - 2.0 - 0.3 * ts) ** 2))
+        g = 1e-2 * (1.0 + 0.5 * np.sin(5.0 * ts)) * bump
+        h = 1e-2 * np.cos(4.0 * ts) * bump
+        if shape == "wave":
+            g, h = 0.0 * g, 0.0 * h
+        elif shape == "edge":
+            g = g + 1e-3 * np.cos(ts) * grid.x / grid.R
+        elif shape == "growing":
+            g = h = ts * np.exp(-((grid.x - 2.0) ** 2))
+        v, u = wave.v_bar + g, wave.u_bar + h
+        if shape == "row0":
+            u[0, 4 * (n - 1) // 5] += 1e-22
         return Trajectory(
             t=t, y=y, ydot=ydot,
             p_s=ydot * (params.u_minus - init.w0_eval(y)),
-            stored_idx=stored_idx,
-            v=wave.v_bar + 1e-2 * (1.0 + 0.5 * np.sin(5.0 * ts)) * bump,
-            u=wave.u_bar + 1e-2 * np.cos(4.0 * ts) * bump,
+            stored_idx=stored_idx, v=v, u=u,
             windows=[WindowReport(t_start=0.0, distances=[1e-9])],
             init=init,
         )

@@ -27,6 +27,7 @@ from congested_ns.cli import (
     run,
 )
 from congested_ns.diagnostics import bootstrap_monitor
+from congested_ns.freeboundary import ROW_BLOCK
 from conftest import output_differences
 
 
@@ -571,20 +572,27 @@ def test_sweep_amplitudes_that_share_a_file_name_are_rejected(tmp_path, capsys):
 
 def test_trajectory_outputs_walk_the_stored_rows_once(synthetic_run, tmp_path, monkeypatch):
     # the CSV, the summary and the certificates read one cached walk: one
-    # effective velocity per stored row, plus one per snapshot
+    # effective velocity per block of stored rows, plus one per snapshot, all
+    # through the expression of effective_velocity_about_wave
     traj = synthetic_run(257, np.arange(0, 100, 5))
-    calls = []
-    original = profiles.effective_velocity_about_wave
+    calls = {"effective_velocity_about_wave": 0, "effective_velocity_of_deviation": 0}
+    for name in calls:
+        original = getattr(profiles, name)
 
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
 
-    monkeypatch.setattr(cli, "effective_velocity_about_wave", counting)
-    monkeypatch.setattr(freeboundary, "effective_velocity_about_wave", counting)
+        for mod in (profiles, cli, freeboundary):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
     cfg = replace(preset_config("steady_wave"), T_final=float(traj.t[-1]))
     cli._emit_trajectory_outputs(tmp_path, cfg, traj, 0.0)
-    assert len(calls) == traj.stored_idx.size + len(list(tmp_path.glob("snapshot_t*.txt"))) == 23
+    snapshots = len(list(tmp_path.glob("snapshot_t*.txt")))
+    blocks = -(-traj.stored_idx.size // ROW_BLOCK)
+    assert (snapshots, blocks) == (3, 3)
+    assert calls == {"effective_velocity_about_wave": snapshots,
+                     "effective_velocity_of_deviation": blocks + snapshots}
 
 
 def test_cli_requires_config_or_preset(capsys):

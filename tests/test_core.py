@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +35,16 @@ def test_params_derived_quantities():
     p = PhysicalParams(mu=0.7, v_plus=3.0, u_minus=2.0, u_plus=-1.0)
     assert p.s == pytest.approx(1.5)
     assert p.p_minus == pytest.approx(1.5**2 * 2.0)
+
+
+def test_speed_is_kept_per_instance_outside_equality():
+    # s is derived once per instance; the kept value is no field, so it
+    # takes no part in equality, and a replaced instance derives its own
+    p = PhysicalParams(mu=0.7, v_plus=3.0, u_minus=2.0, u_plus=-1.0)
+    assert p.s == derive_speed(2.0, -1.0, 3.0) and p.s is p.s
+    assert p == PhysicalParams(mu=0.7, v_plus=3.0, u_minus=2.0, u_plus=-1.0)
+    assert replace(p, u_minus=5.0).s == derive_speed(5.0, -1.0, 3.0)
+    assert pickle.loads(pickle.dumps(p)) == p
 
 
 def test_params_rejects_bad_viscosity():

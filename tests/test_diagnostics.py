@@ -1,6 +1,6 @@
 import json
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -30,6 +30,7 @@ from congested_ns.discrete_ops import (
     trace0,
 )
 from congested_ns.freeboundary import (
+    HEAD_HALO,
     ROW_BLOCK,
     assemble_solution,
     make_path,
@@ -519,15 +520,12 @@ def _whole_history_energies(traj, init, grid, params, t):
     ydots = traj.ydot[traj.stored_idx[:m]]
     x, dx = grid.x, grid.dx
 
-    def dt_rows(F):
-        return time_derivative(F, dts) if F.shape[0] >= 3 else np.zeros_like(F)
-
     def sq(fields):
         return [np.trapezoid(f**2, x) for f in fields]
 
     G = traj.v[:m] - prof.v_bar
-    Gt = dt_rows(G)
-    Gtt = dt_rows(Gt)
+    Gt = time_derivative(G, dts)
+    Gtt = time_derivative(Gt, dts)
     g_sq = np.empty((9, m))
     V0_sq = np.empty(m)
     for i in range(m):
@@ -540,8 +538,8 @@ def _whole_history_energies(traj, init, grid, params, t):
     V_sq, g, gx, gxx, gxxx, gt, gtx, gtxx, gtt = g_sq
 
     H = traj.u[:m] - prof.u_bar
-    Ht = dt_rows(H)
-    Htt = dt_rows(Ht)
+    Ht = time_derivative(H, dts)
+    Htt = time_derivative(Ht, dts)
     h_sq = np.empty((7, m))
     for i in range(m):
         hx = stencil_derivative(H[i], dx, 1)
@@ -573,7 +571,7 @@ def _whole_history_growth(traj, init, grid, params):
     m, dts = diagnostics._uniform_prefix(traj, traj.t[-1])
     dvbar = prof.dv_bar
     G = traj.v[:m] - prof.v_bar
-    Gt = time_derivative(G, dts) if m >= 3 else np.zeros_like(G)
+    Gt = time_derivative(G, dts)
     sq = np.empty((4, m))
     for i, step in enumerate(traj.stored_idx[:m]):
         src = init.source_eval.shifted(traj.y[step]) + (traj.ydot[step] - params.s) * dvbar
@@ -594,12 +592,19 @@ def _whole_history_growth(traj, init, grid, params):
 
 
 B = ROW_BLOCK
+# (stored steps, the stored row of the report time or None for the last step,
+# the synthetic_run deviation shape)
 ROW_CASES = {
-    **{f"{m}_rows": (np.arange(m), None) for m in (1, 2, 3, 4, B - 1, B, B + 1, 2 * B + 3)},
+    **{f"{m}_rows": (np.arange(m), None, "bump") for m in (1, 2, 3, 4, B - 1, B, B + 1,
+                                                          2 * B + 3)},
     # a prefix ending inside the second block, then the stride-60 bump run's
     # stored steps, whose final snapshot is off the spacing and dropped
-    "prefix": (np.arange(2 * B + 3), B + 2),
-    "stride_60": (np.array([0, 60, 120, 180, 240, 250]), None),
+    "prefix": (np.arange(2 * B + 3), B + 2, "bump"),
+    "stride_60": (np.array([0, 60, 120, 180, 240, 250]), None, "bump"),
+    # heads of every kind: just the halo, the whole grid, one far node of the
+    # datum's row only; and two rows of a deviation growing linearly
+    **{f"head_{shape}": (np.arange(B + 2), None, shape) for shape in ("wave", "edge", "row0")},
+    "2_rows_growing": (np.array([0, 10]), None, "growing"),
 }
 
 
@@ -631,10 +636,18 @@ class TestRowBlockPass:
     """The certificates walk the stored history ROW_BLOCK rows at a time and
     give, bit for bit, what the whole-history arithmetic gives."""
 
-    @pytest.mark.parametrize("rows", [1, B, B + 1, 2 * B + 1])
-    def test_deviations_equal_per_row_norms(self, synthetic_run, rows):
+    @pytest.mark.parametrize("rows, shape, u_plus", [
         # one block, a full block, and walks that cross a block boundary
-        traj = synthetic_run(257, np.arange(rows) * 7)
+        *(pytest.param(rows, "bump", 0.0, id=str(rows)) for rows in (1, B, B + 1, 2 * B + 1)),
+        # the head is just the halo, the whole grid, and reaches one far
+        # node of the datum's row only
+        *(pytest.param(B + 1, shape, 0.0, id=shape) for shape in ("wave", "edge", "row0")),
+        # past the head the reconstruction integrand is u_plus - w0(x + y)
+        pytest.param(B + 1, "bump", 0.5, id="u_plus"),
+    ])
+    def test_deviations_equal_per_row_norms(self, synthetic_run, params, rows, shape, u_plus):
+        params = replace(params, u_minus=params.u_minus + u_plus, u_plus=u_plus)
+        traj = synthetic_run(257, np.arange(rows) * 7, shape=shape, params=params)
         dev = traj.deviations
         assert {key: dev[key].tolist() for key in dev} == _per_row_deviations(traj)
         assert traj.deviations is dev
@@ -643,8 +656,8 @@ class TestRowBlockPass:
 
     @pytest.mark.parametrize("case", ROW_CASES)
     def test_energy_report_equals_whole_history(self, synthetic_run, case):
-        stored_idx, row_t = ROW_CASES[case]
-        traj = synthetic_run(257, stored_idx)
+        stored_idx, row_t, shape = ROW_CASES[case]
+        traj = synthetic_run(257, stored_idx, shape=shape)
         t = traj.t[-1] if row_t is None else traj.stored_times[row_t]
         args = (traj, traj.init, traj.init.grid, traj.init.params)
         rep = asdict(energy_report(*args, t))
@@ -653,12 +666,38 @@ class TestRowBlockPass:
 
     @pytest.mark.parametrize("case", ROW_CASES)
     def test_growth_estimate_equals_whole_history(self, synthetic_run, case):
-        stored_idx, _ = ROW_CASES[case]
-        traj = synthetic_run(257, stored_idx)
+        stored_idx, _, shape = ROW_CASES[case]
+        traj = synthetic_run(257, stored_idx, shape=shape)
         args = (traj, traj.init, traj.init.grid, traj.init.params)
         rep = energy_report(*args, traj.t[-1])
         assert ({name: getattr(rep, field) for field, name in GROWTH_FIELDS.items()}
                 == _whole_history_growth(*args))
+
+    def test_two_rows_take_the_mean_slope(self, synthetic_run):
+        # two stored rows of a deviation growing linearly from zero: both rows
+        # take the slope (G[1] - G[0]) / dts, time_derivative's rule, so the
+        # energies of the time derivatives are not zero
+        traj = synthetic_run(257, [0, 10], shape="growing")
+        grid, dts = traj.init.grid, traj.stored_times[1]
+        rep = energy_report(traj, traj.init, grid, traj.init.params, traj.t[-1])
+        G = traj.v - traj.init.wave.v_bar
+        gt = norm((G[1] - G[0]) / dts, grid, NormKind.L2) ** 2
+        g1, h1 = norm(G[1], grid, NormKind.L2) ** 2, norm(G[1], grid, NormKind.H1) ** 2
+        assert gt > 0.0 and rep.e5 > 0.0
+        # growth_lhs = sqrt(max(g + gx)) + sqrt(int gt) + sqrt(int gx), with
+        # g = gx = 0 in the first row
+        expected = np.sqrt(h1) + np.sqrt(dts * gt) + np.sqrt(dts * (h1 - g1) / 2.0)
+        assert rep.growth_lhs == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", ["wave", "bump", "edge", "row0"])
+    def test_head_spans_every_difference(self, synthetic_run, shape):
+        traj = synthetic_run(257, np.arange(B + 2), shape=shape)
+        wave = traj.init.wave
+        differs = np.any(traj.v != wave.v_bar, axis=0) | np.any(traj.u != wave.u_bar, axis=0)
+        last = np.nonzero(differs)[0].max() if differs.any() else -1
+        assert traj.head == min(last + 1 + HEAD_HALO, 257)
+        assert {"wave": traj.head == HEAD_HALO, "bump": HEAD_HALO < traj.head < 200,
+                "edge": traj.head == 257, "row0": traj.head == 204 + 1 + HEAD_HALO}[shape]
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,8 @@ from congested_ns.core import ValidationError, make_grid
 from congested_ns.discrete_ops import (
     MonotoneInterpolant,
     NormKind,
+    RowTrapezoid,
+    cumulative_trapezoid,
     derivative,
     monotone_interpolator,
     norm,
@@ -335,3 +337,23 @@ def test_monotone_interpolator_nodes_and_tail(g10):
     np.testing.assert_allclose(evaluate(g10.x), f, rtol=0, atol=1e-15)
     np.testing.assert_array_equal(evaluate(g10.R + np.array([1e-12, 0.5, 40.0])), -2.0)
     assert float(evaluate(3.3)) == float(evaluate(np.array([3.3]))[0])
+
+
+def test_row_trapezoid_is_the_whole_row_trapezoid(rng):
+    # heads of every width in turn, a wider one before narrower ones: each
+    # call equals np.trapezoid on the rows padded with zeros, bit for bit
+    x = make_grid(50.0, 2049).x
+    trapezoid = RowTrapezoid(x, 8)
+    for rows, nodes in ((8, 2049), (3, 8), (8, 300), (5, 1), (8, 2048), (8, 9)):
+        F = rng.standard_normal((rows, nodes)) ** 2
+        whole = np.zeros((rows, x.size))
+        whole[:, :nodes] = F
+        assert trapezoid(F).tolist() == [np.trapezoid(row, x) for row in whole]
+
+
+def test_cumulative_trapezoid_integrates_each_column_alone(rng):
+    values = rng.standard_normal((300, 5))
+    whole = cumulative_trapezoid(values, 0.17)
+    assert whole.shape == values.shape
+    for j in range(values.shape[1]):
+        assert whole[:, j].tobytes() == cumulative_trapezoid(values[:, j].copy(), 0.17).tobytes()

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
-from congested_ns.core import ValidationError, make_grid
+from congested_ns.core import PhysicalParams, ValidationError, make_grid
+from congested_ns.discrete_ops import stencil_derivative
 from congested_ns.parabolic import (
     MaximumPrincipleViolated,
     RegularizedLog,
@@ -309,7 +310,7 @@ class TestStepV:
         with pytest.raises(ValidationError, match="dt must be finite and positive"):
             step_v(wave.v_bar, params.s, 0.0, grid, dt, reg, params, wave)
 
-    @pytest.mark.parametrize("source", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("source", [np.nan, np.inf, -np.inf, np.array(np.inf)])
     def test_rejects_non_finite_scalar_source(self, params, grid, reg, wave, source):
         with pytest.raises(ValidationError, match="source must be finite"):
             step_v(wave.v_bar, params.s, source, grid, 1e-3, reg, params, wave)
@@ -343,6 +344,29 @@ class TestStepU:
         lam = (np.pi / R) ** 2
         expected = line + mode / (1.0 + params.mu * dt * lam)
         assert np.max(np.abs(out - expected)) <= 20.0 * g.dx**2
+
+    @pytest.mark.parametrize("speed", [1.0, 0.93])
+    def test_source_is_stencil_derivative_interior(self, grid, speed):
+        # step_u builds its source on the interior nodes only; with the
+        # whole-field stencil_derivative expression it replaced, the step is
+        # the same bit for bit.  mu != 1 and u at the wave, with a long step
+        # from a large volume bump, so that a last-bit change of the source
+        # shows in the result
+        params = PhysicalParams(mu=0.73, v_plus=2.3, u_minus=1.3, u_plus=0.0)
+        wave = traveling_wave(params, grid)
+        bump = np.exp(-((grid.x - 3.0) ** 2))
+        noise = np.random.default_rng(7).standard_normal(grid.n)
+        v = wave.v_bar + 0.5 * bump * (1.0 + 0.1 * noise)
+        v[0] = 1.0
+        u = wave.u_bar.copy()
+        ydot, dt = speed * params.s, 1.0
+        coupling = (1.0 / v - wave.inv_v_bar) * wave.du_bar
+        f = stencil_derivative(coupling, grid.dx, 1)
+        f *= params.mu
+        f += (ydot - params.s) * wave.du_bar
+        h = linear_parabolic_step(u - wave.u_bar, (1.0 / v) * params.mu, -ydot, f, grid, dt)
+        np.testing.assert_array_equal(step_u(u, v, ydot, grid, dt, params, wave),
+                                      h + wave.u_bar)
 
     def test_rejects_volume_below_one(self, params, grid, wave):
         bad_v = wave.v_bar - 0.5
