@@ -65,6 +65,9 @@ BOOTSTRAP_C0 = 0.6
 # whether a window converges would depend on roundoff
 PICARD_TOL_FLOOR = 1e-12
 
+# rows of a written table formatted by one % and written by one call
+TABLE_BLOCK = 1024
+
 
 def fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -272,9 +275,15 @@ def _record(t: float, check: str, lhs: float, rhs: float, ok: bool, **extra) -> 
 
 def _write_table(path: Path, header: str, sep: str, *columns: np.ndarray) -> None:
     """A header line, then one line per row of the columns, each value
-    printed with %.17g."""
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=sep, header=header,
-               comments="")
+    printed with %.17g: np.savetxt's bytes, formatted and written
+    TABLE_BLOCK rows at a time rather than row by row."""
+    table = np.column_stack(columns)
+    line = sep.join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="latin1") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(table), TABLE_BLOCK):
+            block = table[start:start + TABLE_BLOCK]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _trajectory_csv(path: Path, traj: Trajectory, beta_running: np.ndarray) -> None:

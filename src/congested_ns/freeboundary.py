@@ -474,11 +474,12 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
     y has one rule too: it is the path's position buffer, and before step k
     the march writes y[k] = y[0] + the trapezoid sum of ydot up to node k,
     in cumulative_trapezoid's order.  With `history`, the two speeds before
-    node 0, it first predicts ydot[k] = 3 z[k-1] - 3 z[k-2] + z[k-3] from
-    its own speeds, history standing in for nodes -2 and -1 (z[k-1] when
-    that is not finite and positive), after ydot[0] = z[0].  Step k reads
-    only ydot[0..k] and y[k], so marching the filled path again without
-    history gives the same speeds bit for bit.
+    node 0 (converged ones, or the path held flat at init.compat_speed
+    before t = 0), it first predicts ydot[k] = 3 z[k-1] - 3 z[k-2] + z[k-3]
+    from its own speeds, history standing in for nodes -2 and -1 (z[k-1]
+    when that is not finite and positive), after ydot[0] = z[0].  Step k
+    reads only ydot[0..k] and y[k], so marching the filled path again
+    without history gives the same speeds bit for bit.
 
     The march steps only the active nodes [0, m], with the wave value as
     the Dirichlet value at node m, as at node n - 1 of the whole grid.  m
@@ -595,14 +596,17 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     window starts from it.  A march sets its own first speed (_march's start
     rule) and writes its own positions (its position rule) into the window's
     view of the run's position array, so the definitive march leaves the
-    run's positions there.  A window with fewer than two converged speeds
-    before it (the first, and the second when windows are one step) iterates
-    from a flat guess: the last converged speed (init.compat_speed at t = 0)
-    from the last converged position.  Any later window's first march
-    predicts its own path from the two converged speeds before the window
-    (_march's history), so its first iterate is already close to the fixed
-    point.  The wave background is init.wave; grid and params must be those
-    init was validated on.
+    run's positions there.  Each window's first march predicts its own path
+    (_march's history) from the two speeds before the window, so its first
+    iterate is already close to the fixed point.  Those speeds are the
+    converged ones, held flat at init.compat_speed before t = 0 for a window
+    with fewer than two converged speeds before it (the first, and the
+    second when windows are one step).  A caller-fixed `window` keeps the
+    plain map there instead: such a window iterates from a flat guess, the
+    last converged speed from the last converged position, which is the map
+    whose contraction the first window's distances show.  The wave
+    background is init.wave; grid and params must be those init was
+    validated on.
     """
     init.check_run_on(grid, params)
     for name, value in (("stride", stride), ("max_iter", max_iter)):
@@ -622,7 +626,11 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
 
     t_all = dt * np.arange(n_total + 1)
     y_all = np.zeros(n_total + 1)
-    ydot_all = np.full(n_total + 1, init.compat_speed)
+    # the run's speeds after two nodes of the path held flat at
+    # init.compat_speed before t = 0, the history that stands in for the
+    # converged speeds a self-partitioned window does not have yet
+    speeds = np.full(n_total + 3, init.compat_speed)
+    ydot_all = speeds[2:]
     # the multiples of stride and the last step, through range: stride may
     # exceed every numpy integer type
     stored_idx = np.array([*range(0, n_total, stride), n_total])
@@ -640,8 +648,8 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
         ydot = np.full(steps + 1, ydot_all[k_done])
         # each march writes its positions here, the last one the run's own
         y = y_all[k_done:k_done + steps + 1]
-        # a later window's first march overwrites this flat guess with its prediction
-        history = ydot_all[k_done - 2:k_done] if k_done >= 2 else None
+        # a predicting first march overwrites this flat guess with its prediction
+        history = speeds[k_done:k_done + 2] if window is None or k_done >= 2 else None
 
         report = WindowReport(t_start=t_start)
         for _ in range(max_iter):

@@ -595,6 +595,20 @@ def test_trajectory_outputs_walk_the_stored_rows_once(synthetic_run, tmp_path, m
                      "effective_velocity_of_deviation": blocks + snapshots}
 
 
+@pytest.mark.parametrize("rows", [0, 1, 3, 7])
+@pytest.mark.parametrize("sep", [",", " "])
+def test_written_table_is_the_bytes_of_savetxt(tmp_path, monkeypatch, rows, sep):
+    # blocks of 3 rows: a whole block, a block and a part, and no row at all
+    monkeypatch.setattr(cli, "TABLE_BLOCK", 3)
+    values = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, np.nan, np.inf, -np.inf,
+                       1e300, -1e300, 1.0 / 3.0, -2.5, 1e-5, 123456789.0, 0.1])
+    columns = [np.resize(np.roll(values, 3 * j), rows) for j in range(4)]
+    cli._write_table(tmp_path / "blocks.txt", "a b c d", sep, *columns)
+    np.savetxt(tmp_path / "rows.txt", np.column_stack(columns), fmt="%.17g", delimiter=sep,
+               header="a b c d", comments="")
+    assert (tmp_path / "blocks.txt").read_bytes() == (tmp_path / "rows.txt").read_bytes()
+
+
 def test_cli_requires_config_or_preset(capsys):
     with pytest.raises(SystemExit):
         main([])

@@ -374,25 +374,70 @@ class TestPicard:
         # the carried start is the speed the solve itself marched to
         assert carried == pytest.approx(first.ydot[-1], abs=1e-6)
 
-    def test_later_windows_converge_in_at_most_three_iterations(self, params, small_grid,
+    def test_every_window_converges_in_at_most_three_iterations(self, params, small_grid,
                                                                 bump_init):
-        # each later window's first march predicts its own path, so its
-        # first iterate starts within a few tol of the fixed point
+        # each window's first march predicts its own path, window 0 from the
+        # path held flat at compat_speed before t = 0, so its first iterate
+        # starts within a few tol of the fixed point
         traj = picard_solve(bump_init, small_grid, params, T_final=1.0, dt=2e-3, tol=1e-8,
                             stride=500)
         assert len(traj.windows) == 4
-        assert all(w.iterations <= 3 for w in traj.windows[1:])
+        assert all(w.iterations <= 3 for w in traj.windows)
 
-    def test_large_step_two_step_windows_converge(self, params):
-        # dt = 0.125 on windows of 0.25: two steps per window, where the
-        # quadratic prediction leans hardest on the two speeds before node 0
+    @pytest.mark.parametrize("dt", [0.125, 0.25])
+    def test_large_step_short_windows_converge(self, params, dt):
+        # dt = 0.125 and 0.25 on windows of 0.25: two steps and one step per
+        # window, where the quadratic prediction leans hardest on the two
+        # speeds before node 0.  With one step, the second window's history
+        # is one flat speed before t = 0 and the speed at t = 0
         grid = make_grid(50.0, 257)
         v0, u0 = initial_data_fields("gaussian_bump", 0.005, 2.0, 1.0, params, grid)
         init = validate_hypotheses(v0, u0, grid, params)
-        traj = picard_solve(init, grid, params, T_final=2.0, dt=0.125, tol=1e-8)
+        traj = picard_solve(init, grid, params, T_final=2.0, dt=dt, tol=1e-8, window=None)
         assert len(traj.windows) == 8
         assert all(w.distances[-1] <= 1e-8 for w in traj.windows)
         assert np.all(np.isfinite(traj.ydot)) and np.all(traj.ydot > 0.0)
+
+    def test_self_partitioned_first_iterate_is_one_map_of_its_prediction(
+            self, params, small_grid, bump_init):
+        # with window=None, window 0's first march predicts its own path from
+        # the path held flat at compat_speed before t = 0.  That path, rebuilt
+        # from the returned first iterate, marched again as a given path
+        # repeats every speed: the predicting march is one plain map evaluation
+        dt, steps = 1e-2, 25  # one window of 0.25 / s
+        traj = picard_solve(bump_init, small_grid, params, T_final=0.25, dt=dt, tol=np.inf,
+                            window=None)
+        assert [w.iterations for w in traj.windows] == [1]
+        c = bump_init.compat_speed
+        z = np.concatenate(([c, c], traj.ydot))
+        predicted = np.empty(steps + 1)
+        predicted[0] = z[2]
+        for k in range(1, steps + 1):
+            guess = 3.0 * z[k + 1] - 3.0 * z[k] + z[k - 1]
+            predicted[k] = guess if 0.0 < guess < np.inf else z[k + 1]
+        assert np.any(predicted != c)  # not the flat guess a fixed window starts from
+        again = apply_boundary_map(make_path(traj.t, predicted), bump_init, small_grid, params,
+                                   dt=dt)
+        assert again.ydot.tobytes() == traj.ydot.tobytes()
+
+    @pytest.mark.parametrize("mu, v_plus", [(1.0, 2.0), (1.1, 2.2)])
+    def test_exact_front_is_the_same_with_window_0_predicted(self, mu, v_plus):
+        # u_minus = v_plus - 1 and u_plus = 0 give s = 1 exactly.  On the exact
+        # front every speed is s bit for bit, so window 0's prediction is the
+        # flat path, and the run equals one at a caller-fixed window of 0.25 / s
+        params = PhysicalParams(mu=mu, v_plus=v_plus, u_minus=v_plus - 1.0, u_plus=0.0)
+        grid = make_grid(50.0, 513)
+        v0, u0 = initial_data_fields("none", 0.0, 2.0, 0.5, params, grid)
+        init = validate_hypotheses(v0, u0, grid, params)
+        predicted, fixed = (picard_solve(init, grid, params, T_final=1.0, dt=1e-2,
+                                         window=window, stride=10)
+                            for window in (None, 0.25 / params.s))
+        assert len(predicted.windows) == 4
+        assert np.all(predicted.ydot == params.s)
+        for name in ("t", "y", "ydot", "p_s", "stored_idx", "v", "u"):
+            assert getattr(predicted, name).tobytes() == getattr(fixed, name).tobytes()
+        assert ([w.distances for w in predicted.windows]
+                == [w.distances for w in fixed.windows])
 
     def test_infinite_tolerance_returns_first_iterate(self, params, small_grid,
                                                       bump_init, wave):
