@@ -22,7 +22,6 @@ import math
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -60,9 +59,13 @@ from .profiles import effective_velocity_about_wave, traveling_wave
 # at delta = 0.05
 BOOTSTRAP_C0 = 0.6
 
-# the H1 distance between successive Picard iterates bottoms out at roundoff
-# (4.3e-15 at n=129, 5.5e-14 at n=2049 with dt=1e-3): below this tolerance,
-# whether a window converges would depend on roundoff
+# the H1 distance between successive Picard iterates bottoms out at the
+# Newton floor: every step_v solve stops at a residual of at most newton_tol,
+# after at least one update, and where it stops, not the map's contraction,
+# sets how close two iterates can come.  On the bootstrap_check datum's window
+# at t=16.25 the distances level off at 4e-13 to 9e-13 (2.9e-10 while a step
+# returned a guess within newton_tol as it was): below this tolerance, whether
+# a window converges would depend on where the Newton solves stop
 PICARD_TOL_FLOOR = 1e-12
 
 # rows of a written table formatted by one % and written by one call
@@ -417,6 +420,10 @@ def _sweep_one(cfg: RunConfig) -> dict:
 def _run_stability_sweep(cfg: RunConfig, out: Path) -> dict:
     jobs = [replace(cfg, amplitude=a) for a in cfg.sweep_amplitudes]
     if cfg.workers > 1:
+        # imported here: concurrent.futures and multiprocessing add about 20 ms
+        # to every start of the package, and only this path uses them
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             per_amp = list(pool.map(_sweep_one, jobs))
     else:

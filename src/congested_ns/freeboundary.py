@@ -456,7 +456,8 @@ def _padded(head: np.ndarray, background: np.ndarray) -> np.ndarray:
 
 def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
            init: InitialData, dt: float, newton_tol: float, t_start: float,
-           keep: set[int] | tuple = (), history: np.ndarray | None = None,
+           keep: set[int] | tuple = (),
+           history: tuple[np.ndarray, np.ndarray] | None = None,
            report: WindowReport | None = None
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Advance the fields along a given path (speeds ydot from the position
@@ -473,13 +474,17 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
 
     y has one rule too: it is the path's position buffer, and before step k
     the march writes y[k] = y[0] + the trapezoid sum of ydot up to node k,
-    in cumulative_trapezoid's order.  With `history`, the two speeds before
-    node 0 (converged ones, or the path held flat at init.compat_speed
-    before t = 0), it first predicts ydot[k] = 3 z[k-1] - 3 z[k-2] + z[k-3]
-    from its own speeds, history standing in for nodes -2 and -1 (z[k-1]
-    when that is not finite and positive), after ydot[0] = z[0].  Step k
-    reads only ydot[0..k] and y[k], so marching the filled path again
-    without history gives the same speeds bit for bit.
+    in cumulative_trapezoid's order.  With `history`, the speeds and the
+    positions of the two nodes before node 0 (converged ones, or the path
+    held flat before t = 0 at init.compat_speed and position 0), it first
+    predicts ydot[k] from its own speeds, after ydot[0] = z[0].  The
+    numerator N = z (u_minus - w0(y)) of the speed, -mu d_x u(0), is smooth
+    where the PCHIP-sampled w0 is only C^1, so ydot[k] = (3 N[k-1] - 3 N[k-2]
+    + N[k-3]) / (u_minus - w0(y_hat)), at y_hat = y[k-1] + dt (ydot[k-1] +
+    3 z[k-1] - 3 z[k-2] + z[k-3]) / 2, history standing in for nodes -2 and
+    -1 (z[k-1] when that is not finite and positive).  Step k reads only
+    ydot[0..k] and y[k], so marching the filled path again without history
+    gives the same speeds bit for bit.
 
     The march steps only the active nodes [0, m], with the wave value as
     the Dirichlet value at node m, as at node n - 1 of the whole grid.  m
@@ -513,13 +518,19 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
         report.widenings.append(widened)
     kept = []
     if history is not None:
-        z3, z2, z1 = *history.tolist(), float(zdot[0])  # z[k-3], z[k-2], z[k-1]
+        # z[k-3], z[k-2], z[k-1] and the numerators N = z (u_minus - w0(y)) there
+        (z3, z2), (y3, y2) = (row.tolist() for row in history)
+        z1 = float(zdot[0])
+        n3, n2, n1 = (z * (params.u_minus - init.w0_at(p))
+                      for z, p in ((z3, y3), (z2, y2), (z1, float(y[0]))))
         ydot[0] = z1
     y0, running = float(y[0]), 0.0
 
     for k in range(1, steps + 1):
         if history is not None:
-            pred = 3.0 * z1 - 3.0 * z2 + z3
+            y_hat = y[k - 1] + 0.5 * (ydot[k - 1] + (3.0 * z1 - 3.0 * z2 + z3)) * dt
+            d_hat = params.u_minus - init.w0_at(y_hat)
+            pred = (3.0 * n1 - 3.0 * n2 + n3) / d_hat if d_hat > 0.0 else np.nan
             ydot[k] = pred if 0.0 < pred < np.inf else z1  # NaN fails
         running += 0.5 * (ydot[k - 1] + ydot[k]) * dt
         y[k] = y0 + running
@@ -540,12 +551,13 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
         try:
             v = step_v(v, ydot[k], src, sub_grid, dt, init.reg, params, sub_wave, newton_tol)
             u = step_u(u, v, ydot[k], sub_grid, dt, params, sub_wave)
-            zdot[k] = boundary_velocity(u, w0_yk, sub_grid, params, sub_wave)
+            zdot[k] = z = boundary_velocity(u, w0_yk, sub_grid, params, sub_wave)
         except RuntimeError as exc:
             exc.t = t_start + k * dt
             raise
         if history is not None:
-            z3, z2, z1 = z2, z1, zdot[k]
+            z3, z2, z1 = z2, z1, z
+            n3, n2, n1 = n2, n1, z * (params.u_minus - w0_yk)
         if k in keep:
             kept.append((_padded(v, wave.v_bar), _padded(u, wave.u_bar)))
     return zdot, _padded(v, wave.v_bar), _padded(u, wave.u_bar), kept
@@ -597,16 +609,16 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     rule) and writes its own positions (its position rule) into the window's
     view of the run's position array, so the definitive march leaves the
     run's positions there.  Each window's first march predicts its own path
-    (_march's history) from the two speeds before the window, so its first
-    iterate is already close to the fixed point.  Those speeds are the
-    converged ones, held flat at init.compat_speed before t = 0 for a window
-    with fewer than two converged speeds before it (the first, and the
-    second when windows are one step).  A caller-fixed `window` keeps the
-    plain map there instead: such a window iterates from a flat guess, the
-    last converged speed from the last converged position, which is the map
-    whose contraction the first window's distances show.  The wave
-    background is init.wave; grid and params must be those init was
-    validated on.
+    (_march's history) from the speeds and positions of the two nodes before
+    the window, so its first iterate is already close to the fixed point.
+    Those are the converged ones, and before t = 0 the path held flat at
+    init.compat_speed and position 0, for a window with fewer than two
+    converged nodes before it (the first, and the second when windows are
+    one step).  A caller-fixed `window` keeps the plain map there instead:
+    such a window iterates from a flat guess, the last converged speed from
+    the last converged position, which is the map whose contraction the
+    first window's distances show.  The wave background is init.wave; grid
+    and params must be those init was validated on.
     """
     init.check_run_on(grid, params)
     for name, value in (("stride", stride), ("max_iter", max_iter)):
@@ -625,12 +637,13 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     steps_per_window = max(1, int(round((0.25 / params.s if window is None else window) / dt)))
 
     t_all = dt * np.arange(n_total + 1)
-    y_all = np.zeros(n_total + 1)
-    # the run's speeds after two nodes of the path held flat at
-    # init.compat_speed before t = 0, the history that stands in for the
-    # converged speeds a self-partitioned window does not have yet
+    # the run's speeds and positions after two nodes of the path held flat
+    # before t = 0, at speed init.compat_speed and position 0 (so the speed's
+    # numerator is flat there too): the history that stands in for the
+    # converged nodes a self-partitioned window does not have yet
     speeds = np.full(n_total + 3, init.compat_speed)
-    ydot_all = speeds[2:]
+    positions = np.zeros(n_total + 3)
+    ydot_all, y_all = speeds[2:], positions[2:]
     # the multiples of stride and the last step, through range: stride may
     # exceed every numpy integer type
     stored_idx = np.array([*range(0, n_total, stride), n_total])
@@ -649,7 +662,8 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
         # each march writes its positions here, the last one the run's own
         y = y_all[k_done:k_done + steps + 1]
         # a predicting first march overwrites this flat guess with its prediction
-        history = speeds[k_done:k_done + 2] if window is None or k_done >= 2 else None
+        history = ((speeds[k_done:k_done + 2], positions[k_done:k_done + 2])
+                   if window is None or k_done >= 2 else None)
 
         report = WindowReport(t_start=t_start)
         for _ in range(max_iter):

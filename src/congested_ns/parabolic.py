@@ -201,7 +201,9 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
     at the truncation level.
     `wave` is traveling_wave(params, grid), sampled once by the caller.
     The nonlinear system is solved by damped Newton iteration with the
-    analytic tridiagonal Jacobian of the discretized a(v).
+    analytic tridiagonal Jacobian of the discretized a(v): at least one
+    iteration unless the residual of the guess v is exactly zero, then
+    until the residual is at most newton_tol.
     """
     v = as_field(v, grid)
     if abs(v[0] - 1.0) > 1e-9:
@@ -252,8 +254,11 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
 
     res = residual(g)
     res_norm = float(np.abs(res).max())
-    for _ in range(NEWTON_MAX_ITER):
-        if res_norm <= newton_tol:
+    # at least one Newton update unless the guess solves the step exactly: a
+    # guess within newton_tol returned as it is would make the result jump
+    # from the guess to a Newton update where its residual crosses newton_tol
+    for it in range(NEWTON_MAX_ITER):
+        if res_norm == 0.0 or (it and res_norm <= newton_tol):
             break
         _, slope = reg(w)
         slope *= c_dif

@@ -50,6 +50,31 @@ def bump_init(params, small_grid):
     return validate_hypotheses(v0, u0, small_grid, params)
 
 
+def predicted_path(speeds, positions, z, y0, init, dt):
+    """The path a predicting march fills from its speeds z, with the speeds
+    and positions of the two nodes before node 0: z[0] at node 0, then at
+    node k the numerators N = z (u_minus - w0(y)) of nodes k-3 .. k-1,
+    extrapolated quadratically, over the denominator at y[k-1] plus the
+    trapezoid step to the quadratic extrapolation of the speeds, or z[k-1]
+    where that is not finite and positive.  Positions add the trapezoid
+    steps from y0 in cumulative_trapezoid's order."""
+    u_minus = init.params.u_minus
+    zs = [*speeds.tolist(), *z.tolist()]
+    ns = [zk * (u_minus - init.w0_at(p)) for zk, p in zip(zs, [*positions.tolist(), y0])]
+    ydot, y, running = [zs[2]], [y0], 0.0
+    for k in range(1, z.size):
+        z3, z2, z1 = zs[k - 1:k + 2]
+        n3, n2, n1 = ns[k - 1:k + 2]
+        y_hat = y[k - 1] + 0.5 * (ydot[k - 1] + (3.0 * z1 - 3.0 * z2 + z3)) * dt
+        d_hat = u_minus - init.w0_at(y_hat)
+        guess = (3.0 * n1 - 3.0 * n2 + n3) / d_hat if d_hat > 0.0 else np.nan
+        ydot.append(guess if 0.0 < guess < np.inf else z1)
+        running += 0.5 * (ydot[k - 1] + ydot[k]) * dt
+        y.append(y0 + running)
+        ns.append(zs[k + 2] * (u_minus - init.w0_at(y[k])))
+    return np.array(ydot)
+
+
 class TestValidateHypotheses:
     def test_wave_data_passes_everything(self, wave_init):
         assert all(item["pass"] for item in wave_init.hypothesis_report.values())
@@ -295,25 +320,24 @@ class TestPicard:
     def test_predicting_march_is_one_plain_map_evaluation(self, params, small_grid,
                                                           bump_init, history):
         # a carried state after one converged window, and its last two speeds
-        # before the next window's node 0
+        # and positions before the next window's node 0
         dt, steps = 0.01, 10
         first = picard_solve(bump_init, small_grid, params, T_final=0.1, dt=dt, window=0.1)
         v, u, y0 = first.v[-1], first.u[-1], first.y[-1]
-        before = {"converged": first.ydot[-3:-1],
+        speeds = {"converged": first.ydot[-3:-1],
                   # a prediction that is not finite and positive takes z[k-1]
                   "negative": np.array([-1e3, first.ydot[-2]]),
                   "nan": np.array([np.nan, first.ydot[-2]])}[history]
+        positions = first.y[-3:-1]
         # the flat guess's first speed is not z[0]: the march writes z[0] there
         ydot = np.full(steps + 1, first.ydot[-1])
         y = y0 + cumulative_trapezoid(ydot, dt)
         zdot, *_ = _march(v, u, ydot, y, bump_init, dt, DEFAULT_NEWTON_TOL, 0.1,
-                          history=before)
-        # the filled path is the quadratic extrapolation of the march's own speeds
-        z = np.concatenate((before, zdot))
-        for k in range(1, steps + 1):
-            guess = 3.0 * z[k + 1] - 3.0 * z[k] + z[k - 1]
-            assert ydot[k] == (guess if 0.0 < guess < np.inf else z[k + 1])
-        assert ydot[0] == zdot[0]
+                          history=(speeds, positions))
+        # the filled path is the prediction from the march's own speeds
+        assert ydot.tobytes() == predicted_path(speeds, positions, zdot, y0, bump_init,
+                                                dt).tobytes()
+        assert (ydot[1] == zdot[0]) == (history != "converged")
         assert y.tobytes() == (y0 + cumulative_trapezoid(ydot, dt)).tobytes()
         # marching the filled path again, as a given path, repeats every speed
         again, *_ = _march(v, u, ydot.copy(), y.copy(), bump_init, dt, DEFAULT_NEWTON_TOL, 0.1)
@@ -384,6 +408,18 @@ class TestPicard:
         assert len(traj.windows) == 4
         assert all(w.iterations <= 3 for w in traj.windows)
 
+    def test_bootstrap_datum_to_t2_takes_at_most_twelve_iterations(self, params):
+        # the predicted speed follows the kinks the PCHIP-sampled w0 puts in
+        # the denominator, so every window after the first converges in one
+        # or two iterations ([4, 1, 1, 1, 1, 1, 1, 2]; [4, 2, 2, 2, 2, 2, 2, 3]
+        # when the speed itself is extrapolated)
+        grid = make_grid(50.0, 257)
+        v0, u0 = initial_data_fields("gaussian_bump", 0.005, 2.0, 1.0, params, grid)
+        init = validate_hypotheses(v0, u0, grid, params)
+        traj = picard_solve(init, grid, params, T_final=2.0, dt=2e-3, tol=1e-8, stride=1000)
+        assert len(traj.windows) == 8
+        assert sum(w.iterations for w in traj.windows) <= 12
+
     @pytest.mark.parametrize("dt", [0.125, 0.25])
     def test_large_step_short_windows_converge(self, params, dt):
         # dt = 0.125 and 0.25 on windows of 0.25: two steps and one step per
@@ -401,20 +437,16 @@ class TestPicard:
     def test_self_partitioned_first_iterate_is_one_map_of_its_prediction(
             self, params, small_grid, bump_init):
         # with window=None, window 0's first march predicts its own path from
-        # the path held flat at compat_speed before t = 0.  That path, rebuilt
-        # from the returned first iterate, marched again as a given path
-        # repeats every speed: the predicting march is one plain map evaluation
-        dt, steps = 1e-2, 25  # one window of 0.25 / s
+        # the path held flat before t = 0, at compat_speed and position 0.
+        # That path, rebuilt from the returned first iterate, marched again as
+        # a given path repeats every speed: the predicting march is one plain
+        # map evaluation
+        dt = 1e-2  # one window of 0.25 / s
         traj = picard_solve(bump_init, small_grid, params, T_final=0.25, dt=dt, tol=np.inf,
                             window=None)
         assert [w.iterations for w in traj.windows] == [1]
         c = bump_init.compat_speed
-        z = np.concatenate(([c, c], traj.ydot))
-        predicted = np.empty(steps + 1)
-        predicted[0] = z[2]
-        for k in range(1, steps + 1):
-            guess = 3.0 * z[k + 1] - 3.0 * z[k] + z[k - 1]
-            predicted[k] = guess if 0.0 < guess < np.inf else z[k + 1]
+        predicted = predicted_path(np.array([c, c]), np.zeros(2), traj.ydot, 0.0, bump_init, dt)
         assert np.any(predicted != c)  # not the flat guess a fixed window starts from
         again = apply_boundary_map(make_path(traj.t, predicted), bump_init, small_grid, params,
                                    dt=dt)

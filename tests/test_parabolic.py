@@ -295,6 +295,21 @@ class TestStepV:
         assert d1 < d0
         assert d1 == pytest.approx(dref, rel=0.02)
 
+    def test_guess_within_newton_tol_gets_one_newton_update(self, params, reg):
+        # on the wave a speed off s leaves only the transport source in the
+        # first residual, here inside (0, newton_tol]: the step still takes
+        # one Newton update, the one it takes when the tolerance is below that
+        # residual, instead of returning the guess
+        g = make_grid(50.0, 513)
+        prof = traveling_wave(params, g)
+        dt, ydot, newton_tol = 1e-3, params.s + 1e-8, 1e-10
+        first = float(np.max(np.abs((dt * (ydot - params.s)) * prof.dv_bar[1:-1])))
+        assert 0.0 < first <= newton_tol
+        out = step_v(prof.v_bar, ydot, 0.0, g, dt, reg, params, prof, newton_tol)
+        assert np.any(out != prof.v_bar)
+        one_update = step_v(prof.v_bar, ydot, 0.0, g, dt, reg, params, prof, 0.5 * first)
+        assert out.tobytes() == one_update.tobytes()
+
     def test_maximum_principle_guard_trips(self, params, grid, wave):
         tight = RegularizedLog(1.5)  # cap below sup of the wave
         with pytest.raises(MaximumPrincipleViolated):
