@@ -295,15 +295,15 @@ def boundary_velocity(u: np.ndarray, w0_at_y: float, grid: Grid, params: Physica
     background contributes no stencil error to the speed.  u is a velocity
     field the caller has validated (a step_u result); `wave` is
     traveling_wave(params, grid).  A NaN w0(y) fails the floor.  It runs
-    after every step, so the four differences are Python floats: the same
-    operations as on arrays, without their per-call overhead.
+    after every step, so the four differences are one array subtraction
+    handed to the stencil as Python floats, without per-entry array access.
     """
     denom = params.u_minus - w0_at_y
     if not denom >= DENOM_FLOOR:
         raise DenominatorTooSmall(
             f"u_minus - w0(y) = {denom:g} fell below the floor {DENOM_FLOOR:g}"
         )
-    head = [a - b for a, b in zip(u[:4].tolist(), wave.u_bar[:4].tolist())]
+    head = (u[:4] - wave.u_bar[:4]).tolist()
     return -params.mu * (wave.du0 + stencil_trace(head, grid.dx, 1)) / denom
 
 

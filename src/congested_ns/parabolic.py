@@ -151,16 +151,28 @@ def linear_parabolic_step(state: np.ndarray, a: np.ndarray, b: float, f: np.ndar
 
     Interior fluxes b h - a d_x h are evaluated at cell faces with arithmetic
     means, giving a conservative second-order discretization.
+
+    Every input is checked once, in passes the step makes anyway: the
+    shapes, a finite b and dt, min a > 0 (which a NaN fails), the end
+    entries of state, a and f, and, for the interior entries, the solve's
+    finite-solution check.
     """
-    state = as_field(state, grid)
+    state = np.asarray(state, dtype=float)
     if not 0.0 < dt < math.inf:
         raise ValidationError(f"dt must be finite and positive (got {dt})")
     a = np.asarray(a, dtype=float)
     f = np.asarray(f, dtype=float)
-    for name, value in (("a", a), ("f", f)):
+    for name, value in (("state", state), ("a", a), ("f", f)):
         if value.shape != (grid.n,):
             raise ValidationError(
                 f"{name} has shape {value.shape}, expected ({grid.n},) for this grid"
+            )
+        # the solve reads state and f only on the interior rows, and an
+        # infinite end diffusion makes a face infinite, which forces its
+        # neighbour to 0
+        if not (math.isfinite(value[0]) and math.isfinite(value[-1])):
+            raise ValidationError(
+                f"{name} must be finite at both ends (got {value[0]!r}, {value[-1]!r})"
             )
     b = float(b)
     if not math.isfinite(b):
@@ -180,9 +192,11 @@ def linear_parabolic_step(state: np.ndarray, a: np.ndarray, b: float, f: np.ndar
     hi = b_f - k_e
     di = k_w + k_e
     di += 1.0 / dt
-    rhs = state[1:-1] / dt + f[1:-1]
+    rhs = state[1:-1] / dt
+    rhs += f[1:-1]
 
-    out = np.zeros(grid.n)
+    out = np.empty(grid.n)
+    out[0] = out[-1] = 0.0
     out[1:-1] = _solve_tridiagonal(lo[1:], di, hi[:-1], rhs, dt, min_a)
     return out
 
@@ -204,31 +218,42 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
     analytic tridiagonal Jacobian of the discretized a(v): at least one
     iteration unless the residual of the guess v is exactly zero, then
     until the residual is at most newton_tol.
+
+    v is checked once, in passes the step makes anyway: v(0) = 1, a finite
+    v(R), which no solve reads, and min v > 0 (which a NaN fails); an
+    infinite interior entry makes the residual NaN, which the Newton solve's
+    finite-solution check rejects.  An array source is checked whole.
     """
-    v = as_field(v, grid)
-    if abs(v[0] - 1.0) > 1e-9:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (grid.n,):
+        raise ValidationError(f"v has shape {v.shape}, expected ({grid.n},) for this grid")
+    if not abs(v[0] - 1.0) <= 1e-9:
         raise ValidationError(f"step_v requires v(0) = 1 on input (got {v[0]!r})")
-    if v.min() <= 0.0:
-        raise ValidationError("step_v requires v > 0 on input")
+    if not math.isfinite(v[-1]):
+        raise ValidationError(f"step_v requires a finite v(R) on input (got {v[-1]!r})")
+    min_v = v.min()
+    if not min_v > 0.0:
+        raise ValidationError(f"step_v requires v > 0 on input (min v = {min_v:g})")
     if not 0.0 < dt < math.inf:
         raise ValidationError(f"dt must be finite and positive (got {dt})")
+    # the residual's constant part, g_old + dt (source + (ydot - s) d_x vwave)
+    base = (dt * (ydot - params.s)) * wave.dv_bar[1:-1]
     # the float test first: the march passes 0.0 on every exact-front step,
     # and np.ndim costs about a microsecond
     if isinstance(source, float) or not np.ndim(source):
         src = float(source)
         if not math.isfinite(src):
             raise ValidationError(f"source must be finite (got {src})")
+        if src:  # a zero source adds nothing to the outcome
+            base += dt * src
     else:
-        src = as_field(source, grid)[1:-1]
+        base += dt * as_field(source, grid)[1:-1]
     vbar = wave.v_bar
     ln_vbar = wave.log_v_bar
     c_adv = dt * ydot / (2.0 * grid.dx)
     c_dif = dt * params.mu / grid.dx**2
 
     g = v - vbar
-    # the residual's constant part, g_old + dt (source + (ydot - s) d_x vwave)
-    base = (dt * (ydot - params.s)) * wave.dv_bar[1:-1]
-    base += dt * src
     base += g[1:-1]
     g[0] = 0.0
     g[-1] = 0.0
@@ -266,7 +291,8 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
                                    -c_adv - slope[2:-1], -res, dt, params.mu * reg.nu)
 
         # damped update: halve the step until the residual does not increase
-        trial = np.zeros(grid.n)
+        trial = np.empty(grid.n)
+        trial[0] = trial[-1] = 0.0
         for _ in range(30):
             np.add(g[1:-1], delta, out=trial[1:-1])
             trial_res = residual(trial)
@@ -281,7 +307,7 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
         )
 
     low, high = w.min(), w.max()
-    if low < 1.0 - EPS_MAX_PRINCIPLE or high > reg.bar_c + EPS_MAX_PRINCIPLE:
+    if not (1.0 - EPS_MAX_PRINCIPLE <= low and high <= reg.bar_c + EPS_MAX_PRINCIPLE):
         raise MaximumPrincipleViolated(
             f"v left (1, bar_c]: range [{low:.12g}, {high:.12g}] vs bar_c = {reg.bar_c:g}"
         )
@@ -301,26 +327,42 @@ def step_u(u: np.ndarray, v: np.ndarray, ydot: float, grid: Grid, dt: float,
     the wave terms cancelling analytically; it is advanced by
     linear_parabolic_step with a = mu/v, b = -ydot.  `wave` is
     traveling_wave(params, grid), sampled once by the caller.
+
+    u and v are checked once, in passes the step makes anyway: u(0) =
+    u_minus and min v >= 1 (which a NaN fails) here, and in
+    linear_parabolic_step a finite u(R), min mu/v > 0 (which an infinite v
+    fails) and, for the interior of u, the solve's finite-solution check.
     """
-    u = as_field(u, grid)
-    v = as_field(v, grid)
-    if v.min() < 1.0 - EPS_MAX_PRINCIPLE:
-        raise ValidationError(f"step_u requires v >= 1 (min v = {np.min(v):g})")
-    if abs(u[0] - params.u_minus) > 1e-9:
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    for name, value in (("u", u), ("v", v)):
+        if value.shape != (grid.n,):
+            raise ValidationError(
+                f"{name} has shape {value.shape}, expected ({grid.n},) for this grid"
+            )
+    min_v = v.min()
+    if not min_v >= 1.0 - EPS_MAX_PRINCIPLE:
+        raise ValidationError(f"step_u requires v >= 1 (min v = {min_v:g})")
+    if not abs(u[0] - params.u_minus) <= 1e-9:
         raise ValidationError(
             f"step_u requires u(0) = u_minus on input (got {u[0]!r})"
         )
     inv_v = 1.0 / v
     coupling = inv_v - wave.inv_v_bar
     coupling *= wave.du_bar
-    # the source on the interior nodes, the only ones linear_parabolic_step
-    # reads: the central difference of stencil_derivative, in its order
-    f = np.zeros(grid.n)
+    # the source: 0 at the ends, which linear_parabolic_step does not solve
+    # for, and on the interior the central difference of stencil_derivative,
+    # in its order
+    f = np.empty(grid.n)
+    f[0] = f[-1] = 0.0
     interior = f[1:-1]
     np.subtract(coupling[2:], coupling[:-2], out=interior)
     interior /= 2.0 * grid.dx
     interior *= params.mu
-    interior += (ydot - params.s) * wave.du_bar[1:-1]
+    # at ydot = s the term is -0.0 at every node (s > 0 and uwave' <= -0.0),
+    # and adding -0.0 changes no value
+    if ydot != params.s:
+        interior += (ydot - params.s) * wave.du_bar[1:-1]
     inv_v *= params.mu  # the diffusion mu / v
     h = linear_parabolic_step(u - wave.u_bar, inv_v, -ydot, f, grid, dt)
     h += wave.u_bar

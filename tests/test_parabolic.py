@@ -446,6 +446,38 @@ class TestTridiagonalSolve:
                                rhs, 1e-3, 1.0)
 
 
+STEPPER_INPUTS = [("step_v", "v"), ("step_v", "source"), ("step_u", "u"), ("step_u", "v"),
+                  ("linear_parabolic_step", "state"), ("linear_parabolic_step", "a"),
+                  ("linear_parabolic_step", "f")]
+
+
+@pytest.mark.parametrize("node", ["first", "interior", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("stepper,name", STEPPER_INPUTS,
+                         ids=[f"{stepper}-{name}" for stepper, name in STEPPER_INPUTS])
+def test_non_finite_field_input_raises_typed_error(params, stepper, name, bad, node):
+    # each stepper checks its field inputs once, in the passes it makes
+    # anyway: a range check that a NaN fails, the solve's finite-solution
+    # check for interior entries, and scalar checks of the end entries, which
+    # no solve reads (an infinite a at an end node would force its neighbour
+    # to 0).  Whichever of them trips, the step never returns
+    g = make_grid(50.0, 257)
+    wave = traveling_wave(params, g)
+    fields = {"v": wave.v_bar.copy(), "u": wave.u_bar.copy(), "source": np.zeros(g.n),
+              "state": np.sin(np.pi * g.x / g.R), "a": np.ones(g.n), "f": np.ones(g.n)}
+    fields[name][{"first": 0, "interior": g.n // 2, "last": g.n - 1}[node]] = bad
+    calls = {
+        "step_v": lambda: step_v(fields["v"], params.s, fields["source"], g, 1e-3,
+                                 RegularizedLog(4.0), params, wave),
+        "step_u": lambda: step_u(fields["u"], fields["v"], params.s, g, 1e-3, params, wave),
+        "linear_parabolic_step": lambda: linear_parabolic_step(
+            fields["state"], fields["a"], 0.5, fields["f"], g, 1e-3),
+    }
+    with np.errstate(all="ignore"), pytest.raises(
+            (ValidationError, TridiagonalSolveError, MaximumPrincipleViolated)):
+        calls[stepper]()
+
+
 def test_truncation_mollifier_plateau_and_decay():
     g = make_grid(50.0, 2049)
     chi = truncation_mollifier(g)
