@@ -453,15 +453,11 @@ def _run_convergence_order(cfg: RunConfig, out: Path) -> dict:
     def level_diff(na: int, nb: int) -> float:
         ta, tb = trajs[na], trajs[nb]
         ratio = (nb - 1) // (na - 1)
-        times_a = np.round(ta.t[ta.stored_idx], 9)
-        times_b = np.round(tb.t[tb.stored_idx], 9)
-        common = sorted(set(times_a) & set(times_b) - {0.0})
-        worst = 0.0
-        for tc in common:
-            ia = int(np.where(times_a == tc)[0][0])
-            ib = int(np.where(times_b == tc)[0][0])
-            worst = max(worst, float(np.max(np.abs(ta.v[ia] - tb.v[ib][::ratio]))))
-        return worst
+        common, rows_a, rows_b = np.intersect1d(np.round(ta.stored_times, 9),
+                                                np.round(tb.stored_times, 9),
+                                                return_indices=True)
+        return max((float(np.max(np.abs(ta.v[ia] - tb.v[ib][::ratio])))
+                    for tc, ia, ib in zip(common, rows_a, rows_b) if tc != 0.0), default=0.0)
 
     coarse, middle, fine = trajs
     e_coarse = level_diff(coarse, middle)

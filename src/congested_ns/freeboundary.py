@@ -197,13 +197,9 @@ class InitialData:
         for arr in (self.v0, self.u0, self.w0, self.dxw0, self.V0, self.W0, self.source):
             arr.setflags(write=False)
 
-    def w0_at(self, xi: float | np.ndarray) -> float | np.ndarray:
-        """w0(xi) for xi >= 0 through w0_eval: a float for a scalar xi, an
-        array of the same values for an array."""
-        if isinstance(xi, float):  # a march step's position, numpy float or not
-            return self.w0_eval.at(float(xi))
-        out = self.w0_eval(xi)
-        return float(out) if out.ndim == 0 else out
+    def w0_at(self, xi: float) -> float:
+        """w0(xi) at a point xi >= 0, as a float, through w0_eval."""
+        return self.w0_eval.at(float(xi))
 
     def check_run_on(self, grid: Grid, params: PhysicalParams) -> None:
         """ValidationError unless grid (its R and n) and params are those the

@@ -143,7 +143,7 @@ class TestValidateHypotheses:
     def test_w0_at_array_equals_pointwise_floats(self, small_grid, bump_init):
         xi = np.concatenate((small_grid.x[::37], [0.0, 1.2345, small_grid.R,
                                                   small_grid.R + 0.5, 3.0 * small_grid.R]))
-        batch = bump_init.w0_at(xi)
+        batch = bump_init.w0_eval(xi)
         assert batch.shape == xi.shape
         singles = [bump_init.w0_at(float(p)) for p in xi]
         assert all(type(v) is float for v in singles)
@@ -419,6 +419,20 @@ class TestPicard:
         traj = picard_solve(init, grid, params, T_final=2.0, dt=2e-3, tol=1e-8, stride=1000)
         assert len(traj.windows) == 8
         assert sum(w.iterations for w in traj.windows) <= 12
+
+    def test_newton_floor_does_not_stall_picard_at_newton_tol(self, params):
+        # picard_tol = newton_tol: a step_v that returns its guess once its
+        # residual is within newton_tol makes the map jump by about newton_tol
+        # where steps flip between 0 and 1 Newton iterations, and this run
+        # then stalls at t = 9.5.  With at least one Newton update per step
+        # it converges (47 iterations)
+        grid = make_grid(50.0, 257)
+        v0, u0 = initial_data_fields("gaussian_bump", 0.005, 2.0, 1.0, params, grid)
+        init = validate_hypotheses(v0, u0, grid, params)
+        traj = picard_solve(init, grid, params, T_final=10.0, dt=2e-3, tol=1e-8,
+                            stride=5000, newton_tol=1e-8)
+        assert len(traj.windows) == 40
+        assert all(w.distances[-1] <= 1e-8 for w in traj.windows)
 
     @pytest.mark.parametrize("dt", [0.125, 0.25])
     def test_large_step_short_windows_converge(self, params, dt):

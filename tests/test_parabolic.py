@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -473,8 +475,14 @@ def test_non_finite_field_input_raises_typed_error(params, stepper, name, bad, n
         "linear_parabolic_step": lambda: linear_parabolic_step(
             fields["state"], fields["a"], 0.5, fields["f"], g, 1e-3),
     }
-    with np.errstate(all="ignore"), pytest.raises(
-            (ValidationError, TridiagonalSolveError, MaximumPrincipleViolated)):
+    # one case warns: an infinite interior v makes step_v's residual inf - inf
+    # (twice) before its solve rejects the NaN.  Under filterwarnings = error
+    # any other warning fails the test
+    warns = (pytest.warns(RuntimeWarning, match="invalid value")
+             if (stepper, name, bad, node) == ("step_v", "v", np.inf, "interior")
+             else contextlib.nullcontext())
+    with warns, pytest.raises((ValidationError, TridiagonalSolveError,
+                               MaximumPrincipleViolated)):
         calls[stepper]()
 
 
