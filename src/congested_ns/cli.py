@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PhysicalParams, ValidationError, grid_spacing, make_grid
+from .core import PhysicalParams, ValidationError, grid_spacing, make_grid, write_table
 from .diagnostics import (
     bootstrap_monitor,
     coercivity_check,
@@ -43,6 +43,7 @@ from .diagnostics import (
 )
 from .discrete_ops import NormKind, norm
 from .freeboundary import (
+    DEFAULT_PICARD_TOL,
     Trajectory,
     assemble_solution,
     is_multiple,
@@ -51,6 +52,7 @@ from .freeboundary import (
     reconstruction_residuals,
     validate_hypotheses,
 )
+from .parabolic import DEFAULT_NEWTON_TOL
 from .perturbations import FAMILIES, initial_data_fields
 from .profiles import effective_velocity_about_wave, traveling_wave
 
@@ -67,9 +69,6 @@ BOOTSTRAP_C0 = 0.6
 # returned a guess within newton_tol as it was): below this tolerance, whether
 # a window converges would depend on where the Newton solves stop
 PICARD_TOL_FLOOR = 1e-12
-
-# rows of a written table formatted by one % and written by one call
-TABLE_BLOCK = 1024
 
 
 def fmt(x: float) -> str:
@@ -107,8 +106,9 @@ class RunConfig:
     amplitude: float = _setting("perturbation.amplitude", 0.0, ">= 0")
     width: float = _setting("perturbation.width", 0.5, "> 0")
     center: float = _setting("perturbation.center", 2.0, "> 0")
-    newton_tol: float = _setting("tolerances.newton_tol", 1e-10, "> 0")
-    picard_tol: float = _setting("tolerances.picard_tol", 1e-8, f">= {PICARD_TOL_FLOOR:g}")
+    newton_tol: float = _setting("tolerances.newton_tol", DEFAULT_NEWTON_TOL, "> 0")
+    picard_tol: float = _setting("tolerances.picard_tol", DEFAULT_PICARD_TOL,
+                                 f">= {PICARD_TOL_FLOOR:g}")
     delta: float = _setting("tolerances.delta", 0.05, "> 0")
     sweep_amplitudes: tuple[float, ...] = _setting(
         "sweep.amplitudes", (1e-4, 1e-3, 1e-2), ">= 0",
@@ -276,25 +276,12 @@ def _record(t: float, check: str, lhs: float, rhs: float, ok: bool, **extra) -> 
             **extra}
 
 
-def _write_table(path: Path, header: str, sep: str, *columns: np.ndarray) -> None:
-    """A header line, then one line per row of the columns, each value
-    printed with %.17g: np.savetxt's bytes, formatted and written
-    TABLE_BLOCK rows at a time rather than row by row."""
-    table = np.column_stack(columns)
-    line = sep.join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="latin1") as fh:
-        fh.write(header + "\n")
-        for start in range(0, len(table), TABLE_BLOCK):
-            block = table[start:start + TABLE_BLOCK]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
-
-
 def _trajectory_csv(path: Path, traj: Trajectory, beta_running: np.ndarray) -> None:
     """One row per stored time; beta_running is running_h1_norm of ydot - s."""
     idx, dev = traj.stored_idx, traj.deviations
-    _write_table(path, "t,xtilde,xtilde_dot,p_s,l2_v_err,h1_v_err,l2_u_err,beta_h1_running",
-                 ",", traj.t[idx], traj.y[idx], traj.ydot[idx], traj.p_s[idx], dev["v_l2"],
-                 dev["v_h1"], dev["u_l2"], beta_running[idx])
+    write_table(path, "t,xtilde,xtilde_dot,p_s,l2_v_err,h1_v_err,l2_u_err,beta_h1_running",
+                ",", traj.t[idx], traj.y[idx], traj.ydot[idx], traj.p_s[idx], dev["v_l2"],
+                dev["v_h1"], dev["u_l2"], beta_running[idx])
 
 
 def _snapshot_file(path: Path, traj: Trajectory, t_index: int) -> None:
@@ -303,7 +290,7 @@ def _snapshot_file(path: Path, traj: Trajectory, t_index: int) -> None:
     w = np.concatenate((np.full(x.size - grid.n, params.u_minus),
                         effective_velocity_about_wave(traj.u[t_index], traj.v[t_index], grid,
                                                       params, traj.init.wave)))
-    _write_table(path, "x v u w p", " ", x, v, u, w, p)
+    write_table(path, "x v u w p", " ", x, v, u, w, p)
 
 
 def _solve_from_config(cfg: RunConfig) -> tuple[Trajectory, float]:

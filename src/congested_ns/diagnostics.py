@@ -21,11 +21,11 @@ from .core import Grid, PhysicalParams, ValidationError, as_field
 from .discrete_ops import (
     MonotoneInterpolant,
     NormKind,
-    RowTrapezoid,
     cumulative_trapezoid,
     derivative,
     monotone_interpolator,
     norm,
+    row_trapezoid,
     shift_sample,
     stencil_derivative,
     trace0,
@@ -237,9 +237,8 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
     snapshot stride the suprema are lower bounds on the continuum values.
     The stored rows are walked ROW_BLOCK at a time on the nodes [0,
     traj.head), past which every deviation and its derivatives are exact
-    zeros; the growth bound's source, which is no deviation, is taken on
-    whole rows.  Every norm sums whole rows, so the report is bit for bit
-    the one of whole rows.
+    zeros, so their norms sum the head's P - 1 intervals alone; the growth
+    bound's source, which is no deviation, is taken on whole rows.
     """
     if not t >= 0.0:  # NaN fails
         raise ValidationError(f"t must be a non-negative time (got {t})")
@@ -252,13 +251,11 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
     # squared L2 norms per stored time, each spatial derivative of a block of
     # rows taken once and dropped once normed, one perturbation family
     # (volume with its source, then velocity) at a time
-    head = traj.head
-    trapezoid = RowTrapezoid(grid.x, ROW_BLOCK)
+    head, widths = traj.head, np.diff(grid.x)
 
     def sq(F: np.ndarray) -> np.ndarray:
-        """Squared L2 norms of the columns of F, by the trapezoid rule of
-        norm on whole rows."""
-        return trapezoid((F**2).T)
+        """Squared L2 norms of the columns of F over F's own nodes."""
+        return row_trapezoid((F**2).T, widths)
 
     g_sq = np.empty((10, m))
     V0_sq = np.empty(m)

@@ -2,7 +2,8 @@
 
 All stencils are at least second-order accurate and exact on polynomials of
 degree <= 2.  Integrals use the composite trapezoidal rule, matching the
-second-order spatial discretization used by the solvers.
+second-order spatial discretization used by the solvers; row_trapezoid sums
+each row over its own nodes, so a head of a row is integrated alone.
 """
 
 from __future__ import annotations
@@ -144,10 +145,12 @@ class MonotoneInterpolant:
 
     Shape-preserving cubic interpolation (PCHIP) up to and including R, the
     declared value `tail` beyond it, NaN below 0.  `values` are the nodal
-    values f0 it was built from.  Build it with monotone_interpolator.
+    values f0 it was built from, read-only.  Build it with monotone_interpolator.
     """
 
     def __init__(self, values: np.ndarray, terms: tuple, grid: Grid, tail: float):
+        for arr in (values, *terms):
+            arr.setflags(write=False)
         self.values = values
         self._terms = terms  # (c3, c2, c1, c0), one entry per interval
         self._grid = grid
@@ -282,38 +285,14 @@ def cumulative_trapezoid(values: np.ndarray, h) -> np.ndarray:
     return np.concatenate((np.zeros((1,) + steps.shape[1:]), steps))
 
 
-class RowTrapezoid:
-    """np.trapezoid(f, x) of rows f given on the first nodes of x (a head)
-    and exact zeros on the rest, bit for bit the integral of the whole row.
-
-    The head's terms are summed padded with zeros to the whole row: numpy
-    sums pairwise, grouping the terms by the row length, so a sum over the
-    head alone can differ in the last bit.  The padded rows are one buffer
-    of `rows` rows, kept zero past the head between calls.
-    """
-
-    def __init__(self, x: np.ndarray, rows: int):
-        self._d = np.diff(x)
-        self._terms = np.zeros((rows, self._d.size))
-        self._written = 0  # the buffer's columns past which it is zero
-
-    def __call__(self, F: np.ndarray) -> np.ndarray:
-        """The integrals of the rows of the 2-D array F (at most `rows` of
-        them, on at most x.size nodes each)."""
-        rows, nodes = F.shape
-        # the intervals with a head node, the last one ending on the first
-        # zero unless the head is the whole row
-        width = min(nodes, self._d.size)
-        self._terms[:, width:self._written] = 0.0  # what a wider call left
-        self._written = width
-        terms = self._terms[:rows]
-        head = terms[:, :width]
-        np.add(F[:, 1:], F[:, :-1], out=head[:, :nodes - 1])
-        if width == nodes:
-            np.add(F[:, -1], 0.0, out=head[:, -1])
-        head *= self._d[:width]
-        head /= 2.0
-        return terms.sum(1)
+def row_trapezoid(F: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """np.trapezoid(row, x[:nodes]) of each row of the 2-D array F on the
+    first nodes of x, bit for bit, given widths = np.diff(x): the terms
+    (f_i + f_{i+1}) h_i / 2 of the row's own intervals, summed along it."""
+    terms = np.add(F[:, 1:], F[:, :-1], order="C")  # numpy sums a contiguous row pairwise
+    terms *= widths[:terms.shape[1]]
+    terms /= 2.0
+    return terms.sum(1)
 
 
 def tail_integral(f: np.ndarray, grid: Grid) -> np.ndarray:

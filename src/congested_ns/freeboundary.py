@@ -24,11 +24,11 @@ from .core import Grid, PhysicalParams, ValidationError, as_field
 from .discrete_ops import (
     MonotoneInterpolant,
     NormKind,
-    RowTrapezoid,
     cumulative_trapezoid,
     derivative,
     monotone_interpolator,
     norm,
+    row_trapezoid,
     shift_sample,
     stencil_derivative,
     stencil_trace,
@@ -50,6 +50,8 @@ from .profiles import (
 )
 
 DENOM_FLOOR = 1e-8
+
+DEFAULT_PICARD_TOL = 1e-8
 
 # stored snapshots a post-solve certificate holds at once: it walks the stored
 # history in blocks of this many rows, so its memory is O(ROW_BLOCK * n)
@@ -390,37 +392,37 @@ class Trajectory:
     @cached_property
     def deviations(self) -> dict[str, np.ndarray]:
         """Per stored row, the norms of g = v - vwave ("v_l1", "v_l2", "v_h1",
-        "v_linf") and h = u - uwave ("u_l2", "u_linf"), bit for bit those of
-        norm, and the residual of reconstruction_residuals ("reconstruction").
-        The stored rows are walked once, ROW_BLOCK rows at a time, on the
-        first read, and only on the nodes [0, head): past them g, h and their
-        derivatives are exact zeros, and the effective velocity is exactly
-        u_plus, so the reconstruction integrand there is u_plus - w0(x + y)
-        on whole rows.  The integrals sum whole rows (RowTrapezoid).  The
-        arrays are read-only, since every consumer of the run shares them."""
+        "v_linf") and h = u - uwave ("u_l2", "u_linf"), those of norm, and the
+        residual of reconstruction_residuals ("reconstruction").  The stored
+        rows are walked once, ROW_BLOCK rows at a time, on the first read, and
+        only on the nodes [0, head): past them g, h and their derivatives are
+        exact zeros, so their integrals sum the head's P - 1 intervals alone.
+        Past the head the effective velocity is exactly u_plus, so the
+        reconstruction integrand there is u_plus - w0(x + y), on whole rows.
+        The arrays are read-only, since every consumer of the run shares them."""
         init = self.init
         grid, params, head = init.grid, init.params, self.head
-        trapezoid = RowTrapezoid(grid.x, ROW_BLOCK)
+        widths = np.diff(grid.x)
         v_bar, u_bar = init.wave.v_bar[:head], init.wave.u_bar[:head]
         out = {key: np.empty(self.stored_idx.size)
                for key in ("v_l1", "v_l2", "v_h1", "v_linf", "u_l2", "u_linf", "reconstruction")}
         for start in range(0, self.stored_idx.size, ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
             G, H = self.v[rows, :head] - v_bar, self.u[rows, :head] - u_bar
-            g_sq = trapezoid(G**2)
+            g_sq = row_trapezoid(G**2, widths)
             Gx = stencil_derivative(G.T, grid.dx, 1).T
-            out["v_l1"][rows] = trapezoid(np.abs(G))
+            out["v_l1"][rows] = row_trapezoid(np.abs(G), widths)
             out["v_l2"][rows] = np.sqrt(g_sq)
-            out["v_h1"][rows] = np.sqrt(g_sq + trapezoid(Gx**2))
+            out["v_h1"][rows] = np.sqrt(g_sq + row_trapezoid(Gx**2, widths))
             out["v_linf"][rows] = np.max(np.abs(G), axis=1)
-            out["u_l2"][rows] = np.sqrt(trapezoid(H**2))
+            out["u_l2"][rows] = np.sqrt(row_trapezoid(H**2, widths))
             out["u_linf"][rows] = np.max(np.abs(H), axis=1)
             # the integrand w - w0(x + y), written over the sampled targets
             f = shift_sample(init.w0_eval, self.y[self.stored_idx[rows]])
             w = effective_velocity_of_deviation(G.T, H.T, v_bar[:, None], grid.dx, params).T
             np.subtract(w, f[:, :head], out=f[:, :head])
             np.subtract(params.u_plus, f[:, head:], out=f[:, head:])
-            out["reconstruction"][rows] = np.sqrt(trapezoid(f**2))
+            out["reconstruction"][rows] = np.sqrt(row_trapezoid(f**2, widths))
         for values in out.values():
             values.setflags(write=False)
         return out
@@ -591,7 +593,7 @@ def is_multiple(total: float, step: float) -> bool:
 
 
 def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final: float,
-                 dt: float, tol: float = 1e-8, max_iter: int = 25,
+                 dt: float, tol: float = DEFAULT_PICARD_TOL, max_iter: int = 25,
                  window: float | None = None, stride: int = 10,
                  newton_tol: float = DEFAULT_NEWTON_TOL) -> Trajectory:
     """Fixed-point solve of the coupled interface/fields problem up to T_final.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Grid, PhysicalParams, ValidationError, as_field
+from .core import Grid, PhysicalParams, ValidationError, as_field, write_table
 from .discrete_ops import derivative, stencil_derivative, trace0
 
 
@@ -159,5 +159,4 @@ def effective_velocity_of_deviation(g: np.ndarray, h: np.ndarray, v_bar: np.ndar
 def write_profile_columns(path, grid: Grid, profiles: Profiles, mu: float) -> None:
     """Write a plain-text snapshot with columns `x v u w` (one row per node)."""
     w = effective_velocity(profiles.u_bar, profiles.v_bar, grid, mu)
-    np.savetxt(path, np.column_stack((grid.x, profiles.v_bar, profiles.u_bar, w)), fmt="%.17g",
-               delimiter=" ", header="x v u w", comments="")
+    write_table(path, "x v u w", " ", grid.x, profiles.v_bar, profiles.u_bar, w)

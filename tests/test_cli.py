@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from congested_ns import cli, discrete_ops, freeboundary, parabolic, profiles
+from congested_ns import cli, core, discrete_ops, freeboundary, parabolic, profiles
 from congested_ns.cli import (
     ConfigError,
     PRESETS,
@@ -599,14 +600,25 @@ def test_trajectory_outputs_walk_the_stored_rows_once(synthetic_run, tmp_path, m
 @pytest.mark.parametrize("sep", [",", " "])
 def test_written_table_is_the_bytes_of_savetxt(tmp_path, monkeypatch, rows, sep):
     # blocks of 3 rows: a whole block, a block and a part, and no row at all
-    monkeypatch.setattr(cli, "TABLE_BLOCK", 3)
+    monkeypatch.setattr(core, "TABLE_BLOCK", 3)
     values = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, np.nan, np.inf, -np.inf,
                        1e300, -1e300, 1.0 / 3.0, -2.5, 1e-5, 123456789.0, 0.1])
     columns = [np.resize(np.roll(values, 3 * j), rows) for j in range(4)]
-    cli._write_table(tmp_path / "blocks.txt", "a b c d", sep, *columns)
+    core.write_table(tmp_path / "blocks.txt", "a b c d", sep, *columns)
     np.savetxt(tmp_path / "rows.txt", np.column_stack(columns), fmt="%.17g", delimiter=sep,
                header="a b c d", comments="")
     assert (tmp_path / "blocks.txt").read_bytes() == (tmp_path / "rows.txt").read_bytes()
+
+
+def test_tolerance_defaults_are_the_library_defaults():
+    # one default per tolerance: the config's and those of the solver calls
+    defaults = {name: p.default for name, p in
+                inspect.signature(freeboundary.picard_solve).parameters.items()}
+    cfg = RunConfig()
+    assert cfg.newton_tol == defaults["newton_tol"] == parabolic.DEFAULT_NEWTON_TOL
+    for fn in (parabolic.step_v, freeboundary.apply_boundary_map):
+        assert inspect.signature(fn).parameters["newton_tol"].default == cfg.newton_tol
+    assert cfg.picard_tol == defaults["tol"] == freeboundary.DEFAULT_PICARD_TOL
 
 
 def test_cli_requires_config_or_preset(capsys):

@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from congested_ns import cli, diagnostics, discrete_ops
+from congested_ns import cli, diagnostics, discrete_ops, freeboundary
 from congested_ns.core import PhysicalParams, ValidationError, make_grid
 from congested_ns.diagnostics import (
     bootstrap_monitor,
@@ -688,6 +688,47 @@ class TestRowBlockPass:
         # g = gx = 0 in the first row
         expected = np.sqrt(h1) + np.sqrt(dts * gt) + np.sqrt(dts * (h1 - g1) / 2.0)
         assert rep.growth_lhs == pytest.approx(expected, rel=1e-12)
+
+    def test_deviation_integrals_sum_the_heads_intervals(self, synthetic_run, monkeypatch):
+        # each block integrates its deviations over the head's P nodes; only the
+        # reconstruction target and the growth bound's source, which are no
+        # deviations, take all n, and every walk computes its widths once
+        traj = synthetic_run(257, np.arange(2 * B + 3))
+        P, n, blocks = traj.head, traj.init.grid.n, 3
+        assert HEAD_HALO < P < n
+        calls = []
+
+        def recording(F, widths):
+            calls.append((F.shape[1], id(widths)))
+            return discrete_ops.row_trapezoid(F, widths)
+
+        for module in (freeboundary, diagnostics):
+            monkeypatch.setattr(module, "row_trapezoid", recording)
+        walks = {"deviations": (lambda: traj.deviations, [P, P, P, P, n] * blocks),
+                 "energy_report": (lambda: energy_report(traj, traj.init, traj.init.grid,
+                                                         traj.init.params, traj.t[-1]),
+                                   ([P] * 9 + [n]) * blocks + [P] * 7 * blocks)}
+        for name, (walk, expected) in walks.items():
+            calls.clear()
+            walk()
+            assert [nodes for nodes, _ in calls] == expected, name
+            assert len({widths for _, widths in calls}) == 1, name
+
+    def test_heads_past_the_pairwise_block_agree_with_whole_rows(self, synthetic_run):
+        # a head of more than numpy's 128 pairwise terms: its sums group the
+        # terms otherwise than the whole rows' do, within an ulp or two
+        traj = synthetic_run(1025, np.arange(B + 3) * 7)
+        assert 129 < traj.head < 1025
+        dev, oracle = traj.deviations, _per_row_deviations(traj)
+        for key in oracle:
+            np.testing.assert_allclose(dev[key], oracle[key], rtol=1e-15, atol=0, err_msg=key)
+        args = (traj, traj.init, traj.init.grid, traj.init.params)
+        rep = asdict(energy_report(*args, traj.t[-1]))
+        growth = _whole_history_growth(*args)
+        expected = {**_whole_history_energies(*args, traj.t[-1]),
+                    **{field: growth[name] for field, name in GROWTH_FIELDS.items()}}
+        for key, value in expected.items():
+            np.testing.assert_allclose(rep[key], value, rtol=1e-15, atol=0, err_msg=key)
 
     @pytest.mark.parametrize("shape", ["wave", "bump", "edge", "row0"])
     def test_head_spans_every_difference(self, synthetic_run, shape):

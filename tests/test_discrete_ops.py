@@ -7,11 +7,11 @@ from congested_ns.core import ValidationError, make_grid
 from congested_ns.discrete_ops import (
     MonotoneInterpolant,
     NormKind,
-    RowTrapezoid,
     cumulative_trapezoid,
     derivative,
     monotone_interpolator,
     norm,
+    row_trapezoid,
     shift_sample,
     stencil_derivative,
     tail_integral,
@@ -325,6 +325,16 @@ def test_tail_integral_inverts_derivative(g10):
     np.testing.assert_allclose(derivative(V, g10, 1)[1:-1], f[1:-1], rtol=0, atol=1e-3)
 
 
+def test_monotone_interpolant_arrays_are_read_only(g10):
+    # a zero shift samples the values, every other shift the PCHIP terms:
+    # neither can change under the table it was built from
+    evaluate = monotone_interpolator(np.sin(g10.x), g10, 0.0)
+    for arr in (evaluate.values, *evaluate._terms):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert shift_sample(evaluate, 0.0).tolist() == np.sin(g10.x).tolist()
+
+
 def test_monotone_interpolator_flat_data_is_silent():
     g = make_grid(1.0, 21)
     vals = np.ones(g.n)
@@ -341,16 +351,18 @@ def test_monotone_interpolator_nodes_and_tail(g10):
     assert float(evaluate(3.3)) == float(evaluate(np.array([3.3]))[0])
 
 
-def test_row_trapezoid_is_the_whole_row_trapezoid(rng):
-    # heads of every width in turn, a wider one before narrower ones: each
-    # call equals np.trapezoid on the rows padded with zeros, bit for bit
+@pytest.mark.parametrize("layout", ["rows", "columns"])
+def test_row_trapezoid_is_the_trapezoid_over_each_rows_own_nodes(rng, layout):
+    # whole rows, heads past numpy's 128-term pairwise block and short heads,
+    # given row-major or as the transpose of node-major columns
     x = make_grid(50.0, 2049).x
-    trapezoid = RowTrapezoid(x, 8)
-    for rows, nodes in ((8, 2049), (3, 8), (8, 300), (5, 1), (8, 2048), (8, 9)):
+    widths = np.diff(x)
+    for rows, nodes in ((8, 2049), (3, 8), (8, 300), (5, 2), (8, 2048), (1, 129)):
         F = rng.standard_normal((rows, nodes)) ** 2
-        whole = np.zeros((rows, x.size))
-        whole[:, :nodes] = F
-        assert trapezoid(F).tolist() == [np.trapezoid(row, x) for row in whole]
+        if layout == "columns":
+            F = np.ascontiguousarray(F.T).T
+        assert (row_trapezoid(F, widths).tolist()
+                == [np.trapezoid(row, x[:nodes]) for row in F])
 
 
 def test_cumulative_trapezoid_integrates_each_column_alone(rng):

@@ -128,3 +128,11 @@ def test_profile_snapshot_export(tmp_path, params, wave, grid):
     first = [float(v) for v in lines[1].split()]
     assert first[0] == 0.0
     assert first[1] == pytest.approx(1.0)
+
+
+def test_profile_snapshot_is_the_bytes_of_savetxt(tmp_path, params, wave, grid):
+    write_profile_columns(tmp_path / "profile.txt", grid, wave, params.mu)
+    w = effective_velocity(wave.u_bar, wave.v_bar, grid, params.mu)
+    np.savetxt(tmp_path / "rows.txt", np.column_stack((grid.x, wave.v_bar, wave.u_bar, w)),
+               fmt="%.17g", delimiter=" ", header="x v u w", comments="")
+    assert (tmp_path / "profile.txt").read_bytes() == (tmp_path / "rows.txt").read_bytes()
