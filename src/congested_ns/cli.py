@@ -52,7 +52,6 @@ from .freeboundary import (
     reconstruction_residuals,
     validate_hypotheses,
 )
-from .parabolic import DEFAULT_NEWTON_TOL
 from .perturbations import FAMILIES, initial_data_fields
 from .profiles import effective_velocity_about_wave, traveling_wave
 
@@ -62,12 +61,12 @@ from .profiles import effective_velocity_about_wave, traveling_wave
 BOOTSTRAP_C0 = 0.6
 
 # the H1 distance between successive Picard iterates bottoms out at the
-# Newton floor: every step_v solve stops at a residual of at most newton_tol,
-# after at least one update, and where it stops, not the map's contraction,
-# sets how close two iterates can come.  On the bootstrap_check datum's window
-# at t=16.25 the distances level off at 4e-13 to 9e-13 (2.9e-10 while a step
-# returned a guess within newton_tol as it was): below this tolerance, whether
-# a window converges would depend on where the Newton solves stop
+# rounding of the map, not at its contraction.  The map is a fixed sequence of
+# floating-point operations in the speeds (one linearized update per step_v,
+# no stopping test), so it has no jumps, but its rounding keeps two iterates
+# apart: on the bootstrap_check datum's window at t=16.25 the distances level
+# off at 4e-13 to 9e-13.  Below this tolerance, whether a window converges
+# would depend on that rounding
 PICARD_TOL_FLOOR = 1e-12
 
 
@@ -106,7 +105,9 @@ class RunConfig:
     amplitude: float = _setting("perturbation.amplitude", 0.0, ">= 0")
     width: float = _setting("perturbation.width", 0.5, "> 0")
     center: float = _setting("perturbation.center", 2.0, "> 0")
-    newton_tol: float = _setting("tolerances.newton_tol", DEFAULT_NEWTON_TOL, "> 0")
+    # read by no solver call: perfbench's lemma gate takes it as its relative
+    # tolerance, and it goes with the next version of the benchmark
+    newton_tol: float = _setting("tolerances.newton_tol", 1e-10, "> 0")
     picard_tol: float = _setting("tolerances.picard_tol", DEFAULT_PICARD_TOL,
                                  f">= {PICARD_TOL_FLOOR:g}")
     delta: float = _setting("tolerances.delta", 0.05, "> 0")
@@ -302,8 +303,7 @@ def _solve_from_config(cfg: RunConfig) -> tuple[Trajectory, float]:
     init = validate_hypotheses(v0, u0, grid, params)
     started = time.perf_counter()
     traj = picard_solve(init, grid, params, T_final=cfg.T_final, dt=cfg.dt,
-                        tol=cfg.picard_tol, window=cfg.window, stride=cfg.stride,
-                        newton_tol=cfg.newton_tol)
+                        tol=cfg.picard_tol, window=cfg.window, stride=cfg.stride)
     return traj, time.perf_counter() - started
 
 

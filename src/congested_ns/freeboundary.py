@@ -36,7 +36,6 @@ from .discrete_ops import (
     trace0,
 )
 from .parabolic import (
-    DEFAULT_NEWTON_TOL,
     RegularizedLog,
     step_u,
     step_v,
@@ -453,7 +452,7 @@ def _padded(head: np.ndarray, background: np.ndarray) -> np.ndarray:
 
 
 def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
-           init: InitialData, dt: float, newton_tol: float, t_start: float,
+           init: InitialData, dt: float, t_start: float,
            keep: set[int] | tuple = (),
            history: tuple[np.ndarray, np.ndarray] | None = None,
            report: WindowReport | None = None
@@ -547,7 +546,7 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
             sub_grid, sub_wave = _active_head(grid, wave, m)
         src = 0.0 if source is None else source.shifted(y[k], m + 1)
         try:
-            v = step_v(v, ydot[k], src, sub_grid, dt, init.reg, params, sub_wave, newton_tol)
+            v = step_v(v, ydot[k], src, sub_grid, dt, init.reg, params, sub_wave)
             u = step_u(u, v, ydot[k], sub_grid, dt, params, sub_wave)
             zdot[k] = z = boundary_velocity(u, w0_yk, sub_grid, params, sub_wave)
         except RuntimeError as exc:
@@ -562,8 +561,7 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
 
 
 def apply_boundary_map(path_in: BoundaryPath, init: InitialData, grid: Grid,
-                       params: PhysicalParams, dt: float,
-                       newton_tol: float = DEFAULT_NEWTON_TOL) -> BoundaryPath:
+                       params: PhysicalParams, dt: float) -> BoundaryPath:
     """One application of the fixed-point map: solve v then u along path_in,
     then re-derive the interface path from the boundary trace of u.  The
     path's times must be the uniform mesh 0, dt, 2 dt, ... that it is
@@ -581,8 +579,7 @@ def apply_boundary_map(path_in: BoundaryPath, init: InitialData, grid: Grid,
             f"expected the data-determined value {init.compat_speed:g} "
             f"within {compat_tol:g}"
         )
-    zdot, *_ = _march(init.v0, init.u0, path_in.ydot, path_in.y.copy(), init, dt, newton_tol,
-                      t_start=0.0)
+    zdot, *_ = _march(init.v0, init.u0, path_in.ydot, path_in.y.copy(), init, dt, t_start=0.0)
     return make_path(path_in.t, zdot)
 
 
@@ -594,8 +591,7 @@ def is_multiple(total: float, step: float) -> bool:
 
 def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final: float,
                  dt: float, tol: float = DEFAULT_PICARD_TOL, max_iter: int = 25,
-                 window: float | None = None, stride: int = 10,
-                 newton_tol: float = DEFAULT_NEWTON_TOL) -> Trajectory:
+                 window: float | None = None, stride: int = 10) -> Trajectory:
     """Fixed-point solve of the coupled interface/fields problem up to T_final.
 
     The horizon is split into windows of length `window`, a whole number of
@@ -625,9 +621,8 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
     for name, value in (("T_final", T_final), ("dt", dt), ("window", window)):
         if value is not None and not 0.0 < value < np.inf:
             raise ValidationError(f"{name} must be finite and positive (got {value})")
-    for name, value in (("tol", tol), ("newton_tol", newton_tol)):
-        if not value > 0.0:  # an infinite tol accepts the first iterate
-            raise ValidationError(f"{name} must be positive (got {value})")
+    if not tol > 0.0:  # an infinite tol accepts the first iterate
+        raise ValidationError(f"tol must be positive (got {tol})")
     for name, value in (("T_final", T_final), ("window", window)):
         if value is not None and not is_multiple(value, dt):
             raise ValidationError(f"{name}={value:g} must be a multiple of dt={dt:g}")
@@ -665,8 +660,7 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
 
         report = WindowReport(t_start=t_start)
         for _ in range(max_iter):
-            zdot, *_ = _march(v, u, ydot, y, init, dt, newton_tol, t_start,
-                              history=history, report=report)
+            zdot, *_ = _march(v, u, ydot, y, init, dt, t_start, history=history, report=report)
             history = None
             report.distances.append(float(running_h1_norm(t_loc, zdot - ydot)[-1]))
             ydot = zdot
@@ -682,7 +676,7 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
 
         # definitive pass along the converged path, keeping the stored fields
         rows = np.flatnonzero((stored_idx > k_done) & (stored_idx <= k_done + steps))
-        _, v, u, kept = _march(v, u, ydot, y, init, dt, newton_tol, t_start,
+        _, v, u, kept = _march(v, u, ydot, y, init, dt, t_start,
                                keep=set((stored_idx[rows] - k_done).tolist()), report=report)
         for r, (v_k, u_k) in zip(rows, kept):
             v_stored[r], u_stored[r] = v_k, u_k

@@ -1,11 +1,12 @@
 """Implicit time-stepping for the two half-line parabolic problems.
 
 The specific-volume equation has a logarithmic diffusion which is regularized
-outside the physically reachable range [1/2, bar_c] so the implicit solves can
-never degenerate; inside that range nothing is changed and the maximum
-principle keeps the solution there anyway.  The velocity equation is linear
-with variable diffusion mu / v and is advanced by a conservative-flux
-implicit-Euler step.
+outside the physically reachable range [1/2, bar_c] so the linearized solves
+can never degenerate; inside that range nothing is changed and the maximum
+principle keeps the solution there anyway.  It is advanced by a linearly
+implicit Euler step: one tridiagonal solve with the Jacobian at the old
+state.  The velocity equation is linear with variable diffusion mu / v and is
+advanced by a conservative-flux implicit-Euler step.
 """
 
 from __future__ import annotations
@@ -19,12 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, PhysicalParams, ValidationError, as_field
+from .core import Grid, PhysicalParams, ValidationError
 from .profiles import Profiles
-
-
-class NewtonDiverged(RuntimeError):
-    """Newton iteration for the nonlinear step hit its iteration cap."""
 
 
 class MaximumPrincipleViolated(RuntimeError):
@@ -59,9 +56,6 @@ def _lapack_dgtsv():
 dgtsv = _lapack_dgtsv()
 
 EPS_MAX_PRINCIPLE = 1e-9
-
-DEFAULT_NEWTON_TOL = 1e-10
-NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -202,9 +196,9 @@ def linear_parabolic_step(state: np.ndarray, a: np.ndarray, b: float, f: np.ndar
 
 
 def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, dt: float,
-           reg: RegularizedLog, params: PhysicalParams, wave: Profiles,
-           newton_tol: float = DEFAULT_NEWTON_TOL) -> np.ndarray:
-    """One implicit-Euler step of d_t v - ydot d_x v - mu d_xx a(v) = source.
+           reg: RegularizedLog, params: PhysicalParams, wave: Profiles) -> np.ndarray:
+    """One linearly implicit Euler step of d_t v - ydot d_x v - mu d_xx a(v)
+    = source.
 
     Dirichlet values v(0) = 1 and v(R) = wave profile at R.  The update is
     computed on the deviation g = v - vwave, for which the wave terms cancel
@@ -214,15 +208,20 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
     zero, and the exact wave is a discrete steady state instead of drifting
     at the truncation level.
     `wave` is traveling_wave(params, grid), sampled once by the caller.
-    The nonlinear system is solved by damped Newton iteration with the
-    analytic tridiagonal Jacobian of the discretized a(v): at least one
-    iteration unless the residual of the guess v is exactly zero, then
-    until the residual is at most newton_tol.
+    The implicit-Euler system F(g_new) = 0 is linearized once about the old
+    deviation: one `reg` call gives the residual F(g) and the analytic
+    tridiagonal Jacobian J of the discretized a(v), and the step returns
+    g - J^{-1} F(g) (Hairer & Wanner, Solving ODEs II, IV.7), whose residual
+    is quadratic in the update.  A residual that is exactly zero, as on the
+    exact wave, returns the state as it is.
 
     v is checked once, in passes the step makes anyway: v(0) = 1, a finite
-    v(R), which no solve reads, and min v > 0 (which a NaN fails); an
-    infinite interior entry makes the residual NaN, which the Newton solve's
-    finite-solution check rejects.  An array source is checked whole.
+    v(R), which no solve reads, and a finite, positive range of the state
+    (which a NaN fails), the same pair the maximum-principle check reads
+    when the step takes no update.  An array source is checked for its
+    shape and its end entries, which no solve reads; a non-finite interior
+    entry makes the residual non-finite, which the solve's finite-solution
+    check rejects.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (grid.n,):
@@ -231,11 +230,10 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
         raise ValidationError(f"step_v requires v(0) = 1 on input (got {v[0]!r})")
     if not math.isfinite(v[-1]):
         raise ValidationError(f"step_v requires a finite v(R) on input (got {v[-1]!r})")
-    min_v = v.min()
-    if not min_v > 0.0:
-        raise ValidationError(f"step_v requires v > 0 on input (min v = {min_v:g})")
     if not 0.0 < dt < math.inf:
         raise ValidationError(f"dt must be finite and positive (got {dt})")
+    vbar = wave.v_bar
+    g = v - vbar
     # the residual's constant part, g_old + dt (source + (ydot - s) d_x vwave)
     base = (dt * (ydot - params.s)) * wave.dv_bar[1:-1]
     # the float test first: the march passes 0.0 on every exact-front step,
@@ -247,66 +245,44 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
         if src:  # a zero source adds nothing to the outcome
             base += dt * src
     else:
-        base += dt * as_field(source, grid)[1:-1]
-    vbar = wave.v_bar
-    ln_vbar = wave.log_v_bar
-    c_adv = dt * ydot / (2.0 * grid.dx)
-    c_dif = dt * params.mu / grid.dx**2
-
-    g = v - vbar
+        source = np.asarray(source, dtype=float)
+        if not (source.shape == (grid.n,) and math.isfinite(source[0])
+                and math.isfinite(source[-1])):
+            raise ValidationError(f"source must be finite at both ends, of shape ({grid.n},)")
+        base += dt * source[1:-1]
     base += g[1:-1]
     g[0] = 0.0
     g[-1] = 0.0
-    # vbar + g for the g last passed to residual, which the Newton loop
-    # always keeps as its iterate: the Jacobian and the result read it
-    w = np.empty(grid.n)
+    # the state the residual and its slope are evaluated at, and the result
+    w = vbar + g
+    low, high = w.min(), w.max()
+    if not (0.0 < low and high < math.inf):
+        raise ValidationError(
+            f"step_v requires a finite v > 0 on input (range [{low:g}, {high:g}])"
+        )
+    c_adv = dt * ydot / (2.0 * grid.dx)
+    c_dif = dt * params.mu / grid.dx**2
 
-    def residual(g: np.ndarray) -> np.ndarray:
-        """g_i - c_adv (g_{i+1} - g_{i-1}) - c_dif (q_{i+1} - 2 q_i + q_{i-1})
-        - base_i, with q = a(vbar + g) - ln vbar, assembled in place."""
-        q, _ = reg(np.add(vbar, g, out=w))
-        q -= ln_vbar
-        q *= c_dif
-        out = g[:-2] - g[2:]
-        out *= c_adv
-        out += g[1:-1]
-        out -= base
-        out -= q[2:]
-        out -= q[:-2]
-        out += q[1:-1]
-        out += q[1:-1]
-        return out
-
-    res = residual(g)
-    res_norm = float(np.abs(res).max())
-    # at least one Newton update unless the guess solves the step exactly: a
-    # guess within newton_tol returned as it is would make the result jump
-    # from the guess to a Newton update where its residual crosses newton_tol
-    for it in range(NEWTON_MAX_ITER):
-        if res_norm == 0.0 or (it and res_norm <= newton_tol):
-            break
-        _, slope = reg(w)
+    # g_i - c_adv (g_{i+1} - g_{i-1}) - c_dif (q_{i+1} - 2 q_i + q_{i-1})
+    # - base_i, with q = a(w) - ln vbar, assembled in place
+    q, slope = reg(w)
+    q -= wave.log_v_bar
+    q *= c_dif
+    res = g[:-2] - g[2:]
+    res *= c_adv
+    res += g[1:-1]
+    res -= base
+    res -= q[2:]
+    res -= q[:-2]
+    res += q[1:-1]
+    res += q[1:-1]
+    if np.abs(res).max() != 0.0:  # a NaN residual takes the update
         slope *= c_dif
         delta = _solve_tridiagonal(c_adv - slope[1:-2], 1.0 + 2.0 * slope[1:-1],
                                    -c_adv - slope[2:-1], -res, dt, params.mu * reg.nu)
-
-        # damped update: halve the step until the residual does not increase
-        trial = np.empty(grid.n)
-        trial[0] = trial[-1] = 0.0
-        for _ in range(30):
-            np.add(g[1:-1], delta, out=trial[1:-1])
-            trial_res = residual(trial)
-            trial_norm = float(np.abs(trial_res).max())
-            if trial_norm <= res_norm or trial_norm <= newton_tol:
-                break
-            delta *= 0.5
-        g, res, res_norm = trial, trial_res, trial_norm
-    else:
-        raise NewtonDiverged(
-            f"Newton stalled at residual {res_norm:g} (tol {newton_tol:g}, dt={dt:g})"
-        )
-
-    low, high = w.min(), w.max()
+        delta += g[1:-1]
+        np.add(vbar[1:-1], delta, out=w[1:-1])
+        low, high = w.min(), w.max()
     if not (1.0 - EPS_MAX_PRINCIPLE <= low and high <= reg.bar_c + EPS_MAX_PRINCIPLE):
         raise MaximumPrincipleViolated(
             f"v left (1, bar_c]: range [{low:.12g}, {high:.12g}] vs bar_c = {reg.bar_c:g}"

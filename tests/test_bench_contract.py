@@ -75,11 +75,14 @@ def _counting(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counting)
 
 
-def test_one_newton_iteration_makes_three_reglog_calls(monkeypatch):
-    # the tracer derives newton_halvings as reglog calls - step_v calls
-    # - 2 newton iterations: one call per residual and one per Jacobian
+def test_step_v_makes_one_reglog_call_and_at_most_one_solve(monkeypatch):
+    # one linearized update: a single RegularizedLog call gives the residual
+    # and its slope, and a step whose residual is not exactly zero makes one
+    # tridiagonal solve; the exact front's residual is zero, and it makes none.
+    # The tracer counts parabolic.newton_iters as step_v's solves
     params = PhysicalParams(mu=1.0, v_plus=2.0, u_minus=1.0, u_plus=0.0)
     grid = make_grid(50.0, 257)
+    wave = traveling_wave(params, grid)
     v0, u0 = initial_data_fields("gaussian_bump", 0.005, 2.0, 1.0, params, grid)
     init = validate_hypotheses(v0, u0, grid, params)
     reg = parabolic.RegularizedLog(2.0 * float(np.max(init.v0)))
@@ -87,8 +90,11 @@ def test_one_newton_iteration_makes_three_reglog_calls(monkeypatch):
     _counting(monkeypatch, parabolic.RegularizedLog, "__call__", calls)
     _counting(monkeypatch, parabolic, "_solve_tridiagonal", calls)
     parabolic.step_v(init.v0, init.compat_speed, init.source_eval.shifted(0.01), grid, 2e-3,
-                     reg, params, traveling_wave(params, grid))
-    assert calls == {"__call__": 3, "_solve_tridiagonal": 1}  # one iteration, 0 halvings
+                     reg, params, wave)
+    assert calls == {"__call__": 1, "_solve_tridiagonal": 1}
+    calls.update({"__call__": 0, "_solve_tridiagonal": 0})
+    parabolic.step_v(wave.v_bar, params.s, 0.0, grid, 2e-3, reg, params, wave)
+    assert calls == {"__call__": 1, "_solve_tridiagonal": 0}
 
 
 def test_step_u_makes_one_linear_step_and_one_solve(monkeypatch):
@@ -117,7 +123,7 @@ def test_march_of_k_steps_makes_k_steps_of_each_field(monkeypatch):
     _counting(monkeypatch, freeboundary, "step_u", calls)
     k, dt = 5, 2e-3
     ydot = np.full(k + 1, init.compat_speed)
-    _march(init.v0, init.u0, ydot, dt * init.compat_speed * np.arange(k + 1), init, dt, 1e-10,
+    _march(init.v0, init.u0, ydot, dt * init.compat_speed * np.arange(k + 1), init, dt,
            t_start=0.0)
     assert calls == {"step_v": k, "step_u": k}
 

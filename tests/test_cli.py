@@ -615,9 +615,6 @@ def test_tolerance_defaults_are_the_library_defaults():
     defaults = {name: p.default for name, p in
                 inspect.signature(freeboundary.picard_solve).parameters.items()}
     cfg = RunConfig()
-    assert cfg.newton_tol == defaults["newton_tol"] == parabolic.DEFAULT_NEWTON_TOL
-    for fn in (parabolic.step_v, freeboundary.apply_boundary_map):
-        assert inspect.signature(fn).parameters["newton_tol"].default == cfg.newton_tol
     assert cfg.picard_tol == defaults["tol"] == freeboundary.DEFAULT_PICARD_TOL
 
 

@@ -23,11 +23,15 @@ def test_step_timing_runs_at_small_n(capsys):
     for row in results.values():
         assert all(0.0 < row[name] < math.inf for name in KERNELS)
     assert results["front"]["m"] == 128 < results["bootstrap"]["m"] <= 256
-    # on the exact front a step makes no Newton iteration; its reductions are
-    # the range checks of step_v, step_u and linear_parabolic_step, the
-    # regularized log's core test, the residual norm, the maximum principle
-    # and the finite-solution check of step_u's solve, and no other pass
-    assert results["front"]["reductions"] <= 9
+    # on the exact front step_v takes no update; the step's reductions are
+    # step_v's range pair, which is also its maximum-principle pair, the
+    # regularized log's core test, the residual norm, and the range checks of
+    # step_u and linear_parabolic_step and the finite-solution check of
+    # step_u's solve, and no other pass
+    assert results["front"]["reductions"] <= 8
+    # with the update, also the finite-solution check of step_v's solve and
+    # its result's maximum-principle pair; an array source adds none
+    assert results["bootstrap"]["reductions"] <= 11
     out = capsys.readouterr().out
     assert "front: m = 128" in out and "boundary_velocity" in out
 

@@ -8,10 +8,10 @@ through the CLI's own config path with grid.n = --n:
 
 - ``front``: the steady_wave preset (the exact wave at speed s, dt = 1e-3)
   run for one step, on a march's first head (m = 128 at n = 2049); the step
-  takes 0 Newton iterations;
+  takes no update (its residual is exactly 0);
 - ``bootstrap``: the bootstrap_check preset (gaussian_bump, amplitude 5e-3,
   width 1, dt = 2e-3) run to T = 2, on the head its last march ended with
-  (m = 933 at n = 2049); the step takes one Newton iteration.
+  (m = 933 at n = 2049); the step takes its one linearized update.
 
 During each run, step_v, step_u and boundary_velocity of freeboundary and
 linear_parabolic_step and _solve_tridiagonal of parabolic are swapped for
