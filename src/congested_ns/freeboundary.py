@@ -444,24 +444,17 @@ def _active_head(grid: Grid, wave: Profiles, m: int) -> tuple[Grid, Profiles]:
     return Grid(R=float(grid.x[m]), n=m + 1, dx=grid.dx, x=grid.x[:m + 1]), wave.head(m + 1)
 
 
-def _padded(head: np.ndarray, background: np.ndarray) -> np.ndarray:
-    """A field whose leading nodes are `head` and the rest `background`."""
-    if head.size == background.size:
-        return head
-    return np.concatenate((head, background[head.size:]))
-
-
 def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
            init: InitialData, dt: float, t_start: float,
-           keep: set[int] | tuple = (),
+           keep: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
            history: tuple[np.ndarray, np.ndarray] | None = None,
            report: WindowReport | None = None
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance the fields along a given path (speeds ydot from the position
-    y[0]) on the grid, params and wave of init; return re-derived speeds z,
-    the last state, and the (v, u) of each window-local step in `keep`, in
-    step order, uncopied: step_v and step_u never write to their inputs.  A
-    solver failure is re-raised with its time as attribute `t`.
+    y[0]) on the grid, params and wave of init; return re-derived speeds z
+    and the last state (v, u).  `keep` maps a window-local step to the rows
+    (v_row, u_row) the march writes that step's state into.  A solver
+    failure is re-raised with its time as attribute `t`.
 
     z[0] has one rule: a march from the data (t_start 0) starts at the
     data-determined init.compat_speed, and a march from a carried state at
@@ -488,12 +481,15 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
     starts ACTIVE_GUARD nodes past the last node where v or u differs from
     the wave by more than ACTIVE_FLOOR or the source row at y[0] is nonzero
     (the source only moves left), and at most at n - 1.  Before each step
-    k, m widens by ACTIVE_GUARD nodes, padded with the wave, as long as at
-    the check node c = m - ACTIVE_GUARD / 2 the state differs from the wave
-    by more than ACTIVE_FLOOR or the step's speed-deviation source
+    k, m widens by ACTIVE_GUARD nodes as long as at the check node
+    c = m - ACTIVE_GUARD / 2 the state differs from the wave by more than
+    ACTIVE_FLOOR or the step's speed-deviation source
     dt |ydot[k] - s| |du_bar[c]|, which step_u adds at every node, exceeds
-    it.  The kept and returned states are whole fields, the wave past m.
-    With `report`, the march records its start and widenings there.
+    it.  The state is one whole-field pair that the march allocates: a
+    copy of the wave with the input's nodes [0, m] written in, whose head
+    [0, m] each step overwrites.  So past m it is the wave, a widening only
+    moves m, and the input state is never written.  With `report`, the
+    march records its start and widenings there.
     """
     steps = ydot.size - 1
     grid, params, wave, source = init.grid, init.params, init.wave, init.source_eval
@@ -508,12 +504,12 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
     last = np.flatnonzero(off)
     m = min((int(last[-1]) if last.size else 0) + ACTIVE_GUARD, n - 1)
     sub_grid, sub_wave = _active_head(grid, wave, m)
-    v, u = v[:m + 1], u[:m + 1]
+    v_all, u_all = wave.v_bar.copy(), wave.u_bar.copy()
+    v_all[:m + 1], u_all[:m + 1] = v[:m + 1], u[:m + 1]
     widened = []
     if report is not None:
         report.active_start = m
         report.widenings.append(widened)
-    kept = []
     if history is not None:
         # z[k-3], z[k-2], z[k-1] and the numerators N = z (u_minus - w0(y)) there
         (z3, z2), (y3, y2) = (row.tolist() for row in history)
@@ -534,20 +530,20 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
         w0_yk = init.w0_at(y[k])
         spread = dt * abs(ydot[k] - s)
         while m < n - 1:
-            c = m - ACTIVE_GUARD // 2  # after a widening the state there is padding
-            if not (abs(v[c] - wave.v_bar[c]) > ACTIVE_FLOOR
-                    or abs(u[c] - wave.u_bar[c]) > ACTIVE_FLOOR
+            c = m - ACTIVE_GUARD // 2  # after a widening the state there is the wave
+            if not (abs(v_all[c] - wave.v_bar[c]) > ACTIVE_FLOOR
+                    or abs(u_all[c] - wave.u_bar[c]) > ACTIVE_FLOOR
                     or spread * abs(wave.du_bar[c]) > ACTIVE_FLOOR):
                 break
             wider = min(m + ACTIVE_GUARD, n - 1)
-            v, u = _padded(v, wave.v_bar[:wider + 1]), _padded(u, wave.u_bar[:wider + 1])
             widened.append((t_start + (k - 1) * dt, m, wider))
             m = wider
             sub_grid, sub_wave = _active_head(grid, wave, m)
         src = 0.0 if source is None else source.shifted(y[k], m + 1)
         try:
-            v = step_v(v, ydot[k], src, sub_grid, dt, init.reg, params, sub_wave)
-            u = step_u(u, v, ydot[k], sub_grid, dt, params, sub_wave)
+            v = step_v(v_all[:m + 1], ydot[k], src, sub_grid, dt, init.reg, params, sub_wave)
+            u = step_u(u_all[:m + 1], v, ydot[k], sub_grid, dt, params, sub_wave)
+            v_all[:m + 1], u_all[:m + 1] = v, u
             zdot[k] = z = boundary_velocity(u, w0_yk, sub_grid, params, sub_wave)
         except RuntimeError as exc:
             exc.t = t_start + k * dt
@@ -555,9 +551,10 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
         if history is not None:
             z3, z2, z1 = z2, z1, z
             n3, n2, n1 = n2, n1, z * (params.u_minus - w0_yk)
-        if k in keep:
-            kept.append((_padded(v, wave.v_bar), _padded(u, wave.u_bar)))
-    return zdot, _padded(v, wave.v_bar), _padded(u, wave.u_bar), kept
+        if keep and k in keep:
+            v_row, u_row = keep[k]
+            v_row[:], u_row[:] = v_all, u_all
+    return zdot, v_all, u_all
 
 
 def apply_boundary_map(path_in: BoundaryPath, init: InitialData, grid: Grid,
@@ -674,12 +671,11 @@ def picard_solve(init: InitialData, grid: Grid, params: PhysicalParams, T_final:
             )
         windows.append(report)
 
-        # definitive pass along the converged path, keeping the stored fields
+        # definitive pass along the converged path, writing the stored rows
+        # of its steps and carrying its end state to the next window
         rows = np.flatnonzero((stored_idx > k_done) & (stored_idx <= k_done + steps))
-        _, v, u, kept = _march(v, u, ydot, y, init, dt, t_start,
-                               keep=set((stored_idx[rows] - k_done).tolist()), report=report)
-        for r, (v_k, u_k) in zip(rows, kept):
-            v_stored[r], u_stored[r] = v_k, u_k
+        keep = {int(stored_idx[r]) - k_done: (v_stored[r], u_stored[r]) for r in rows}
+        _, v, u = _march(v, u, ydot, y, init, dt, t_start, keep=keep, report=report)
         ydot_all[k_done + 1:k_done + steps + 1] = ydot[1:]
         k_done += steps
 

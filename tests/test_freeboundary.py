@@ -657,6 +657,40 @@ class TestActiveLength:
             assert np.all(cut.v[-1, last:] == init.wave.v_bar[last:])
             assert np.all(cut.u[-1, last:] == init.wave.u_bar[last:])
 
+    def test_march_leaves_its_carried_input_state_untouched(self, params, bump_init):
+        # every Picard march of a window restarts from the state carried to
+        # the window, the end state of the march before it.  Made read-only,
+        # that state is only read: the march writes the state it owns and the
+        # rows it keeps, also when it widens, and a second march repeats it
+        dt = 0.01
+        ydot = np.full(3, bump_init.compat_speed)
+        y = cumulative_trapezoid(ydot, dt)
+        _, v, u = _march(bump_init.v0, bump_init.u0, ydot, y, bump_init, dt, 0.0)
+        v.setflags(write=False)
+        u.setflags(write=False)
+        before = v.tobytes() + u.tobytes()
+        # at twice the wave speed, the speed-deviation source widens the head
+        # before the second step
+        fast = np.full(11, 2.0 * params.s)
+        rows = np.full((2, 2, 2, bump_init.grid.n), np.nan)  # march, kept step, field
+        marches = []
+        for i in range(2):
+            report = WindowReport(t_start=0.02)
+            keep = {k: tuple(rows[i, j]) for j, k in enumerate((1, 10))}
+            marches.append(_march(v, u, fast.copy(), y[-1] + cumulative_trapezoid(fast, dt),
+                                  bump_init, dt, 0.02, keep=keep, report=report))
+            assert [len(march) for march in report.widenings] == [1]
+            assert report.widenings[0][0][1] == report.active_start
+        assert v.tobytes() + u.tobytes() == before
+        (z, v_end, u_end), again = marches
+        assert [a.tobytes() for a in again] == [z.tobytes(), v_end.tobytes(), u_end.tobytes()]
+        assert rows[0].tobytes() == rows[1].tobytes()
+        assert rows[0, 1].tobytes() == np.stack((v_end, u_end)).tobytes()
+        # a step before the widening keeps the wave past its head
+        head = report.active_start + 1
+        assert np.all(rows[0, 0, 0, head:] == bump_init.wave.v_bar[head:])
+        assert np.all(rows[0, 0, 1, head:] == bump_init.wave.u_bar[head:])
+
     def test_exact_front_marches_the_guard_band(self, params, small_grid, wave_init,
                                                 monkeypatch):
         cut, full = self._cut_and_full(monkeypatch, wave_init, small_grid, params,

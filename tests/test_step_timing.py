@@ -49,6 +49,11 @@ def test_step_timing_restores_the_kernels_and_times_the_solver_calls(monkeypatch
     step_v = module.last_calls("steady_wave", 257, None)["step_v"]
     assert step_v.func is parabolic.step_v
     assert step_v().tobytes() == step_v.args[0].tobytes()
+    # off the steady state too: the recorded bootstrap step_v reproduces the
+    # v that the solver passed on to step_u, so its input is the state as it
+    # was before the step, not a view of the march's state after it
+    calls = module.last_calls("bootstrap_check", 257, 2.0)
+    assert calls["step_v"]().tobytes() == calls["step_u"].args[1].tobytes()
 
     # a run that fails still restores every kernel
     def failing_solve(cfg):

@@ -16,12 +16,14 @@ through the CLI's own config path with grid.n = --n:
 During each run, step_v, step_u and boundary_velocity of freeboundary and
 linear_parabolic_step and _solve_tridiagonal of parabolic are swapped for
 wrappers that record each kernel's last call (the last _solve_tridiagonal
-call of a step is step_u's linear step), and restored after it.  Those exact
-calls, and step_v followed by step_u, are timed as the best of `repeat`
-means over `number` calls (timeit, with the garbage collector off).  They
-reach the functions themselves: perfbench's traced layer table also times a
-wrapper around every module-level helper, so it under-reports a gain inside
-a kernel.  ``reductions`` counts numpy's ufunc.reduce calls (every min, max,
+call of a step is step_u's linear step), and restored after it.  A call is
+recorded with copies of its array arguments, since the march passes views
+of a state that later steps overwrite.  Those exact calls, and step_v
+followed by step_u, are timed as the best of `repeat` means over `number`
+calls (timeit, with the garbage collector off).  They reach the functions
+themselves: perfbench's traced layer table also times a wrapper around
+every module-level helper, so it under-reports a gain inside a kernel.
+``reductions`` counts numpy's ufunc.reduce calls (every min, max,
 all and sum pass) in one step_v, step_u and boundary_velocity sequence.  A
 kernel that is renamed, or no longer called, fails the script.
 """
@@ -33,6 +35,8 @@ import functools
 import sys
 import timeit
 from dataclasses import replace
+
+import numpy as np
 
 from congested_ns import freeboundary, parabolic
 from congested_ns.cli import _solve_from_config, resolve_config
@@ -46,14 +50,16 @@ STATES = {"front": ("steady_wave", None), "bootstrap": ("bootstrap_check", 2.0)}
 
 def last_calls(preset: str, n: int, T_final: float | None) -> dict[str, functools.partial]:
     """Run `preset` at n nodes to T_final; return the last call of each
-    kernel, as the real function bound to the arguments it was called with."""
+    kernel, as the real function bound to copies of the arguments it was
+    called with."""
     cfg = resolve_config(None, preset, None, [f"grid.n={n}"])
     cfg = replace(cfg, T_final=cfg.dt if T_final is None else T_final)
     calls = {}
 
     def recorder(name, fn):
         def record(*args, **kwargs):
-            calls[name] = functools.partial(fn, *args, **kwargs)
+            calls[name] = functools.partial(
+                fn, *map(_copied, args), **{key: _copied(arg) for key, arg in kwargs.items()})
             return fn(*args, **kwargs)
         return record
 
@@ -66,6 +72,11 @@ def last_calls(preset: str, n: int, T_final: float | None) -> dict[str, functool
         for module, name, fn in originals:
             setattr(module, name, fn)
     return calls
+
+
+def _copied(arg):
+    """arg, or a copy of it if it is an array."""
+    return arg.copy() if isinstance(arg, np.ndarray) else arg
 
 
 def reductions_per_step(step) -> int:
