@@ -238,7 +238,8 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
     The stored rows are walked ROW_BLOCK at a time on the nodes [0,
     traj.head), past which every deviation and its derivatives are exact
     zeros, so their norms sum the head's P - 1 intervals alone; the growth
-    bound's source, which is no deviation, is taken on whole rows.
+    bound's source, which is no deviation, is taken on whole rows, and is
+    exactly 0 on a block of rows where there is no source and ydot = s.
     """
     if not t >= 0.0:  # NaN fails
         raise ValidationError(f"t must be a non-negative time (got {t})")
@@ -264,16 +265,23 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
         cum = cumulative_trapezoid(G, dx)
         V = cum - cum[-1]  # -int_x^R G, the rule of tail_integral and InitialData.V0
         V0_sq[rows] = V[0] ** 2
-        steps = traj.stored_idx[rows]
-        src = np.multiply.outer(traj.ydot[steps] - params.s, prof.dv_bar)
-        if source is not None:
-            for row, step in zip(src, steps):
-                row += source.shifted(traj.y[step])
         gxx = stencil_derivative(G, dx, 2)
-        g_sq[:, rows] = (sq(V), sq(G), sq(stencil_derivative(G, dx, 1)), sq(gxx),
-                         sq(stencil_derivative(gxx, dx, 1)), sq(Gt),
-                         sq(stencil_derivative(Gt, dx, 1)), sq(stencil_derivative(Gt, dx, 2)),
-                         sq(Gtt), sq(src.T))
+        g_sq[:9, rows] = (sq(V), sq(G), sq(stencil_derivative(G, dx, 1)), sq(gxx),
+                          sq(stencil_derivative(gxx, dx, 1)), sq(Gt),
+                          sq(stencil_derivative(Gt, dx, 1)), sq(stencil_derivative(Gt, dx, 2)),
+                          sq(Gtt))
+        steps = traj.stored_idx[rows]
+        ydot_dev = traj.ydot[steps] - params.s
+        if source is None and not ydot_dev.any():
+            # on the exact front the source (ydot - s) vwave' is 0 at every
+            # node, and so are the squares row_trapezoid would sum
+            g_sq[9, rows] = 0.0
+        else:
+            src = np.multiply.outer(ydot_dev, prof.dv_bar)
+            if source is not None:
+                for row, step in zip(src, steps):
+                    row += source.shifted(traj.y[step])
+            g_sq[9, rows] = sq(src.T)
     V_sq, g, gx, gxx, gxxx, gt, gtx, gtxx, gtt, src = g_sq
 
     h_sq = np.empty((7, m))

@@ -182,18 +182,22 @@ class MonotoneInterpolant:
         On the uniform grid a point p in [0, R] lies in interval
         min(floor(p / dx), n - 2), the interval search's answer unless
         rounding put p outside it; then the point takes the array path.
+        Every entry is read by item(), as a Python float, so the march's
+        calls make no numpy scalar.
         """
-        x, R = self._grid.x, self._grid.R
-        if not 0.0 <= p <= R:
-            return np.nan if p <= R else self._tail  # a NaN point takes the tail, as __call__
-        i = min(int(p // self._grid.dx), x.size - 2)
-        if not (x[i] <= p and (p < x[i + 1] or i == x.size - 2)):
+        grid = self._grid
+        if not 0.0 <= p <= grid.R:
+            return np.nan if p <= grid.R else self._tail  # a NaN point takes the tail, as __call__
+        last = grid.n - 2
+        i = min(int(p // grid.dx), last)
+        x_i = grid.x.item(i)
+        if not (x_i <= p and (p < grid.x.item(i + 1) or i == last)):
             return float(self(np.array([p]))[0])
-        s = p - float(x[i])
+        s = p - x_i
         s2 = s * s
         c3, c2, c1, c0 = self._terms
         # _power_sum's sum, term by term
-        return float(c3[i]) + float(c2[i]) * s + float(c1[i]) * s2 + float(c0[i]) * (s2 * s)
+        return c3.item(i) + c2.item(i) * s + c1.item(i) * s2 + c0.item(i) * (s2 * s)
 
     def shifted(self, y: float, nodes: int | None = None, /) -> np.ndarray:
         """The row f0(x_i + y) on the first `nodes` grid nodes (all of them

@@ -14,6 +14,7 @@ map is a contraction, chaining the state from one window to the next.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
@@ -487,9 +488,10 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
     dt |ydot[k] - s| |du_bar[c]|, which step_u adds at every node, exceeds
     it.  The state is one whole-field pair that the march allocates: a
     copy of the wave with the input's nodes [0, m] written in, whose head
-    [0, m] each step overwrites.  So past m it is the wave, a widening only
-    moves m, and the input state is never written.  With `report`, the
-    march records its start and widenings there.
+    [0, m] each step overwrites: step_v and step_u get the head as both
+    their input and their output.  So past m it is the wave, a widening
+    only moves m, and the input state is never written.  With `report`,
+    the march records its start and widenings there.
     """
     steps = ydot.size - 1
     grid, params, wave, source = init.grid, init.params, init.wave, init.source_eval
@@ -505,7 +507,9 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
     m = min((int(last[-1]) if last.size else 0) + ACTIVE_GUARD, n - 1)
     sub_grid, sub_wave = _active_head(grid, wave, m)
     v_all, u_all = wave.v_bar.copy(), wave.u_bar.copy()
-    v_all[:m + 1], u_all[:m + 1] = v[:m + 1], u[:m + 1]
+    # the views of the state's head, which each step reads and overwrites
+    v_head, u_head = v_all[:m + 1], u_all[:m + 1]
+    v_head[:], u_head[:] = v[:m + 1], u[:m + 1]
     widened = []
     if report is not None:
         report.active_start = m
@@ -517,34 +521,39 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
         n3, n2, n1 = (z * (params.u_minus - init.w0_at(p))
                       for z, p in ((z3, y3), (z2, y2), (z1, float(y[0]))))
         ydot[0] = z1
+    # the bookkeeping runs on Python floats: the speed and position of the
+    # node before the step, and the running trapezoid sum of the positions
     y0, running = float(y[0]), 0.0
+    ydot_prev, y_prev = float(ydot[0]), y0
 
     for k in range(1, steps + 1):
         if history is not None:
-            y_hat = y[k - 1] + 0.5 * (ydot[k - 1] + (3.0 * z1 - 3.0 * z2 + z3)) * dt
+            y_hat = y_prev + 0.5 * (ydot_prev + (3.0 * z1 - 3.0 * z2 + z3)) * dt
             d_hat = params.u_minus - init.w0_at(y_hat)
-            pred = (3.0 * n1 - 3.0 * n2 + n3) / d_hat if d_hat > 0.0 else np.nan
-            ydot[k] = pred if 0.0 < pred < np.inf else z1  # NaN fails
-        running += 0.5 * (ydot[k - 1] + ydot[k]) * dt
-        y[k] = y0 + running
-        w0_yk = init.w0_at(y[k])
-        spread = dt * abs(ydot[k] - s)
+            pred = (3.0 * n1 - 3.0 * n2 + n3) / d_hat if d_hat > 0.0 else math.nan
+            ydot[k] = ydot_k = pred if 0.0 < pred < math.inf else z1  # NaN fails
+        else:
+            ydot_k = float(ydot[k])
+        running += 0.5 * (ydot_prev + ydot_k) * dt
+        y[k] = y_k = y0 + running
+        w0_yk = init.w0_at(y_k)
+        spread = dt * abs(ydot_k - s)
         while m < n - 1:
             c = m - ACTIVE_GUARD // 2  # after a widening the state there is the wave
-            if not (abs(v_all[c] - wave.v_bar[c]) > ACTIVE_FLOOR
-                    or abs(u_all[c] - wave.u_bar[c]) > ACTIVE_FLOOR
-                    or spread * abs(wave.du_bar[c]) > ACTIVE_FLOOR):
+            if not (abs(v_all.item(c) - wave.v_bar.item(c)) > ACTIVE_FLOOR
+                    or abs(u_all.item(c) - wave.u_bar.item(c)) > ACTIVE_FLOOR
+                    or spread * abs(wave.du_bar.item(c)) > ACTIVE_FLOOR):
                 break
             wider = min(m + ACTIVE_GUARD, n - 1)
             widened.append((t_start + (k - 1) * dt, m, wider))
             m = wider
             sub_grid, sub_wave = _active_head(grid, wave, m)
-        src = 0.0 if source is None else source.shifted(y[k], m + 1)
+            v_head, u_head = v_all[:m + 1], u_all[:m + 1]
+        src = 0.0 if source is None else source.shifted(y_k, m + 1)
         try:
-            v = step_v(v_all[:m + 1], ydot[k], src, sub_grid, dt, init.reg, params, sub_wave)
-            u = step_u(u_all[:m + 1], v, ydot[k], sub_grid, dt, params, sub_wave)
-            v_all[:m + 1], u_all[:m + 1] = v, u
-            zdot[k] = z = boundary_velocity(u, w0_yk, sub_grid, params, sub_wave)
+            step_v(v_head, ydot_k, src, sub_grid, dt, init.reg, params, sub_wave, out=v_head)
+            step_u(u_head, v_head, ydot_k, sub_grid, dt, params, sub_wave, out=u_head)
+            zdot[k] = z = boundary_velocity(u_head, w0_yk, sub_grid, params, sub_wave)
         except RuntimeError as exc:
             exc.t = t_start + k * dt
             raise
@@ -554,6 +563,7 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
         if keep and k in keep:
             v_row, u_row = keep[k]
             v_row[:], u_row[:] = v_all, u_all
+        ydot_prev, y_prev = ydot_k, y_k
     return zdot, v_all, u_all
 
 

@@ -87,12 +87,17 @@ class RegularizedLog:
         """The slope floor 1/(2 bar_c); 1/nu is the slope cap."""
         return 1.0 / (2.0 * self.bar_c)
 
-    def __call__(self, x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
-        """Return (a(x), a'(x)) elementwise; NaN entries give NaN in both."""
+    def __call__(self, x: np.ndarray | float,
+                 span: tuple[float, float] | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Return (a(x), a'(x)) elementwise; NaN entries give NaN in both.
+        `span`, the pair (x.min(), x.max()) of an array x that the caller
+        has already taken, spares the core test its own two passes."""
         x = np.asarray(x, dtype=float)
+        if span is None and x.ndim and x.size:
+            span = x.min(), x.max()
         # every entry in the core: the bits the general path gives there (a
         # NaN fails both comparisons and takes the general path)
-        if x.ndim and x.size and 0.5 <= x.min() and x.max() <= self.bar_c:
+        if span is not None and 0.5 <= span[0] and span[1] <= self.bar_c:
             return np.log(x), 1.0 / x
         bar_c, nu = self.bar_c, self.nu
         inv_nu = 1.0 / nu
@@ -124,40 +129,51 @@ def truncation_mollifier(grid: Grid) -> np.ndarray:
 
 
 def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-                       rhs: np.ndarray, dt: float, min_diffusion: float) -> np.ndarray:
+                       rhs: np.ndarray, dt: float, diffusion: float | np.ndarray) -> np.ndarray:
     """Solve the system with sub-, main and super-diagonals (lengths n-1, n,
     n-1) by LAPACK gtsv; a singular system or a non-finite solution raises
-    TridiagonalSolveError."""
-    *_, x, info = dgtsv(sub, diag, sup, rhs)
-    if info != 0 or not np.isfinite(x).all():
+    TridiagonalSolveError, whose message gives dt and the least of
+    `diffusion` (a scalar or a nodal array).  The four arrays are consumed:
+    gtsv overwrites the diagonals and solves into rhs, which is returned
+    (a new array instead when rhs is not contiguous); a caller that reads
+    them afterwards passes copies.  x.dot(x) is finite exactly when every
+    entry is, unless it overflows: only then are the entries tested."""
+    # the four flags, positional since f2py parses those faster than
+    # keywords, are overwrite_dl, overwrite_d, overwrite_du and overwrite_b
+    x, info = dgtsv(sub, diag, sup, rhs, 1, 1, 1, 1)[3:]
+    if info != 0 or not (math.isfinite(x.dot(x)) or np.isfinite(x).all()):
         raise TridiagonalSolveError(
             f"singular or non-finite implicit system (dt={dt:g}, "
-            f"min diffusion={min_diffusion:g})"
+            f"min diffusion={np.min(diffusion):g})"
         )
     return x
 
 
 def linear_parabolic_step(state: np.ndarray, a: np.ndarray, b: float, f: np.ndarray,
-                          grid: Grid, dt: float) -> np.ndarray:
+                          grid: Grid, dt: float, out: np.ndarray | None = None) -> np.ndarray:
     """One implicit-Euler step of d_t h + b d_x h - d_x(a d_x h) = f with
     h = 0 at both ends, for a positive nodal diffusion a, a scalar advection b
     and a nodal source f.
 
     Interior fluxes b h - a d_x h are evaluated at cell faces with arithmetic
-    means, giving a conservative second-order discretization.
+    means, giving a conservative second-order discretization.  The solution
+    is solved straight into the interior of `out` (a new array by default;
+    an array of shape (n,) that shares no memory with a or f, state itself
+    allowed), which is returned.
 
     Every input is checked once, in passes the step makes anyway: the
-    shapes, a finite b and dt, min a > 0 (which a NaN fails), the end
-    entries of state, a and f, and, for the interior entries, the solve's
-    finite-solution check.
+    shapes, a finite b and dt, a > 0 at every node (which a NaN fails), the
+    end entries of state, a and f, and, for the interior entries, the
+    solve's finite-solution check.
     """
     state = np.asarray(state, dtype=float)
     if not 0.0 < dt < math.inf:
         raise ValidationError(f"dt must be finite and positive (got {dt})")
     a = np.asarray(a, dtype=float)
     f = np.asarray(f, dtype=float)
+    shape = (grid.n,)
     for name, value in (("state", state), ("a", a), ("f", f)):
-        if value.shape != (grid.n,):
+        if value.shape != shape:
             raise ValidationError(
                 f"{name} has shape {value.shape}, expected ({grid.n},) for this grid"
             )
@@ -171,32 +187,38 @@ def linear_parabolic_step(state: np.ndarray, a: np.ndarray, b: float, f: np.ndar
     b = float(b)
     if not math.isfinite(b):
         raise ValidationError(f"advection b must be finite (got {b})")
-    min_a = float(a.min())
-    if not min_a > 0.0:
-        raise ValidationError(f"diffusion must be positive (min a = {min_a:g})")
+    # a NaN fails the test; the min is taken only for the message
+    if np.count_nonzero(a > 0.0) != a.size:
+        raise ValidationError(f"diffusion must be positive (min a = {a.min():g})")
 
     # a_{i-1/2} / dx^2 and a_{i+1/2} / dx^2 for the interior rows i = 1..n-2
     k = a[:-1] + a[1:]
     k *= 0.5 / grid.dx**2
-    k_w, k_e = k[:-1], k[1:]
     b_f = b * (0.5 / grid.dx)
 
-    # row i (interior): coefficients of h_{i-1}, h_i, h_{i+1}
-    lo = -b_f - k_w
-    hi = b_f - k_e
-    di = k_w + k_e
+    # row i (interior): coefficients of h_{i-1}, h_i, h_{i+1}; the solve
+    # reads the first from row 2 on and the last up to row n-3, which both
+    # take the faces of rows 2..n-2
+    k_in = k[1:-1]
+    lo = -b_f - k_in
+    hi = b_f - k_in
+    di = k[:-1] + k[1:]
     di += 1.0 / dt
-    rhs = state[1:-1] / dt
+    if out is None:
+        out = np.empty(grid.n)
+    rhs = out[1:-1]
+    np.divide(state[1:-1], dt, out=rhs)
     rhs += f[1:-1]
-
-    out = np.empty(grid.n)
+    x = _solve_tridiagonal(lo, di, hi, rhs, dt, a)
+    if x is not rhs:  # a strided out: gtsv solved into a copy
+        rhs[:] = x
     out[0] = out[-1] = 0.0
-    out[1:-1] = _solve_tridiagonal(lo[1:], di, hi[:-1], rhs, dt, min_a)
     return out
 
 
 def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, dt: float,
-           reg: RegularizedLog, params: PhysicalParams, wave: Profiles) -> np.ndarray:
+           reg: RegularizedLog, params: PhysicalParams, wave: Profiles,
+           out: np.ndarray | None = None) -> np.ndarray:
     """One linearly implicit Euler step of d_t v - ydot d_x v - mu d_xx a(v)
     = source.
 
@@ -213,15 +235,18 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
     tridiagonal Jacobian J of the discretized a(v), and the step returns
     g - J^{-1} F(g) (Hairer & Wanner, Solving ODEs II, IV.7), whose residual
     is quadratic in the update.  A residual that is exactly zero, as on the
-    exact wave, returns the state as it is.
+    exact wave, returns the state as it is.  The result is written into
+    `out` (a new array by default; an array of shape (n,), v itself
+    allowed, since v is read only before out is written) and returned; a
+    step that raises may have written part of it.
 
     v is checked once, in passes the step makes anyway: v(0) = 1, a finite
     v(R), which no solve reads, and a finite, positive range of the state
     (which a NaN fails), the same pair the maximum-principle check reads
-    when the step takes no update.  An array source is checked for its
-    shape and its end entries, which no solve reads; a non-finite interior
-    entry makes the residual non-finite, which the solve's finite-solution
-    check rejects.
+    when the step takes no update, and which the regularized log's core
+    test reads too.  An array source is checked for its shape and its end
+    entries, which no solve reads; a non-finite interior entry makes the
+    residual non-finite, which the solve's finite-solution check rejects.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (grid.n,):
@@ -250,11 +275,12 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
                 and math.isfinite(source[-1])):
             raise ValidationError(f"source must be finite at both ends, of shape ({grid.n},)")
         base += dt * source[1:-1]
-    base += g[1:-1]
+    g_in = g[1:-1]
+    base += g_in
     g[0] = 0.0
     g[-1] = 0.0
     # the state the residual and its slope are evaluated at, and the result
-    w = vbar + g
+    w = np.add(vbar, g, out=out)
     low, high = w.min(), w.max()
     if not (0.0 < low and high < math.inf):
         raise ValidationError(
@@ -265,22 +291,31 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
 
     # g_i - c_adv (g_{i+1} - g_{i-1}) - c_dif (q_{i+1} - 2 q_i + q_{i-1})
     # - base_i, with q = a(w) - ln vbar, assembled in place
-    q, slope = reg(w)
+    q, slope = reg(w, (low, high))
     q -= wave.log_v_bar
     q *= c_dif
     res = g[:-2] - g[2:]
     res *= c_adv
-    res += g[1:-1]
+    res += g_in
     res -= base
     res -= q[2:]
     res -= q[:-2]
-    res += q[1:-1]
-    res += q[1:-1]
-    if np.abs(res).max() != 0.0:  # a NaN residual takes the update
+    q_in = q[1:-1]
+    res += q_in
+    res += q_in
+    # count_nonzero is cheaper than an any or max pass; a NaN residual
+    # takes the update
+    if np.count_nonzero(res):
+        # the Jacobian's diagonals, the super one written over the slope
+        # the other two have read, and the update solved into -res
         slope *= c_dif
-        delta = _solve_tridiagonal(c_adv - slope[1:-2], 1.0 + 2.0 * slope[1:-1],
-                                   -c_adv - slope[2:-1], -res, dt, params.mu * reg.nu)
-        delta += g[1:-1]
+        sub = c_adv - slope[1:-2]
+        diag = 2.0 * slope[1:-1]
+        diag += 1.0
+        sup = np.subtract(-c_adv, slope[2:-1], out=slope[2:-1])
+        delta = _solve_tridiagonal(sub, diag, sup, np.negative(res, out=res), dt,
+                                   params.mu * reg.nu)
+        delta += g_in
         np.add(vbar[1:-1], delta, out=w[1:-1])
         low, high = w.min(), w.max()
     if not (1.0 - EPS_MAX_PRINCIPLE <= low and high <= reg.bar_c + EPS_MAX_PRINCIPLE):
@@ -291,7 +326,8 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
 
 
 def step_u(u: np.ndarray, v: np.ndarray, ydot: float, grid: Grid, dt: float,
-           params: PhysicalParams, wave: Profiles) -> np.ndarray:
+           params: PhysicalParams, wave: Profiles,
+           out: np.ndarray | None = None) -> np.ndarray:
     """One implicit-Euler step of d_t u - ydot d_x u - mu d_x((1/v) d_x u) = 0.
 
     Dirichlet values u(0) = u_minus and u(R) = wave profile at R.  As in
@@ -301,24 +337,29 @@ def step_u(u: np.ndarray, v: np.ndarray, ydot: float, grid: Grid, dt: float,
         (ydot - s) d_x uwave + mu d_x((1/v - 1/vwave) d_x uwave),
 
     the wave terms cancelling analytically; it is advanced by
-    linear_parabolic_step with a = mu/v, b = -ydot.  `wave` is
+    linear_parabolic_step with a = mu/v, b = -ydot, which solves it
+    straight into `out` (a new array by default; an array of shape (n,)
+    that shares no memory with v, u itself allowed, since u is read only
+    before out is written), and the result is returned.  `wave` is
     traveling_wave(params, grid), sampled once by the caller.
 
     u and v are checked once, in passes the step makes anyway: u(0) =
-    u_minus and min v >= 1 (which a NaN fails) here, and in
-    linear_parabolic_step a finite u(R), min mu/v > 0 (which an infinite v
-    fails) and, for the interior of u, the solve's finite-solution check.
+    u_minus and v >= 1 at every node (which a NaN fails) here, and in
+    linear_parabolic_step a finite u(R), mu/v > 0 at every node (which an
+    infinite v fails) and, for the interior of u, the solve's
+    finite-solution check.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    for name, value in (("u", u), ("v", v)):
-        if value.shape != (grid.n,):
-            raise ValidationError(
-                f"{name} has shape {value.shape}, expected ({grid.n},) for this grid"
-            )
-    min_v = v.min()
-    if not min_v >= 1.0 - EPS_MAX_PRINCIPLE:
-        raise ValidationError(f"step_u requires v >= 1 (min v = {min_v:g})")
+    shape = (grid.n,)
+    if u.shape != shape or v.shape != shape:
+        name, value = ("u", u) if u.shape != shape else ("v", v)
+        raise ValidationError(
+            f"{name} has shape {value.shape}, expected ({grid.n},) for this grid"
+        )
+    # a NaN entry fails the test, and is the min the message reports
+    if np.count_nonzero(v >= 1.0 - EPS_MAX_PRINCIPLE) != v.size:
+        raise ValidationError(f"step_u requires v >= 1 (min v = {v.min():g})")
     if not abs(u[0] - params.u_minus) <= 1e-9:
         raise ValidationError(
             f"step_u requires u(0) = u_minus on input (got {u[0]!r})"
@@ -340,6 +381,6 @@ def step_u(u: np.ndarray, v: np.ndarray, ydot: float, grid: Grid, dt: float,
     if ydot != params.s:
         interior += (ydot - params.s) * wave.du_bar[1:-1]
     inv_v *= params.mu  # the diffusion mu / v
-    h = linear_parabolic_step(u - wave.u_bar, inv_v, -ydot, f, grid, dt)
+    h = linear_parabolic_step(u - wave.u_bar, inv_v, -ydot, f, grid, dt, out)
     h += wave.u_bar
     return h

@@ -714,6 +714,34 @@ class TestRowBlockPass:
             assert [nodes for nodes, _ in calls] == expected, name
             assert len({widths for _, widths in calls}) == 1, name
 
+    def test_exact_front_growth_source_is_zero_without_whole_rows(self, params, monkeypatch):
+        # on the exact front there is no source and ydot = s, so the growth
+        # bound's source (ydot - s) vwave' is 0: energy_report writes 0 for
+        # its norms instead of integrating whole rows of zeros, and reports
+        # the bits it reports when the zeros are integrated, as they are
+        # with a source evaluator that samples 0
+        grid = make_grid(50.0, 257)
+        v0, u0 = initial_data_fields("none", 0.0, 2.0, 0.5, params, grid)
+        init = validate_hypotheses(v0, u0, grid, params)
+        traj = picard_solve(init, grid, params, T_final=0.4, dt=1e-2, stride=2)
+        assert init.source_eval is None and np.all(traj.ydot == params.s)
+        zero_source = replace(init, source_eval=discrete_ops.monotone_interpolator(
+            np.zeros(grid.n), grid, 0.0))
+        integrated = replace(traj, init=zero_source)
+        nodes = []
+
+        def recording(F, widths):
+            nodes.append(F.shape[1])
+            return discrete_ops.row_trapezoid(F, widths)
+
+        monkeypatch.setattr(diagnostics, "row_trapezoid", recording)
+        report = energy_report(traj, init, grid, params, traj.t[-1])
+        assert grid.n not in nodes
+        nodes.clear()
+        expected = energy_report(integrated, zero_source, grid, params, traj.t[-1])
+        assert grid.n in nodes
+        assert asdict(report) == asdict(expected)
+
     def test_heads_past_the_pairwise_block_agree_with_whole_rows(self, synthetic_run):
         # a head of more than numpy's 128 pairwise terms: its sums group the
         # terms otherwise than the whole rows' do, within an ulp or two

@@ -691,6 +691,50 @@ class TestActiveLength:
         assert np.all(rows[0, 0, 0, head:] == bump_init.wave.v_bar[head:])
         assert np.all(rows[0, 0, 1, head:] == bump_init.wave.u_bar[head:])
 
+    def test_steps_give_the_same_bytes_with_their_output_aliased_to_their_input(
+            self, params, wave_init, bump_init, monkeypatch):
+        # the march hands step_v and step_u its state's head as both input
+        # and output.  Each step of an exact-front march, and of a bump march
+        # that takes updates and widens its head, repeated from a copy of its
+        # input into a new array and into that input itself, gives the bytes
+        # the march got
+        calls = []
+
+        def recording(fn):
+            def step(*args, **kwargs):
+                copies = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+                result = fn(*args, **kwargs)
+                calls.append((fn, copies, result.copy()))
+                return result
+            return step
+
+        dt = 0.01
+        # the bump march starts from a carried state at twice the wave speed,
+        # which widens its head before its second step
+        start = np.full(3, bump_init.compat_speed)
+        _, v, u = _march(bump_init.v0, bump_init.u0, start, cumulative_trapezoid(start, dt),
+                         bump_init, dt, 0.0)
+        for name in ("step_v", "step_u"):
+            monkeypatch.setattr(freeboundary, name, recording(getattr(freeboundary, name)))
+        for init, v, u, speed, t_start in ((wave_init, wave_init.v0, wave_init.u0, params.s, 0.0),
+                                          (bump_init, v, u, 2.0 * params.s, 2 * dt)):
+            calls.clear()
+            ydot = np.full(11, speed)
+            _march(v, u, ydot, cumulative_trapezoid(ydot, dt), init, dt, t_start)
+            assert len(calls) == 20
+            for fn, (state, *rest), result in calls:
+                fresh = fn(state.copy(), *rest)
+                aliased = state.copy()
+                assert fn(aliased, *rest, out=aliased) is aliased
+                assert fresh.tobytes() == aliased.tobytes() == result.tobytes()
+            v_calls = [(args, result) for fn, args, result in calls if fn is step_v]
+            heads = {args[3].n for args, _ in v_calls}
+            updated = [args[0].tobytes() != result.tobytes() for args, result in v_calls]
+            if init is wave_init:  # the exact wave is a discrete steady state
+                assert heads == {freeboundary.ACTIVE_GUARD + 1} and not any(updated)
+            else:
+                assert len(heads) == 2 and all(updated)
+
     def test_exact_front_marches_the_guard_band(self, params, small_grid, wave_init,
                                                 monkeypatch):
         cut, full = self._cut_and_full(monkeypatch, wave_init, small_grid, params,

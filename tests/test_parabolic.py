@@ -136,9 +136,15 @@ class TestRegularizedLog:
         assert val.tobytes() == np.log(core).tobytes()
         assert slope.tobytes() == (1.0 / core).tobytes()
         # straddling 1/2 or bar_c takes the general path: same core entries
-        mixed_val, mixed_slope = reg(np.concatenate((outside, core)))
+        mixed = np.concatenate((outside, core))
+        mixed_val, mixed_slope = reg(mixed)
         assert mixed_val[len(outside):].tobytes() == val.tobytes()
         assert mixed_slope[len(outside):].tobytes() == slope.tobytes()
+        # a caller's range pair picks the same path as the log's own
+        for x, (x_val, x_slope) in ((core, (val, slope)), (mixed, (mixed_val, mixed_slope))):
+            got_val, got_slope = reg(x, (x.min(), x.max()))
+            assert got_val.tobytes() == x_val.tobytes()
+            assert got_slope.tobytes() == x_slope.tobytes()
 
     # 1.061 and 1.082: beyond the right bend the slope is nu + 1 ulp, nu - 1 ulp
     @pytest.mark.parametrize("bar_c", [1.5, 4.0, 4.2345, 1.061, 1.082])
@@ -432,7 +438,8 @@ class TestTridiagonalSolve:
         ab[0, 1:] = sup
         ab[1] = diag
         ab[2, :-1] = sub
-        got = _solve_tridiagonal(sub, diag, sup, rhs, 1e-3, 1.0)
+        # the solve consumes its arguments, and rhs is read again below
+        got = _solve_tridiagonal(sub.copy(), diag.copy(), sup.copy(), rhs.copy(), 1e-3, 1.0)
         assert got.tobytes() == solve_banded((1, 1), ab, rhs).tobytes()
 
     @pytest.mark.parametrize("order", ["scipy.linalg.lapack first", "congested_ns first"])

@@ -21,17 +21,18 @@ def test_step_timing_runs_at_small_n(capsys):
     results = module.main(["--n", "257", "--repeat", "1", "--number", "3"])
     assert set(results) == {"front", "bootstrap"}
     for row in results.values():
-        assert all(0.0 < row[name] < math.inf for name in KERNELS)
+        assert all(0.0 < row[name] < math.inf for name in (*KERNELS, "march step"))
+        assert math.isfinite(row["glue"])
     assert results["front"]["m"] == 128 < results["bootstrap"]["m"] <= 256
-    # on the exact front step_v takes no update; the step's reductions are
-    # step_v's range pair, which is also its maximum-principle pair, the
-    # regularized log's core test, the residual norm, and the range checks of
-    # step_u and linear_parabolic_step and the finite-solution check of
-    # step_u's solve, and no other pass
-    assert results["front"]["reductions"] <= 8
-    # with the update, also the finite-solution check of step_v's solve and
+    # on the exact front step_v takes no update.  The step's reductions are
+    # step_v's range pair, which is also its maximum-principle pair and the
+    # regularized log's core test, step_v's zero-residual test, the range
+    # tests of step_u and linear_parabolic_step, and the finite-solution
+    # test of step_u's solve, and no other pass
+    assert results["front"]["reductions"] <= 6
+    # with the update, also the finite-solution test of step_v's solve and
     # its result's maximum-principle pair; an array source adds none
-    assert results["bootstrap"]["reductions"] <= 11
+    assert results["bootstrap"]["reductions"] <= 9
     out = capsys.readouterr().out
     assert "front: m = 128" in out and "boundary_velocity" in out
 
