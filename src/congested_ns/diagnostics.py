@@ -448,7 +448,8 @@ def shifted_weight_inequality(F: np.ndarray, path: BoundaryPath, M: float,
     # ROW_BLOCK rows at a time, squared in place: one pass over the whole table
     # would hold two more arrays of its size at once
     blocks = np.split(shifted, range(ROW_BLOCK, len(shifted), ROW_BLOCK))
-    inner = np.concatenate([np.trapezoid(np.square(b, out=b), grid.x, axis=1) for b in blocks])
+    widths = np.diff(grid.x)
+    inner = np.concatenate([row_trapezoid(np.square(b, out=b), widths) for b in blocks])
     lhs = float(np.trapezoid(inner, path.t))
     rhs = float(M * np.trapezoid(grid.x * F**2, grid.x))
     return {"lhs": lhs, "rhs": rhs}

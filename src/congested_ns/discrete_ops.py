@@ -8,6 +8,7 @@ each row over its own nodes, so a head of a row is integrated alone.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -214,14 +215,19 @@ class MonotoneInterpolant:
         size = n if nodes is None else nodes
         if not 0.0 <= y < np.inf:
             return self(x[:size] + y)
-        m = int(y // self._grid.dx)
+        dx, width = self._grid.dx, self._min_width
+        m = int(y // dx)
         k = max(n - 1 - m, 0)  # nodes i < k lie in interval i + m <= n - 2, node k past R
         j = min(k, size)  # the row's nodes inside the table
         s = x[:j] + y
         s -= x[m:m + j]  # the offset __call__ computes
         # rounding is monotone, so 0 <= s < min interval length keeps every
-        # node inside its nominal interval
-        off_table = j and (s.min() < 0.0 or s.max() >= self._min_width)
+        # node inside its nominal interval.  Each s_i is the nominal offset
+        # y - m dx to within a few ulps of R + y, so only a nominal offset
+        # within 16 such ulps of either bound takes the two passes over s
+        band = 16.0 * math.ulp(self._grid.R + y)
+        off_table = j and not (band <= y - m * dx < width - band) and (
+            np.minimum.reduce(s) < 0.0 or np.maximum.reduce(s) >= width)
         if off_table or (k < size and x[k] + y <= self._grid.R):
             return self(x[:size] + y)
         out = np.empty(size)

@@ -38,6 +38,7 @@ from .discrete_ops import (
 )
 from .parabolic import (
     RegularizedLog,
+    StepWork,
     step_u,
     step_v,
     truncation_mollifier,
@@ -490,22 +491,30 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
     copy of the wave with the input's nodes [0, m] written in, whose head
     [0, m] each step overwrites: step_v and step_u get the head as both
     their input and their output.  So past m it is the wave, a widening
-    only moves m, and the input state is never written.  With `report`,
-    the march records its start and widenings there.
+    only moves m, and the input state is never written.  The steps write
+    their temporaries into one full-width StepWork, whose head the march
+    takes at its start and at each widening, so no step allocates an array.
+    With `report`, the march records its start and widenings there.
     """
     steps = ydot.size - 1
     grid, params, wave, source = init.grid, init.params, init.wave, init.source_eval
-    n, s = grid.n, params.s
+    n, s, u_minus = grid.n, params.s, params.u_minus
+    y0 = float(y[0])
+    # the march's one InitialData.w0_at call (perfbench's tracer counts it);
+    # every other w0 value comes from the interpolant's scalar path directly
+    w0_y0, w0 = init.w0_at(y0), init.w0_eval.at
     zdot = np.empty(ydot.size)
     zdot[0] = (init.compat_speed if t_start == 0.0
-               else boundary_velocity(u, init.w0_at(y[0]), grid, params, wave))
+               else boundary_velocity(u, w0_y0, grid, params, wave))
     off = np.abs(v - wave.v_bar) > ACTIVE_FLOOR
     off |= np.abs(u - wave.u_bar) > ACTIVE_FLOOR
     if source is not None:
-        off |= source.shifted(y[0]) != 0.0
+        off |= source.shifted(y0) != 0.0
     last = np.flatnonzero(off)
     m = min((int(last[-1]) if last.size else 0) + ACTIVE_GUARD, n - 1)
     sub_grid, sub_wave = _active_head(grid, wave, m)
+    work = StepWork(n)
+    work.head(m + 1, sub_wave)
     v_all, u_all = wave.v_bar.copy(), wave.u_bar.copy()
     # the views of the state's head, which each step reads and overwrites
     v_head, u_head = v_all[:m + 1], u_all[:m + 1]
@@ -518,48 +527,52 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
         # z[k-3], z[k-2], z[k-1] and the numerators N = z (u_minus - w0(y)) there
         (z3, z2), (y3, y2) = (row.tolist() for row in history)
         z1 = float(zdot[0])
-        n3, n2, n1 = (z * (params.u_minus - init.w0_at(p))
-                      for z, p in ((z3, y3), (z2, y2), (z1, float(y[0]))))
+        n3, n2, n1 = z3 * (u_minus - w0(y3)), z2 * (u_minus - w0(y2)), z1 * (u_minus - w0_y0)
         ydot[0] = z1
     # the bookkeeping runs on Python floats: the speed and position of the
     # node before the step, and the running trapezoid sum of the positions
-    y0, running = float(y[0]), 0.0
+    running = 0.0
     ydot_prev, y_prev = float(ydot[0]), y0
+    v_at, u_at = v_all.item, u_all.item
+    v_bar_at, u_bar_at, du_bar_at = wave.v_bar.item, wave.u_bar.item, wave.du_bar.item
+    shifted = None if source is None else source.shifted
 
     for k in range(1, steps + 1):
         if history is not None:
             y_hat = y_prev + 0.5 * (ydot_prev + (3.0 * z1 - 3.0 * z2 + z3)) * dt
-            d_hat = params.u_minus - init.w0_at(y_hat)
+            d_hat = u_minus - w0(y_hat)
             pred = (3.0 * n1 - 3.0 * n2 + n3) / d_hat if d_hat > 0.0 else math.nan
             ydot[k] = ydot_k = pred if 0.0 < pred < math.inf else z1  # NaN fails
         else:
             ydot_k = float(ydot[k])
         running += 0.5 * (ydot_prev + ydot_k) * dt
         y[k] = y_k = y0 + running
-        w0_yk = init.w0_at(y_k)
+        w0_yk = w0(y_k)
         spread = dt * abs(ydot_k - s)
         while m < n - 1:
             c = m - ACTIVE_GUARD // 2  # after a widening the state there is the wave
-            if not (abs(v_all.item(c) - wave.v_bar.item(c)) > ACTIVE_FLOOR
-                    or abs(u_all.item(c) - wave.u_bar.item(c)) > ACTIVE_FLOOR
-                    or spread * abs(wave.du_bar.item(c)) > ACTIVE_FLOOR):
+            if not (abs(v_at(c) - v_bar_at(c)) > ACTIVE_FLOOR
+                    or abs(u_at(c) - u_bar_at(c)) > ACTIVE_FLOOR
+                    or spread * abs(du_bar_at(c)) > ACTIVE_FLOOR):
                 break
             wider = min(m + ACTIVE_GUARD, n - 1)
             widened.append((t_start + (k - 1) * dt, m, wider))
             m = wider
             sub_grid, sub_wave = _active_head(grid, wave, m)
+            work.head(m + 1, sub_wave)
             v_head, u_head = v_all[:m + 1], u_all[:m + 1]
-        src = 0.0 if source is None else source.shifted(y_k, m + 1)
+        src = 0.0 if shifted is None else shifted(y_k, m + 1)
         try:
-            step_v(v_head, ydot_k, src, sub_grid, dt, init.reg, params, sub_wave, out=v_head)
-            step_u(u_head, v_head, ydot_k, sub_grid, dt, params, sub_wave, out=u_head)
+            step_v(v_head, ydot_k, src, sub_grid, dt, init.reg, params, sub_wave, out=v_head,
+                   work=work)
+            step_u(u_head, v_head, ydot_k, sub_grid, dt, params, sub_wave, out=u_head, work=work)
             zdot[k] = z = boundary_velocity(u_head, w0_yk, sub_grid, params, sub_wave)
         except RuntimeError as exc:
             exc.t = t_start + k * dt
             raise
         if history is not None:
             z3, z2, z1 = z2, z1, z
-            n3, n2, n1 = n2, n1, z * (params.u_minus - w0_yk)
+            n3, n2, n1 = n2, n1, z * (u_minus - w0_yk)
         if keep and k in keep:
             v_row, u_row = keep[k]
             v_row[:], u_row[:] = v_all, u_all

@@ -57,6 +57,11 @@ dgtsv = _lapack_dgtsv()
 
 EPS_MAX_PRINCIPLE = 1e-9
 
+# the constant operands of the steps' ufuncs, as read-only 0-d arrays (see StepWork)
+_CONSTANTS = np.array([0.0, 1.0, 2.0, 1.0 - EPS_MAX_PRINCIPLE])
+_CONSTANTS.setflags(write=False)
+_ZERO, _ONE, _TWO, _V_FLOOR = (_CONSTANTS[i, ...] for i in range(4))
+
 
 @dataclass(frozen=True)
 class RegularizedLog:
@@ -87,18 +92,26 @@ class RegularizedLog:
         """The slope floor 1/(2 bar_c); 1/nu is the slope cap."""
         return 1.0 / (2.0 * self.bar_c)
 
-    def __call__(self, x: np.ndarray | float,
-                 span: tuple[float, float] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, x: np.ndarray | float, span: tuple[float, float] | None = None,
+                 out: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
         """Return (a(x), a'(x)) elementwise; NaN entries give NaN in both.
         `span`, the pair (x.min(), x.max()) of an array x that the caller
-        has already taken, spares the core test its own two passes."""
+        has already taken, spares the core test its own two passes.  The
+        pair is written into `out`, two arrays of x's shape (new ones by
+        default), and returned; for a 0-d x, 0-d arrays."""
         x = np.asarray(x, dtype=float)
+        if out is None:
+            out = np.empty_like(x), np.empty_like(x)
+        value, slope = out
         if span is None and x.ndim and x.size:
-            span = x.min(), x.max()
+            span = np.minimum.reduce(x), np.maximum.reduce(x)
         # every entry in the core: the bits the general path gives there (a
         # NaN fails both comparisons and takes the general path)
         if span is not None and 0.5 <= span[0] and span[1] <= self.bar_c:
-            return np.log(x), 1.0 / x
+            np.log(x, out=value)
+            np.divide(_ONE, x, out=slope)
+            return value, slope
         bar_c, nu = self.bar_c, self.nu
         inv_nu = 1.0 / nu
         kl = (inv_nu - 2.0) / 0.25
@@ -106,11 +119,70 @@ class RegularizedLog:
         c = np.clip(x, 0.5, bar_c)
         dl = np.clip(0.5 - x, 0.0, 0.25)
         dr = np.clip(x - bar_c, 0.0, bar_c)
-        value = (np.log(c) - (2.0 * dl + 0.5 * kl * dl**2) + (dr / bar_c - 0.5 * kr * dr**2)
-                 + inv_nu * np.minimum(x - 0.25, 0.0) + nu * np.maximum(x - 2.0 * bar_c, 0.0))
-        slope = 1.0 / c + kl * dl - kr * dr
-        # for a 0-d x the arithmetic gives numpy scalars; return 0-d arrays
-        return np.asarray(value), np.asarray(slope)
+        value[...] = (np.log(c) - (2.0 * dl + 0.5 * kl * dl**2) + (dr / bar_c - 0.5 * kr * dr**2)
+                      + inv_nu * np.minimum(x - 0.25, 0.0) + nu * np.maximum(x - 2.0 * bar_c, 0.0))
+        slope[...] = 1.0 / c + kl * dl - kr * dr
+        return value, slope
+
+
+class StepWork:
+    """The scratch arrays of step_v, step_u and linear_parabolic_step,
+    allocated once at the width of n nodes, and their views on a head.
+
+    A step given a workspace writes every temporary into it, so it
+    allocates no array (except on the regularized log's general path,
+    which no state inside the maximum principle takes).  head(nodes, wave) takes every view a step reads,
+    once: the arrays on the first `nodes` nodes, their interior and shifted
+    slices, and the interior slices of `wave`, the profiles on those nodes
+    (step_v and step_u read them; None for linear_parabolic_step alone).  A
+    march builds one at full width and takes a new head at its start and at
+    each widening; a step called without one builds its own, so both run the
+    same lines.  Nothing a step reads is carried from one step to the next,
+    except the source's end entries, which stay the 0 that head writes.
+
+    A step's scalar operands are 0-d arrays too, which it writes each
+    value into: a ufunc takes a 0-d float64 operand about 0.2 us faster than
+    a Python float, whose type it must first resolve (numpy 2.4, 129 nodes,
+    a shared 2-vCPU x86 machine).
+    """
+
+    def __init__(self, n: int, wave: Profiles | None = None):
+        self._rows = np.empty((16, n))
+        self._flags = np.empty(n, dtype=bool)
+        (self.c_adv, self.minus_c_adv, self.c_dif, self.coef, self.dt, self.inv_dt,
+         self.two_dx, self.mu, self.face_scale, self.b_f, self.minus_b_f) = (
+            np.empty(()) for _ in range(11))
+        self.head(n, wave)
+
+    def head(self, nodes: int, wave: Profiles | None = None) -> None:
+        """Take the views on the first `nodes` nodes, and `wave`'s."""
+        if not 4 <= nodes <= self._flags.size:
+            raise ValidationError(
+                f"a head of {nodes} nodes needs 4 to {self._flags.size}, the workspace's width")
+        rows = self._rows
+        self.nodes, self.wave = nodes, wave
+        # whole-head, interior-wide and face-wide arrays
+        self.g, self.q, self.slope, self.inv_v, self.coupling, self.f, self.h = rows[:7, :nodes]
+        self.base, self.res, self.tmp, self.diag, self.di = rows[7:12, :nodes - 2]
+        self.sub, self.lo, self.hi = rows[12:15, :nodes - 3]
+        self.k = rows[15, :nodes - 1]
+        self.flags = self._flags[:nodes]
+        # step_v: the deviation and the log's pair, at nodes i - 1, i, i + 1
+        # of each interior row i, and the slope's part of each diagonal
+        self.g_lo, self.g_in, self.g_hi = self.g[:-2], self.g[1:-1], self.g[2:]
+        self.q_lo, self.q_in, self.q_hi = self.q[:-2], self.q[1:-1], self.q[2:]
+        self.slope_sub, self.slope_in, self.slope_sup = (
+            self.slope[1:-2], self.slope[1:-1], self.slope[2:-1])
+        self.reg_out = self.q, self.slope
+        # step_u: the coupling's central difference and the source
+        self.coupling_lo, self.coupling_hi = self.coupling[:-2], self.coupling[2:]
+        self.f_in = self.f[1:-1]
+        self.f[0] = self.f[-1] = 0.0
+        # linear_parabolic_step: the faces of rows i - 1 and i, and of the rows 2..n-2
+        self.k_lo, self.k_in, self.k_hi = self.k[:-1], self.k[1:-1], self.k[1:]
+        if wave is not None:
+            self.v_in, self.dv_in, self.du_in = (
+                wave.v_bar[1:-1], wave.dv_bar[1:-1], wave.du_bar[1:-1])
 
 
 def truncation_mollifier(grid: Grid) -> np.ndarray:
@@ -150,7 +222,8 @@ def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
 
 
 def linear_parabolic_step(state: np.ndarray, a: np.ndarray, b: float, f: np.ndarray,
-                          grid: Grid, dt: float, out: np.ndarray | None = None) -> np.ndarray:
+                          grid: Grid, dt: float, out: np.ndarray | None = None,
+                          work: StepWork | None = None) -> np.ndarray:
     """One implicit-Euler step of d_t h + b d_x h - d_x(a d_x h) = f with
     h = 0 at both ends, for a positive nodal diffusion a, a scalar advection b
     and a nodal source f.
@@ -159,7 +232,8 @@ def linear_parabolic_step(state: np.ndarray, a: np.ndarray, b: float, f: np.ndar
     means, giving a conservative second-order discretization.  The solution
     is solved straight into the interior of `out` (a new array by default;
     an array of shape (n,) that shares no memory with a or f, state itself
-    allowed), which is returned.
+    allowed), which is returned.  The temporaries go into `work`, a
+    StepWork whose head is the grid's n nodes (a new one by default).
 
     Every input is checked once, in passes the step makes anyway: the
     shapes, a finite b and dt, a > 0 at every node (which a NaN fails), the
@@ -172,42 +246,51 @@ def linear_parabolic_step(state: np.ndarray, a: np.ndarray, b: float, f: np.ndar
     a = np.asarray(a, dtype=float)
     f = np.asarray(f, dtype=float)
     shape = (grid.n,)
-    for name, value in (("state", state), ("a", a), ("f", f)):
-        if value.shape != shape:
-            raise ValidationError(
-                f"{name} has shape {value.shape}, expected ({grid.n},) for this grid"
-            )
-        # the solve reads state and f only on the interior rows, and an
-        # infinite end diffusion makes a face infinite, which forces its
-        # neighbour to 0
-        if not (math.isfinite(value[0]) and math.isfinite(value[-1])):
-            raise ValidationError(
-                f"{name} must be finite at both ends (got {value[0]!r}, {value[-1]!r})"
-            )
+    # the solve reads state and f only on the interior rows, and an infinite
+    # end diffusion makes a face infinite, which forces its neighbour to 0
+    if not (state.shape == shape and a.shape == shape and f.shape == shape
+            and math.isfinite(state[0]) and math.isfinite(state[-1])
+            and math.isfinite(a[0]) and math.isfinite(a[-1])
+            and math.isfinite(f[0]) and math.isfinite(f[-1])):
+        for name, value in (("state", state), ("a", a), ("f", f)):
+            if value.shape != shape:
+                raise ValidationError(
+                    f"{name} has shape {value.shape}, expected ({grid.n},) for this grid"
+                )
+            if not (math.isfinite(value[0]) and math.isfinite(value[-1])):
+                raise ValidationError(
+                    f"{name} must be finite at both ends (got {value[0]!r}, {value[-1]!r})"
+                )
     b = float(b)
     if not math.isfinite(b):
         raise ValidationError(f"advection b must be finite (got {b})")
+    if work is None:
+        work = StepWork(grid.n)
+    elif work.nodes != grid.n:
+        raise ValidationError(f"the workspace's head has {work.nodes} nodes, the grid {grid.n}")
     # a NaN fails the test; the min is taken only for the message
-    if np.count_nonzero(a > 0.0) != a.size:
+    if np.count_nonzero(np.greater(a, _ZERO, out=work.flags)) != a.size:
         raise ValidationError(f"diffusion must be positive (min a = {a.min():g})")
 
     # a_{i-1/2} / dx^2 and a_{i+1/2} / dx^2 for the interior rows i = 1..n-2
-    k = a[:-1] + a[1:]
-    k *= 0.5 / grid.dx**2
+    k = np.add(a[:-1], a[1:], out=work.k)
+    work.face_scale[()] = 0.5 / grid.dx**2
+    k *= work.face_scale
     b_f = b * (0.5 / grid.dx)
+    work.b_f[()], work.minus_b_f[()] = b_f, -b_f
 
     # row i (interior): coefficients of h_{i-1}, h_i, h_{i+1}; the solve
     # reads the first from row 2 on and the last up to row n-3, which both
     # take the faces of rows 2..n-2
-    k_in = k[1:-1]
-    lo = -b_f - k_in
-    hi = b_f - k_in
-    di = k[:-1] + k[1:]
-    di += 1.0 / dt
+    lo = np.subtract(work.minus_b_f, work.k_in, out=work.lo)
+    hi = np.subtract(work.b_f, work.k_in, out=work.hi)
+    di = np.add(work.k_lo, work.k_hi, out=work.di)
+    work.inv_dt[()], work.dt[()] = 1.0 / dt, dt
+    di += work.inv_dt
     if out is None:
         out = np.empty(grid.n)
     rhs = out[1:-1]
-    np.divide(state[1:-1], dt, out=rhs)
+    np.divide(state[1:-1], work.dt, out=rhs)
     rhs += f[1:-1]
     x = _solve_tridiagonal(lo, di, hi, rhs, dt, a)
     if x is not rhs:  # a strided out: gtsv solved into a copy
@@ -218,7 +301,7 @@ def linear_parabolic_step(state: np.ndarray, a: np.ndarray, b: float, f: np.ndar
 
 def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, dt: float,
            reg: RegularizedLog, params: PhysicalParams, wave: Profiles,
-           out: np.ndarray | None = None) -> np.ndarray:
+           out: np.ndarray | None = None, work: StepWork | None = None) -> np.ndarray:
     """One linearly implicit Euler step of d_t v - ydot d_x v - mu d_xx a(v)
     = source.
 
@@ -238,7 +321,8 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
     exact wave, returns the state as it is.  The result is written into
     `out` (a new array by default; an array of shape (n,), v itself
     allowed, since v is read only before out is written) and returned; a
-    step that raises may have written part of it.
+    step that raises may have written part of it.  The temporaries go into
+    `work`, a StepWork whose head holds `wave` (a new one by default).
 
     v is checked once, in passes the step makes anyway: v(0) = 1, a finite
     v(R), which no solve reads, and a finite, positive range of the state
@@ -257,67 +341,80 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
         raise ValidationError(f"step_v requires a finite v(R) on input (got {v[-1]!r})")
     if not 0.0 < dt < math.inf:
         raise ValidationError(f"dt must be finite and positive (got {dt})")
-    vbar = wave.v_bar
-    g = v - vbar
-    # the residual's constant part, g_old + dt (source + (ydot - s) d_x vwave)
-    base = (dt * (ydot - params.s)) * wave.dv_bar[1:-1]
     # the float test first: the march passes 0.0 on every exact-front step,
     # and np.ndim costs about a microsecond
     if isinstance(source, float) or not np.ndim(source):
-        src = float(source)
-        if not math.isfinite(src):
-            raise ValidationError(f"source must be finite (got {src})")
-        if src:  # a zero source adds nothing to the outcome
-            base += dt * src
+        source = float(source)
+        if not math.isfinite(source):
+            raise ValidationError(f"source must be finite (got {source})")
     else:
         source = np.asarray(source, dtype=float)
         if not (source.shape == (grid.n,) and math.isfinite(source[0])
                 and math.isfinite(source[-1])):
             raise ValidationError(f"source must be finite at both ends, of shape ({grid.n},)")
-        base += dt * source[1:-1]
-    g_in = g[1:-1]
-    base += g_in
+    if work is None:
+        work = StepWork(grid.n, wave)
+    elif work.wave is not wave:
+        raise ValidationError("the workspace's head holds another wave")
+    vbar = wave.v_bar
+    g = np.subtract(v, vbar, out=work.g)
+    g_in = work.g_in
+    # the residual's constant part, g_old + dt (source + (ydot - s) d_x vwave);
+    # at ydot = s with a zero source, g_old (0 dv_bar is 0.0, adding it
+    # changes no value), as on every exact-front step
+    if ydot == params.s and isinstance(source, float) and not source:
+        base = g_in
+    else:
+        work.coef[()], work.dt[()] = dt * (ydot - params.s), dt
+        base = np.multiply(work.coef, work.dv_in, out=work.base)
+        if isinstance(source, float):
+            if source:  # a zero source adds nothing to the outcome
+                work.coef[()] = dt * source
+                base += work.coef
+        else:
+            base += np.multiply(source[1:-1], work.dt, out=work.tmp)
+        base += g_in
     g[0] = 0.0
     g[-1] = 0.0
     # the state the residual and its slope are evaluated at, and the result
     w = np.add(vbar, g, out=out)
-    low, high = w.min(), w.max()
+    low, high = np.minimum.reduce(w), np.maximum.reduce(w)
     if not (0.0 < low and high < math.inf):
         raise ValidationError(
             f"step_v requires a finite v > 0 on input (range [{low:g}, {high:g}])"
         )
     c_adv = dt * ydot / (2.0 * grid.dx)
-    c_dif = dt * params.mu / grid.dx**2
+    work.c_adv[()], work.c_dif[()] = c_adv, dt * params.mu / grid.dx**2
 
     # g_i - c_adv (g_{i+1} - g_{i-1}) - c_dif (q_{i+1} - 2 q_i + q_{i-1})
     # - base_i, with q = a(w) - ln vbar, assembled in place
-    q, slope = reg(w, (low, high))
+    q, slope = reg(w, (low, high), work.reg_out)
     q -= wave.log_v_bar
-    q *= c_dif
-    res = g[:-2] - g[2:]
-    res *= c_adv
+    q *= work.c_dif
+    res = np.subtract(work.g_lo, work.g_hi, out=work.res)
+    res *= work.c_adv
     res += g_in
     res -= base
-    res -= q[2:]
-    res -= q[:-2]
-    q_in = q[1:-1]
-    res += q_in
-    res += q_in
+    res -= work.q_hi
+    res -= work.q_lo
+    res += work.q_in
+    res += work.q_in
     # count_nonzero is cheaper than an any or max pass; a NaN residual
     # takes the update
     if np.count_nonzero(res):
         # the Jacobian's diagonals, the super one written over the slope
         # the other two have read, and the update solved into -res
-        slope *= c_dif
-        sub = c_adv - slope[1:-2]
-        diag = 2.0 * slope[1:-1]
-        diag += 1.0
-        sup = np.subtract(-c_adv, slope[2:-1], out=slope[2:-1])
+        slope *= work.c_dif
+        sub = np.subtract(work.c_adv, work.slope_sub, out=work.sub)
+        diag = np.multiply(_TWO, work.slope_in, out=work.diag)
+        diag += _ONE
+        work.minus_c_adv[()] = -c_adv
+        sup = np.subtract(work.minus_c_adv, work.slope_sup, out=work.slope_sup)
         delta = _solve_tridiagonal(sub, diag, sup, np.negative(res, out=res), dt,
                                    params.mu * reg.nu)
         delta += g_in
-        np.add(vbar[1:-1], delta, out=w[1:-1])
-        low, high = w.min(), w.max()
+        np.add(work.v_in, delta, out=w[1:-1])
+        low, high = np.minimum.reduce(w), np.maximum.reduce(w)
     if not (1.0 - EPS_MAX_PRINCIPLE <= low and high <= reg.bar_c + EPS_MAX_PRINCIPLE):
         raise MaximumPrincipleViolated(
             f"v left (1, bar_c]: range [{low:.12g}, {high:.12g}] vs bar_c = {reg.bar_c:g}"
@@ -327,7 +424,7 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
 
 def step_u(u: np.ndarray, v: np.ndarray, ydot: float, grid: Grid, dt: float,
            params: PhysicalParams, wave: Profiles,
-           out: np.ndarray | None = None) -> np.ndarray:
+           out: np.ndarray | None = None, work: StepWork | None = None) -> np.ndarray:
     """One implicit-Euler step of d_t u - ydot d_x u - mu d_x((1/v) d_x u) = 0.
 
     Dirichlet values u(0) = u_minus and u(R) = wave profile at R.  As in
@@ -341,7 +438,9 @@ def step_u(u: np.ndarray, v: np.ndarray, ydot: float, grid: Grid, dt: float,
     straight into `out` (a new array by default; an array of shape (n,)
     that shares no memory with v, u itself allowed, since u is read only
     before out is written), and the result is returned.  `wave` is
-    traveling_wave(params, grid), sampled once by the caller.
+    traveling_wave(params, grid), sampled once by the caller.  The
+    temporaries, linear_parabolic_step's too, go into `work`, a StepWork
+    whose head holds `wave` (a new one by default).
 
     u and v are checked once, in passes the step makes anyway: u(0) =
     u_minus and v >= 1 at every node (which a NaN fails) here, and in
@@ -357,30 +456,34 @@ def step_u(u: np.ndarray, v: np.ndarray, ydot: float, grid: Grid, dt: float,
         raise ValidationError(
             f"{name} has shape {value.shape}, expected ({grid.n},) for this grid"
         )
+    if work is None:
+        work = StepWork(grid.n, wave)
+    elif work.wave is not wave:
+        raise ValidationError("the workspace's head holds another wave")
     # a NaN entry fails the test, and is the min the message reports
-    if np.count_nonzero(v >= 1.0 - EPS_MAX_PRINCIPLE) != v.size:
+    if np.count_nonzero(np.greater_equal(v, _V_FLOOR, out=work.flags)) != v.size:
         raise ValidationError(f"step_u requires v >= 1 (min v = {v.min():g})")
     if not abs(u[0] - params.u_minus) <= 1e-9:
         raise ValidationError(
             f"step_u requires u(0) = u_minus on input (got {u[0]!r})"
         )
-    inv_v = 1.0 / v
-    coupling = inv_v - wave.inv_v_bar
+    inv_v = np.divide(_ONE, v, out=work.inv_v)
+    coupling = np.subtract(inv_v, wave.inv_v_bar, out=work.coupling)
     coupling *= wave.du_bar
     # the source: 0 at the ends, which linear_parabolic_step does not solve
-    # for, and on the interior the central difference of stencil_derivative,
-    # in its order
-    f = np.empty(grid.n)
-    f[0] = f[-1] = 0.0
-    interior = f[1:-1]
-    np.subtract(coupling[2:], coupling[:-2], out=interior)
-    interior /= 2.0 * grid.dx
-    interior *= params.mu
+    # for (the workspace keeps them 0), and on the interior the central
+    # difference of stencil_derivative, in its order
+    interior = np.subtract(work.coupling_hi, work.coupling_lo, out=work.f_in)
+    work.two_dx[()], work.mu[()] = 2.0 * grid.dx, params.mu
+    interior /= work.two_dx
+    interior *= work.mu
     # at ydot = s the term is -0.0 at every node (s > 0 and uwave' <= -0.0),
     # and adding -0.0 changes no value
     if ydot != params.s:
-        interior += (ydot - params.s) * wave.du_bar[1:-1]
-    inv_v *= params.mu  # the diffusion mu / v
-    h = linear_parabolic_step(u - wave.u_bar, inv_v, -ydot, f, grid, dt, out)
+        work.coef[()] = ydot - params.s
+        interior += np.multiply(work.coef, work.du_in, out=work.tmp)
+    inv_v *= work.mu  # the diffusion mu / v
+    h = linear_parabolic_step(np.subtract(u, wave.u_bar, out=work.h), inv_v, -ydot, work.f,
+                              grid, dt, out, work)
     h += wave.u_bar
     return h

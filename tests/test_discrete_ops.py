@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,6 +236,46 @@ def test_shifted_row_reads_the_table_without_interval_search(monkeypatch):
     monkeypatch.setattr(MonotoneInterpolant, "__call__", no_general_path)
     assert evaluate.shifted(1.2345).tobytes() == expected.tobytes()
     assert evaluate.shifted(1.2345, 60).tobytes() == expected[:60].tobytes()
+
+
+def _reductions(call) -> int:
+    """The ufunc reductions (min, max, all, ...) made while `call` runs."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "c_call" and getattr(arg, "__name__", "") == "reduce":
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_shifted_row_tests_its_offsets_only_near_an_interval_bound():
+    # each offset of a shifted row is the nominal one, y - m dx, to within
+    # a few ulps of R + y.  A nominal offset within 16 of them of 0 or of
+    # the least interval width takes the two passes that test every offset;
+    # any other takes none.  Either way the row is the evaluator's, bit for
+    # bit, also for shifts a few ulps from a node, where rounding can put
+    # a node of the row in the next interval
+    g = make_grid(10.0, 201)
+    evaluate = monotone_interpolator(np.exp(-g.x) * np.cos(g.x), g, 0.0)
+    for node in (1, 37, 120, 199):
+        near = g.x[node]
+        for ulps in range(-40, 41):
+            y = near + ulps * math.ulp(g.R + near)
+            for size in (g.n, 60):
+                row = evaluate.shifted(y, size)
+                assert row.tobytes() == evaluate(g.x[:size] + y).tobytes()
+            if abs(ulps) <= 8:
+                assert _reductions(lambda: evaluate.shifted(y)) >= 2
+        middle = near - 0.5 * g.dx
+        assert _reductions(lambda: evaluate.shifted(middle)) == 0
+        assert evaluate.shifted(middle).tobytes() == evaluate(g.x + middle).tobytes()
 
 
 def _pchip_data(kind: str, seed: int, n: int) -> np.ndarray:

@@ -24,6 +24,8 @@ from congested_ns.freeboundary import (
 )
 from congested_ns.parabolic import (
     RegularizedLog,
+    StepWork,
+    linear_parabolic_step,
     step_u,
     step_v,
     truncation_mollifier,
@@ -734,6 +736,59 @@ class TestActiveLength:
                 assert heads == {freeboundary.ACTIVE_GUARD + 1} and not any(updated)
             else:
                 assert len(heads) == 2 and all(updated)
+
+    def test_steps_give_the_same_bytes_with_and_without_the_marchs_workspace(
+            self, params, wave_init, bump_init, monkeypatch):
+        # the march hands step_v and step_u one StepWork, whose head it moves
+        # at each widening.  Each step of an exact-front march, and of a bump
+        # march that takes updates and widens its head, repeated from a copy
+        # of its input with a workspace of its own, gives the bytes the march
+        # got; so does the first step after a widening
+        steps = []
+
+        def recording(fn):
+            def step(*args, out, work):
+                state = args[0].copy()
+                rest = [a.copy() if isinstance(a, np.ndarray) else a for a in args[1:]]
+                result = fn(*args, out=out, work=work)
+                alone = fn(state, *rest)
+                steps.append((fn, args[3].n, alone.tobytes() == result.tobytes(),
+                              state.tobytes() != result.tobytes()))
+                return result
+            return step
+
+        dt = 0.01
+        start = np.full(3, bump_init.compat_speed)
+        _, v, u = _march(bump_init.v0, bump_init.u0, start, cumulative_trapezoid(start, dt),
+                         bump_init, dt, 0.0)
+        for name in ("step_v", "step_u"):
+            monkeypatch.setattr(freeboundary, name, recording(getattr(freeboundary, name)))
+        for init, v, u, speed, t_start in ((wave_init, wave_init.v0, wave_init.u0, params.s, 0.0),
+                                          (bump_init, v, u, 2.0 * params.s, 2 * dt)):
+            steps.clear()
+            ydot = np.full(11, speed)
+            _march(v, u, ydot, cumulative_trapezoid(ydot, dt), init, dt, t_start)
+            assert len(steps) == 20 and all(same for _, _, same, _ in steps)
+            heads = [nodes for fn, nodes, _, _ in steps if fn is step_v]
+            updated = [changed for fn, _, _, changed in steps if fn is step_v]
+            if init is wave_init:  # the exact wave is a discrete steady state
+                assert set(heads) == {freeboundary.ACTIVE_GUARD + 1} and not any(updated)
+            else:  # widened before the second step
+                assert heads[0] < heads[1] == heads[-1] and all(updated)
+
+    def test_a_step_rejects_the_workspace_of_another_head(self, params, wave_init):
+        grid, wave = wave_init.grid, wave_init.wave
+        work = StepWork(grid.n)
+        work.head(17, wave.head(17))
+        with pytest.raises(ValidationError, match="another wave"):
+            step_v(wave.v_bar, params.s, 0.0, grid, 1e-3, wave_init.reg, params, wave, work=work)
+        with pytest.raises(ValidationError, match="another wave"):
+            step_u(wave.u_bar, wave.v_bar, params.s, grid, 1e-3, params, wave, work=work)
+        with pytest.raises(ValidationError, match="17 nodes"):
+            linear_parabolic_step(np.zeros(grid.n), np.ones(grid.n), 0.0, np.zeros(grid.n),
+                                  grid, 1e-3, work=work)
+        with pytest.raises(ValidationError, match="workspace's width"):
+            work.head(grid.n + 1)
 
     def test_exact_front_marches_the_guard_band(self, params, small_grid, wave_init,
                                                 monkeypatch):

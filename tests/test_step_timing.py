@@ -14,10 +14,15 @@ KERNELS = ("step_v", "step_u", "step_v+step_u", "linear_parabolic_step",
            "_solve_tridiagonal", "boundary_velocity")
 
 
-def test_step_timing_runs_at_small_n(capsys):
+def _load_tool():
     spec = importlib.util.spec_from_file_location("step_timing", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_step_timing_runs_at_small_n(capsys):
+    module = _load_tool()
     results = module.main(["--n", "257", "--repeat", "1", "--number", "3"])
     assert set(results) == {"front", "bootstrap"}
     for row in results.values():
@@ -29,18 +34,31 @@ def test_step_timing_runs_at_small_n(capsys):
     # regularized log's core test, step_v's zero-residual test, the range
     # tests of step_u and linear_parabolic_step, and the finite-solution
     # test of step_u's solve, and no other pass
-    assert results["front"]["reductions"] <= 6
+    assert results["front"]["reductions"] == 6
     # with the update, also the finite-solution test of step_v's solve and
     # its result's maximum-principle pair; an array source adds none
-    assert results["bootstrap"]["reductions"] <= 9
+    assert results["bootstrap"]["reductions"] == 9
+    # the steps write into the march's workspace
+    for row in results.values():
+        assert 0 < row["temporaries"] < 8 * (row["m"] + 1)
     out = capsys.readouterr().out
-    assert "front: m = 128" in out and "boundary_velocity" in out
+    assert "front: m = 128" in out and "boundary_velocity" in out and "head arrays" in out
+
+
+def test_a_step_pair_allocates_less_than_one_head_array():
+    # step_v and step_u write every temporary into the march's workspace:
+    # at the recorded front and bootstrap states of the whole grid, what one
+    # pair allocates peaks below one array of the head
+    module = _load_tool()
+    for preset, T_final in module.STATES.values():
+        calls = module.last_calls(preset, 2049, T_final)
+        nodes = calls["step_v"].args[3].n
+        assert nodes in (129, 934)
+        assert module.temporaries(calls) < 8 * nodes
 
 
 def test_step_timing_restores_the_kernels_and_times_the_solver_calls(monkeypatch):
-    spec = importlib.util.spec_from_file_location("step_timing", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _load_tool()
     real = {name: getattr(owner, name) for owner, name in module.KERNELS}
     module.main(["--n", "257", "--repeat", "1", "--number", "1"])
     assert all(getattr(owner, name) is real[name] for owner, name in module.KERNELS)

@@ -27,13 +27,18 @@ is one whole step of the run's last march, everything a step does around
 the pair included: that march on its recorded path, less the same march
 stopped after its first step, divided by its steps less one, so the
 march's one-off set-up is left out.  ``glue`` is the march step less the
-pair: the time a step spends around step_v and step_u.  The timings reach the functions themselves: perfbench's traced
-layer table also times a wrapper around every module-level helper, so it
-under-reports a gain inside a kernel.  ``reductions`` counts the numpy
+pair: the time a step spends around step_v and step_u.  The timings
+reach the functions themselves: perfbench's traced layer table also
+times a wrapper around every module-level helper, so it under-reports a
+gain inside a kernel.  ``reductions`` counts the numpy
 passes that reduce a whole array to one number, in one step_v, step_u and
 boundary_velocity sequence: every ufunc.reduce call (min, max, any, all,
-sum), count_nonzero and dot.  A kernel that is renamed, or no longer
-called, fails the script.
+sum), count_nonzero and dot.  ``temporaries`` is the peak of the bytes
+that one step_v then step_u allocate, by tracemalloc, also counted in
+head arrays of 8 (m + 1) bytes: the steps write into the march's
+workspace, so what is left is small objects and numpy's iterator of each
+range reduction, about 1 KB whatever the head.  A kernel that is renamed,
+or no longer called, fails the script.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ import argparse
 import functools
 import sys
 import timeit
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -129,6 +135,32 @@ def reductions_per_step(step) -> int:
     return count
 
 
+def temporaries(calls: dict[str, functools.partial]) -> int:
+    """Peak bytes that one step_v then step_u allocate (tracemalloc's peak
+    less what was traced before them): the pair's temporaries.  Each call is
+    spelled out as the march spells it, by position with out and work by
+    name, since a call through * or ** counts the tuple or dict it builds."""
+    step_v, step_u = calls["step_v"], calls["step_u"]
+    v, ydot, source, grid, dt, reg, params, wave = step_v.args
+    u, v_u, ydot_u, grid_u, dt_u, params_u, wave_u = step_u.args
+    (v_out, v_work), (u_out, u_work) = ((call.keywords["out"], call.keywords["work"])
+                                        for call in (step_v, step_u))
+
+    def pair():
+        step_v.func(v, ydot, source, grid, dt, reg, params, wave, out=v_out, work=v_work)
+        step_u.func(u, v_u, ydot_u, grid_u, dt_u, params_u, wave_u, out=u_out, work=u_work)
+
+    pair()  # a first call may fill caches that outlive it
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pair()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def measure(calls: dict[str, functools.partial], repeat: int, number: int) -> dict:
     """Per-call microseconds of each recorded call, the head's last node m,
     and the reductions of one step."""
@@ -149,6 +181,7 @@ def measure(calls: dict[str, functools.partial], repeat: int, number: int) -> di
     out["march step"] = march_step_us(calls["_march"], repeat, number)
     out["glue"] = out["march step"] - out["step_v+step_u"]
     out["reductions"] = reductions_per_step(lambda: (step_v(), step_u(), trace()))
+    out["temporaries"] = temporaries(calls)
     return out
 
 
@@ -164,8 +197,10 @@ def main(argv: list[str] | None = None) -> dict:
         results[label] = row = measure(calls, args.repeat, args.number)
         print(f"{label}: m = {row['m']}, {row['reductions']} reductions per step")
         for name, value in row.items():
-            if name not in ("m", "reductions"):
+            if name not in ("m", "reductions", "temporaries"):
                 print(f"  {name:<22} {value:8.2f} us")
+        heads = row["temporaries"] / (8 * (row["m"] + 1))
+        print(f"  {'temporaries':<22} {row['temporaries']:8d} B per pair, {heads:.2f} head arrays")
     return results
 
 
