@@ -8,7 +8,6 @@ each row over its own nodes, so a head of a row is integrated alone.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 import numpy as np
@@ -125,20 +124,15 @@ def stencil_trace(f: np.ndarray, dx: float, order: int) -> float:
     raise ValidationError(f"unsupported trace order {order} (use 0, 1 or 2)")
 
 
-def _power_sum(terms: tuple, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """c3 + c2 s + c1 s^2 + c0 s^3 into out, for terms (c3, c2, c1, c0) with
-    one entry per point, summed left to right as scipy's PPoly evaluation
-    sums them (powers of s by repeated multiplication)."""
+def _power_sum(terms: tuple, s, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """c3 + c2 s + c1 s^2 + c0 s^3 into out through the work row scratch, for
+    terms (c3, c2, c1, c0) with one entry per point and s one per point or one
+    float for all, summed left to right as scipy's PPoly evaluation sums them."""
     c3, c2, c1, c0 = terms
-    np.multiply(c2, s, out=out)
-    out += c3
     s2 = s * s
-    s3 = s2 * s
-    s2 *= c1
-    out += s2
-    s3 *= c0
-    out += s3
-    return out
+    np.add(np.multiply(c2, s, out), c3, out)  # outputs by position: faster than out=
+    np.add(out, np.multiply(c1, s2, scratch), out)
+    return np.add(out, np.multiply(c0, s2 * s, scratch), out)
 
 
 class MonotoneInterpolant:
@@ -156,7 +150,7 @@ class MonotoneInterpolant:
         self._terms = terms  # (c3, c2, c1, c0), one entry per interval
         self._grid = grid
         self._tail = tail
-        self._min_width = float(np.min(np.diff(grid.x)))
+        self._scratch = np.empty(grid.n - 1)  # shifted's one work row
 
     def __call__(self, x: np.ndarray | float) -> np.ndarray | np.float64:
         """f0 at each point of x: an array of x's shape, or a numpy float for
@@ -171,7 +165,7 @@ class MonotoneInterpolant:
         # count of interior nodes <= x
         i = np.searchsorted(self._grid.x[1:-1], points, side="right")
         s = np.where(inside, points - self._grid.x[i], 0.0)
-        out = _power_sum(tuple(term[i] for term in self._terms), s, np.empty(points.size))
+        out = _power_sum(tuple(term[i] for term in self._terms), s, *np.empty((2, s.size)))
         if not inside.all():
             out[~inside] = np.where(points[~inside] <= R, np.nan, self._tail)
         return out.reshape(x.shape)
@@ -200,39 +194,38 @@ class MonotoneInterpolant:
         # _power_sum's sum, term by term
         return c3.item(i) + c2.item(i) * s + c1.item(i) * s2 + c0.item(i) * (s2 * s)
 
-    def shifted(self, y: float, nodes: int | None = None, /) -> np.ndarray:
+    def shifted(self, y: float, nodes: int | None = None, out: np.ndarray | None = None,
+                /) -> np.ndarray:
         """The row f0(x_i + y) on the first `nodes` grid nodes (all of them
-        by default), equal bit for bit to self(grid.x[:nodes] + y).
+        by default), written into `out` (a new row by default).
 
-        On the uniform grid a shift y >= 0 puts node i in interval i + m,
-        m = floor(y / dx), so the row reads m-offset slices of the PCHIP
-        table, with no interval search.  When rounding puts a node of the
-        row in another interval or on R, the row takes the general path.
+        Node i lies in interval i + m, m = floor(y / dx), at the nominal
+        offset s = y - m dx: the row is the power sum of m-offset slices of
+        the table at the float s, in `at`'s order, and the tail from
+        node k = n - 1 - m on: self(x[:nodes] + y) to within roundoff, about
+        ulp(R + y) times the table's largest slope.  Node k - 1 rounded to R
+        or past it, or node k to R or before it, takes `at` (a node on R the
+        PCHIP value); a negative or non-finite y takes the general path.
         Each entry depends on its node alone, so a shorter row is the prefix
         of the longer one.
         """
-        x, n = self._grid.x, self._grid.n
+        x, n, R, dx = self._grid.x, self._grid.n, self._grid.R, self._grid.dx
         size = n if nodes is None else nodes
+        out = np.empty(size) if out is None else out
         if not 0.0 <= y < np.inf:
-            return self(x[:size] + y)
-        dx, width = self._grid.dx, self._min_width
+            out[:] = self(x[:size] + y)
+            return out
         m = int(y // dx)
-        k = max(n - 1 - m, 0)  # nodes i < k lie in interval i + m <= n - 2, node k past R
-        j = min(k, size)  # the row's nodes inside the table
-        s = x[:j] + y
-        s -= x[m:m + j]  # the offset __call__ computes
-        # rounding is monotone, so 0 <= s < min interval length keeps every
-        # node inside its nominal interval.  Each s_i is the nominal offset
-        # y - m dx to within a few ulps of R + y, so only a nominal offset
-        # within 16 such ulps of either bound takes the two passes over s
-        band = 16.0 * math.ulp(self._grid.R + y)
-        off_table = j and not (band <= y - m * dx < width - band) and (
-            np.minimum.reduce(s) < 0.0 or np.maximum.reduce(s) >= width)
-        if off_table or (k < size and x[k] + y <= self._grid.R):
-            return self(x[:size] + y)
-        out = np.empty(size)
-        out[j:] = self._tail
-        _power_sum(tuple(term[m:m + j] for term in self._terms), s, out[:j])
+        k = n - 1 - m if m < n - 1 else 0  # nodes i < k lie in interval i + m <= n - 2
+        j, (c3, c2, c1, c0) = (k if k < size else size), self._terms
+        _power_sum((c3[m:m + j], c2[m:m + j], c1[m:m + j], c0[m:m + j]), y - m * dx, out[:j],
+                   self._scratch[:j])
+        if j < size:
+            out[j:] = self._tail
+        if 0 < k <= size and x.item(k - 1) + y >= R:  # rounded onto R or past it
+            out[k - 1] = self.at(x.item(k - 1) + y)
+        if k < size and x.item(k) + y <= R:  # rounded onto R or before it
+            out[k] = self.at(x.item(k) + y)
         return out
 
 
@@ -319,7 +312,7 @@ def shift_sample(evaluate: MonotoneInterpolant, y) -> np.ndarray:
     """Sample x -> f0(x + y) on the grid through a built monotone_interpolator.
 
     `y` is one shift (result shape (n,)) or a 1-D array of shifts (result
-    shape (len(y), n), one row per shift), each row read by
+    shape (len(y), n), one row per shift), each row written in place by
     `evaluate.shifted`.  A zero shift gives an exact copy of the nodal values
     f0.  Negative shifts are rejected, since the interface only ever moves
     right, and so are NaN and infinite ones.
@@ -330,6 +323,9 @@ def shift_sample(evaluate: MonotoneInterpolant, y) -> np.ndarray:
         raise ValidationError(
             f"shift offset must be finite and nonnegative (got {shifts[bad].flat[0]})")
     out = np.empty((shifts.size, evaluate.values.size))
-    for row, shift in zip(out, shifts.ravel()):
-        row[:] = evaluate.values if shift == 0.0 else evaluate.shifted(shift)
+    for row, shift in zip(out, shifts.ravel().tolist()):
+        if shift == 0.0:
+            row[:] = evaluate.values
+        else:
+            evaluate.shifted(shift, None, row)
     return out[0] if shifts.ndim == 0 else out

@@ -53,6 +53,7 @@ class Profiles:
     inv_v_bar     -- 1 / v_bar
     dv0, du0      -- exact one-sided slopes of the v and u profiles at x = 0+
     d2u0          -- exact one-sided second derivative of u at x = 0+
+    u_lead        -- u_bar at the first four nodes, as Python floats
     """
 
     v_bar: np.ndarray = field(repr=False)
@@ -64,10 +65,12 @@ class Profiles:
     dv0: float
     du0: float
     d2u0: float
+    u_lead: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in _NODAL:
             getattr(self, name).setflags(write=False)
+        object.__setattr__(self, "u_lead", tuple(self.u_bar[:4].tolist()))
 
     def head(self, nodes: int) -> Profiles:
         """The profiles on the first `nodes` nodes of their grid, as views."""

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,10 +203,41 @@ def test_shift_preserves_monotonicity(seed, y, more):
     assert np.all(np.diff(batch, axis=1) >= -1e-12)
 
 
+def _nominal_row(evaluate, g, y: float, tail: float) -> np.ndarray:
+    """f0(x_i + y) as shifted defines it: node i in interval i + m,
+    m = floor(y / dx), at the nominal offset s = y - m dx, summed in Python
+    floats in `at`'s order; the tail past the last interval.  Nodes that
+    rounding puts on the other side of R than their interval (one on R
+    among them) take the evaluator's value at x_i + y."""
+    m = int(y // g.dx)
+    s = y - m * g.dx
+    s2 = s * s
+    c3, c2, c1, c0 = (term.tolist() for term in evaluate._terms)
+    row = np.array([c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s) if i < g.n - 1 else tail
+                    for i in range(m, m + g.n)])
+    points = g.x + y
+    inside = np.arange(m, m + g.n) < g.n - 1
+    moved = np.where(inside, points >= g.R, points <= g.R)
+    row[moved] = evaluate(points[moved])
+    return row
+
+
+def _roundoff_bound(evaluate, g, y: float) -> float:
+    """A bound on |shifted(y) - evaluate(x + y)|.  Each offset of the
+    evaluator, x_i + y - x_{i+m}, is the nominal one to within a few
+    ulp(R + y), which the cubic turns into that times its largest slope on
+    an interval; a node rounding puts in the next interval adds the
+    roundoff of the cubic's terms at the interval's end."""
+    c3, c2, c1, c0 = (np.abs(term) for term in evaluate._terms)
+    slope = np.max(c2 + 2.0 * c1 * g.dx + 3.0 * c0 * g.dx**2)
+    terms = np.max(c3 + c2 * g.dx + c1 * g.dx**2 + c0 * g.dx**3)
+    return 4.0 * math.ulp(g.R + y) * slope + 4.0 * np.finfo(float).eps * terms
+
+
 @given(seed=st.integers(0, 10_000), frac=st.floats(0.0, 1.2), multiple=st.integers(0, 260),
        node=st.integers(100, 200), tail=st.floats(-2.0, 2.0), nodes=st.integers(1, 201))
 @settings(max_examples=60, deadline=None)
-def test_shifted_rows_equal_evaluator_bit_for_bit(seed, frac, multiple, node, tail, nodes):
+def test_shifted_rows_are_the_nominal_power_sum(seed, frac, multiple, node, tail, nodes):
     g = make_grid(10.0, 201)
     r = np.random.default_rng(seed)
     f = np.cumsum(r.normal(size=g.n))
@@ -216,7 +248,9 @@ def test_shifted_rows_equal_evaluator_bit_for_bit(seed, frac, multiple, node, ta
     assert g.x[node] + on_r == g.R
     for y in (0.0, frac * g.R, multiple * g.dx, on_r, g.R, g.R + 1e-9, 2.0 * g.R):
         row = evaluate.shifted(y)
-        assert row.tobytes() == evaluate(g.x + y).tobytes()
+        assert row.tobytes() == _nominal_row(evaluate, g, y, tail).tobytes()
+        general = evaluate(g.x + y)
+        assert np.max(np.abs(row - general)) <= _roundoff_bound(evaluate, g, y)
         past = g.x + y > g.R
         assert np.all(row[past] == tail)
         # the row on the first nodes only is the whole row's prefix
@@ -228,14 +262,37 @@ def test_shifted_rows_equal_evaluator_bit_for_bit(seed, frac, multiple, node, ta
 def test_shifted_row_reads_the_table_without_interval_search(monkeypatch):
     g = make_grid(10.0, 201)
     evaluate = monotone_interpolator(np.exp(-g.x) * np.cos(g.x), g, 0.0)
-    expected = evaluate(g.x + 1.2345)
+    expected = _nominal_row(evaluate, g, 1.2345, 0.0)
+    general = evaluate(g.x + 1.2345)
 
     def no_general_path(self, x):
         raise AssertionError("shifted row took the general path")
 
     monkeypatch.setattr(MonotoneInterpolant, "__call__", no_general_path)
-    assert evaluate.shifted(1.2345).tobytes() == expected.tobytes()
+    row = evaluate.shifted(1.2345)
+    assert row.tobytes() == expected.tobytes()
+    assert np.max(np.abs(row - general)) <= _roundoff_bound(evaluate, g, 1.2345)
     assert evaluate.shifted(1.2345, 60).tobytes() == expected[:60].tobytes()
+
+
+def test_shifted_row_writes_into_out_and_allocates_no_row():
+    g = make_grid(50.0, 2049)
+    evaluate = monotone_interpolator(np.exp(-g.x) * np.cos(g.x), g, 0.0)
+    expected = evaluate.shifted(7.654321)
+    out = np.full(g.n, np.nan)
+    assert evaluate.shifted(7.654321, None, out) is out
+    assert out.tobytes() == expected.tobytes()
+    head = np.full(934, np.nan)
+    assert evaluate.shifted(7.654321, 934, head).tobytes() == expected[:934].tobytes()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        evaluate.shifted(7.654321, None, out)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * g.n // 4  # small objects, no array of the row
 
 
 def _reductions(call) -> int:
@@ -255,27 +312,23 @@ def _reductions(call) -> int:
     return count
 
 
-def test_shifted_row_tests_its_offsets_only_near_an_interval_bound():
-    # each offset of a shifted row is the nominal one, y - m dx, to within
-    # a few ulps of R + y.  A nominal offset within 16 of them of 0 or of
-    # the least interval width takes the two passes that test every offset;
-    # any other takes none.  Either way the row is the evaluator's, bit for
-    # bit, also for shifts a few ulps from a node, where rounding can put
-    # a node of the row in the next interval
+def test_shifted_rows_near_a_node_make_no_reduction():
+    # for shifts a few ulps from a node, rounding can put a node of the
+    # evaluator's x + y in the next interval, or a node on R; the row is
+    # still the nominal power sum (a node on R the PCHIP value there), within
+    # roundoff of the evaluator, and no row tests its offsets
     g = make_grid(10.0, 201)
     evaluate = monotone_interpolator(np.exp(-g.x) * np.cos(g.x), g, 0.0)
     for node in (1, 37, 120, 199):
         near = g.x[node]
-        for ulps in range(-40, 41):
-            y = near + ulps * math.ulp(g.R + near)
+        for y in [near + ulps * math.ulp(g.R + near) for ulps in range(-40, 41)] + [
+                near - 0.5 * g.dx]:
+            expected = _nominal_row(evaluate, g, y, 0.0)
             for size in (g.n, 60):
-                row = evaluate.shifted(y, size)
-                assert row.tobytes() == evaluate(g.x[:size] + y).tobytes()
-            if abs(ulps) <= 8:
-                assert _reductions(lambda: evaluate.shifted(y)) >= 2
-        middle = near - 0.5 * g.dx
-        assert _reductions(lambda: evaluate.shifted(middle)) == 0
-        assert evaluate.shifted(middle).tobytes() == evaluate(g.x + middle).tobytes()
+                assert evaluate.shifted(y, size).tobytes() == expected[:size].tobytes()
+            bound = _roundoff_bound(evaluate, g, y)
+            assert np.max(np.abs(expected - evaluate(g.x + y))) <= bound
+            assert _reductions(lambda: evaluate.shifted(y)) == 0
 
 
 def _pchip_data(kind: str, seed: int, n: int) -> np.ndarray:

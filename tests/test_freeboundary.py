@@ -183,6 +183,16 @@ class TestBoundaryVelocity:
         got = boundary_velocity(u, params.u_plus, grid, params, wave)
         assert got == -params.mu * du / (params.u_minus - params.u_plus)
 
+    def test_a_head_reads_the_whole_wave_four_values(self, params, grid, wave, rng):
+        # every head of the wave carries the first four u_bar values as
+        # Python floats, so the speed on a head of u is the whole u's, bit for bit
+        u = wave.u_bar + 1e-3 * rng.normal(size=grid.n)
+        head_grid, head_wave = freeboundary._active_head(grid, wave, 200)
+        assert head_wave.u_lead == wave.u_lead == tuple(wave.u_bar[:4].tolist())
+        assert all(type(value) is float for value in wave.u_lead)
+        whole = boundary_velocity(u, params.u_plus, grid, params, wave)
+        assert boundary_velocity(u[:201], params.u_plus, head_grid, params, head_wave) == whole
+
 
 @given(mu=st.floats(0.5, 2.0), v_plus=st.floats(1.5, 3.0),
        u_plus=st.floats(-1.0, 1.0), jump=st.floats(0.5, 2.0))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from congested_ns import freeboundary, parabolic
+from congested_ns.discrete_ops import MonotoneInterpolant
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "step_timing.py"
 KERNELS = ("step_v", "step_u", "step_v+step_u", "linear_parabolic_step",
@@ -29,6 +30,9 @@ def test_step_timing_runs_at_small_n(capsys):
         assert all(0.0 < row[name] < math.inf for name in (*KERNELS, "march step"))
         assert math.isfinite(row["glue"])
     assert results["front"]["m"] == 128 < results["bootstrap"]["m"] <= 256
+    # the bootstrap march samples its source row on the head; the front has no source
+    assert 0.0 < results["bootstrap"]["source row"] < math.inf
+    assert "source row" not in results["front"]
     # on the exact front step_v takes no update.  The step's reductions are
     # step_v's range pair, which is also its maximum-principle pair and the
     # regularized log's core test, step_v's zero-residual test, the range
@@ -43,6 +47,7 @@ def test_step_timing_runs_at_small_n(capsys):
         assert 0 < row["temporaries"] < 8 * (row["m"] + 1)
     out = capsys.readouterr().out
     assert "front: m = 128" in out and "boundary_velocity" in out and "head arrays" in out
+    assert out.count("source row") == 1
 
 
 def test_a_step_pair_allocates_less_than_one_head_array():
@@ -63,6 +68,7 @@ def test_step_timing_restores_the_kernels_and_times_the_solver_calls(monkeypatch
     module.main(["--n", "257", "--repeat", "1", "--number", "1"])
     assert all(getattr(owner, name) is real[name] for owner, name in module.KERNELS)
     assert freeboundary.step_v is parabolic.step_v and freeboundary.step_u is parabolic.step_u
+    assert "record" not in MonotoneInterpolant.__dict__["shifted"].__qualname__
     # the recorded call is the solver's own: on the exact front, a discrete
     # steady state, step_v returns its input v bit for bit
     step_v = module.last_calls("steady_wave", 257, None)["step_v"]
@@ -73,6 +79,10 @@ def test_step_timing_restores_the_kernels_and_times_the_solver_calls(monkeypatch
     # was before the step, not a view of the march's state after it
     calls = module.last_calls("bootstrap_check", 257, 2.0)
     assert calls["step_v"]().tobytes() == calls["step_u"].args[1].tobytes()
+    # and the recorded source row is the one that step_v read, on the head
+    source = calls["shifted"]()
+    assert source.size == calls["step_v"].args[3].n
+    assert source.tobytes() == calls["step_v"].args[2].tobytes()
 
     # a run that fails still restores every kernel
     def failing_solve(cfg):

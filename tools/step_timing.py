@@ -14,15 +14,19 @@ through the CLI's own config path with grid.n = --n:
   (m = 933 at n = 2049); the step takes its one linearized update.
 
 During each run, _march, step_v, step_u and boundary_velocity of
-freeboundary and linear_parabolic_step and _solve_tridiagonal of parabolic
-are swapped for wrappers that record each one's last call (the last
-_solve_tridiagonal call of a step is step_u's linear step), and restored
-after it.  A call is recorded with copies of its array arguments, since the
-march passes views of a state that later steps overwrite.  Those exact
-calls, and step_v followed by step_u, are timed as the best of `repeat`
-means over `number` calls (timeit, with the garbage collector off).
+freeboundary, linear_parabolic_step and _solve_tridiagonal of parabolic,
+and MonotoneInterpolant.shifted of discrete_ops are swapped for wrappers
+that record each one's last call (the last _solve_tridiagonal call of a
+step is step_u's linear step; the last shifted call is the source row of
+the march's last step), and restored after it.  A call is recorded with
+copies of its array arguments, since the march passes views of a state
+that later steps overwrite.  Those exact calls, and step_v followed by
+step_u, are timed as the best of `repeat` means over `number` calls
+(timeit, with the garbage collector off).
 _solve_tridiagonal consumes its arguments, so each timed solve gets fresh
-copies of them, and its time includes those four copies.  ``march step``
+copies of them, and its time includes those four copies.  ``source row``
+is that shifted call, the sampling of the transported source on the head;
+the front has no source, so it has no such line.  ``march step``
 is one whole step of the run's last march, everything a step does around
 the pair included: that march on its recorded path, less the same march
 stopped after its first step, divided by its steps less one, so the
@@ -52,12 +56,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from congested_ns import freeboundary, parabolic
+from congested_ns import discrete_ops, freeboundary, parabolic
 from congested_ns.cli import _solve_from_config, resolve_config
 
 KERNELS = ((freeboundary, "_march"), (freeboundary, "step_v"), (freeboundary, "step_u"),
            (freeboundary, "boundary_velocity"),
-           (parabolic, "linear_parabolic_step"), (parabolic, "_solve_tridiagonal"))
+           (parabolic, "linear_parabolic_step"), (parabolic, "_solve_tridiagonal"),
+           (discrete_ops.MonotoneInterpolant, "shifted"))
 # label: the preset and its horizon (None: one step of the preset's dt)
 STATES = {"front": ("steady_wave", 0.05), "bootstrap": ("bootstrap_check", 2.0)}
 
@@ -77,14 +82,14 @@ def last_calls(preset: str, n: int, T_final: float | None) -> dict[str, functool
             return fn(*args, **kwargs)
         return record
 
-    originals = [(module, name, getattr(module, name)) for module, name in KERNELS]
+    originals = [(owner, name, getattr(owner, name)) for owner, name in KERNELS]
     try:
-        for module, name, fn in originals:
-            setattr(module, name, recorder(name, fn))
+        for owner, name, fn in originals:
+            setattr(owner, name, recorder(name, fn))
         _solve_from_config(cfg)
     finally:
-        for module, name, fn in originals:
-            setattr(module, name, fn)
+        for owner, name, fn in originals:
+            setattr(owner, name, fn)
     return calls
 
 
@@ -175,6 +180,8 @@ def measure(calls: dict[str, functools.partial], repeat: int, number: int) -> di
         "_solve_tridiagonal": lambda: solve.func(*[a.copy() for a in arrays], *scalars),
         "boundary_velocity": trace,
     }
+    if "shifted" in calls:
+        kernels["source row"] = calls["shifted"]
     out = {"m": step_v.args[3].n - 1}  # step_v(v, ydot, source, grid, ...)
     for name, call in kernels.items():
         out[name] = _best_us(call, repeat, number)
