@@ -356,9 +356,8 @@ def _run_trace_suite(cfg: RunConfig, out: Path) -> dict:
     summary, _ = _emit_trajectory_outputs(out, cfg, traj, solve_seconds)
     records = []
     worst = {"residual_value": 0.0, "residual_slope": 0.0, "residual_second_order": 0.0}
-    reports = trace_identities(traj, traj.init, traj.init.grid, traj.init.params,
-                               range(traj.stored_idx.size))
-    for i, rep in enumerate(reports):
+    for i in range(traj.stored_idx.size):
+        rep = trace_identities(traj, traj.init, traj.init.grid, traj.init.params, i)
         t_val = float(traj.t[traj.stored_idx[i]])
         for key in worst:
             worst[key] = max(worst[key], abs(getattr(rep, key)))

@@ -11,15 +11,12 @@ into the solver.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .core import Grid, PhysicalParams, ValidationError, as_field
 from .discrete_ops import (
-    MonotoneInterpolant,
     NormKind,
     cumulative_trapezoid,
     derivative,
@@ -172,7 +169,6 @@ def initial_energy(init: InitialData, grid: Grid, params: PhysicalParams) -> flo
     init.check_run_on(grid, params)
     g0 = init.v0 - init.wave.v_bar
     h0 = init.u0 - init.wave.u_bar
-    d2w = derivative(init.w0, grid, 2)
     return float(
         norm(g0, grid, NormKind.H3) ** 2
         + norm(h0, grid, NormKind.H3) ** 2
@@ -180,7 +176,7 @@ def initial_energy(init: InitialData, grid: Grid, params: PhysicalParams) -> flo
         + norm(init.V0, grid, NormKind.L2) ** 2
         + norm(init.W0, grid, NormKind.WEIGHTED_ONE_PLUS_SQRT_X) ** 2
         + norm(init.dxw0, grid, NormKind.WEIGHTED_ONE_PLUS_SQRT_X) ** 2
-        + norm(d2w, grid, NormKind.WEIGHTED_ONE_PLUS_SQRT_X) ** 2
+        + norm(init.d2w0, grid, NormKind.WEIGHTED_ONE_PLUS_SQRT_X) ** 2
     )
 
 
@@ -279,8 +275,7 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
         else:
             src = np.multiply.outer(ydot_dev, prof.dv_bar)
             if source is not None:
-                for row, step in zip(src, steps):
-                    row += source.shifted(traj.y[step])
+                src += shift_sample(source, traj.y[steps])
             g_sq[9, rows] = sq(src.T)
     V_sq, g, gx, gxx, gxxx, gt, gtx, gtxx, gtt, src = g_sq
 
@@ -335,35 +330,19 @@ class TraceReport:
 
 
 def trace_identities(traj: Trajectory, init: InitialData, grid: Grid, params: PhysicalParams,
-                     t_index: int | Sequence[int]) -> TraceReport | list[TraceReport]:
-    """Evaluate the boundary-trace identities at stored times.
+                     t_index: int) -> TraceReport:
+    """Evaluate the boundary-trace identities at one stored time.
 
     The transformed unknown is applied to the volume perturbation; its value,
     slope, and weighted second derivative at x = 0 are compared against their
     closed-form expressions in terms of the interface speed deviation and the
-    transported initial effective velocity.  `t_index` is one stored-time
-    index (returns one TraceReport) or a sequence of them (returns a list,
-    one report per index); the w0' and w0'' evaluators are built once per
-    call.  An index that is not an integer in [0, stored times) is a
-    ValidationError, negative ones included.
+    transported initial effective velocity, whose w0' and w0'' evaluators
+    the datum builds once (init.trace_evals).  An index that is not an
+    integer in [0, stored times) is a ValidationError, negative ones and
+    bools included.
     """
-    indices = np.ravel(t_index)
-    for i in indices:
-        if not (isinstance(i, Integral) and 0 <= i < traj.stored_idx.size):
-            raise ValidationError(
-                f"t_index {i} is not a stored-time index in [0, {traj.stored_idx.size})")
+    traj.check_stored_index(t_index)
     traj.check_certified_with(init, grid, params)
-    dw_eval = monotone_interpolator(init.dxw0, grid, 0.0)
-    d2w_eval = monotone_interpolator(derivative(init.w0, grid, 2), grid, 0.0)
-    reports = [_trace_report(traj, init, grid, params, int(i), dw_eval, d2w_eval)
-               for i in indices]
-    return reports[0] if np.ndim(t_index) == 0 else reports
-
-
-def _trace_report(traj: Trajectory, init: InitialData, grid: Grid, params: PhysicalParams,
-                  t_index: int, dw_eval: MonotoneInterpolant,
-                  d2w_eval: MonotoneInterpolant) -> TraceReport:
-    """trace_identities at one stored time, given the w0' and w0'' evaluators."""
     prof = init.wave
     step = int(traj.stored_idx[t_index])
     s, mu, vp = params.s, params.mu, params.v_plus
@@ -377,8 +356,7 @@ def _trace_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
     second = mu * trace0(derivative(g1, grid, 1) / prof.v_bar, grid, 1)
 
     W = init.w0_at(xt) - params.u_plus
-    wp = float(dw_eval(xt))
-    wpp = float(d2w_eval(xt))
+    wp, wpp = (float(evaluate(xt)) for evaluate in init.trace_evals)
 
     t2 = W**2 / mu**2
     t3 = (

@@ -197,7 +197,7 @@ class MonotoneInterpolant:
     def shifted(self, y: float, nodes: int | None = None, out: np.ndarray | None = None,
                 /) -> np.ndarray:
         """The row f0(x_i + y) on the first `nodes` grid nodes (all of them
-        by default), written into `out` (a new row by default).
+        by default, at most n), written into `out` (a new row by default).
 
         Node i lies in interval i + m, m = floor(y / dx), at the nominal
         offset s = y - m dx: the row is the power sum of m-offset slices of
@@ -211,6 +211,8 @@ class MonotoneInterpolant:
         """
         x, n, R, dx = self._grid.x, self._grid.n, self._grid.R, self._grid.dx
         size = n if nodes is None else nodes
+        if size > n:
+            raise ValidationError(f"a shifted row takes at most the grid's {n} nodes (got {size})")
         out = np.empty(size) if out is None else out
         if not 0.0 <= y < np.inf:
             out[:] = self(x[:size] + y)
@@ -315,9 +317,11 @@ def shift_sample(evaluate: MonotoneInterpolant, y) -> np.ndarray:
     shape (len(y), n), one row per shift), each row written in place by
     `evaluate.shifted`.  A zero shift gives an exact copy of the nodal values
     f0.  Negative shifts are rejected, since the interface only ever moves
-    right, and so are NaN and infinite ones.
+    right, and so are NaN and infinite ones, and a y of more dimensions.
     """
     shifts = np.asarray(y, float)
+    if shifts.ndim > 1:
+        raise ValidationError(f"shifts must be a number or a 1-D array (got shape {shifts.shape})")
     bad = ~((shifts >= 0.0) & (shifts < np.inf))
     if np.any(bad):
         raise ValidationError(

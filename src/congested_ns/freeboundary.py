@@ -167,23 +167,24 @@ class InitialData:
     """Validated initial state plus derived quantities used by the solver.
 
     w0 is the initial effective velocity u0 - mu d_x ln v0 (transported
-    rigidly by the interface motion), dxw0 its derivative, V0 and W0 the
-    integrated tails of the volume and effective-velocity perturbations.
-    source is the mollified chi d_x w0 that the volume equation transports.
-    w0_eval and source_eval evaluate w0 and source at points x >= 0
-    (monotone_interpolator with tails u_plus and 0); source_eval is None
-    when the source is identically zero.  wave is traveling_wave(params,
-    grid), the background of every march and certificate, and reg the
-    regularized log with bar_c = 2 max v0 that step_v applies.
-    validate_hypotheses builds each of them once per datum, and records the
-    grid and params it validated the datum on; the solver runs the datum on
-    no other.
+    rigidly by the interface motion), dxw0 and d2w0 its first two
+    derivatives, V0 and W0 the integrated tails of the volume and
+    effective-velocity perturbations.  source is the mollified chi d_x w0
+    that the volume equation transports.  w0_eval and source_eval evaluate
+    w0 and source at points x >= 0 (monotone_interpolator with tails
+    u_plus and 0); source_eval is None when the source is identically
+    zero.  wave is traveling_wave(params, grid), the background of every
+    march and certificate, and reg the regularized log with bar_c = 2 max
+    v0 that step_v applies.  validate_hypotheses builds each of them once
+    per datum, and records the grid and params it validated the datum on;
+    the solver runs the datum on no other.
     """
 
     v0: np.ndarray = field(repr=False)
     u0: np.ndarray = field(repr=False)
     w0: np.ndarray = field(repr=False)
     dxw0: np.ndarray = field(repr=False)
+    d2w0: np.ndarray = field(repr=False)
     V0: np.ndarray = field(repr=False)
     W0: np.ndarray = field(repr=False)
     source: np.ndarray = field(repr=False)
@@ -197,8 +198,15 @@ class InitialData:
     params: PhysicalParams = field(compare=False)
 
     def __post_init__(self) -> None:
-        for arr in (self.v0, self.u0, self.w0, self.dxw0, self.V0, self.W0, self.source):
-            arr.setflags(write=False)
+        for a in (self.v0, self.u0, self.w0, self.dxw0, self.d2w0, self.V0, self.W0, self.source):
+            a.setflags(write=False)
+
+    @cached_property
+    def trace_evals(self) -> tuple[MonotoneInterpolant, MonotoneInterpolant]:
+        """The evaluators of w0' and w0'' (dxw0 and d2w0, tail 0) that the
+        boundary-trace identities read, built on the first read."""
+        return (monotone_interpolator(self.dxw0, self.grid, 0.0),
+                monotone_interpolator(self.d2w0, self.grid, 0.0))
 
     def w0_at(self, xi: float) -> float:
         """w0(xi) at a point xi >= 0, as a float, through w0_eval."""
@@ -230,7 +238,7 @@ def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid,
     mu = params.mu
     prof = traveling_wave(params, grid)
     w0 = effective_velocity_about_wave(u0, v0, grid, params, prof)
-    dxw0 = derivative(w0, grid, 1)
+    dxw0, d2w0 = derivative(w0, grid, 1), derivative(w0, grid, 2)
     V0 = tail_integral(v0 - prof.v_bar, grid)
     W0 = tail_integral(w0 - params.u_plus, grid)
 
@@ -253,7 +261,7 @@ def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid,
            {"v0_at_0_minus_1": endpoint_v, "u0_at_0_minus_u_minus": endpoint_u})
 
     sqrtx_dw = norm(dxw0, grid, NormKind.WEIGHTED_SQRT_X)
-    sqrtx_d2w = norm(derivative(w0, grid, 2), grid, NormKind.WEIGHTED_SQRT_X)
+    sqrtx_d2w = norm(d2w0, grid, NormKind.WEIGHTED_SQRT_X)
     record("H2: weighted regularity of w0", np.isfinite(sqrtx_dw) and np.isfinite(sqrtx_d2w),
            {"sqrtx_dxw0_L2": sqrtx_dw, "sqrtx_dx2w0_L2": sqrtx_d2w})
 
@@ -276,7 +284,7 @@ def validate_hypotheses(v0: np.ndarray, u0: np.ndarray, grid: Grid,
 
     source = truncation_mollifier(grid) * dxw0
     return InitialData(
-        v0=v0.copy(), u0=u0.copy(), w0=w0, dxw0=dxw0, V0=V0, W0=W0, source=source,
+        v0=v0.copy(), u0=u0.copy(), w0=w0, dxw0=dxw0, d2w0=d2w0, V0=V0, W0=W0, source=source,
         compat_speed=-du0 / dv0,
         hypothesis_report=report,
         w0_eval=monotone_interpolator(w0, grid, params.u_plus),
@@ -428,6 +436,13 @@ class Trajectory:
             values.setflags(write=False)
         return out
 
+    def check_stored_index(self, t_index: int) -> None:
+        """ValidationError unless t_index indexes a stored row: an int, no bool."""
+        if not (isinstance(t_index, Integral) and not isinstance(t_index, bool)
+                and 0 <= t_index < self.stored_idx.size):
+            raise ValidationError(
+                f"t_index {t_index!r} is not a stored-time index in [0, {self.stored_idx.size})")
+
     def check_certified_with(self, init: InitialData, grid: Grid,
                              params: PhysicalParams) -> None:
         """ValidationError unless init is the run's own datum and grid and
@@ -436,14 +451,6 @@ class Trajectory:
         if init is not self.init:
             raise ValidationError("a certificate of a run takes the run's own datum, traj.init")
         init.check_run_on(grid, params)
-
-
-def _active_head(grid: Grid, wave: Profiles, m: int) -> tuple[Grid, Profiles]:
-    """The grid and wave of the nodes [0, m], as views of the whole ones
-    (make_grid(x_m, m + 1) can differ from them by an ulp)."""
-    if m == grid.n - 1:
-        return grid, wave
-    return Grid(R=float(grid.x[m]), n=m + 1, dx=grid.dx, x=grid.x[:m + 1]), wave.head(m + 1)
 
 
 def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
@@ -491,9 +498,10 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
     copy of the wave with the input's nodes [0, m] written in, whose head
     [0, m] each step overwrites: step_v and step_u get the head as both
     their input and their output.  So past m it is the wave, a widening
-    only moves m, and the input state is never written.  The steps write
-    their temporaries into one full-width StepWork, whose head the march
-    takes at its start and at each widening, so no step allocates an array.
+    only moves m, and the input state is never written.  The steps run on
+    the grid and wave of the head of one whole-grid StepWork, which the
+    march cuts at its start and at each widening, and write their
+    temporaries into it, so no step allocates an array.
     With `report`, the march records its start and widenings there.
     """
     steps = ydot.size - 1
@@ -512,9 +520,8 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
         off |= source.shifted(y0) != 0.0
     last = np.flatnonzero(off)
     m = min((int(last[-1]) if last.size else 0) + ACTIVE_GUARD, n - 1)
-    sub_grid, sub_wave = _active_head(grid, wave, m)
-    work = StepWork(n)
-    work.head(m + 1, sub_wave)
+    work = StepWork(grid, wave)
+    work.head(m + 1)
     v_all, u_all = wave.v_bar.copy(), wave.u_bar.copy()
     # the views of the state's head, which each step reads and overwrites
     v_head, u_head = v_all[:m + 1], u_all[:m + 1]
@@ -558,15 +565,14 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
             wider = min(m + ACTIVE_GUARD, n - 1)
             widened.append((t_start + (k - 1) * dt, m, wider))
             m = wider
-            sub_grid, sub_wave = _active_head(grid, wave, m)
-            work.head(m + 1, sub_wave)
+            work.head(m + 1)
             v_head, u_head = v_all[:m + 1], u_all[:m + 1]
         src = 0.0 if shifted is None else shifted(y_k, m + 1)
         try:
-            step_v(v_head, ydot_k, src, sub_grid, dt, init.reg, params, sub_wave, out=v_head,
+            step_v(v_head, ydot_k, src, work.grid, dt, init.reg, params, work.wave, out=v_head,
                    work=work)
-            step_u(u_head, v_head, ydot_k, sub_grid, dt, params, sub_wave, out=u_head, work=work)
-            zdot[k] = z = boundary_velocity(u_head, w0_yk, sub_grid, params, sub_wave)
+            step_u(u_head, v_head, ydot_k, work.grid, dt, params, work.wave, out=u_head, work=work)
+            zdot[k] = z = boundary_velocity(u_head, w0_yk, work.grid, params, work.wave)
         except RuntimeError as exc:
             exc.t = t_start + k * dt
             raise
@@ -717,9 +723,7 @@ def assemble_solution(traj: Trajectory, grid: Grid, params: PhysicalParams,
     Left of the interface: the congested constants (1, u_minus, p_s(t));
     right of it: the shifted half-line fields with zero pressure.
     """
-    if not (isinstance(t_index, Integral) and 0 <= t_index < traj.stored_idx.size):
-        raise ValidationError(
-            f"t_index {t_index!r} is not a stored-time index in [0, {traj.stored_idx.size})")
+    traj.check_stored_index(t_index)
     traj.init.check_run_on(grid, params)
     step = int(traj.stored_idx[t_index])
     xt = traj.y[step]

@@ -127,18 +127,19 @@ class RegularizedLog:
 
 class StepWork:
     """The scratch arrays of step_v, step_u and linear_parabolic_step,
-    allocated once at the width of n nodes, and their views on a head.
+    allocated once on a whole grid, and their views on a head.
 
     A step given a workspace writes every temporary into it, so it
     allocates no array (except on the regularized log's general path,
-    which no state inside the maximum principle takes).  head(nodes, wave) takes every view a step reads,
-    once: the arrays on the first `nodes` nodes, their interior and shifted
-    slices, and the interior slices of `wave`, the profiles on those nodes
-    (step_v and step_u read them; None for linear_parabolic_step alone).  A
-    march builds one at full width and takes a new head at its start and at
-    each widening; a step called without one builds its own, so both run the
-    same lines.  Nothing a step reads is carried from one step to the next,
-    except the source's end entries, which stay the 0 that head writes.
+    which no state inside the maximum principle takes).  head(nodes) cuts
+    every view a step reads, once: the head's `grid` and `wave` (None for
+    linear_parabolic_step alone) as views of the whole ones, which
+    make_grid(x_m, m + 1) can differ from by an ulp, and the arrays on its
+    nodes with their interior and shifted slices.  A march builds one on
+    the whole grid and takes a new head at its start and at each widening;
+    a step called without one builds its own, so both run the same lines.
+    Nothing a step reads is carried from one step to the next, except the
+    source's end entries, which stay the 0 that head writes.
 
     A step's scalar operands are 0-d arrays too, which it writes each
     value into: a ufunc takes a 0-d float64 operand about 0.2 us faster than
@@ -146,21 +147,25 @@ class StepWork:
     a shared 2-vCPU x86 machine).
     """
 
-    def __init__(self, n: int, wave: Profiles | None = None):
-        self._rows = np.empty((16, n))
-        self._flags = np.empty(n, dtype=bool)
+    def __init__(self, grid: Grid, wave: Profiles | None = None):
+        self._grid, self._wave = grid, wave
+        self._rows = np.empty((16, grid.n))
+        self._flags = np.empty(grid.n, dtype=bool)
         (self.c_adv, self.minus_c_adv, self.c_dif, self.coef, self.dt, self.inv_dt,
          self.two_dx, self.mu, self.face_scale, self.b_f, self.minus_b_f) = (
             np.empty(()) for _ in range(11))
-        self.head(n, wave)
+        self.head(grid.n)
 
-    def head(self, nodes: int, wave: Profiles | None = None) -> None:
-        """Take the views on the first `nodes` nodes, and `wave`'s."""
-        if not 4 <= nodes <= self._flags.size:
+    def head(self, nodes: int) -> None:
+        """Take the views on the first `nodes` nodes."""
+        grid, wave, rows = self._grid, self._wave, self._rows
+        if not 4 <= nodes <= grid.n:
             raise ValidationError(
-                f"a head of {nodes} nodes needs 4 to {self._flags.size}, the workspace's width")
-        rows = self._rows
-        self.nodes, self.wave = nodes, wave
+                f"a head of {nodes} nodes needs 4 to {grid.n}, the workspace's width")
+        if nodes < grid.n:
+            grid = Grid(R=grid.x.item(nodes - 1), n=nodes, dx=grid.dx, x=grid.x[:nodes])
+            wave = None if wave is None else wave.head(nodes)
+        self.grid, self.wave = grid, wave
         # whole-head, interior-wide and face-wide arrays
         self.g, self.q, self.slope, self.inv_v, self.coupling, self.f, self.h = rows[:7, :nodes]
         self.base, self.res, self.tmp, self.diag, self.di = rows[7:12, :nodes - 2]
@@ -265,9 +270,9 @@ def linear_parabolic_step(state: np.ndarray, a: np.ndarray, b: float, f: np.ndar
     if not math.isfinite(b):
         raise ValidationError(f"advection b must be finite (got {b})")
     if work is None:
-        work = StepWork(grid.n)
-    elif work.nodes != grid.n:
-        raise ValidationError(f"the workspace's head has {work.nodes} nodes, the grid {grid.n}")
+        work = StepWork(grid)
+    elif work.grid.n != grid.n:
+        raise ValidationError(f"the workspace's head has {work.grid.n} nodes, the grid {grid.n}")
     # a NaN fails the test; the min is taken only for the message
     if np.count_nonzero(np.greater(a, _ZERO, out=work.flags)) != a.size:
         raise ValidationError(f"diffusion must be positive (min a = {a.min():g})")
@@ -353,7 +358,7 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
                 and math.isfinite(source[-1])):
             raise ValidationError(f"source must be finite at both ends, of shape ({grid.n},)")
     if work is None:
-        work = StepWork(grid.n, wave)
+        work = StepWork(grid, wave)
     elif work.wave is not wave:
         raise ValidationError("the workspace's head holds another wave")
     vbar = wave.v_bar
@@ -457,7 +462,7 @@ def step_u(u: np.ndarray, v: np.ndarray, ydot: float, grid: Grid, dt: float,
             f"{name} has shape {value.shape}, expected ({grid.n},) for this grid"
         )
     if work is None:
-        work = StepWork(grid.n, wave)
+        work = StepWork(grid, wave)
     elif work.wave is not wave:
         raise ValidationError("the workspace's head holds another wave")
     # a NaN entry fails the test, and is the min the message reports

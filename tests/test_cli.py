@@ -5,7 +5,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -27,7 +27,7 @@ from congested_ns.cli import (
     resolve_config,
     run,
 )
-from congested_ns.diagnostics import bootstrap_monitor
+from congested_ns.diagnostics import bootstrap_monitor, trace_identities
 from congested_ns.freeboundary import ROW_BLOCK
 from conftest import output_differences
 
@@ -298,16 +298,32 @@ def test_steady_wave_run_outputs(tmp_path):
 
 
 def test_runs_are_bit_identical(tmp_path):
-    args = ["--preset", "steady_wave"] + SMALL + [
-        "--override", "perturbation.family=gaussian_bump",
-        "--override", "perturbation.amplitude=0.001",
-    ]
-    code1 = main(args + ["--out-dir", str(tmp_path / "a")])
-    code2 = main(args + ["--out-dir", str(tmp_path / "b")])
-    assert code1 == code2 == 0
-    # every output, not the trajectory alone; only wall times and out_dir differ
-    assert len(list((tmp_path / "a").iterdir())) > 2
-    assert output_differences(tmp_path / "a", tmp_path / "b") == []
+    bump = ["--override", "perturbation.family=gaussian_bump",
+            "--override", "perturbation.amplitude=0.001"]
+    for preset, extra in (("steady_wave", bump), ("trace_suite", [])):
+        args = ["--preset", preset] + SMALL + extra
+        code1 = main(args + ["--out-dir", str(tmp_path / preset / "a")])
+        code2 = main(args + ["--out-dir", str(tmp_path / preset / "b")])
+        assert code1 == code2 == 0
+        # every output, not the trajectory alone; only wall times and out_dir differ
+        assert len(list((tmp_path / preset / "a").iterdir())) > 2
+        assert output_differences(tmp_path / preset / "a", tmp_path / preset / "b") == []
+
+
+def test_trace_suite_records_each_stored_index(tmp_path):
+    # one diagnostics.jsonl record per stored row, the report of
+    # trace_identities at that index of the same run
+    cfg = replace(preset_config("trace_suite"), n=257, T_final=0.1, dt=0.005, stride=5,
+                  out_dir=str(tmp_path))
+    assert run(cfg) == 0
+    records = [json.loads(line)
+               for line in (tmp_path / "diagnostics.jsonl").read_text().splitlines()]
+    traj, _ = _solve_from_config(cfg)
+    assert len(records) == traj.stored_idx.size > 2
+    for i, rec in enumerate(records):
+        rep = trace_identities(traj, traj.init, traj.init.grid, traj.init.params, i)
+        assert rec["t"] == traj.t[traj.stored_idx[i]]
+        assert {key: rec[key] for key in asdict(rep)} == asdict(rep)
 
 
 def test_solve_seconds_is_the_time_inside_picard_solve(tmp_path, monkeypatch):
@@ -352,8 +368,9 @@ def test_bootstrap_check_builds_one_monitor(tmp_path, monkeypatch):
 def test_run_samples_each_datum_once(tmp_path, monkeypatch, preset, tables):
     # two waves (the perturbed datum, then its validation), the w0 table plus
     # the source's for a perturbed datum, one regularized log; the stored
-    # rows span several blocks of the post-solve certificates, and the
-    # reconstruction residual still samples w0 through shift_sample
+    # rows span seven blocks of the post-solve certificates, in each of which
+    # the reconstruction residual samples w0 through shift_sample, and the
+    # growth bound the source of a perturbed datum
     originals = {"traveling_wave": profiles.traveling_wave,
                  "monotone_interpolator": discrete_ops.monotone_interpolator,
                  "RegularizedLog": parabolic.RegularizedLog,
@@ -375,7 +392,7 @@ def test_run_samples_each_datum_once(tmp_path, monkeypatch, preset, tables):
     assert len(json.loads((tmp_path / "summary.json").read_text())
                ["iterations_per_window"]) == 2
     assert calls == {"traveling_wave": 2, "monotone_interpolator": tables,
-                     "RegularizedLog": 1, "shift_sample": 7}
+                     "RegularizedLog": 1, "shift_sample": 7 * tables}
 
 
 def test_picard_stall_record_carries_the_window_start(tmp_path, monkeypatch, capsys):

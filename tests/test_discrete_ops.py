@@ -185,6 +185,21 @@ def test_shift_rejects_non_finite_offset(g10, y):
         shift_sample(monotone_interpolator(np.exp(-g10.x), g10, -1.0), y)
 
 
+def test_shift_rejects_a_table_of_shifts(g10):
+    # a 2-D y used to give a flattened (rows, n) table
+    with pytest.raises(ValidationError, match="1-D"):
+        shift_sample(monotone_interpolator(np.exp(-g10.x), g10, 0.0), np.full((2, 3), 0.5))
+
+
+@pytest.mark.parametrize("y", [0.0, 1.2345, 12.5])
+def test_shifted_row_takes_at_most_the_grids_nodes(g10, y):
+    # a row longer than the grid used to come back padded with the tail
+    evaluate = monotone_interpolator(np.exp(-g10.x), g10, -1.0)
+    assert evaluate.shifted(y, g10.n).tobytes() == evaluate.shifted(y).tobytes()
+    with pytest.raises(ValidationError, match=f"at most the grid's {g10.n} nodes"):
+        evaluate.shifted(y, g10.n + 5)
+
+
 @given(seed=st.integers(0, 10_000), y=st.floats(0.0, 5.0),
        more=st.lists(st.floats(0.0, 15.0), max_size=4))
 @settings(max_examples=40, deadline=None)

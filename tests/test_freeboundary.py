@@ -141,6 +141,14 @@ class TestValidateHypotheses:
         assert not np.any(wave_init.source)
         assert wave_init.source_eval is None
 
+    def test_datum_keeps_the_second_derivative_of_w0(self, small_grid, bump_init):
+        # the one w0'' of the H2 check, the initial energy and the trace identities
+        expected = discrete_ops.derivative(bump_init.w0, small_grid, 2)
+        assert bump_init.d2w0.tobytes() == expected.tobytes()
+        assert not bump_init.d2w0.flags.writeable
+        assert bump_init.hypothesis_report["H2: weighted regularity of w0"]["sqrtx_dx2w0_L2"] == (
+            discrete_ops.norm(expected, small_grid, discrete_ops.NormKind.WEIGHTED_SQRT_X))
+
     def test_w0_at_array_equals_pointwise_floats(self, small_grid, bump_init):
         xi = np.concatenate((small_grid.x[::37], [0.0, 1.2345, small_grid.R,
                                                   small_grid.R + 0.5, 3.0 * small_grid.R]))
@@ -187,7 +195,10 @@ class TestBoundaryVelocity:
         # every head of the wave carries the first four u_bar values as
         # Python floats, so the speed on a head of u is the whole u's, bit for bit
         u = wave.u_bar + 1e-3 * rng.normal(size=grid.n)
-        head_grid, head_wave = freeboundary._active_head(grid, wave, 200)
+        work = StepWork(grid, wave)
+        work.head(201)
+        head_grid, head_wave = work.grid, work.wave
+        assert head_grid.n == 201 and np.shares_memory(head_grid.x, grid.x)
         assert head_wave.u_lead == wave.u_lead == tuple(wave.u_bar[:4].tolist())
         assert all(type(value) is float for value in wave.u_lead)
         whole = boundary_velocity(u, params.u_plus, grid, params, wave)
@@ -788,8 +799,8 @@ class TestActiveLength:
 
     def test_a_step_rejects_the_workspace_of_another_head(self, params, wave_init):
         grid, wave = wave_init.grid, wave_init.wave
-        work = StepWork(grid.n)
-        work.head(17, wave.head(17))
+        work = StepWork(grid, wave)
+        work.head(17)
         with pytest.raises(ValidationError, match="another wave"):
             step_v(wave.v_bar, params.s, 0.0, grid, 1e-3, wave_init.reg, params, wave, work=work)
         with pytest.raises(ValidationError, match="another wave"):
@@ -799,6 +810,10 @@ class TestActiveLength:
                                   grid, 1e-3, work=work)
         with pytest.raises(ValidationError, match="workspace's width"):
             work.head(grid.n + 1)
+        # the whole head runs on the whole grid and wave themselves
+        work.head(grid.n)
+        assert work.grid is grid and work.wave is wave
+        step_v(wave.v_bar, params.s, 0.0, grid, 1e-3, wave_init.reg, params, wave, work=work)
 
     def test_exact_front_marches_the_guard_band(self, params, small_grid, wave_init,
                                                 monkeypatch):
@@ -898,9 +913,10 @@ class TestAssembleAndReconstruction:
         assert np.all(p[n_left:] == 0.0)
         assert np.all(p[:n_left] == p[0])
 
-    @pytest.mark.parametrize("t_index", [1.0, np.float64(2.0), 99, -1, "1"])
+    @pytest.mark.parametrize("t_index", [1.0, np.float64(2.0), 99, -1, "1", True, False])
     def test_assemble_rejects_a_bad_index(self, params, small_grid, wave_traj, t_index):
-        # a float index used to raise numpy's IndexError
+        # a float index used to raise numpy's IndexError, and a bool, a mask
+        # of the stored steps, a TypeError
         with pytest.raises(ValidationError, match="stored-time index"):
             assemble_solution(wave_traj, small_grid, params, t_index)
 
