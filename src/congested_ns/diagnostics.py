@@ -20,12 +20,13 @@ from .discrete_ops import (
     NormKind,
     cumulative_trapezoid,
     derivative,
+    integrate,
     monotone_interpolator,
     norm,
-    row_trapezoid,
     shift_sample,
     stencil_derivative,
     trace0,
+    trapezoid_weights,
 )
 from .freeboundary import (
     ROW_BLOCK,
@@ -233,9 +234,10 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
     snapshot stride the suprema are lower bounds on the continuum values.
     The stored rows are walked ROW_BLOCK at a time on the nodes [0,
     traj.head), past which every deviation and its derivatives are exact
-    zeros, so their norms sum the head's P - 1 intervals alone; the growth
-    bound's source, which is no deviation, is taken on whole rows, and is
-    exactly 0 on a block of rows where there is no source and ydot = s.
+    zeros, so their norms integrate against the head's own trapezoid
+    weights; the growth bound's source, which is no deviation, is taken on
+    whole rows against the whole grid's, and is exactly 0 on a block of rows
+    where there is no source and ydot = s.
     """
     if not t >= 0.0:  # NaN fails
         raise ValidationError(f"t must be a non-negative time (got {t})")
@@ -248,11 +250,12 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
     # squared L2 norms per stored time, each spatial derivative of a block of
     # rows taken once and dropped once normed, one perturbation family
     # (volume with its source, then velocity) at a time
-    head, widths = traj.head, np.diff(grid.x)
+    head = traj.head
+    weights, whole = trapezoid_weights(grid.x[:head]), trapezoid_weights(grid.x)
 
     def sq(F: np.ndarray) -> np.ndarray:
-        """Squared L2 norms of the columns of F over F's own nodes."""
-        return row_trapezoid((F**2).T, widths)
+        """Squared L2 norms of the columns of F over the head's nodes."""
+        return integrate(np.square(F.T), weights)
 
     g_sq = np.empty((10, m))
     V0_sq = np.empty(m)
@@ -270,13 +273,13 @@ def energy_report(traj: Trajectory, init: InitialData, grid: Grid, params: Physi
         ydot_dev = traj.ydot[steps] - params.s
         if source is None and not ydot_dev.any():
             # on the exact front the source (ydot - s) vwave' is 0 at every
-            # node, and so are the squares row_trapezoid would sum
+            # node, and so are the squares integrate would sum
             g_sq[9, rows] = 0.0
         else:
             src = np.multiply.outer(ydot_dev, prof.dv_bar)
             if source is not None:
                 src += shift_sample(source, traj.y[steps])
-            g_sq[9, rows] = sq(src.T)
+            g_sq[9, rows] = integrate(np.square(src, out=src), whole)
     V_sq, g, gx, gxx, gxxx, gt, gtx, gtxx, gtt, src = g_sq
 
     h_sq = np.empty((7, m))
@@ -422,14 +425,14 @@ def shifted_weight_inequality(F: np.ndarray, path: BoundaryPath, M: float,
         raise ValidationError(f"M must be finite and positive (got {M})")
     if np.any(path.y < path.t / M - 1e-12):
         raise ValidationError("path violates y(t) >= t/M; inequality hypotheses fail")
-    shifted = shift_sample(monotone_interpolator(F, grid, 0.0), path.y)
-    # ROW_BLOCK rows at a time, squared in place: one pass over the whole table
-    # would hold two more arrays of its size at once
-    blocks = np.split(shifted, range(ROW_BLOCK, len(shifted), ROW_BLOCK))
-    widths = np.diff(grid.x)
-    inner = np.concatenate([row_trapezoid(np.square(b, out=b), widths) for b in blocks])
-    lhs = float(np.trapezoid(inner, path.t))
-    rhs = float(M * np.trapezoid(grid.x * F**2, grid.x))
+    weights = trapezoid_weights(grid.x)
+    # integrate's terms, written over the table of shifted rows: a product of
+    # the table's size would be one more array of it
+    terms = shift_sample(monotone_interpolator(F, grid, 0.0), path.y)
+    np.square(terms, out=terms)
+    terms *= weights
+    lhs = float(np.trapezoid(terms.sum(1), path.t))
+    rhs = float(M * integrate(grid.x * F**2, weights))
     return {"lhs": lhs, "rhs": rhs}
 
 
@@ -452,7 +455,7 @@ def path_difference_inequality(w0: np.ndarray, path1: BoundaryPath, path2: Bound
     diff = w0_eval(path1.y) - w0_eval(path2.y)
     lhs = float(np.sqrt(np.trapezoid(diff**2, t)))
     dw = derivative(w0, grid, 1)
-    weight = float(np.sqrt(np.trapezoid(grid.x * dw**2, grid.x)))
+    weight = float(np.sqrt(integrate(grid.x * dw**2, trapezoid_weights(grid.x))))
     speed_diff = float(np.sqrt(np.trapezoid((path1.ydot - path2.ydot) ** 2, t)))
     rhs = float(M * speed_diff * weight)
     return {"lhs_L2": lhs, "rhs_L2": rhs}

@@ -1,9 +1,10 @@
 """Finite-difference operators, discrete norms, boundary traces, shifted sampling.
 
 All stencils are at least second-order accurate and exact on polynomials of
-degree <= 2.  Integrals use the composite trapezoidal rule, matching the
-second-order spatial discretization used by the solvers; row_trapezoid sums
-each row over its own nodes, so a head of a row is integrated alone.
+degree <= 2.  Integrals in x use the composite trapezoidal rule, matching the
+second-order spatial discretization used by the solvers, in one form: the
+nodal trapezoid_weights of the nodes a row covers, summed against the row by
+integrate, so a head of a row is integrated over its own nodes alone.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def stencil_derivative(f: np.ndarray, dx: float, order: int) -> np.ndarray:
 
 
 def norm(f: np.ndarray, grid: Grid, kind: NormKind) -> float:
-    """Discrete norm of a field by trapezoidal quadrature.
+    """Discrete norm of a field, its integrals by integrate against the
+    grid's trapezoid_weights.
 
     Sobolev norms stack squared L2 norms of repeated discrete derivatives:
     ||f||_Hk^2 = sum_{j<=k} ||D^j f||_L2^2.
@@ -71,25 +73,26 @@ def norm(f: np.ndarray, grid: Grid, kind: NormKind) -> float:
     x = grid.x
     if kind is NormKind.LINF:
         return float(np.max(np.abs(f)))
+    w = trapezoid_weights(x)
     if kind is NormKind.L1:
-        return float(np.trapezoid(np.abs(f), x))
+        return float(integrate(np.abs(f), w))
     if kind is NormKind.L2:
-        return float(np.sqrt(np.trapezoid(f**2, x)))
+        return float(np.sqrt(integrate(f**2, w)))
     if kind is NormKind.WEIGHTED_SQRT_X:
-        return float(np.sqrt(np.trapezoid(x * f**2, x)))
+        return float(np.sqrt(integrate(x * f**2, w)))
     if kind is NormKind.WEIGHTED_ONE_PLUS_SQRT_X:
-        return float(np.sqrt(np.trapezoid((1.0 + np.sqrt(x)) ** 2 * f**2, x)))
+        return float(np.sqrt(integrate((1.0 + np.sqrt(x)) ** 2 * f**2, w)))
     if kind in (NormKind.H1, NormKind.H2, NormKind.H3):
         k = {NormKind.H1: 1, NormKind.H2: 2, NormKind.H3: 3}[kind]
-        total = np.trapezoid(f**2, x)
+        total = integrate(f**2, w)
         d1 = derivative(f, grid, 1)
-        total += np.trapezoid(d1**2, x)
+        total += integrate(d1**2, w)
         if k >= 2:
             d2 = derivative(f, grid, 2)
-            total += np.trapezoid(d2**2, x)
+            total += integrate(d2**2, w)
         if k >= 3:
             d3 = derivative(d2, grid, 1)
-            total += np.trapezoid(d3**2, x)
+            total += integrate(d3**2, w)
         return float(np.sqrt(total))
     raise ValidationError(f"unknown norm kind {kind!r}")
 
@@ -290,14 +293,25 @@ def cumulative_trapezoid(values: np.ndarray, h) -> np.ndarray:
     return np.concatenate((np.zeros((1,) + steps.shape[1:]), steps))
 
 
-def row_trapezoid(F: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """np.trapezoid(row, x[:nodes]) of each row of the 2-D array F on the
-    first nodes of x, bit for bit, given widths = np.diff(x): the terms
-    (f_i + f_{i+1}) h_i / 2 of the row's own intervals, summed along it."""
-    terms = np.add(F[:, 1:], F[:, :-1], order="C")  # numpy sums a contiguous row pairwise
-    terms *= widths[:terms.shape[1]]
-    terms /= 2.0
-    return terms.sum(1)
+def trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """The nodal weights of the composite trapezoid rule on the nodes x:
+    h_0 / 2 at the first node, (h_{i-1} + h_i) / 2 inside and h_{n-2} / 2 at
+    the last, with h = np.diff(x); zero at a single node.  Halving a
+    normal float is exact, so h_{i-1} / 2 + h_i / 2 is (h_{i-1} + h_i) / 2."""
+    half = np.diff(x) / 2.0
+    w = np.zeros(x.size)
+    w[:-1] += half
+    w[1:] += half
+    return w
+
+
+def integrate(F: np.ndarray, weights: np.ndarray) -> np.ndarray | np.float64:
+    """The trapezoid integral along the last axis of F, given the
+    trapezoid_weights of the nodes it covers: the sum of F * weights along
+    each row.  numpy sums a contiguous row pairwise, so the product is
+    C-ordered, and a row has the same bits alone, in a block of rows and as
+    a column of a node-major block (whose transpose is passed)."""
+    return np.multiply(F, weights, order="C").sum(-1)
 
 
 def tail_integral(f: np.ndarray, grid: Grid) -> np.ndarray:

@@ -27,14 +27,15 @@ from .discrete_ops import (
     NormKind,
     cumulative_trapezoid,
     derivative,
+    integrate,
     monotone_interpolator,
     norm,
-    row_trapezoid,
     shift_sample,
     stencil_derivative,
     stencil_trace,
     tail_integral,
     trace0,
+    trapezoid_weights,
 )
 from .parabolic import (
     RegularizedLog,
@@ -405,33 +406,34 @@ class Trajectory:
         residual of reconstruction_residuals ("reconstruction").  The stored
         rows are walked once, ROW_BLOCK rows at a time, on the first read, and
         only on the nodes [0, head): past them g, h and their derivatives are
-        exact zeros, so their integrals sum the head's P - 1 intervals alone.
-        Past the head the effective velocity is exactly u_plus, so the
-        reconstruction integrand there is u_plus - w0(x + y), on whole rows.
+        exact zeros, so they integrate against the head's own trapezoid
+        weights.  Past the head the effective velocity is exactly u_plus, so
+        the reconstruction integrand there is u_plus - w0(x + y), on whole
+        rows against the whole grid's weights.
         The arrays are read-only, since every consumer of the run shares them."""
         init = self.init
         grid, params, head = init.grid, init.params, self.head
-        widths = np.diff(grid.x)
+        weights, whole = trapezoid_weights(grid.x[:head]), trapezoid_weights(grid.x)
         v_bar, u_bar = init.wave.v_bar[:head], init.wave.u_bar[:head]
         out = {key: np.empty(self.stored_idx.size)
                for key in ("v_l1", "v_l2", "v_h1", "v_linf", "u_l2", "u_linf", "reconstruction")}
         for start in range(0, self.stored_idx.size, ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
             G, H = self.v[rows, :head] - v_bar, self.u[rows, :head] - u_bar
-            g_sq = row_trapezoid(G**2, widths)
+            g_sq = integrate(G**2, weights)
             Gx = stencil_derivative(G.T, grid.dx, 1).T
-            out["v_l1"][rows] = row_trapezoid(np.abs(G), widths)
+            out["v_l1"][rows] = integrate(np.abs(G), weights)
             out["v_l2"][rows] = np.sqrt(g_sq)
-            out["v_h1"][rows] = np.sqrt(g_sq + row_trapezoid(Gx**2, widths))
+            out["v_h1"][rows] = np.sqrt(g_sq + integrate(Gx**2, weights))
             out["v_linf"][rows] = np.max(np.abs(G), axis=1)
-            out["u_l2"][rows] = np.sqrt(row_trapezoid(H**2, widths))
+            out["u_l2"][rows] = np.sqrt(integrate(H**2, weights))
             out["u_linf"][rows] = np.max(np.abs(H), axis=1)
             # the integrand w - w0(x + y), written over the sampled targets
             f = shift_sample(init.w0_eval, self.y[self.stored_idx[rows]])
             w = effective_velocity_of_deviation(G.T, H.T, v_bar[:, None], grid.dx, params).T
             np.subtract(w, f[:, :head], out=f[:, :head])
             np.subtract(params.u_plus, f[:, head:], out=f[:, head:])
-            out["reconstruction"][rows] = np.sqrt(row_trapezoid(f**2, widths))
+            out["reconstruction"][rows] = np.sqrt(integrate(np.square(f, out=f), whole))
         for values in out.values():
             values.setflags(write=False)
         return out
@@ -499,9 +501,10 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
     [0, m] each step overwrites: step_v and step_u get the head as both
     their input and their output.  So past m it is the wave, a widening
     only moves m, and the input state is never written.  The steps run on
-    the grid and wave of the head of one whole-grid StepWork, which the
-    march cuts at its start and at each widening, and write their
-    temporaries into it, so no step allocates an array.
+    the grid and wave of the head of one whole-grid StepWork, built with
+    the march's first head and cut again at each widening, and write their
+    temporaries into it; each step's source row is sampled into its
+    `source` row, so no step allocates an array.
     With `report`, the march records its start and widenings there.
     """
     steps = ydot.size - 1
@@ -520,8 +523,7 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
         off |= source.shifted(y0) != 0.0
     last = np.flatnonzero(off)
     m = min((int(last[-1]) if last.size else 0) + ACTIVE_GUARD, n - 1)
-    work = StepWork(grid, wave)
-    work.head(m + 1)
+    work = StepWork(grid, wave, m + 1)
     v_all, u_all = wave.v_bar.copy(), wave.u_bar.copy()
     # the views of the state's head, which each step reads and overwrites
     v_head, u_head = v_all[:m + 1], u_all[:m + 1]
@@ -567,7 +569,7 @@ def _march(v: np.ndarray, u: np.ndarray, ydot: np.ndarray, y: np.ndarray,
             m = wider
             work.head(m + 1)
             v_head, u_head = v_all[:m + 1], u_all[:m + 1]
-        src = 0.0 if shifted is None else shifted(y_k, m + 1)
+        src = 0.0 if shifted is None else shifted(y_k, m + 1, work.source)
         try:
             step_v(v_head, ydot_k, src, work.grid, dt, init.reg, params, work.wave, out=v_head,
                    work=work)

@@ -135,11 +135,13 @@ class StepWork:
     every view a step reads, once: the head's `grid` and `wave` (None for
     linear_parabolic_step alone) as views of the whole ones, which
     make_grid(x_m, m + 1) can differ from by an ulp, and the arrays on its
-    nodes with their interior and shifted slices.  A march builds one on
-    the whole grid and takes a new head at its start and at each widening;
-    a step called without one builds its own, so both run the same lines.
-    Nothing a step reads is carried from one step to the next, except the
-    source's end entries, which stay the 0 that head writes.
+    nodes with their interior and shifted slices.  `source` is a row on the
+    head that no step writes, for a caller to sample step_v's source into.
+    A march builds one on the whole grid with its first head (`nodes`, all
+    n by default) and takes a new head at each widening; a step called
+    without one builds its own, so both run the same lines.  Nothing a step
+    reads is carried from one step to the next, except the end entries of
+    step_u's source, which stay the 0 that head writes.
 
     A step's scalar operands are 0-d arrays too, which it writes each
     value into: a ufunc takes a 0-d float64 operand about 0.2 us faster than
@@ -147,14 +149,14 @@ class StepWork:
     a shared 2-vCPU x86 machine).
     """
 
-    def __init__(self, grid: Grid, wave: Profiles | None = None):
+    def __init__(self, grid: Grid, wave: Profiles | None = None, nodes: int | None = None):
         self._grid, self._wave = grid, wave
-        self._rows = np.empty((16, grid.n))
+        self._rows = np.empty((17, grid.n))
         self._flags = np.empty(grid.n, dtype=bool)
         (self.c_adv, self.minus_c_adv, self.c_dif, self.coef, self.dt, self.inv_dt,
          self.two_dx, self.mu, self.face_scale, self.b_f, self.minus_b_f) = (
             np.empty(()) for _ in range(11))
-        self.head(grid.n)
+        self.head(grid.n if nodes is None else nodes)
 
     def head(self, nodes: int) -> None:
         """Take the views on the first `nodes` nodes."""
@@ -171,6 +173,7 @@ class StepWork:
         self.base, self.res, self.tmp, self.diag, self.di = rows[7:12, :nodes - 2]
         self.sub, self.lo, self.hi = rows[12:15, :nodes - 3]
         self.k = rows[15, :nodes - 1]
+        self.source = rows[16, :nodes]
         self.flags = self._flags[:nodes]
         # step_v: the deviation and the log's pair, at nodes i - 1, i, i + 1
         # of each interior row i, and the slope's part of each diagonal

@@ -300,8 +300,11 @@ def test_steady_wave_run_outputs(tmp_path):
 def test_runs_are_bit_identical(tmp_path):
     bump = ["--override", "perturbation.family=gaussian_bump",
             "--override", "perturbation.amplitude=0.001"]
-    for preset, extra in (("steady_wave", bump), ("trace_suite", [])):
-        args = ["--preset", preset] + SMALL + extra
+    small_grid = ["--override", "grid.n=257"]
+    # the quadrature presets run no solver: the grid is their only size
+    for preset, extra in (("steady_wave", SMALL + bump), ("trace_suite", SMALL),
+                          ("appendix_lemmas", small_grid), ("coercivity_suite", small_grid)):
+        args = ["--preset", preset] + extra
         code1 = main(args + ["--out-dir", str(tmp_path / preset / "a")])
         code2 = main(args + ["--out-dir", str(tmp_path / preset / "b")])
         assert code1 == code2 == 0

@@ -23,11 +23,13 @@ from congested_ns.diagnostics import (
 from congested_ns.discrete_ops import (
     NormKind,
     derivative,
+    integrate,
     norm,
     shift_sample,
     stencil_derivative,
     tail_integral,
     trace0,
+    trapezoid_weights,
 )
 from congested_ns.freeboundary import (
     HEAD_HALO,
@@ -304,17 +306,17 @@ class TestAppendixInequalities:
 
     def test_shifted_weight_random_instances(self, params, rng):
         g = make_grid(20.0, 401)
-        t = np.linspace(0.0, 3.0, 151)
+        t, weights = np.linspace(0.0, 3.0, 151), trapezoid_weights(g.x)
         for _ in range(100):
             M = rng.uniform(1.1, 4.0)
             F = rng.uniform(0.1, 2.0) * np.exp(-rng.uniform(0.3, 2.0) * g.x)
             path = make_path(t, rng.uniform(1.0 / M, M, t.size))
             res = shifted_weight_inequality(F, path, M, g)
             assert res["lhs"] <= res["rhs"] * (1 + 1e-12)
-            # the inner integral row by row, one np.trapezoid per time
+            # the inner integral row by row, the rule in x once per time
             shifted = discrete_ops.shift_sample(
                 discrete_ops.monotone_interpolator(F, g, 0.0), path.y)
-            inner = np.array([np.trapezoid(row**2, g.x) for row in shifted])
+            inner = np.array([integrate(row**2, weights) for row in shifted])
             assert res["lhs"] == float(np.trapezoid(inner, path.t))
 
     def test_shifted_weight_builds_one_interpolant(self, monkeypatch):
@@ -523,10 +525,10 @@ def _whole_history_energies(traj, init, grid, params, t):
     prof = traj.init.wave
     m, dts = diagnostics._uniform_prefix(traj, t)
     ydots = traj.ydot[traj.stored_idx[:m]]
-    x, dx = grid.x, grid.dx
+    dx, weights = grid.dx, trapezoid_weights(grid.x)
 
     def sq(fields):
-        return [np.trapezoid(f**2, x) for f in fields]
+        return [integrate(f**2, weights) for f in fields]
 
     G = traj.v[:m] - prof.v_bar
     Gt = time_derivative(G, dts)
@@ -574,13 +576,13 @@ def _whole_history_growth(traj, init, grid, params):
     of the row-block pass."""
     prof = traj.init.wave
     m, dts = diagnostics._uniform_prefix(traj, traj.t[-1])
-    dvbar = prof.dv_bar
+    dvbar, weights = prof.dv_bar, trapezoid_weights(grid.x)
     G = traj.v[:m] - prof.v_bar
     Gt = time_derivative(G, dts)
     sq = np.empty((4, m))
     for i, step in enumerate(traj.stored_idx[:m]):
         src = init.source_eval.shifted(traj.y[step]) + (traj.ydot[step] - params.s) * dvbar
-        sq[:, i] = [np.trapezoid(f**2, grid.x) for f in
+        sq[:, i] = [integrate(f**2, weights) for f in
                     (G[i], stencil_derivative(G[i], grid.dx, 1), Gt[i], src)]
     g_sq, dxg_sq, dtg_sq, src_sq = sq
 
@@ -695,20 +697,21 @@ class TestRowBlockPass:
         assert rep.growth_lhs == pytest.approx(expected, rel=1e-12)
 
     def test_deviation_integrals_sum_the_heads_intervals(self, synthetic_run, monkeypatch):
-        # each block integrates its deviations over the head's P nodes; only the
-        # reconstruction target and the growth bound's source, which are no
-        # deviations, take all n, and every walk computes its widths once
+        # each block integrates its deviations over the head's P nodes, against
+        # the head's own trapezoid weights; only the reconstruction target and
+        # the growth bound's source, which are no deviations, take all n, and
+        # every walk computes each of its two weight rows once
         traj = synthetic_run(257, np.arange(2 * B + 3))
-        P, n, blocks = traj.head, traj.init.grid.n, 3
+        x, P, n, blocks = traj.init.grid.x, traj.head, traj.init.grid.n, 3
         assert HEAD_HALO < P < n
         calls = []
 
-        def recording(F, widths):
-            calls.append((F.shape[1], id(widths)))
-            return discrete_ops.row_trapezoid(F, widths)
+        def recording(F, weights):
+            calls.append((F.shape[-1], weights))
+            return discrete_ops.integrate(F, weights)
 
         for module in (freeboundary, diagnostics):
-            monkeypatch.setattr(module, "row_trapezoid", recording)
+            monkeypatch.setattr(module, "integrate", recording)
         walks = {"deviations": (lambda: traj.deviations, [P, P, P, P, n] * blocks),
                  "energy_report": (lambda: energy_report(traj, traj.init, traj.init.grid,
                                                          traj.init.params, traj.t[-1]),
@@ -717,7 +720,9 @@ class TestRowBlockPass:
             calls.clear()
             walk()
             assert [nodes for nodes, _ in calls] == expected, name
-            assert len({widths for _, widths in calls}) == 1, name
+            assert len({id(weights) for _, weights in calls}) == 2, name
+            for nodes, weights in calls:
+                assert weights.tobytes() == trapezoid_weights(x[:nodes]).tobytes(), name
 
     def test_exact_front_growth_source_is_zero_without_whole_rows(self, params, monkeypatch):
         # on the exact front there is no source and ydot = s, so the growth
@@ -735,11 +740,11 @@ class TestRowBlockPass:
         integrated = replace(traj, init=zero_source)
         nodes = []
 
-        def recording(F, widths):
-            nodes.append(F.shape[1])
-            return discrete_ops.row_trapezoid(F, widths)
+        def recording(F, weights):
+            nodes.append(F.shape[-1])
+            return discrete_ops.integrate(F, weights)
 
-        monkeypatch.setattr(diagnostics, "row_trapezoid", recording)
+        monkeypatch.setattr(diagnostics, "integrate", recording)
         report = energy_report(traj, init, grid, params, traj.t[-1])
         assert grid.n not in nodes
         nodes.clear()

@@ -13,13 +13,14 @@ from congested_ns.discrete_ops import (
     NormKind,
     cumulative_trapezoid,
     derivative,
+    integrate,
     monotone_interpolator,
     norm,
-    row_trapezoid,
     shift_sample,
     stencil_derivative,
     tail_integral,
     trace0,
+    trapezoid_weights,
 )
 from conftest import run_python
 
@@ -462,18 +463,61 @@ def test_monotone_interpolator_nodes_and_tail(g10):
     assert float(evaluate(3.3)) == float(evaluate(np.array([3.3]))[0])
 
 
-@pytest.mark.parametrize("layout", ["rows", "columns"])
-def test_row_trapezoid_is_the_trapezoid_over_each_rows_own_nodes(rng, layout):
-    # whole rows, heads past numpy's 128-term pairwise block and short heads,
-    # given row-major or as the transpose of node-major columns
-    x = make_grid(50.0, 2049).x
-    widths = np.diff(x)
-    for rows, nodes in ((8, 2049), (3, 8), (8, 300), (5, 2), (8, 2048), (1, 129)):
-        F = rng.standard_normal((rows, nodes)) ** 2
-        if layout == "columns":
-            F = np.ascontiguousarray(F.T).T
-        assert (row_trapezoid(F, widths).tolist()
-                == [np.trapezoid(row, x[:nodes]) for row in F])
+def test_trapezoid_weights_at_one_two_and_three_nodes():
+    # spacings exact in binary, so every weight is exact
+    assert trapezoid_weights(np.array([0.3])).tolist() == [0.0]
+    assert trapezoid_weights(np.array([0.25, 1.0])).tolist() == [0.375, 0.375]
+    assert trapezoid_weights(np.array([0.0, 0.5, 1.25])).tolist() == [0.25, 0.625, 0.375]
+
+
+def _pairwise_depth(n: int) -> int:
+    """The most roundings one term can take in numpy's pairwise sum of n
+    terms: fewer than 8 summed one by one from 0; up to 128 by 8 accumulators
+    (n // 8 - 1 additions each), their 3-level combination and the n % 8
+    terms left over; past 128, one more addition than the deeper of the two
+    halves, the first a multiple of 8."""
+    if n < 8:
+        return n
+    if n <= 128:
+        return n // 8 - 1 + 3 + n % 8
+    half = n // 2 - (n // 2) % 8
+    return 1 + max(_pairwise_depth(half), _pairwise_depth(n - half))
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
+    u = np.finfo(float).eps / 2.0
+    return k * u / (1.0 - k * u)
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 9, 130, 1000, 2049])
+def test_the_rule_is_np_trapezoid_within_the_pairwise_bound(rng, nodes):
+    # both sum the exact trapezoid of the same spacings h = np.diff(x):
+    # the rule sum_i f_i w_i takes 2 roundings per term (the weight's sum
+    # and the product; its halving is exact) and np.trapezoid 2 (the pair's
+    # sum and the product), then each the roundings of the pairwise sum of
+    # its n or n - 1 terms.  Each then lies within gamma_k sum |terms| of
+    # the exact value (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., 4.2), and sum |terms| is the rule on |f|
+    for x in (make_grid(50.0, max(nodes, 16)).x[:nodes],
+              np.cumsum(rng.uniform(0.1, 1.0, nodes))):
+        w = trapezoid_weights(x)
+        for f in (rng.uniform(0.0, 2.0, nodes), rng.standard_normal(nodes)):
+            scale = math.fsum((np.abs(f) * w).tolist()) * (1.0 + _gamma(2))
+            bound = (_gamma(_pairwise_depth(nodes) + 2)
+                     + _gamma(_pairwise_depth(nodes - 1) + 2)) * scale
+            assert abs(integrate(f, w) - np.trapezoid(f, x)) <= bound
+
+
+@pytest.mark.parametrize("nodes", [2, 8, 129, 300, 2049])
+def test_a_rows_integral_has_the_same_bits_alone_in_a_block_and_as_a_column(rng, nodes):
+    w = trapezoid_weights(make_grid(50.0, 2049).x[:nodes])
+    F = rng.standard_normal((8, nodes))
+    columns = np.ascontiguousarray(F.T)  # node-major: one column per row
+    block, transposed = integrate(F, w), integrate(columns.T, w)
+    for i, row in enumerate(F):
+        alone = integrate(row.copy(), w)
+        assert alone.tobytes() == block[i].tobytes() == transposed[i].tobytes()
 
 
 def test_cumulative_trapezoid_integrates_each_column_alone(rng):

@@ -797,6 +797,35 @@ class TestActiveLength:
             else:  # widened before the second step
                 assert heads[0] < heads[1] == heads[-1] and all(updated)
 
+    def test_the_march_cuts_one_head_per_width_and_samples_its_source_in_place(
+            self, params, bump_init, monkeypatch):
+        # the workspace is built with the march's first head and cut again
+        # only at a widening, and every step_v reads its source from the
+        # workspace's source row, which the march samples into
+        heads, sources = [], []
+        cut = StepWork.head
+
+        def head(work, nodes):
+            heads.append(nodes)
+            cut(work, nodes)
+
+        def step_v(v, ydot, source, *args, work, **kwargs):
+            sources.append(source is work.source and source.size == work.grid.n)
+            return original(v, ydot, source, *args, work=work, **kwargs)
+
+        dt, original = 0.01, freeboundary.step_v
+        start = np.full(3, bump_init.compat_speed)
+        _, v, u = _march(bump_init.v0, bump_init.u0, start, cumulative_trapezoid(start, dt),
+                         bump_init, dt, 0.0)
+        monkeypatch.setattr(StepWork, "head", head)
+        monkeypatch.setattr(freeboundary, "step_v", step_v)
+        report = WindowReport(t_start=2 * dt)
+        ydot = np.full(11, 2.0 * params.s)
+        _march(v, u, ydot, cumulative_trapezoid(ydot, dt), bump_init, dt, 2 * dt, report=report)
+        widenings = report.widenings[0]
+        assert widenings and len(sources) == 10 and all(sources)
+        assert heads == [report.active_start + 1] + [to + 1 for *_, to in widenings]
+
     def test_a_step_rejects_the_workspace_of_another_head(self, params, wave_init):
         grid, wave = wave_init.grid, wave_init.wave
         work = StepWork(grid, wave)
