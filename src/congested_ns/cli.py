@@ -186,6 +186,9 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(str(exc)) from exc
     if cfg.preset == "convergence_order":
         _convergence_levels(cfg)
+    if cfg.preset == "coercivity_suite" and cfg.R < 11.5:
+        raise ConfigError(f"coercivity_suite needs grid.R >= 11.5 to centre its test bumps "
+                          f"in [2.5, min(6, grid.R - 9)] (got {cfg.R:g})")
     names = {_sweep_csv_name(a) for a in cfg.sweep_amplitudes}
     if cfg.preset == "stability_sweep" and len(names) < len(cfg.sweep_amplitudes):
         raise ConfigError(f"sweep.amplitudes {cfg.sweep_amplitudes} write two runs to one "
@@ -378,7 +381,8 @@ def _run_bootstrap_check(cfg: RunConfig, out: Path) -> dict:
     summary.update({
         "delta": cfg.delta,
         "c0": BOOTSTRAP_C0,
-        "smallness_ok": e0 <= BOOTSTRAP_C0 * cfg.delta**2,
+        # a product, which overflows to inf for a huge delta where ** raises
+        "smallness_ok": e0 <= BOOTSTRAP_C0 * cfg.delta * cfg.delta,
         "decay_ratio_at_T": final_sup / initial_sup if initial_sup > 0 else 0.0,
         "min_speed": monitor["min_speed"],
         "max_speed": monitor["max_speed"],
@@ -569,11 +573,21 @@ _RUNNERS = {
 PRESETS = tuple(_RUNNERS)
 
 
+def _print_error(exc: BaseException, **extra) -> None:
+    """The typed error record of a run that cannot write summary.json, on stderr."""
+    print(json.dumps({"status": "error", "kind": type(exc).__name__, "message": str(exc),
+                      **extra}), file=sys.stderr)
+
+
 def run(cfg: RunConfig) -> int:
     """Execute the configured preset; write outputs; return the exit status."""
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config_resolved.txt").write_text(config_lines(cfg), encoding="utf-8")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config_resolved.txt").write_text(config_lines(cfg), encoding="utf-8")
+    except OSError as exc:  # an out_dir that names a file, or one that cannot be written
+        _print_error(exc, preset=cfg.preset)
+        return 2
     started = time.time()
     try:
         validate_config(cfg)
@@ -619,9 +633,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("provide --config and/or --preset")
     try:
         cfg = resolve_config(args.config, args.preset, args.out_dir, args.override)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(json.dumps({"status": "error", "kind": type(exc).__name__,
-                          "message": str(exc)}), file=sys.stderr)
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
+        # a config file that is missing, a directory or not UTF-8 text
+        _print_error(exc)
         return 2
     return run(cfg)
 

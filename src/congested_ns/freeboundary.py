@@ -175,10 +175,11 @@ class InitialData:
     w0 and source at points x >= 0 (monotone_interpolator with tails
     u_plus and 0); source_eval is None when the source is identically
     zero.  wave is traveling_wave(params, grid), the background of every
-    march and certificate, and reg the regularized log with bar_c = 2 max
-    v0 that step_v applies.  validate_hypotheses builds each of them once
-    per datum, and records the grid and params it validated the datum on;
-    the solver runs the datum on no other.
+    march and certificate, and reg the log of step_v, whose cap bar_c = 2
+    max v0 bounds the range [1, bar_c] that step_v admits and returns.
+    validate_hypotheses builds each of them once per datum, and records the
+    grid and params it validated the datum on; the solver runs the datum on
+    no other.
     """
 
     v0: np.ndarray = field(repr=False)
@@ -354,7 +355,9 @@ class Trajectory:
     """Time history of the coupled solve.
 
     Scalars (t, y, ydot, p_s) are kept at every step; field snapshots at the
-    configured stride (first and last step always included).
+    configured stride (first and last step always included).  The arrays are
+    made read-only, since the cached head and deviations are read from them
+    and the path and certificates share them.
     """
 
     t: np.ndarray
@@ -367,15 +370,19 @@ class Trajectory:
     windows: list[WindowReport]
     init: InitialData
 
+    def __post_init__(self) -> None:
+        for a in (self.t, self.y, self.ydot, self.p_s, self.stored_idx, self.v, self.u):
+            a.setflags(write=False)
+
     @property
     def path(self) -> BoundaryPath:
-        """The run's t, y and ydot, copied.  Each window's positions integrate
+        """The run's t, y and ydot, shared.  Each window's positions integrate
         that window's speeds from its start.  The speed stored at a window's
         first node is the previous window's last converged speed, within tol
         of the start speed the window steps from, so across a join y differs
         from the cumulative trapezoid of ydot by up to about dt * tol / 2
         (4.8e-13 at the first join of the bootstrap datum, n = 257, dt = 2e-3)."""
-        return BoundaryPath(t=self.t.copy(), y=self.y.copy(), ydot=self.ydot.copy())
+        return BoundaryPath(t=self.t, y=self.y, ydot=self.ydot)
 
     @property
     def stored_times(self) -> np.ndarray:
@@ -745,8 +752,8 @@ def reconstruction_residuals(traj: Trajectory, init: InitialData, grid: Grid,
     effective velocity: u - mu d_x ln v against w0 sampled at x + y(t).
 
     The modified system is equivalent to the original one exactly when this
-    vanishes, so the residual certifies the reconstruction argument.  It is a
-    copy of traj.deviations["reconstruction"], which samples the targets
+    vanishes, so the residual certifies the reconstruction argument.  It is
+    traj.deviations["reconstruction"], read-only, which samples the targets
     ROW_BLOCK stored times at a time in the run's one walk over its rows."""
     traj.check_certified_with(init, grid, params)
-    return traj.deviations["reconstruction"].copy()
+    return traj.deviations["reconstruction"]

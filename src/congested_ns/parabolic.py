@@ -1,12 +1,11 @@
 """Implicit time-stepping for the two half-line parabolic problems.
 
-The specific-volume equation has a logarithmic diffusion which is regularized
-outside the physically reachable range [1/2, bar_c] so the linearized solves
-can never degenerate; inside that range nothing is changed and the maximum
-principle keeps the solution there anyway.  It is advanced by a linearly
-implicit Euler step: one tridiagonal solve with the Jacobian at the old
-state.  The velocity equation is linear with variable diffusion mu / v and is
-advanced by a conservative-flux implicit-Euler step.
+The specific-volume equation has the logarithmic diffusion mu d_xx ln v.  It
+is advanced by a linearly implicit Euler step: one tridiagonal solve with the
+Jacobian at the old state, which the step admits only inside the range
+[1, bar_c] of the maximum principle, where the diffusion mu / v is at least
+mu / bar_c.  The velocity equation is linear with variable diffusion mu / v
+and is advanced by a conservative-flux implicit-Euler step.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .profiles import Profiles
 
 
 class MaximumPrincipleViolated(RuntimeError):
-    """A specific-volume iterate left the admissible range (1, bar_c]."""
+    """A step_v update left the admissible range [1, bar_c]."""
 
 
 class TridiagonalSolveError(RuntimeError):
@@ -65,20 +64,14 @@ _ZERO, _ONE, _TWO, _V_FLOOR = (_CONSTANTS[i, ...] for i in range(4))
 
 @dataclass(frozen=True)
 class RegularizedLog:
-    """C^1 surrogate a(x) for ln(x), with linear growth outside [1/2, bar_c].
+    """The logarithmic diffusion a(v) = ln v of the volume equation, with its
+    slope 1/v, on the admissible range [1, bar_c] of the maximum principle.
 
-    With the slope floor nu = 1/(2 bar_c), c = clip(x, 1/2, bar_c),
-    dl = clip(1/2 - x, 0, 1/4) and dr = clip(x - bar_c, 0, bar_c):
-
-        a(x)  = ln c - (2 dl + kl dl^2 / 2) + (dr / bar_c - kr dr^2 / 2)
-                + min(x - 1/4, 0) / nu + nu max(x - 2 bar_c, 0),
-        a'(x) = 1/c + kl dl - kr dr,
-
-    so a == ln on [1/2, bar_c]; the left bend on [1/4, 1/2] takes the slope
-    linearly from 2 up to 1/nu (kl = (1/nu - 2) / (1/4)), the right bend on
-    [bar_c, 2 bar_c] from 1/bar_c down to nu (kr = (1/bar_c - nu) / bar_c),
-    and beyond them a continues linearly; nu <= a'(x) <= 1/nu everywhere
-    (beyond 2 bar_c, 1/bar_c - kr bar_c rounds to within one ulp of nu).
+    step_v admits only states in that range (within EPS_MAX_PRINCIPLE) and
+    linearizes once about its input, so the log is never evaluated outside
+    it.  The pair stays a class, called once per step_v, because
+    perfbench's tracer wraps parabolic.RegularizedLog.__call__ and
+    tests/test_bench_contract.py counts that call.
     """
 
     bar_c: float
@@ -87,41 +80,17 @@ class RegularizedLog:
         if not 1.0 < self.bar_c <= sys.float_info.max / 2.0:
             raise ValidationError(f"bar_c must exceed 1, with 2 bar_c finite (got {self.bar_c})")
 
-    @property
-    def nu(self) -> float:
-        """The slope floor 1/(2 bar_c); 1/nu is the slope cap."""
-        return 1.0 / (2.0 * self.bar_c)
-
-    def __call__(self, x: np.ndarray | float, span: tuple[float, float] | None = None,
+    def __call__(self, x: np.ndarray | float,
                  out: tuple[np.ndarray, np.ndarray] | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
-        """Return (a(x), a'(x)) elementwise; NaN entries give NaN in both.
-        `span`, the pair (x.min(), x.max()) of an array x that the caller
-        has already taken, spares the core test its own two passes.  The
-        pair is written into `out`, two arrays of x's shape (new ones by
-        default), and returned; for a 0-d x, 0-d arrays."""
+        """Return (ln x, 1/x) elementwise, written into `out`, two arrays of
+        x's shape (new ones by default); for a 0-d x, 0-d arrays."""
         x = np.asarray(x, dtype=float)
         if out is None:
             out = np.empty_like(x), np.empty_like(x)
         value, slope = out
-        if span is None and x.ndim and x.size:
-            span = np.minimum.reduce(x), np.maximum.reduce(x)
-        # every entry in the core: the bits the general path gives there (a
-        # NaN fails both comparisons and takes the general path)
-        if span is not None and 0.5 <= span[0] and span[1] <= self.bar_c:
-            np.log(x, out=value)
-            np.divide(_ONE, x, out=slope)
-            return value, slope
-        bar_c, nu = self.bar_c, self.nu
-        inv_nu = 1.0 / nu
-        kl = (inv_nu - 2.0) / 0.25
-        kr = (1.0 / bar_c - nu) / bar_c
-        c = np.clip(x, 0.5, bar_c)
-        dl = np.clip(0.5 - x, 0.0, 0.25)
-        dr = np.clip(x - bar_c, 0.0, bar_c)
-        value[...] = (np.log(c) - (2.0 * dl + 0.5 * kl * dl**2) + (dr / bar_c - 0.5 * kr * dr**2)
-                      + inv_nu * np.minimum(x - 0.25, 0.0) + nu * np.maximum(x - 2.0 * bar_c, 0.0))
-        slope[...] = 1.0 / c + kl * dl - kr * dr
+        np.log(x, out=value)
+        np.divide(_ONE, x, out=slope)
         return value, slope
 
 
@@ -130,13 +99,12 @@ class StepWork:
     allocated once on a whole grid, and their views on a head.
 
     A step given a workspace writes every temporary into it, so it
-    allocates no array (except on the regularized log's general path,
-    which no state inside the maximum principle takes).  head(nodes) cuts
-    every view a step reads, once: the head's `grid` and `wave` (None for
-    linear_parabolic_step alone) as views of the whole ones, which
-    make_grid(x_m, m + 1) can differ from by an ulp, and the arrays on its
-    nodes with their interior and shifted slices.  `source` is a row on the
-    head that no step writes, for a caller to sample step_v's source into.
+    allocates no array.  head(nodes) cuts every view a step reads, once:
+    the head's `grid` and `wave` (None for linear_parabolic_step alone) as
+    views of the whole ones, which make_grid(x_m, m + 1) can differ from by
+    an ulp, and the arrays on its nodes with their interior and shifted
+    slices.  `source` is a row on the head that no step writes, for a
+    caller to sample step_v's source into.
     A march builds one on the whole grid with its first head (`nodes`, all
     n by default) and takes a new head at each widening; a step called
     without one builds its own, so both run the same lines.  Nothing a step
@@ -323,22 +291,25 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
     `wave` is traveling_wave(params, grid), sampled once by the caller.
     The implicit-Euler system F(g_new) = 0 is linearized once about the old
     deviation: one `reg` call gives the residual F(g) and the analytic
-    tridiagonal Jacobian J of the discretized a(v), and the step returns
-    g - J^{-1} F(g) (Hairer & Wanner, Solving ODEs II, IV.7), whose residual
-    is quadratic in the update.  A residual that is exactly zero, as on the
-    exact wave, returns the state as it is.  The result is written into
-    `out` (a new array by default; an array of shape (n,), v itself
-    allowed, since v is read only before out is written) and returned; a
-    step that raises may have written part of it.  The temporaries go into
-    `work`, a StepWork whose head holds `wave` (a new one by default).
+    tridiagonal Jacobian J of the discretized a(v) = ln v, and the step
+    returns g - J^{-1} F(g) (Hairer & Wanner, Solving ODEs II, IV.7), whose
+    residual is quadratic in the update.  A residual that is exactly zero,
+    as on the exact wave, returns the state as it is.  The result is
+    written into `out` (a new array by default; an array of shape (n,), v
+    itself allowed, since v is read only before out is written) and
+    returned; a step that raises may have written part of it.  The
+    temporaries go into `work`, a StepWork whose head holds `wave` (a new
+    one by default).
 
     v is checked once, in passes the step makes anyway: v(0) = 1, a finite
-    v(R), which no solve reads, and a finite, positive range of the state
-    (which a NaN fails), the same pair the maximum-principle check reads
-    when the step takes no update, and which the regularized log's core
-    test reads too.  An array source is checked for its shape and its end
-    entries, which no solve reads; a non-finite interior entry makes the
-    residual non-finite, which the solve's finite-solution check rejects.
+    v(R), which no solve reads, and the state's range (min, max), which
+    must lie in [1, reg.bar_c] within EPS_MAX_PRINCIPLE (a NaN fails the
+    test), the range the step returns.  A step that takes no update returns
+    its input, so only an update is checked again against the maximum
+    principle (MaximumPrincipleViolated).  An array source is checked for
+    its shape and its end entries, which no solve reads; a non-finite
+    interior entry makes the residual non-finite, which the solve's
+    finite-solution check rejects.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (grid.n,):
@@ -387,16 +358,17 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
     # the state the residual and its slope are evaluated at, and the result
     w = np.add(vbar, g, out=out)
     low, high = np.minimum.reduce(w), np.maximum.reduce(w)
-    if not (0.0 < low and high < math.inf):
+    if not (1.0 - EPS_MAX_PRINCIPLE <= low and high <= reg.bar_c + EPS_MAX_PRINCIPLE):
         raise ValidationError(
-            f"step_v requires a finite v > 0 on input (range [{low:g}, {high:g}])"
+            f"step_v requires v in [1, bar_c] = [1, {reg.bar_c:g}] on input, within "
+            f"{EPS_MAX_PRINCIPLE:g} (range [{low:.12g}, {high:.12g}])"
         )
     c_adv = dt * ydot / (2.0 * grid.dx)
     work.c_adv[()], work.c_dif[()] = c_adv, dt * params.mu / grid.dx**2
 
     # g_i - c_adv (g_{i+1} - g_{i-1}) - c_dif (q_{i+1} - 2 q_i + q_{i-1})
-    # - base_i, with q = a(w) - ln vbar, assembled in place
-    q, slope = reg(w, (low, high), work.reg_out)
+    # - base_i, with q = ln w - ln vbar, assembled in place
+    q, slope = reg(w, work.reg_out)
     q -= wave.log_v_bar
     q *= work.c_dif
     res = np.subtract(work.g_lo, work.g_hi, out=work.res)
@@ -419,14 +391,14 @@ def step_v(v: np.ndarray, ydot: float, source: np.ndarray | float, grid: Grid, d
         work.minus_c_adv[()] = -c_adv
         sup = np.subtract(work.minus_c_adv, work.slope_sup, out=work.slope_sup)
         delta = _solve_tridiagonal(sub, diag, sup, np.negative(res, out=res), dt,
-                                   params.mu * reg.nu)
+                                   params.mu / reg.bar_c)
         delta += g_in
         np.add(work.v_in, delta, out=w[1:-1])
         low, high = np.minimum.reduce(w), np.maximum.reduce(w)
-    if not (1.0 - EPS_MAX_PRINCIPLE <= low and high <= reg.bar_c + EPS_MAX_PRINCIPLE):
-        raise MaximumPrincipleViolated(
-            f"v left (1, bar_c]: range [{low:.12g}, {high:.12g}] vs bar_c = {reg.bar_c:g}"
-        )
+        if not (1.0 - EPS_MAX_PRINCIPLE <= low and high <= reg.bar_c + EPS_MAX_PRINCIPLE):
+            raise MaximumPrincipleViolated(
+                f"v left [1, bar_c]: range [{low:.12g}, {high:.12g}] vs bar_c = {reg.bar_c:g}"
+            )
     return w
 
 

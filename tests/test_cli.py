@@ -431,6 +431,73 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     assert "v_plus" in record["message"]
 
 
+@pytest.mark.parametrize("case", ["directory", "not_utf8"])
+def test_config_that_cannot_be_read_is_a_typed_error(tmp_path, capsys, case):
+    # once a bare traceback with exit 1
+    if case == "directory":
+        path, kind = tmp_path, "IsADirectoryError"
+    else:
+        path, kind = tmp_path / "latin1.cfg", "UnicodeDecodeError"
+        path.write_bytes("params.mu = 1.0  # \xb5 in Latin-1\n".encode("latin-1"))
+    code = main(["--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert (record["status"], record["kind"]) == ("error", kind)
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_dir_naming_a_file_is_a_typed_error(tmp_path, capsys):
+    # the output directory is made before the run's own error handling, and
+    # a file in its place once ended as a bare FileExistsError
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    code = main(["--preset", "appendix_lemmas", "--out-dir", str(out),
+                 "--override", "grid.n=257"])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert (record["status"], record["kind"], record["preset"]) == (
+        "error", "FileExistsError", "appendix_lemmas")
+    assert out.read_text() == "a file\n"
+
+
+def test_huge_delta_overflows_the_smallness_bound_quietly(tmp_path):
+    # delta passes its rule (> 0, finite), and delta**2 once raised an
+    # OverflowError that ended as kind "internal"
+    out = tmp_path / "out"
+    code = main(["--preset", "bootstrap_check", "--out-dir", str(out), *SMALL,
+                 "--override", "tolerances.delta=1e300"])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["delta"] == 1e300 and summary["smallness_ok"] is True
+
+
+@pytest.mark.parametrize("R, code", [(11.4, 2), (11.5, 0)])
+def test_coercivity_suite_needs_room_for_its_test_bumps(tmp_path, capsys, R, code):
+    # its bumps are centred in [2.5, min(6, R - 9)]: below R = 11.5 numpy's
+    # uniform once raised a ValueError that ended as kind "internal"
+    out = tmp_path / "out"
+    assert main(["--preset", "coercivity_suite", "--out-dir", str(out),
+                 "--override", f"grid.R={R}", "--override", "grid.n=257"]) == code
+    if code:
+        record = json.loads(capsys.readouterr().err)
+        assert record["kind"] == "ConfigError"
+        assert "grid.R >= 11.5" in record["message"]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("override", ["params.mu=1e-5", "params.v_plus=1e6"])
+def test_steep_wave_growth_bound_is_infinite_without_a_warning(tmp_path, override):
+    # exp((1 + max |vwave'|^2) T) overflows; under filterwarnings = error its
+    # RuntimeWarning once made the run fail as kind "internal"
+    out = tmp_path / "out"
+    code = main(["--preset", "steady_wave", "--out-dir", str(out), "--override", override,
+                 "--override", "grid.n=257", "--override", "time.T_final=0.02",
+                 "--override", "time.dt=0.01", "--override", "time.stride=1"])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["energies"]["growth_rhs"] == math.inf
+
+
 def test_run_validates_a_config_built_in_code(tmp_path, capsys):
     # a ConfigError with exit 2, as --override seed=-1 is, not numpy's error inside the run
     out = tmp_path / "out"

@@ -918,6 +918,20 @@ def wave_traj(params, small_grid, wave_init):
 
 
 class TestAssembleAndReconstruction:
+    def test_the_runs_arrays_are_read_only_and_shared(self, params, small_grid, wave_traj):
+        # a write would leave the cached head and deviations stale, so none
+        # is allowed, and the path and the certificates share the arrays
+        traj = wave_traj
+        for name in ("t", "y", "ydot", "p_s", "stored_idx", "v", "u"):
+            a = getattr(traj, name)
+            with pytest.raises(ValueError, match="read-only"):
+                a[(-1,) * a.ndim] += 1
+        path = traj.path
+        assert all(getattr(path, name) is getattr(traj, name) for name in ("t", "y", "ydot"))
+        res = reconstruction_residuals(traj, traj.init, small_grid, params)
+        assert res is traj.deviations["reconstruction"]
+        assert bootstrap_monitor(path, params, 0.05)["t"] is traj.t
+
     def test_wave_snapshot_matches_shifted_profile(self, params, small_grid, wave_traj):
         idx = wave_traj.stored_idx.size - 1
         step = wave_traj.stored_idx[idx]
